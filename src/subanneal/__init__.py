@@ -25,10 +25,9 @@ from .annealing import (
     tune,
 )
 from .ensemble import (
-    EnsembleConfig,
     corrupt,
     predict,
-    run_ensemble,
+    score_ensemble,
     spawn_children,
     train_parent,
     tune_children,
@@ -62,7 +61,6 @@ __all__ = [
     "AnnealController",
     "AnnealSchedule",
     "DivergenceError",
-    "EnsembleConfig",
     "FixedMaskController",
     "IterativeController",
     "MaskSet",
@@ -96,11 +94,11 @@ __all__ = [
     "random_anneal_controller",
     "random_mask",
     "realize",
-    "run_ensemble",
     "save_mask_set",
     "save_probability_set",
     "save_weights",
     "schedule_value",
+    "score_ensemble",
     "softmax",
     "spawn_children",
     "substream",

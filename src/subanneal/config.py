@@ -7,9 +7,10 @@ rejected. ``to_dict`` emits the fully-defaulted form, so parse -> serialize
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 TASKS = ("ablate", "train-parent", "prune-tune", "ensemble", "eval")
@@ -124,6 +125,21 @@ def _check_blobs(b: dict) -> dict:
     return out
 
 
+def _check_ensemble_task(cfg: "ExperimentConfig") -> None:
+    """The ensemble task tunes random-mask children with temperature
+    annealing at a single (rho, phi, tau0)."""
+    _require(cfg.method == ["temperature-anneal"],
+             "ensemble task requires method temperature-anneal")
+    _require(cfg.selector == "random",
+             "ensemble task requires selector random: children get random masks")
+    for key in ("rho", "phi", "tau0"):
+        _require(len(getattr(cfg, key)) == 1,
+                 f"ensemble task takes a single {key} value")
+    _require(cfg.phi[0] <= cfg.epochs,
+             f"ensemble task needs phi <= epochs (phi {cfg.phi[0]}, "
+             f"epochs {cfg.epochs})")
+
+
 @dataclass
 class ExperimentConfig:
     task: str
@@ -164,19 +180,10 @@ class ExperimentConfig:
     threads: int = 1
     dtype: str = "float64"
 
-    ALL_KEYS = ("task", "dataset", "model", "method", "rho", "phi", "tau0",
-                "selector", "granularity", "variant", "anneal_decay",
-                "distribution", "bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
-                "bimodal_sigma2", "parent_epochs", "epochs", "lr", "parent_lr",
-                "optimizer", "batch_size", "seed", "seeds", "repeats",
-                "out_dir", "train_subset", "test_subset", "eval_mask",
-                "ensemble", "blobs", "weights", "mask", "deterministic",
-                "threads", "dtype")
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         _require(isinstance(raw, dict), "config must be a JSON object")
-        _check_keys(raw, cls.ALL_KEYS, "config")
+        _check_keys(raw, [f.name for f in fields(cls)], "config")
         _require("task" in raw, "config requires a 'task'")
         raw = dict(raw)
 
@@ -274,6 +281,8 @@ class ExperimentConfig:
         _require(not raw, f"unconsumed config keys: {sorted(raw)}")
         if cfg.task == "eval":
             _require(cfg.weights is not None, "eval task requires 'weights'")
+        if cfg.task == "ensemble":
+            _check_ensemble_task(cfg)
         return cfg
 
     def run_seeds(self) -> list:
@@ -287,29 +296,8 @@ class ExperimentConfig:
         return "linear" if method == "random-anneal" else "cosine"
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task, "dataset": self.dataset, "model": self.model,
-            "method": list(self.method), "rho": list(self.rho),
-            "phi": list(self.phi), "tau0": list(self.tau0),
-            "selector": self.selector, "granularity": self.granularity,
-            "variant": self.variant, "anneal_decay": self.anneal_decay,
-            "distribution": self.distribution,
-            "bimodal_mu1": self.bimodal_mu1,
-            "bimodal_sigma1": self.bimodal_sigma1,
-            "bimodal_mu2": self.bimodal_mu2,
-            "bimodal_sigma2": self.bimodal_sigma2,
-            "parent_epochs": self.parent_epochs, "epochs": self.epochs,
-            "lr": dict(self.lr), "parent_lr": dict(self.parent_lr),
-            "optimizer": dict(self.optimizer), "batch_size": self.batch_size,
-            "seed": self.seed,
-            "seeds": None if self.seeds is None else list(self.seeds),
-            "repeats": self.repeats, "out_dir": self.out_dir,
-            "train_subset": self.train_subset, "test_subset": self.test_subset,
-            "eval_mask": self.eval_mask, "ensemble": dict(self.ensemble),
-            "blobs": dict(self.blobs), "weights": self.weights,
-            "mask": self.mask, "deterministic": self.deterministic,
-            "threads": self.threads, "dtype": self.dtype,
-        }
+        return {f.name: copy.deepcopy(getattr(self, f.name))
+                for f in fields(self)}
 
     def config_hash(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True)

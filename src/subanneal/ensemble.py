@@ -9,70 +9,22 @@ averaging member logits before the softmax.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .annealing import (
-    AnnealController,
     TemperatureConfig,
     anti_controller,
     temperature_controller,
     tune,
 )
-from .metrics import MetricsRecord, evaluate
+from .metrics import evaluate
 from .nn.layers import Network
-from .nn.optim import make_optimizer
-from .nn.schedules import child_one_cycle, parent_stepwise
 from .pruning import PruneSpec, random_mask
 from .rng import substream
 from .training import DivergenceError, predict_logits, run_epoch, softmax
 
 log = logging.getLogger(__name__)
-
-
-@dataclass
-class EnsembleConfig:
-    n_members: int = 4
-    t_parent: int = 10
-    t_child: int = 10
-    t_anneal: int = 3
-    rho: float = 0.5
-    tau0: float = 0.5
-    variant: str = "reverse-dropout"
-    decay: str = "cosine"
-    partitioning: bool = True
-    include_parent: bool = False
-    granularity: str = "layerwise"
-    batch_size: int = 128
-    optimizer_kind: str = "sgd"
-    momentum: float = 0.9
-    nesterov: bool = True
-    weight_decay: float = 0.0005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    parent_lr_hi: float = 0.1
-    parent_lr_lo: float = 0.001
-    child_lr_start: float = 0.001
-    child_lr_max: float = 0.1
-    child_lr_end: float = 1e-7
-    corruption_severities: tuple = field(default=(1, 2, 3, 4, 5))
-
-    def __post_init__(self):
-        if self.n_members < 1:
-            raise ValueError("need at least one ensemble member")
-        if self.t_anneal > self.t_child:
-            raise ValueError("t_anneal must not exceed t_child")
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-
-
-def _optimizer(cfg: "EnsembleConfig", base_lr: float):
-    return make_optimizer(cfg.optimizer_kind, base_lr, momentum=cfg.momentum,
-                          nesterov=cfg.nesterov,
-                          weight_decay=cfg.weight_decay, beta1=cfg.beta1,
-                          beta2=cfg.beta2, eps=cfg.eps)
 
 
 def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
@@ -124,34 +76,29 @@ def spawn_children(parent: Network, n: int, rho: float, partitioning: bool,
     return children
 
 
-def tune_children(children, cfg: EnsembleConfig, train_data, seed: int,
-                  eval_data=None, eval_mode: str = "terminal"):
+def tune_children(children, tau_cfg: TemperatureConfig, partitioning: bool,
+                  train_data, epochs: int, new_training, batch_size: int,
+                  seed: int, eval_data=None, eval_mode: str = "terminal"):
     """Anneal-tune every child; returns (members, per-member rows, failures).
 
+    ``new_training()`` returns a fresh (schedule, optimizer) pair per child.
     Partitioned siblings use mirrored probability matrices (P' = 1 - P at
     every epoch), the probabilistic analogue of mask complementation. A
     member that diverges is excluded and reported, not fatal.
     """
-    tau_cfg = TemperatureConfig(tau0=cfg.tau0, variant=cfg.variant,
-                                decay=cfg.decay, anneal_epochs=cfg.t_anneal)
     controllers = []
     for i, (_, mask) in enumerate(children):
-        if cfg.partitioning and i % 2 == 1:
+        if partitioning and i % 2 == 1:
             controllers.append(anti_controller(controllers[i - 1]))
         else:
             controllers.append(temperature_controller(mask, tau_cfg))
 
-    x, _ = train_data
-    steps_per_epoch = -(-len(x) // cfg.batch_size)
     members, member_rows, failures = [], [], []
     for i, ((net, _), controller) in enumerate(zip(children, controllers)):
-        schedule = child_one_cycle(cfg.t_child * steps_per_epoch,
-                                   cfg.child_lr_start, cfg.child_lr_max,
-                                   cfg.child_lr_end)
-        optimizer = _optimizer(cfg, cfg.child_lr_start)
+        schedule, optimizer = new_training()
         try:
-            rows = tune(net, controller, train_data, cfg.t_child, schedule,
-                        optimizer, cfg.batch_size,
+            rows = tune(net, controller, train_data, epochs, schedule,
+                        optimizer, batch_size,
                         rng_shuffle=substream(seed, "shuffle", "member", i),
                         rng_mask=substream(seed, "bernoulli", "member", i),
                         eval_data=eval_data, eval_mode=eval_mode)
@@ -164,6 +111,11 @@ def tune_children(children, cfg: EnsembleConfig, train_data, seed: int,
     return members, member_rows, failures
 
 
+def _mean_logits(logits: list) -> np.ndarray:
+    """Sum in list order, then divide, so the aggregate is reproducible."""
+    return sum(logits[1:], logits[0]) / len(logits)
+
+
 def predict(member_nets, x: np.ndarray, parent: Network | None = None,
             include_parent: bool = False) -> np.ndarray:
     """Class probabilities: softmax of the mean member logits."""
@@ -174,11 +126,22 @@ def predict(member_nets, x: np.ndarray, parent: Network | None = None,
         nets.append(parent)
     if not nets:
         raise ValueError("cannot predict with an empty ensemble")
-    logits = predict_logits(nets[0], x)
-    for net in nets[1:]:
-        logits += predict_logits(net, x)
-    logits /= len(nets)
-    return softmax(logits)
+    return softmax(_mean_logits([predict_logits(net, x) for net in nets]))
+
+
+def score_ensemble(member_nets, parent: Network | None, x: np.ndarray,
+          y: np.ndarray) -> tuple:
+    """(member records, ensemble record) on (x, y).
+
+    Each network's logits are computed once and feed both its own record and
+    the mean-logit ensemble. A given ``parent`` joins the ensemble average
+    but gets no record of its own.
+    """
+    logits = [predict_logits(net, x) for net in member_nets]
+    records = [evaluate(softmax(z), y) for z in logits]
+    if parent is not None:
+        logits.append(predict_logits(parent, x))
+    return records, evaluate(softmax(_mean_logits(logits)), y)
 
 
 def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
@@ -191,67 +154,3 @@ def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
         raise ValueError("severity must lie in 1..5")
     noise = rng.normal(0.0, noise_scale * severity, x.shape)
     return np.clip(x + noise, 0.0, 1.0)
-
-
-@dataclass
-class EnsembleResult:
-    parent: Network
-    members: list
-    member_records: list
-    member_rows: list  # per-member per-epoch tuning rows
-    ensemble_record: MetricsRecord
-    corrupted: dict
-    failures: list
-
-
-def run_ensemble(parent: Network, cfg: EnsembleConfig, train_data, test_data,
-                 seed: int, corrupt_base: np.ndarray | None = None,
-                 normalizer=None) -> EnsembleResult:
-    """The full pipeline on an already-initialized parent network.
-
-    ``corrupt_base`` is the unit-scale test tensor used for robustness
-    evaluation; ``normalizer`` maps unit-scale pixels to model inputs.
-    """
-    x_train, y_train = train_data
-    x_test, y_test = test_data
-
-    schedule = parent_stepwise(cfg.t_parent, cfg.parent_lr_hi, cfg.parent_lr_lo)
-    optimizer = _optimizer(cfg, cfg.parent_lr_hi)
-    train_parent(parent, train_data, cfg.t_parent, optimizer, schedule,
-                 cfg.batch_size, substream(seed, "shuffle", "parent"))
-
-    children = spawn_children(parent, cfg.n_members, cfg.rho, cfg.partitioning,
-                              substream(seed, "mask"), cfg.granularity)
-    members, member_rows, failures = tune_children(children, cfg, train_data,
-                                                   seed, eval_data=None)
-    if not members:
-        raise DivergenceError("every ensemble member diverged")
-
-    member_records = []
-    for (net, mask), rows in zip(members, member_rows):
-        rec = evaluate(softmax(predict_logits(net, x_test)), y_test)
-        rec.realized_sparsity = mask.sparsity()
-        rec.loss_trail = [row["train_loss"] for row in rows]
-        member_records.append(rec)
-    nets = [net for net, _ in members]
-    ensemble_record = evaluate(
-        predict(nets, x_test, parent=parent,
-                include_parent=cfg.include_parent), y_test)
-
-    corrupted = {}
-    if corrupt_base is not None:
-        for severity in cfg.corruption_severities:
-            xc = corrupt(corrupt_base, severity,
-                         substream(seed, "corrupt", severity))
-            xc = normalizer(xc) if normalizer is not None else xc
-            member_recs = [evaluate(softmax(predict_logits(net, xc)), y_test)
-                           for net in nets]
-            ens_rec = evaluate(
-                predict(nets, xc, parent=parent,
-                        include_parent=cfg.include_parent), y_test)
-            corrupted[int(severity)] = {
-                "ensemble": ens_rec,
-                "members": member_recs,
-            }
-    return EnsembleResult(parent, members, member_records, member_rows,
-                          ensemble_record, corrupted, failures)

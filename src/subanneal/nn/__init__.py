@@ -5,7 +5,6 @@ from .schedules import (
     Constant,
     OneCycle,
     StepDecay,
-    child_one_cycle,
     lr_at,
     parent_stepwise,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "SGD",
     "ShapeError",
     "StepDecay",
-    "child_one_cycle",
     "cross_entropy_softmax",
     "lr_at",
     "make_optimizer",

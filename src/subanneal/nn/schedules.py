@@ -96,10 +96,3 @@ def parent_stepwise(total_epochs: int, lr_hi: float = 0.1,
     t = float(total_epochs)
     return StepDecay(((0.0, lr_hi), (0.5 * t, lr_hi), (0.9 * t, lr_lo), (t, lr_lo)))
 
-
-def child_one_cycle(total_steps: int, lr_start: float = 0.001,
-                    lr_max: float = 0.1, lr_end: float = 1e-7,
-                    warmup_fraction: float = 0.1) -> OneCycle:
-    """The child tuning cycle: warm up over the first tenth of the budget to
-    the peak rate, then cosine-decay to a very small value."""
-    return OneCycle(lr_start, lr_max, lr_end, warmup_fraction, total_steps)

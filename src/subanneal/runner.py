@@ -31,7 +31,13 @@ from .annealing import (
 )
 from .config import ExperimentConfig
 from .data import load_dataset, normalization_stats, normalize, subset
-from .ensemble import EnsembleConfig, run_ensemble, train_parent
+from .ensemble import (
+    corrupt,
+    score_ensemble,
+    spawn_children,
+    train_parent,
+    tune_children,
+)
 from .masks import load_mask_set, load_weights, save_mask_set, save_weights
 from .metrics import evaluate
 from .models import build_model
@@ -45,7 +51,7 @@ from .nn.schedules import (
 )
 from .pruning import PruneSpec, magnitude_mask, random_mask
 from .rng import substream
-from .training import predict_logits, softmax
+from .training import DivergenceError, predict_logits, softmax
 
 log = logging.getLogger(__name__)
 
@@ -154,35 +160,32 @@ def build_net(cfg: ExperimentConfig, data: RunData, seed: int):
                        substream(seed, "init"), dtype=_dtype(cfg))
 
 
-def build_schedule(desc: dict, epochs: int, steps_per_epoch: int):
+def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
+                   n_train: int):
+    """The schedule an ``lr``/``parent_lr`` entry describes for ``epochs`` of
+    training on ``n_train`` examples, and a fresh optimizer to go with it.
+
+    The optimizer's own rate only has to be valid: ``run_epoch`` passes the
+    scheduled rate on every step.
+    """
+    steps_per_epoch = -(-n_train // cfg.batch_size)
     kind = desc["kind"]
     if kind == "constant":
-        return Constant(desc["value"])
-    if kind == "onecycle":
-        return OneCycle(desc["start"], desc["max"], desc["end"],
-                        desc["warmup_fraction"],
-                        max(epochs * steps_per_epoch, 1))
-    if kind == "step":
-        return StepDecay(tuple((e, v) for e, v in desc["breakpoints"]))
-    return parent_stepwise(epochs, desc["hi"], desc["lo"])
-
-
-def build_opt(cfg: ExperimentConfig, base_lr: float):
+        schedule = Constant(desc["value"])
+    elif kind == "onecycle":
+        schedule = OneCycle(desc["start"], desc["max"], desc["end"],
+                            desc["warmup_fraction"],
+                            max(epochs * steps_per_epoch, 1))
+    elif kind == "step":
+        schedule = StepDecay(tuple((e, v) for e, v in desc["breakpoints"]))
+    else:
+        schedule = parent_stepwise(epochs, desc["hi"], desc["lo"])
     opt = cfg.optimizer
-    return make_optimizer(opt["kind"], base_lr, momentum=opt["momentum"],
-                          nesterov=opt["nesterov"],
-                          weight_decay=opt["weight_decay"], beta1=opt["beta1"],
-                          beta2=opt["beta2"], eps=opt["eps"])
-
-
-def _base_lr(desc: dict) -> float:
-    if desc["kind"] == "constant":
-        return desc["value"]
-    if desc["kind"] == "onecycle":
-        return desc["start"]
-    if desc["kind"] == "step":
-        return desc["breakpoints"][0][1]
-    return desc["hi"]
+    optimizer = make_optimizer(
+        opt["kind"], lr_at(schedule, 0), momentum=opt["momentum"],
+        nesterov=opt["nesterov"], weight_decay=opt["weight_decay"],
+        beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"])
+    return schedule, optimizer
 
 
 # --- parents ------------------------------------------------------------------
@@ -211,14 +214,16 @@ def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
         for name, value in saved.items():
             net.set_param(name, value.astype(_dtype(cfg)))
         return net, path
-    steps = -(-len(data.y_train) // cfg.batch_size)
-    schedule = build_schedule(cfg.parent_lr, cfg.parent_epochs, steps)
-    optimizer = build_opt(cfg, _base_lr(cfg.parent_lr))
+    schedule, optimizer = build_training(cfg, cfg.parent_lr, cfg.parent_epochs,
+                                         len(data.y_train))
     train_parent(net, (data.x_train, data.y_train), cfg.parent_epochs,
                  optimizer, schedule, cfg.batch_size,
                  substream(seed, "shuffle", "parent"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_weights(net.params(), path)
+    # write then rename, so a killed write never leaves a truncated cache entry
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    save_weights(net.params(), tmp)
+    os.replace(tmp, path)
     return net, path
 
 
@@ -264,9 +269,8 @@ def run_cell(cfg: ExperimentConfig, data: RunData, parent, seed: int,
     """Tune one child network; returns its per-epoch rows."""
     child, controller = make_controller(method, cfg, parent, seed, rho, phi,
                                         tau0)
-    steps = -(-len(data.y_train) // cfg.batch_size)
-    schedule = build_schedule(cfg.lr, cfg.epochs, steps)
-    optimizer = build_opt(cfg, _base_lr(cfg.lr))
+    schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
+                                         len(data.y_train))
     rows = tune(child, controller, (data.x_train, data.y_train), cfg.epochs,
                 schedule, optimizer, cfg.batch_size,
                 rng_shuffle=substream(seed, "shuffle", "child"),
@@ -342,9 +346,8 @@ def run(cfg: ExperimentConfig) -> Path:
 def _task_train_parent(cfg, data, out_dir, manifest):
     for seed in cfg.run_seeds():
         net = build_net(cfg, data, seed)
-        steps = -(-len(data.y_train) // cfg.batch_size)
-        schedule = build_schedule(cfg.parent_lr, cfg.parent_epochs, steps)
-        optimizer = build_opt(cfg, _base_lr(cfg.parent_lr))
+        schedule, optimizer = build_training(cfg, cfg.parent_lr,
+                                             cfg.parent_epochs, len(data.y_train))
         rows = train_parent(net, (data.x_train, data.y_train),
                             cfg.parent_epochs, optimizer, schedule,
                             cfg.batch_size, substream(seed, "shuffle", "parent"),
@@ -389,59 +392,59 @@ def _task_sweep(cfg, data, out_dir, manifest):
 
 
 def _task_ensemble(cfg, data, out_dir, manifest):
+    """Parent (shared cache), spawned children, anneal-tuning, then scoring
+    on the clean test set and on each corruption severity in turn."""
     ens = cfg.ensemble
+    rho, phi, tau0 = cfg.rho[0], cfg.phi[0], cfg.tau0[0]
+    tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
+                                decay=cfg.decay_for("temperature-anneal"),
+                                anneal_epochs=phi)
+    train_data = (data.x_train, data.y_train)
     for seed in cfg.run_seeds():
-        parent = build_net(cfg, data, seed)
-        ecfg = EnsembleConfig(
-            n_members=ens["n_members"], t_parent=cfg.parent_epochs,
-            t_child=cfg.epochs, t_anneal=cfg.phi[0], rho=cfg.rho[0],
-            tau0=cfg.tau0[0], variant=cfg.variant,
-            decay=cfg.decay_for("temperature-anneal"),
-            partitioning=ens["partitioning"],
-            include_parent=ens["include_parent"],
-            granularity=cfg.granularity, batch_size=cfg.batch_size,
-            optimizer_kind=cfg.optimizer["kind"],
-            momentum=cfg.optimizer["momentum"],
-            nesterov=cfg.optimizer["nesterov"],
-            weight_decay=cfg.optimizer["weight_decay"],
-            beta1=cfg.optimizer["beta1"], beta2=cfg.optimizer["beta2"],
-            eps=cfg.optimizer["eps"],
-            parent_lr_hi=cfg.parent_lr.get("hi", 0.1),
-            parent_lr_lo=cfg.parent_lr.get("lo", 0.001),
-            child_lr_start=cfg.lr.get("start", 0.001),
-            child_lr_max=cfg.lr.get("max", 0.1),
-            child_lr_end=cfg.lr.get("end", 1e-7),
-            corruption_severities=tuple(ens["corruption_severities"]))
         started = time.perf_counter()
-        result = run_ensemble(parent, ecfg, (data.x_train, data.y_train),
-                              (data.x_test, data.y_test), seed,
-                              corrupt_base=data.x_test_raw,
-                              normalizer=data.normalizer)
+        parent, parent_path = get_parent(cfg, data, seed, out_dir)
+        children = spawn_children(parent, ens["n_members"], rho,
+                                  ens["partitioning"], substream(seed, "mask"),
+                                  cfg.granularity)
+        members, member_rows, failures = tune_children(
+            children, tau_cfg, ens["partitioning"], train_data, cfg.epochs,
+            lambda: build_training(cfg, cfg.lr, cfg.epochs, len(data.y_train)),
+            cfg.batch_size, seed)
+        if not members:
+            raise DivergenceError("every ensemble member diverged")
+        nets = [net for net, _ in members]
+        extra = parent if ens["include_parent"] else None
+        member_records, ensemble_record = score_ensemble(
+            nets, extra, data.x_test, data.y_test)
+        for rec, (_, mask) in zip(member_records, members):
+            rec.realized_sparsity = mask.sparsity()
+        corrupted = {}
+        for severity in ens["corruption_severities"]:
+            xc = data.normalizer(corrupt(data.x_test_raw, severity,
+                                         substream(seed, "corrupt", severity)))
+            recs, ens_rec = score_ensemble(nets, extra, xc, data.y_test)
+            corrupted[str(severity)] = {
+                "ensemble": ens_rec.to_dict(),
+                "members": [r.to_dict() for r in recs],
+            }
         wall = time.perf_counter() - started
         seed_dir = out_dir / f"seed-{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        for i, (net, mask) in enumerate(result.members):
+        for i, ((net, mask), rows) in enumerate(zip(members, member_rows)):
             save_weights(net.params(), seed_dir / f"member-{i}.weights.ssam")
             save_mask_set(mask, seed_dir / f"member-{i}.mask.ssam")
-            write_metrics_csv(seed_dir / f"member-{i}.csv",
-                              result.member_rows[i])
-        member_mean_acc = float(np.mean([r.accuracy
-                                         for r in result.member_records]))
+            write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
+        member_mean_acc = float(np.mean([r.accuracy for r in member_records]))
         summary = {
             "config": cfg.to_dict(),
             "seed": seed,
-            "members": [rec.to_dict() for rec in result.member_records],
+            "members": [rec.to_dict() for rec in member_records],
             "member_mean_accuracy": member_mean_acc,
             "ensemble_minus_mean_member":
-                result.ensemble_record.accuracy - member_mean_acc,
-            "ensemble": result.ensemble_record.to_dict(),
-            "corrupted": {
-                str(sev): {
-                    "ensemble": block["ensemble"].to_dict(),
-                    "members": [r.to_dict() for r in block["members"]],
-                } for sev, block in result.corrupted.items()
-            },
-            "failures": result.failures,
+                ensemble_record.accuracy - member_mean_acc,
+            "ensemble": ensemble_record.to_dict(),
+            "corrupted": corrupted,
+            "failures": failures,
             "wall_clock_s": wall,
         }
         summary_path = seed_dir / "ensemble-summary.json"
@@ -449,10 +452,10 @@ def _task_ensemble(cfg, data, out_dir, manifest):
         manifest["metrics_files"].append(str(summary_path.relative_to(out_dir)))
         manifest["cells"].append({
             "method": "ensemble", "selector": cfg.selector,
-            "lr_schedule": cfg.lr["kind"], "rho": cfg.rho[0],
-            "phi": cfg.phi[0], "tau0": cfg.tau0[0], "epochs": cfg.epochs,
-            "seed": seed,
+            "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
+            "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
             "metrics": str(summary_path.relative_to(out_dir)),
+            "parent": str(parent_path.relative_to(out_dir)),
         })
 
 
@@ -466,8 +469,6 @@ def _task_eval(cfg, data, out_dir, manifest):
     payload = {"config": cfg.to_dict(), "clean": record.to_dict(),
                "corrupted": {}}
     for severity in cfg.ensemble["corruption_severities"]:
-        from .ensemble import corrupt
-
         xc = data.normalizer(corrupt(data.x_test_raw, severity,
                                      substream(cfg.seed, "corrupt", severity)))
         rec = evaluate(softmax(predict_logits(net, xc, mask=mask)), data.y_test)

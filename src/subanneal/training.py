@@ -29,22 +29,22 @@ class DivergenceError(RuntimeError):
 
 
 @contextmanager
-def masked_weights(net: Network, mask: MaskSet | None):
-    """Temporarily replace each weight tensor with its Hadamard-masked copy."""
+def masked_weights(net: Network, mask: MaskSet | dict | None):
+    """Temporarily replace each weight tensor with its Hadamard product with
+    ``mask[name]``: a binary MaskSet, or a dict of per-entry scales."""
     if mask is None:
         yield
         return
-    originals = {}
-    weight_layers = [(name, net.layers[int(name.split(".")[0].removeprefix("layer"))])
-                     for name in net.weights()]
-    for name, layer in weight_layers:
-        originals[name] = layer.w
-        layer.w = apply_mask(layer.w, mask[name])
+    layers = [(name, net.layers[int(name.split(".")[0].removeprefix("layer"))])
+              for name in net.weights()]
+    originals = [layer.w for _, layer in layers]
     try:
+        for name, layer in layers:
+            layer.w = apply_mask(layer.w, mask[name])
         yield
     finally:
-        for name, layer in weight_layers:
-            layer.w = originals[name]
+        for (_, layer), w in zip(layers, originals):
+            layer.w = w
 
 
 def schedule_lr(schedule, epoch: int, step: int) -> float:
@@ -92,37 +92,13 @@ def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
                    weight_scale: dict | None = None) -> np.ndarray:
     """Deterministic forward pass in fixed-size chunks.
 
-    ``weight_scale`` multiplies weights elementwise (used for expected-mask
-    evaluation, where the scale is the probability matrix).
+    ``weight_scale`` multiplies weights elementwise in place of ``mask`` (used
+    for expected-mask evaluation, where the scale is the probability matrix).
     """
-    scale_mask = None
-    if weight_scale is not None:
-        scale_mask = weight_scale
-    out = []
-    for start in range(0, len(x), EVAL_CHUNK):
-        xb = x[start:start + EVAL_CHUNK]
-        if scale_mask is not None:
-            with _scaled_weights(net, scale_mask):
-                out.append(net.forward(xb))
-        else:
-            with masked_weights(net, mask):
-                out.append(net.forward(xb))
+    with masked_weights(net, weight_scale if weight_scale is not None else mask):
+        out = [net.forward(x[start:start + EVAL_CHUNK])
+               for start in range(0, len(x), EVAL_CHUNK)]
     return np.concatenate(out, axis=0)
-
-
-@contextmanager
-def _scaled_weights(net: Network, scale: dict):
-    originals = {}
-    weight_layers = [(name, net.layers[int(name.split(".")[0].removeprefix("layer"))])
-                     for name in net.weights()]
-    for name, layer in weight_layers:
-        originals[name] = layer.w
-        layer.w = layer.w * scale[name]
-    try:
-        yield
-    finally:
-        for name, layer in weight_layers:
-            layer.w = originals[name]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -117,3 +117,39 @@ def test_config_hash_stable_and_sensitive():
     c = ExperimentConfig.from_dict(_minimal(seed=2))
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def _ensemble(**extra):
+    raw = {"task": "ensemble", "rho": 0.5, "phi": 2, "tau0": 0.5, "epochs": 3}
+    raw.update(extra)
+    return raw
+
+
+def test_ensemble_task_accepts_its_one_recipe():
+    cfg = ExperimentConfig.from_dict(_ensemble())
+    assert cfg.method == ["temperature-anneal"]
+    ExperimentConfig.from_dict(_ensemble(phi=3))  # phi == epochs is fine
+
+
+def test_ensemble_rejects_phi_beyond_epochs():
+    with pytest.raises(ConfigError, match="phi <= epochs"):
+        ExperimentConfig.from_dict(_ensemble(phi=5, epochs=2))
+
+
+@pytest.mark.parametrize("key,values", [("rho", [0.5, 0.7]), ("phi", [1, 2]),
+                                        ("tau0", [0.3, 0.5])])
+def test_ensemble_rejects_sweep_lists(key, values):
+    with pytest.raises(ConfigError, match=f"single {key}"):
+        ExperimentConfig.from_dict(_ensemble(**{key: values}))
+
+
+def test_ensemble_rejects_magnitude_selector():
+    with pytest.raises(ConfigError, match="selector random"):
+        ExperimentConfig.from_dict(_ensemble(selector="magnitude"))
+
+
+@pytest.mark.parametrize("method", ["oneshot", "iterative", "random-anneal",
+                                    ["temperature-anneal", "oneshot"]])
+def test_ensemble_rejects_other_methods(method):
+    with pytest.raises(ConfigError, match="method temperature-anneal"):
+        ExperimentConfig.from_dict(_ensemble(method=method))

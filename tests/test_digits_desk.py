@@ -7,6 +7,8 @@ runs demonstrate the same orderings end to end with thresholds calibrated
 for this smaller dataset.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -20,11 +22,16 @@ from subanneal.annealing import (
     tune,
 )
 from subanneal.data import normalization_stats, normalize
-from subanneal.ensemble import EnsembleConfig, run_ensemble
+from subanneal.ensemble import (
+    corrupt,
+    score_ensemble,
+    spawn_children,
+    train_parent,
+    tune_children,
+)
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant, parent_stepwise
-from subanneal.ensemble import train_parent
+from subanneal.nn.schedules import Constant, OneCycle, parent_stepwise
 from subanneal.pruning import PruneSpec, random_mask
 from subanneal.rng import substream
 from subanneal.training import predict_logits
@@ -114,17 +121,35 @@ def test_paired_seed_wins_favor_temperature(ordering_results):
 @pytest.fixture(scope="module")
 def ensemble_results(digits):
     """Five partitioned 4-member ensembles with the child recipe."""
+    tau_cfg = TemperatureConfig(tau0=0.5, anneal_epochs=3)
+    steps = 10 * -(-len(digits["train"][1]) // BATCH)
+
+    def new_training():
+        return (OneCycle(0.001, 0.1, 1e-7, 0.1, steps),
+                SGD(0.001, momentum=0.9, nesterov=True, weight_decay=0.0005))
+
     out = []
     for seed in SEEDS:
         parent = build_mlp((1, 8, 8), 10, hidden=(300, 100))
         parent.init_params(substream(seed, "init"))
-        cfg = EnsembleConfig(n_members=4, t_parent=10, t_child=10, t_anneal=3,
-                             rho=0.5, tau0=0.5, partitioning=True,
-                             batch_size=BATCH, weight_decay=0.0005,
-                             corruption_severities=(3,))
-        out.append(run_ensemble(parent, cfg, digits["train"], digits["test"],
-                                seed, corrupt_base=digits["test_raw"],
-                                normalizer=digits["normalizer"]))
+        train_parent(parent, digits["train"], 10,
+                     SGD(0.1, momentum=0.9, nesterov=True,
+                         weight_decay=0.0005),
+                     parent_stepwise(10), BATCH,
+                     substream(seed, "shuffle", "parent"))
+        children = spawn_children(parent, 4, 0.5, True, substream(seed, "mask"))
+        members, _, _ = tune_children(children, tau_cfg, True, digits["train"],
+                                      10, new_training, BATCH, seed)
+        nets = [net for net, _ in members]
+        member_records, ensemble_record = score_ensemble(
+            nets, None, *digits["test"])
+        xc = digits["normalizer"](corrupt(digits["test_raw"], 3,
+                                          substream(seed, "corrupt", 3)))
+        records, ens = score_ensemble(nets, None, xc, digits["test"][1])
+        out.append(SimpleNamespace(
+            members=members, member_records=member_records,
+            ensemble_record=ensemble_record,
+            corrupted={3: {"members": records, "ensemble": ens}}))
     return out
 
 

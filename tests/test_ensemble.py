@@ -3,18 +3,24 @@ import pytest
 
 from subanneal.data import make_blobs
 from subanneal.ensemble import (
-    EnsembleConfig,
     corrupt,
     predict,
-    run_ensemble,
+    score_ensemble,
     spawn_children,
     train_parent,
     tune_children,
 )
-from subanneal.annealing import FixedMaskController, tune
+from subanneal.annealing import (
+    FixedMaskController,
+    TemperatureConfig,
+    anti_controller,
+    temperature_controller,
+    tune,
+)
+from subanneal.metrics import evaluate
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant
+from subanneal.nn.schedules import Constant, OneCycle
 from subanneal.rng import substream
 from subanneal.training import predict_logits, softmax
 
@@ -23,6 +29,20 @@ def _net(seed=0, d=8, k=3, hidden=(16, 12)):
     net = build_mlp((d,), k, hidden=hidden)
     net.init_params(substream(seed, "init"))
     return net
+
+
+def _cycle(epochs, n=240, batch=32):
+    """A fresh (schedule, optimizer) factory: the child one-cycle recipe."""
+    steps = epochs * -(-n // batch)
+
+    def new_training():
+        return (OneCycle(0.001, 0.1, 1e-7, 0.1, steps),
+                SGD(0.001, momentum=0.9, nesterov=True, weight_decay=0.0005))
+    return new_training
+
+
+def _tau(tau0=0.5, anneal_epochs=2):
+    return TemperatureConfig(tau0=tau0, anneal_epochs=anneal_epochs)
 
 
 def _data(n=240, d=8, k=3):
@@ -153,14 +173,9 @@ class TestTuneChildren:
     def test_sibling_probability_sets_mirror_each_epoch(self):
         parent = _net()
         data, test = _data()
-        cfg = EnsembleConfig(n_members=2, t_parent=0, t_child=2, t_anneal=2,
-                             batch_size=32, weight_decay=0.0)
         children = spawn_children(parent, 2, 0.5, True, substream(7, "m"))
         # mirror identity checked on the controllers the children will use
-        from subanneal.annealing import (TemperatureConfig, anti_controller,
-                                         temperature_controller)
-        tau_cfg = TemperatureConfig(tau0=0.5, anneal_epochs=2)
-        base = temperature_controller(children[0][1], tau_cfg)
+        base = temperature_controller(children[0][1], _tau())
         mirror = anti_controller(base)
         for epoch in range(3):
             base.begin_epoch(epoch)
@@ -168,8 +183,9 @@ class TestTuneChildren:
             for name in base.current.probs:
                 np.testing.assert_allclose(
                     base.current[name] + mirror.current[name], 1.0, atol=1e-15)
-        members, rows, failures = tune_children(children, cfg, data, seed=7,
-                                                eval_data=test)
+        members, rows, failures = tune_children(
+            children, _tau(), True, data, 2, _cycle(2), 32, seed=7,
+            eval_data=test)
         assert not failures
         assert len(members) == 2
         assert members[0][1].overlap(members[1][1]) == 0
@@ -177,21 +193,14 @@ class TestTuneChildren:
     def test_single_member_tau_zero_equals_plain_prune_and_tune(self):
         parent = _net()
         data, _ = _data()
-        cfg = EnsembleConfig(n_members=1, t_parent=0, t_child=3, t_anneal=0,
-                             tau0=0.0, partitioning=False, batch_size=32,
-                             weight_decay=0.0)
         children = spawn_children(parent, 1, 0.5, False, substream(8, "m"))
         target = children[0][1]
-        members, _, _ = tune_children(children, cfg, data, seed=8)
+        members, _, _ = tune_children(children, _tau(0.0, 0), False, data, 3,
+                                      _cycle(3), 32, seed=8)
 
         # plain prune-and-tune of the same child through the generic loop
         clone = parent.clone()
-        from subanneal.nn.schedules import child_one_cycle
-        steps = -(-len(data[1]) // 32)
-        sched = child_one_cycle(3 * steps, cfg.child_lr_start, cfg.child_lr_max,
-                                cfg.child_lr_end)
-        opt = SGD(cfg.child_lr_start, momentum=0.9, nesterov=True,
-                  weight_decay=0.0)
+        sched, opt = _cycle(3)()
         tune(clone, FixedMaskController(target), data, 3, sched, opt, 32,
              rng_shuffle=substream(8, "shuffle", "member", 0),
              rng_mask=substream(8, "bernoulli", "member", 0))
@@ -202,11 +211,10 @@ class TestTuneChildren:
     def test_diverged_member_excluded_and_reported(self):
         parent = _net()
         data, _ = _data()
-        cfg = EnsembleConfig(n_members=2, t_child=2, t_anneal=1,
-                             partitioning=False, batch_size=32)
         children = spawn_children(parent, 2, 0.5, False, substream(10, "m"))
         children[0][0].layers[1].w[...] = 1e200  # poisoned child diverges
-        members, rows, failures = tune_children(children, cfg, data, seed=10)
+        members, rows, failures = tune_children(
+            children, _tau(0.5, 1), False, data, 2, _cycle(2), 32, seed=10)
         assert len(members) == 1
         assert len(failures) == 1
         assert failures[0]["member"] == 0
@@ -215,10 +223,9 @@ class TestTuneChildren:
     def test_final_sparsity_near_half(self):
         parent = _net()
         data, _ = _data()
-        cfg = EnsembleConfig(n_members=2, t_child=2, t_anneal=1,
-                             batch_size=32)
         children = spawn_children(parent, 2, 0.5, True, substream(9, "m"))
-        members, _, _ = tune_children(children, cfg, data, seed=9)
+        members, _, _ = tune_children(children, _tau(0.5, 1), True, data, 2,
+                                      _cycle(2), 32, seed=9)
         for net, mask in members:
             assert mask.sparsity() == pytest.approx(0.5, abs=0.01)
             for name, w in net.weights().items():
@@ -267,19 +274,59 @@ class TestCorrupt:
             corrupt(np.zeros((1, 1, 2, 2)), 6, substream(0, "c"))
 
 
+class TestScoreEnsemble:
+    def test_records_match_separate_passes_bit_for_bit(self):
+        members = [_net(1), _net(2), _net(3)]
+        parent = _net(0)
+        (_, _), (test, yt) = _data()
+        for extra in (None, parent):
+            records, ens = score_ensemble(members, extra, test, yt)
+            for net, rec in zip(members, records):
+                want = evaluate(softmax(predict_logits(net, test)), yt)
+                assert rec.to_dict() == want.to_dict()
+            want = evaluate(predict(members, test, parent=parent,
+                                    include_parent=extra is not None), yt)
+            assert ens.to_dict() == want.to_dict()
+
+    def test_each_network_is_run_once(self, monkeypatch):
+        import subanneal.ensemble as ensemble
+
+        calls = []
+        real = ensemble.predict_logits
+        monkeypatch.setattr(ensemble, "predict_logits",
+                            lambda net, x: calls.append(net) or real(net, x))
+        members, parent = [_net(1), _net(2)], _net(0)
+        (_, _), (test, yt) = _data()
+        score_ensemble(members, parent, test, yt)
+        assert calls == [*members, parent]
+
+
 class TestRunEnsemble:
-    def test_full_pipeline_on_blobs(self):
-        parent = _net()
-        data, test = _data()
-        cfg = EnsembleConfig(n_members=4, t_parent=4, t_child=3, t_anneal=2,
-                             batch_size=32, weight_decay=0.0,
-                             corruption_severities=(1, 3))
-        result = run_ensemble(parent, cfg, data, test, seed=11)
-        assert len(result.members) == 4
-        assert result.ensemble_record.accuracy > 0.8
-        assert len(result.member_records) == 4
-        for rec in result.member_records:
-            assert rec.realized_sparsity == pytest.approx(0.5, abs=0.01)
+    def test_full_pipeline_on_blobs(self, tmp_path):
+        import json
+
+        from subanneal.config import ExperimentConfig
+        from subanneal.masks import load_mask_set
+        from subanneal.runner import run
+
+        cfg = ExperimentConfig.from_dict({
+            "task": "ensemble", "model": "mlp",
+            "blobs": {"n": 240, "d": 8, "k": 3, "separation": 4.0},
+            "rho": 0.5, "phi": 2, "tau0": 0.5, "parent_epochs": 4,
+            "epochs": 3, "batch_size": 32,
+            "lr": {"kind": "onecycle", "start": 0.001, "max": 0.1,
+                   "end": 1e-7, "warmup_fraction": 0.1},
+            "optimizer": {"weight_decay": 0.0},
+            "ensemble": {"n_members": 4, "corruption_severities": [1, 3]},
+            "seed": 11, "out_dir": str(tmp_path)})
+        manifest = json.loads(run(cfg).read_text())
+        summary = json.loads((tmp_path / manifest["metrics_files"][0])
+                             .read_text())
+        assert len(summary["members"]) == 4
+        assert summary["ensemble"]["accuracy"] > 0.8
+        for rec in summary["members"]:
+            assert rec["realized_sparsity"] == pytest.approx(0.5, abs=0.01)
         # partitioned siblings: zero active-parameter overlap at terminal
-        m0, m1 = result.members[0][1], result.members[1][1]
+        m0, m1 = (load_mask_set(tmp_path / "seed-11" / f"member-{i}.mask.ssam")
+                  for i in (0, 1))
         assert m0.overlap(m1) == 0

@@ -199,6 +199,78 @@ class TestEnsembleTask:
         assert (member_dir / "member-0.weights.ssam").exists()
         assert (member_dir / "member-0.mask.ssam").exists()
 
+    def _ensemble_cfg(self, tmp_path, **extra):
+        raw = dict(task="ensemble", parent_epochs=1, epochs=2, phi=1,
+                   ensemble={"n_members": 2, "corruption_severities": [3]})
+        raw.update(extra)
+        return _cfg(tmp_path, **raw)
+
+    def _member_rows(self, tmp_path, seed=1):
+        return [read_metrics_csv(tmp_path / "out" / f"seed-{seed}" /
+                                 f"member-{i}.csv") for i in range(2)]
+
+    def test_members_follow_a_constant_lr(self, tmp_path):
+        run(self._ensemble_cfg(tmp_path,
+                               lr={"kind": "constant", "value": 0.05}))
+        for rows in self._member_rows(tmp_path):
+            assert [row["lr"] for row in rows] == [0.05, 0.05]
+
+    def test_members_follow_the_onecycle_warmup(self, tmp_path):
+        from subanneal.nn.schedules import OneCycle, lr_at
+
+        lr = {"kind": "onecycle", "start": 0.001, "max": 0.1, "end": 1e-7,
+              "warmup_fraction": 0.5}
+        run(self._ensemble_cfg(tmp_path, epochs=4, phi=2, lr=lr))
+        steps = -(-BLOBS["n"] // 32)  # 5 steps per epoch
+        want = OneCycle(0.001, 0.1, 1e-7, 0.5, 4 * steps)
+        for rows in self._member_rows(tmp_path):
+            assert [row["lr"] for row in rows] == [
+                lr_at(want, epoch * steps) for epoch in range(4)]
+
+    def test_shares_the_parent_cache(self, tmp_path):
+        sweep = json.loads(run(_cfg(tmp_path, parent_epochs=1)).read_text())
+        ens = json.loads(run(self._ensemble_cfg(tmp_path)).read_text())
+        assert ens["cells"][0]["parent"] == sweep["cells"][0]["parent"]
+        assert len(list((tmp_path / "out" / "parents").iterdir())) == 1
+
+    def test_deterministic_rerun_bit_identical(self, tmp_path, monkeypatch):
+        outs = []
+        for name in ("r1", "r2"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)  # same relative out_dir
+            cfg = self._ensemble_cfg(tmp_path, deterministic=True,
+                                     out_dir="out")
+            outs.append(run(cfg).parent)
+        files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
+                       if p.suffix in (".csv", ".ssam"))
+        assert len(files) == 2 * 3 + 1  # member csv/weights/mask + parent
+        for rel in files:
+            assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+        summaries = [json.loads((out / "seed-1" / "ensemble-summary.json")
+                                .read_text()) for out in outs]
+        for summary in summaries:
+            assert summary.pop("wall_clock_s") > 0
+        assert summaries[0] == summaries[1]
+
+
+def test_interrupted_parent_cache_write_is_retrained(tmp_path, monkeypatch):
+    import subanneal.runner as runner
+
+    real_save = runner.save_weights
+
+    def dies_midway(params, path):
+        with open(path, "wb") as fh:
+            fh.write(b"SSAM\x01")  # a truncated container
+        raise KeyboardInterrupt("killed during the cache write")
+
+    monkeypatch.setattr(runner, "save_weights", dies_midway)
+    with pytest.raises(KeyboardInterrupt):
+        run(_cfg(tmp_path))
+    assert not list((tmp_path / "out" / "parents").glob("*.ssam"))
+    monkeypatch.setattr(runner, "save_weights", real_save)
+    manifest = json.loads(run(_cfg(tmp_path)).read_text())
+    assert manifest["status"] == "ok"
+
 
 @pytest.mark.parametrize("overrides", [
     {"method": "random-anneal"},

@@ -5,7 +5,6 @@ from subanneal.nn.schedules import (
     Constant,
     OneCycle,
     StepDecay,
-    child_one_cycle,
     lr_at,
     parent_stepwise,
 )
@@ -33,7 +32,7 @@ def test_one_cycle_cooldown_midpoint_identity():
 
 def test_one_cycle_matches_child_recipe_shape():
     # 10 epochs of 50 steps; peak hit at 10% of the budget (1 epoch)
-    sched = child_one_cycle(total_steps=500)
+    sched = OneCycle(0.001, 0.1, 1e-7, warmup_fraction=0.1, total_steps=500)
     assert lr_at(sched, 0) == 0.001
     assert lr_at(sched, 50) == pytest.approx(0.1, rel=1e-12)
     assert lr_at(sched, 500) == 1e-7
@@ -94,5 +93,5 @@ def test_validation_rejects_nonpositive_rates():
 def test_emitted_rate_positive_over_whole_range():
     sched = parent_stepwise(10)
     assert all(lr_at(sched, e) > 0 for e in range(11))
-    cyc = child_one_cycle(200)
+    cyc = OneCycle(0.001, 0.1, 1e-7, warmup_fraction=0.1, total_steps=200)
     assert all(lr_at(cyc, s) > 0 for s in range(201))
