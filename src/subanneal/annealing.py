@@ -282,19 +282,22 @@ class AnnealController:
         self.init = init
         self.decay = decay
         self.anneal_epochs = anneal_epochs
-        self.current = init
-        self._binary = init.is_binary()
+        self._set_current(init)
+
+    def _set_current(self, probs: ProbabilitySet) -> None:
+        self.current = probs
+        # Bernoulli of a 0/1 matrix is that matrix: build it once and skip
+        # the per-batch draw.
+        self._binary_mask = (MaskSet({n: p == 1.0 for n, p in probs.items()})
+                             if probs.is_binary() else None)
 
     def begin_epoch(self, epoch: int) -> None:
-        self.current = probs_at_epoch(self.init, self.decay,
-                                      self.anneal_epochs, epoch)
-        self._binary = self.current.is_binary()
+        self._set_current(probs_at_epoch(self.init, self.decay,
+                                         self.anneal_epochs, epoch))
 
     def batch_mask(self, rng) -> MaskSet:
-        if self._binary:
-            # Bernoulli of a 0/1 matrix is that matrix; skip the draw.
-            return MaskSet({n: (p == 1.0).astype(np.uint8)
-                            for n, p in self.current.items()})
+        if self._binary_mask is not None:
+            return self._binary_mask
         return realize(self.current, rng)
 
     def eval_mask(self) -> MaskSet:

@@ -135,9 +135,18 @@ def _check_ensemble_task(cfg: "ExperimentConfig") -> None:
     for key in ("rho", "phi", "tau0"):
         _require(len(getattr(cfg, key)) == 1,
                  f"ensemble task takes a single {key} value")
-    _require(cfg.phi[0] <= cfg.epochs,
-             f"ensemble task needs phi <= epochs (phi {cfg.phi[0]}, "
-             f"epochs {cfg.epochs})")
+
+
+def _check_phi_within_epochs(cfg: "ExperimentConfig") -> None:
+    """Every method but one-shot reaches its target sparsity at epoch phi,
+    so a tuning run shorter than phi would end short of the rho it is
+    filed under."""
+    annealed = [m for m in cfg.method if m != "oneshot"]
+    if annealed:
+        phi = max(cfg.phi)
+        _require(phi <= cfg.epochs,
+                 f"{cfg.task} task needs phi <= epochs for method "
+                 f"{annealed[0]} (phi {phi}, epochs {cfg.epochs})")
 
 
 @dataclass
@@ -283,6 +292,8 @@ class ExperimentConfig:
             _require(cfg.weights is not None, "eval task requires 'weights'")
         if cfg.task == "ensemble":
             _check_ensemble_task(cfg)
+        if cfg.task in ("prune-tune", "ablate", "ensemble"):
+            _check_phi_within_epochs(cfg)
         return cfg
 
     def run_seeds(self) -> list:

@@ -32,7 +32,12 @@ class MaskSet:
         clean = {}
         for name, m in masks.items():
             a = np.asarray(m)
-            if not np.isin(a, (0, 1)).all():
+            if a.dtype in (np.bool_, np.uint8):
+                # unsigned: the range check is the whole check
+                binary = a.size == 0 or a.max() <= 1
+            else:
+                binary = np.isin(a, (0, 1)).all()
+            if not binary:
                 raise ValueError(f"mask {name!r} has non-binary entries")
             clean[name] = a.astype(np.uint8)
         self.masks = clean
@@ -114,7 +119,7 @@ def realize(probs: ProbabilitySet, rng: np.random.Generator) -> MaskSet:
 
     Each call draws fresh uniforms, one array per layer, in layer order.
     """
-    return MaskSet({name: (rng.random(p.shape) < p).astype(np.uint8)
+    return MaskSet({name: rng.random(p.shape) < p
                     for name, p in probs.items()})
 
 
@@ -125,11 +130,13 @@ def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
     return w * m
 
 
-def masked_grad(grad: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Zero the gradient of masked-off parameters: grad * m."""
+def masked_grad(grad: np.ndarray, m: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Zero the gradient of masked-off parameters: grad * m, written to
+    ``out`` when given (``out=grad`` masks in place)."""
     if grad.shape != m.shape:
         raise ValueError(f"grad shape {grad.shape} != mask shape {m.shape}")
-    return grad * m
+    return np.multiply(grad, m, out=out)
 
 
 def full_mask(shapes: dict) -> MaskSet:

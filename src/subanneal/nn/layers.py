@@ -50,12 +50,17 @@ class Dense:
             y = y + self.b
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Set ``grad_w``/``grad_b``; return the input gradient, or None
+        when ``input_grad`` is false and nothing upstream needs it."""
         if self._x is None:
             raise RuntimeError("backward called before forward")
         self.grad_w = self._x.T @ grad_out
         if self.b is not None:
             self.grad_b = grad_out.sum(axis=0)
+        if not input_grad:
+            return None
         return grad_out @ self.w.T
 
 
@@ -123,7 +128,10 @@ class Conv2d:
             y = y + self.b[:, None, None]
         return y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Set ``grad_w``/``grad_b``; return the input gradient, or None
+        when ``input_grad`` is false and nothing upstream needs it."""
         if self._cols is None:
             raise RuntimeError("backward called before forward")
         n, c, h, w = self._x_shape
@@ -133,6 +141,8 @@ class Conv2d:
         self.grad_w = np.einsum("nol,nfl->of", gm, self._cols).reshape(self.w.shape)
         if self.b is not None:
             self.grad_b = grad_out.sum(axis=(0, 2, 3))
+        if not input_grad:
+            return None
         wm = self.w.reshape(self.out_channels, -1)
         gcols = np.matmul(wm.T, gm).reshape(n, c, k, k, oh, ow)
         gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
@@ -210,10 +220,20 @@ class Network:
         return x
 
     def backward(self, grad_logits: np.ndarray) -> dict:
-        """Backpropagate and return {param name: gradient}."""
+        """Backpropagate and return {param name: gradient}.
+
+        Backpropagation stops at the first weight layer: it computes only
+        that layer's parameter gradients, and the layers before it (which
+        hold no parameters) are not called, since no caller reads the
+        gradient with respect to the network input.
+        """
+        first = next((i for i, layer in enumerate(self.layers)
+                      if isinstance(layer, WEIGHT_LAYERS)), len(self.layers))
         g = grad_logits
-        for layer in reversed(self.layers):
+        for layer in reversed(self.layers[first + 1:]):
             g = layer.backward(g)
+        if first < len(self.layers):
+            self.layers[first].backward(g, input_grad=False)
         return {name: grad for name, grad in self._iter_grads()}
 
     def _iter_grads(self):

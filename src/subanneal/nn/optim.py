@@ -24,9 +24,18 @@ class SGD:
         self.nesterov = nesterov
         self.weight_decay = weight_decay
         self._velocity = {}
+        # per-parameter work arrays: one, or two when weight decay and
+        # Nesterov both need their own (decayed gradient, then the update)
+        self._scratch = {}
 
     def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
-        """Update ``params`` in place from ``grads`` (both name -> array)."""
+        """Update ``params`` in place from ``grads`` (both name -> array).
+
+        All arithmetic happens in place, in the optimizer's own arrays; the
+        operations and their rounding are those of ``p -= lr * d`` with
+        ``g = g + wd * p``, ``v = momentum * v + g`` and ``d = g + momentum * v``
+        (Nesterov) or ``d = v``. ``grads`` is never written.
+        """
         lr = self.lr if lr is None else lr
         if lr <= 0:
             raise ValueError("lr must be positive")
@@ -34,8 +43,15 @@ class SGD:
             g = grads[name]
             if g.shape != p.shape:
                 raise ValueError(f"{name}: grad shape {g.shape} != {p.shape}")
+            scratch = self._scratch.get(name)
+            if scratch is None:
+                count = 2 if self.weight_decay and self.nesterov else 1
+                scratch = [np.empty_like(p) for _ in range(count)]
+                self._scratch[name] = scratch
+            d = scratch[-1]
             if self.weight_decay:
-                g = g + self.weight_decay * p
+                g = np.multiply(p, self.weight_decay, out=scratch[0])
+                g += grads[name]
             if self.momentum:
                 v = self._velocity.get(name)
                 if v is None:
@@ -43,10 +59,15 @@ class SGD:
                     self._velocity[name] = v
                 v *= self.momentum
                 v += g
-                d = g + self.momentum * v if self.nesterov else v
+                if self.nesterov:
+                    np.multiply(v, self.momentum, out=d)
+                    d += g
+                    d *= lr
+                else:
+                    np.multiply(v, lr, out=d)
             else:
-                d = g
-            p -= lr * d
+                np.multiply(g, lr, out=d)
+            p -= d
 
 
 class Adam:

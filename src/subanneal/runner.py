@@ -119,7 +119,11 @@ def set_deterministic() -> None:
 # --- data and model assembly -------------------------------------------------
 
 class RunData:
-    """Train/test tensors plus the unit-scale test set for corruption."""
+    """Train/test tensors plus the unit-scale test set for corruption.
+
+    Model inputs are cast to the config's dtype, so a float32 network sees
+    float32 batches and its logits and gradients stay float32.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         blobs = cfg.blobs
@@ -140,15 +144,17 @@ class RunData:
         test = subset(test, cfg.test_subset)
         self.num_classes = train.num_classes
         self.input_shape = tuple(train.x.shape[1:])
+        self.dtype = _dtype(cfg)
         self.mean, self.std = normalization_stats(train.x)
-        self.x_train = normalize(train.x, self.mean, self.std)
+        self.x_train = self.normalizer(train.x)
         self.y_train = train.y
-        self.x_test = normalize(test.x, self.mean, self.std)
+        self.x_test = self.normalizer(test.x)
         self.y_test = test.y
         self.x_test_raw = test.x  # unit scale, for corruption
 
     def normalizer(self, x: np.ndarray) -> np.ndarray:
-        return normalize(x, self.mean, self.std)
+        """Normalized model inputs in the run's dtype."""
+        return normalize(x, self.mean, self.std).astype(self.dtype, copy=False)
 
 
 def _dtype(cfg: ExperimentConfig):
@@ -198,7 +204,7 @@ def parent_cache_key(cfg: ExperimentConfig, seed: int) -> str:
         "parent_epochs": cfg.parent_epochs, "parent_lr": cfg.parent_lr,
         "optimizer": cfg.optimizer, "batch_size": cfg.batch_size,
         "train_subset": cfg.train_subset, "blobs": cfg.blobs,
-        "dtype": cfg.dtype, "seed": seed,
+        "dtype": cfg.dtype, "seed": seed, "version": __version__,
     }
     canon = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]

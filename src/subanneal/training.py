@@ -4,6 +4,12 @@ One epoch shuffles the training set from a dedicated shuffle stream, then for
 every mini-batch draws/looks up the subnetwork mask, runs the forward and
 backward passes with masked weights, zeroes the gradients of masked-off
 parameters, and applies one optimizer step to the *unmasked* stored weights.
+
+The step updates every stored weight, masked off or not. A masked-off weight
+gets a zero gradient, so plain SGD leaves it alone, but weight decay shrinks
+it on every step, and momentum keeps moving a weight that was active and
+then dropped out (as annealed entries do) until its velocity decays. A
+weight masked off from the first step never moves without weight decay.
 """
 
 from __future__ import annotations
@@ -31,7 +37,9 @@ class DivergenceError(RuntimeError):
 @contextmanager
 def masked_weights(net: Network, mask: MaskSet | dict | None):
     """Temporarily replace each weight tensor with its Hadamard product with
-    ``mask[name]``: a binary MaskSet, or a dict of per-entry scales."""
+    ``mask[name]``: a binary MaskSet, or a dict of per-entry scales. The
+    product keeps the weight's dtype (float64 scales do not promote a
+    float32 network)."""
     if mask is None:
         yield
         return
@@ -40,7 +48,8 @@ def masked_weights(net: Network, mask: MaskSet | dict | None):
     originals = [layer.w for _, layer in layers]
     try:
         for name, layer in layers:
-            layer.w = apply_mask(layer.w, mask[name])
+            layer.w = apply_mask(layer.w, mask[name]).astype(layer.w.dtype,
+                                                             copy=False)
         yield
     finally:
         for (_, layer), w in zip(layers, originals):
@@ -78,7 +87,7 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
                 record={"epoch": epoch, "step": step, "loss": loss})
         if mask is not None:
             for name in mask:
-                grads[name] = masked_grad(grads[name], mask[name])
+                masked_grad(grads[name], mask[name], out=grads[name])
         lr = schedule_lr(schedule, epoch, step)
         if first_lr is None:
             first_lr = lr

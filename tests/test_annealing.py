@@ -360,6 +360,26 @@ class TestControllers:
                 base.current["a"] + mirror.current["a"], 1.0, atol=1e-15)
         assert mirror.terminal_mask().equals(target.complement())
 
+    def test_binary_phase_builds_one_mask_per_epoch(self):
+        target = MaskSet({"a": substream(15, "bm").random((9, 9)) < 0.5,
+                          "b": substream(16, "bm").random(6) < 0.5})
+        controller = temperature_controller(
+            target, TemperatureConfig(tau0=0.5, anneal_epochs=2))
+        rng = substream(17, "bm")
+        controller.begin_epoch(1)  # still stochastic: a fresh draw per batch
+        assert controller.batch_mask(rng) is not controller.batch_mask(rng)
+        state = rng.bit_generator.state
+        masks = []
+        for epoch in (2, 3):
+            controller.begin_epoch(epoch)
+            first = controller.batch_mask(rng)
+            assert all(controller.batch_mask(rng) is first for _ in range(3))
+            for name, p in controller.current.items():
+                assert np.array_equal(first[name], p == 1.0)
+            masks.append(first)
+        assert masks[0] is not masks[1] and masks[0].equals(target)
+        assert rng.bit_generator.state == state  # no uniforms drawn
+
     def test_random_anneal_controller_logs_realized_sparsity(self):
         cfg = RandomAnnealConfig(rho=0.7)
         controller = random_anneal_controller({"a": (50, 50)}, cfg,

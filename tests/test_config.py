@@ -153,3 +153,24 @@ def test_ensemble_rejects_magnitude_selector():
 def test_ensemble_rejects_other_methods(method):
     with pytest.raises(ConfigError, match="method temperature-anneal"):
         ExperimentConfig.from_dict(_ensemble(method=method))
+
+
+@pytest.mark.parametrize("task,method", [
+    ("ablate", ["iterative"]),
+    ("prune-tune", "temperature-anneal"),
+    ("prune-tune", "random-anneal"),
+    ("ablate", ["oneshot", "iterative"]),
+])
+def test_sweep_rejects_phi_beyond_epochs(task, method):
+    # an iterative cell at rho 0.9 with phi 5, epochs 2 ends at 36% sparsity
+    with pytest.raises(ConfigError, match="phi <= epochs"):
+        ExperimentConfig.from_dict({"task": task, "method": method,
+                                    "rho": 0.9, "phi": [2, 5], "epochs": 2})
+
+
+def test_sweep_phi_bound_spares_oneshot():
+    cfg = ExperimentConfig.from_dict({"task": "ablate", "method": "oneshot",
+                                      "phi": 5, "epochs": 2})
+    assert cfg.phi == [5]
+    ExperimentConfig.from_dict({"task": "ablate", "method": "iterative",
+                                "phi": 2, "epochs": 2})  # phi == epochs

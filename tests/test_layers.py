@@ -133,3 +133,47 @@ def test_weights_exclude_biases():
     names = set(net.weights())
     assert names == {"layer0.w", "layer2.w"}
     assert {"layer0.w", "layer0.b", "layer2.w", "layer2.b"} == set(net.params())
+
+
+@pytest.mark.parametrize("build,in_shape", [
+    ("mlp", (1, 8, 8)),
+    ("smallconv", (3, 9, 9)),
+])
+def test_backward_stops_at_first_weight_layer_with_equal_grads(build, in_shape):
+    from subanneal.models import build_mlp, build_small_conv
+
+    rng = np.random.default_rng(8)
+    net = (build_mlp(in_shape, 4, hidden=(12, 6)) if build == "mlp"
+           else build_small_conv(in_shape, 4))
+    net.init_params(rng)
+    x = rng.normal(size=(5, *in_shape))
+    _, grad_logits = cross_entropy_softmax(net.forward(x), rng.integers(0, 4, 5))
+    grads = {n: g.copy() for n, g in net.backward(grad_logits).items()}
+
+    # reference: every layer, input gradients included, down to the input
+    g = grad_logits
+    for layer in reversed(net.layers):
+        g = layer.backward(g)
+    assert g.shape == x.shape
+    full = {}
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, (Dense, Conv2d)):
+            full[f"layer{i}.w"] = layer.grad_w
+            full[f"layer{i}.b"] = layer.grad_b
+    assert grads.keys() == full.keys()
+    for name in full:
+        assert np.array_equal(grads[name], full[name]), name
+
+
+def test_first_weight_layer_skips_its_input_gradient():
+    rng = np.random.default_rng(2)
+    for layer, x in ((Dense(4, 3), rng.normal(size=(2, 4))),
+                     (Conv2d(2, 3, 3, padding=1), rng.normal(size=(2, 2, 4, 4)))):
+        y = layer.forward(x)
+        assert layer.backward(np.ones_like(y), input_grad=False) is None
+        assert layer.grad_w is not None and layer.grad_b is not None
+    # nothing in front of the first weight layer is called
+    net = Network([Flatten(), Dense(4, 2)], input_shape=(2, 2))
+    net.layers[0].backward = lambda g: pytest.fail("Flatten.backward called")
+    net.forward(rng.normal(size=(3, 2, 2)))
+    assert set(net.backward(np.ones((3, 2)))) == {"layer1.w", "layer1.b"}

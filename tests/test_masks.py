@@ -43,6 +43,17 @@ class TestRealize:
         frac = ms["layer0.w"].mean()
         assert abs(frac - 0.5) < 0.015  # 3 sigma for n = 10,000
 
+    def test_masks_are_the_uniform_draw_below_p(self):
+        rng = np.random.default_rng(0)
+        probs = {"layer0.w": rng.random((30, 20)), "layer2.w": rng.random(7)}
+        terminal = MaskSet({n: p >= 0.5 for n, p in probs.items()})
+        ms = realize(ProbabilitySet(probs, terminal), substream(4, "r"))
+        twin = substream(4, "r")
+        for name, p in probs.items():
+            want = (twin.random(p.shape) < p).astype(np.uint8)
+            assert ms[name].dtype == np.uint8
+            assert np.array_equal(ms[name], want), name
+
     def test_fresh_draw_per_call(self):
         rng = substream(9, "t")
         a = realize(_probset(0.5), rng)
@@ -104,6 +115,13 @@ class TestMaskedGrad:
         with pytest.raises(ValueError):
             masked_grad(np.zeros(3), np.zeros(4))
 
+    def test_out_masks_in_place(self):
+        g = np.array([[1.0, -2.0], [3.0, 4.0]])
+        m = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+        want = masked_grad(g, m)
+        assert masked_grad(g, m, out=g) is g
+        assert np.array_equal(g, want)
+
 
 class TestSparsityComplement:
     def test_all_ones_sparsity_zero(self):
@@ -132,6 +150,26 @@ class TestSparsityComplement:
     def test_nonbinary_rejected(self):
         with pytest.raises(ValueError):
             MaskSet({"a": np.array([0.5, 1.0])})
+
+    @pytest.mark.parametrize("values", [
+        np.array([0, 2, 1], dtype=np.uint8),
+        np.array([[0, 1], [255, 0]], dtype=np.uint8),
+        np.array([1, -1], dtype=np.int64),
+    ])
+    def test_nonbinary_integers_rejected(self, values):
+        with pytest.raises(ValueError):
+            MaskSet({"a": values})
+
+    @pytest.mark.parametrize("values", [
+        np.array([True, False, True]),
+        np.array([1, 0, 1], dtype=np.uint8),
+        np.array([1.0, 0.0, 1.0]),
+        np.zeros(0, dtype=np.uint8),
+    ])
+    def test_binary_input_stored_as_uint8(self, values):
+        m = MaskSet({"a": values})["a"]
+        assert m.dtype == np.uint8
+        np.testing.assert_array_equal(m, values.astype(np.uint8))
 
 
 def test_masked_off_weight_has_zero_fd_gradient():

@@ -88,3 +88,49 @@ def test_buffer_shapes_mirror_params():
     assert opt._velocity["b"].shape == (7,)
     with pytest.raises(ValueError):
         opt.step(params, {"a": np.ones((4, 3)), "b": np.ones(7)})
+
+
+def _reference_sgd_step(params, grads, velocity, lr, momentum, nesterov,
+                        weight_decay):
+    """The out-of-place update, one temporary per operation."""
+    for name, p in params.items():
+        g = grads[name]
+        if weight_decay:
+            g = g + weight_decay * p
+        if momentum:
+            v = velocity.setdefault(name, np.zeros_like(p))
+            v *= momentum
+            v += g
+            d = g + momentum * v if nesterov else v
+        else:
+            d = g
+        p -= lr * d
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
+@pytest.mark.parametrize("momentum,nesterov", [(0.0, False), (0.9, False),
+                                               (0.9, True)])
+def test_in_place_sgd_is_bit_identical_to_the_formula(momentum, nesterov,
+                                                      weight_decay, dtype):
+    rng = np.random.default_rng(21)
+    shapes = {"layer0.w": (7, 5), "layer0.b": (5,), "layer2.w": (3, 2, 3, 3)}
+    params = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+    ref = {n: p.copy() for n, p in params.items()}
+    velocity = {}
+    opt = SGD(0.1, momentum=momentum, nesterov=nesterov,
+              weight_decay=weight_decay)
+    for lr in (0.1, 0.05, 0.3, 0.007, 0.05):
+        grads = {n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()}
+        kept = {n: g.copy() for n, g in grads.items()}
+        opt.step(params, grads, lr=lr)
+        _reference_sgd_step(ref, kept, velocity, lr, momentum, nesterov,
+                            weight_decay)
+        for name in shapes:
+            assert np.array_equal(grads[name], kept[name])  # grads are not written
+            assert np.array_equal(params[name], ref[name]), name
+            assert params[name].dtype == dtype
+    # the optimizer keeps one work array per parameter, two only when
+    # weight decay and Nesterov both need one
+    wanted = 2 if weight_decay and nesterov else 1
+    assert all(len(s) == wanted for s in opt._scratch.values())

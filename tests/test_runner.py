@@ -328,9 +328,60 @@ def test_mnist_three_method_sweep_shape(tmp_path, monkeypatch):
 
 
 def test_float32_mode_runs(tmp_path):
-    cfg = _cfg(tmp_path, dtype="float32", epochs=1, parent_epochs=1)
+    cfg = _cfg(tmp_path, dtype="float32", epochs=2, parent_epochs=1)
     manifest = json.loads(run(cfg).read_text())
     assert manifest["status"] == "ok"
+
+
+@pytest.mark.parametrize("eval_mask", ["terminal", "expected"])
+def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
+    import numpy as np
+
+    from subanneal import annealing, training
+    from subanneal.nn.optim import SGD
+
+    seen = set()
+    optimizers = []
+
+    def loss(logits, labels, real=training.cross_entropy_softmax):
+        value, grad = real(logits, labels)
+        seen.update({("logits", logits.dtype), ("grad_logits", grad.dtype)})
+        return value, grad
+
+    def step(self, params, grads, lr=None, real=SGD.step):
+        optimizers.append(self)
+        for name, p in params.items():
+            seen.update({("param", p.dtype), ("grad", grads[name].dtype)})
+        return real(self, params, grads, lr)
+
+    def predict(*args, real=training.predict_logits, **kwargs):
+        logits = real(*args, **kwargs)
+        seen.add(("eval logits", logits.dtype))
+        return logits
+
+    monkeypatch.setattr(training, "cross_entropy_softmax", loss)
+    monkeypatch.setattr(SGD, "step", step)
+    monkeypatch.setattr(annealing, "predict_logits", predict)
+    cfg = _cfg(tmp_path, dtype="float32", epochs=2, parent_epochs=1,
+               eval_mask=eval_mask, optimizer={"kind": "sgd", "momentum": 0.9, "nesterov": True,
+                          "weight_decay": 5e-4})
+    assert json.loads(run(cfg).read_text())["status"] == "ok"
+    assert {kind for kind, _ in seen} == {"logits", "grad_logits", "param",
+                                          "grad", "eval logits"}
+    assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
+    arrays = [a for opt in optimizers for a in opt._velocity.values()]
+    arrays += [a for opt in optimizers for s in opt._scratch.values() for a in s]
+    assert arrays and all(a.dtype == np.float32 for a in arrays)
+
+
+def test_parent_cache_key_follows_the_library_version(tmp_path, monkeypatch):
+    from subanneal import runner
+
+    cfg = _cfg(tmp_path)
+    key = runner.parent_cache_key(cfg, 1)
+    assert runner.parent_cache_key(cfg, 1) == key
+    monkeypatch.setattr(runner, "__version__", "0.0.0-other")
+    assert runner.parent_cache_key(cfg, 1) != key
 
 
 class TestTrainParentAndEval:
