@@ -5,7 +5,7 @@ during fine-tuning, the one-shot and iterative pruning baselines, and
 stochastic prune-and-tune ensembles, on a small numpy training core.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .annealing import (
     AnnealController,

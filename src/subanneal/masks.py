@@ -123,11 +123,14 @@ def realize(probs: ProbabilitySet, rng: np.random.Generator) -> MaskSet:
                     for name, p in probs.items()})
 
 
-def apply_mask(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Hadamard product w * m. ``w`` itself is not modified."""
+def apply_mask(w: np.ndarray, m: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Hadamard product w * m, written to ``out`` when given (computed in
+    the promoted dtype, then rounded to ``out``'s). ``w`` itself is not
+    modified."""
     if w.shape != m.shape:
         raise ValueError(f"weight shape {w.shape} != mask shape {m.shape}")
-    return w * m
+    return np.multiply(w, m, out=out)
 
 
 def masked_grad(grad: np.ndarray, m: np.ndarray,

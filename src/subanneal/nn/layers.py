@@ -1,14 +1,18 @@
 """Layers and the sequential network container.
 
-Everything is plain numpy with hand-written backward passes. Layers cache
-their forward inputs, so a backward call is only valid after a forward call
-on the same batch. Double precision is the default; float32 can be selected
-per network for speed.
+Everything is plain numpy with hand-written backward passes. Each layer
+keeps what its backward pass needs from the last forward call in ``_cache``
+(None when there is none), so a backward call is only valid after a forward
+call on the same batch. Double precision is the default; float32 can be
+selected per network for speed.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -28,7 +32,7 @@ class Dense:
         self.b = np.zeros(out_features, dtype=dtype) if bias else None
         self.grad_w = None
         self.grad_b = None
-        self._x = None
+        self._cache = None  # the input
 
     def init_params(self, rng: np.random.Generator) -> None:
         # He initialization, suited to the ReLU nets built here.
@@ -44,7 +48,7 @@ class Dense:
         return (self.out_features,)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+        self._cache = x
         y = x @ self.w
         if self.b is not None:
             y = y + self.b
@@ -54,9 +58,9 @@ class Dense:
                  input_grad: bool = True) -> np.ndarray | None:
         """Set ``grad_w``/``grad_b``; return the input gradient, or None
         when ``input_grad`` is false and nothing upstream needs it."""
-        if self._x is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        self.grad_w = self._x.T @ grad_out
+        self.grad_w = self._cache.T @ grad_out
         if self.b is not None:
             self.grad_b = grad_out.sum(axis=0)
         if not input_grad:
@@ -65,7 +69,13 @@ class Dense:
 
 
 class Conv2d:
-    """2D convolution on NCHW input, direct im2col evaluation."""
+    """2D convolution on NCHW input as one im2col matrix and one GEMM.
+
+    Forward builds ``cols``, shape (C·k·k, N·H'·W'): row (c, i, j) holds
+    input channel c at kernel offset (i, j) for every output position of
+    every example. The output is ``w.reshape(O, -1) @ cols``, and backward
+    is two more GEMMs against the same matrix plus a k² scatter-add.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  stride: int = 1, padding: int = 0, bias: bool = True,
@@ -82,8 +92,7 @@ class Conv2d:
         self.b = np.zeros(out_channels, dtype=dtype) if bias else None
         self.grad_w = None
         self.grad_b = None
-        self._cols = None
-        self._x_shape = None
+        self._cache = None  # (cols, input shape)
 
     def init_params(self, rng: np.random.Generator) -> None:
         fan_in = self.in_channels * self.kernel_size * self.kernel_size
@@ -113,77 +122,81 @@ class Conv2d:
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         oh, ow = self._out_hw(h, w)
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
-        cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
-        for i in range(k):
-            for j in range(k):
-                cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
-        cols = cols.reshape(n, c * k * k, oh * ow)
-        self._cols = cols
-        self._x_shape = x.shape
-        wm = self.w.reshape(self.out_channels, -1)
-        y = np.matmul(wm, cols)  # (n, out_channels, oh*ow)
-        y = y.reshape(n, self.out_channels, oh, ow)
+        if p:
+            xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+            xp[:, :, p:p + h, p:p + w] = x
+        else:
+            xp = x
+        # an (n, c, oh, ow, k, k) view of the windows, copied once into
+        # (c, k, k, n, oh, ow) order
+        windows = sliding_window_view(xp, (k, k), axis=(2, 3))
+        windows = windows[:, :, :s * oh:s, :s * ow:s]
+        cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
+        cols[...] = windows.transpose(1, 4, 5, 0, 2, 3)
+        cols = cols.reshape(c * k * k, n * oh * ow)
+        self._cache = (cols, x.shape)
+        y = self.w.reshape(self.out_channels, -1) @ cols
         if self.b is not None:
-            y = y + self.b[:, None, None]
-        return y
+            y += self.b[:, None]
+        y = y.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
+        return np.ascontiguousarray(y)
 
     def backward(self, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
         """Set ``grad_w``/``grad_b``; return the input gradient, or None
         when ``input_grad`` is false and nothing upstream needs it."""
-        if self._cols is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        n, c, h, w = self._x_shape
+        cols, (n, c, h, w) = self._cache
         k, s, p = self.kernel_size, self.stride, self.padding
-        _, _, oh, ow = grad_out.shape
-        gm = grad_out.reshape(n, self.out_channels, oh * ow)
-        self.grad_w = np.einsum("nol,nfl->of", gm, self._cols).reshape(self.w.shape)
+        _, o, oh, ow = grad_out.shape
+        g = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # (O, N·H'·W')
+        self.grad_w = (g @ cols.T).reshape(self.w.shape)
         if self.b is not None:
             self.grad_b = grad_out.sum(axis=(0, 2, 3))
         if not input_grad:
             return None
-        wm = self.w.reshape(self.out_channels, -1)
-        gcols = np.matmul(wm.T, gm).reshape(n, c, k, k, oh, ow)
+        gcols = (self.w.reshape(o, -1).T @ g).reshape(c, k, k, n, oh, ow)
         gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += gcols[:, :, i, j]
+                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
+                    gcols[:, i, j].transpose(1, 0, 2, 3))
         return gxp[:, :, p:p + h, p:p + w] if p else gxp
 
 
 class ReLU:
     def __init__(self):
-        self._mask = None
+        self._cache = None  # x > 0
 
     def out_shape(self, in_shape):
         return in_shape
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return x * self._mask
+        self._cache = x > 0
+        return x * self._cache
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
+        return grad_out * self._cache
 
 
 class Flatten:
     def __init__(self):
-        self._shape = None
+        self._cache = None  # the input shape
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._shape is None:
+        if self._cache is None:
             raise RuntimeError("backward called before forward")
-        return grad_out.reshape(self._shape)
+        return grad_out.reshape(self._cache)
 
 
 #: Layers whose weight tensor is maskable. Biases are never masked.
@@ -195,7 +208,9 @@ class Network:
 
     ``input_shape`` is the per-example shape (no batch axis); layer
     compatibility is checked at construction so shape mismatches fail before
-    any training starts.
+    any training starts. ``mask_buffers`` holds one array per weight tensor
+    that ``training.masked_weights`` writes the masked weights into; it
+    belongs to this network alone and is kept across batches.
     """
 
     def __init__(self, layers, input_shape):
@@ -205,6 +220,7 @@ class Network:
         for layer in self.layers:
             shape = layer.out_shape(shape)
         self.output_shape = shape
+        self.mask_buffers = {}
 
     def init_params(self, rng: np.random.Generator) -> None:
         for layer in self.layers:
@@ -218,6 +234,12 @@ class Network:
         for layer in self.layers:
             x = layer.forward(x)
         return x
+
+    def clear_cache(self) -> None:
+        """Drop every layer's forward state, so no activations stay alive;
+        a backward call then fails until the next forward call."""
+        for layer in self.layers:
+            layer._cache = None
 
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Backpropagate and return {param name: gradient}.
@@ -277,26 +299,13 @@ class Network:
 
     def clone(self) -> "Network":
         """Structural copy with copied parameter values and no cached state."""
-        copies = []
-        for layer in self.layers:
-            if isinstance(layer, Dense):
-                c = Dense(layer.in_features, layer.out_features,
-                          bias=layer.b is not None, dtype=layer.w.dtype)
-                c.w = layer.w.copy()
-                if layer.b is not None:
-                    c.b = layer.b.copy()
-            elif isinstance(layer, Conv2d):
-                c = Conv2d(layer.in_channels, layer.out_channels,
-                           layer.kernel_size, layer.stride, layer.padding,
-                           bias=layer.b is not None, dtype=layer.w.dtype)
-                c.w = layer.w.copy()
-                if layer.b is not None:
-                    c.b = layer.b.copy()
-            elif isinstance(layer, ReLU):
-                c = ReLU()
-            elif isinstance(layer, Flatten):
-                c = Flatten()
-            else:  # pragma: no cover - only the four layer kinds exist
-                raise TypeError(f"unknown layer {type(layer).__name__}")
-            copies.append(c)
-        return Network(copies, self.input_shape)
+        copies = [copy.copy(layer) for layer in self.layers]
+        for c in copies:
+            if isinstance(c, WEIGHT_LAYERS):
+                c.w = c.w.copy()
+                if c.b is not None:
+                    c.b = c.b.copy()
+                c.grad_w = c.grad_b = None
+        net = Network(copies, self.input_shape)
+        net.clear_cache()
+        return net

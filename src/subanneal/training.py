@@ -38,18 +38,21 @@ class DivergenceError(RuntimeError):
 def masked_weights(net: Network, mask: MaskSet | dict | None):
     """Temporarily replace each weight tensor with its Hadamard product with
     ``mask[name]``: a binary MaskSet, or a dict of per-entry scales. The
-    product keeps the weight's dtype (float64 scales do not promote a
-    float32 network)."""
+    product is written into the network's ``mask_buffers``, which keep the
+    weight's dtype (float64 scales do not promote a float32 network) and
+    are reused by the next call, so calls on one network must not nest."""
     if mask is None:
         yield
         return
     layers = [(name, net.layers[int(name.split(".")[0].removeprefix("layer"))])
               for name in net.weights()]
     originals = [layer.w for _, layer in layers]
+    buffers = net.mask_buffers
     try:
         for name, layer in layers:
-            layer.w = apply_mask(layer.w, mask[name]).astype(layer.w.dtype,
-                                                             copy=False)
+            if name not in buffers:
+                buffers[name] = np.empty_like(layer.w)
+            layer.w = apply_mask(layer.w, mask[name], out=buffers[name])
         yield
     finally:
         for (_, layer), w in zip(layers, originals):
@@ -99,7 +102,8 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
 
 def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
                    weight_scale: dict | None = None) -> np.ndarray:
-    """Deterministic forward pass in fixed-size chunks.
+    """Deterministic forward pass in fixed-size chunks. It leaves no
+    activations cached on ``net``.
 
     ``weight_scale`` multiplies weights elementwise in place of ``mask`` (used
     for expected-mask evaluation, where the scale is the probability matrix).
@@ -107,6 +111,7 @@ def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
     with masked_weights(net, weight_scale if weight_scale is not None else mask):
         out = [net.forward(x[start:start + EVAL_CHUNK])
                for start in range(0, len(x), EVAL_CHUNK)]
+    net.clear_cache()
     return np.concatenate(out, axis=0)
 
 

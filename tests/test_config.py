@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -174,3 +175,11 @@ def test_sweep_phi_bound_spares_oneshot():
     assert cfg.phi == [5]
     ExperimentConfig.from_dict({"task": "ablate", "method": "iterative",
                                 "phi": 2, "epochs": 2})  # phi == epochs
+
+
+@pytest.mark.parametrize("path", sorted(
+    (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
+    ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.task

@@ -116,6 +116,9 @@ class TestPredict:
             def forward(self, x):
                 return np.tile(self._logits, (len(x), 1))
 
+            def clear_cache(self):
+                pass
+
         a, b = Fixed(np.array([2.0, 0.0])), Fixed(np.array([0.0, 2.0]))
         probs = predict([a, b], np.zeros((3, 1)))
         np.testing.assert_allclose(probs, np.full((3, 2), 0.5), atol=1e-15)

@@ -177,3 +177,129 @@ def test_first_weight_layer_skips_its_input_gradient():
     net.layers[0].backward = lambda g: pytest.fail("Flatten.backward called")
     net.forward(rng.normal(size=(3, 2, 2)))
     assert set(net.backward(np.ones((3, 2)))) == {"layer1.w", "layer1.b"}
+
+
+# --- Conv2d against a per-example im2col/einsum reference ---------------------
+
+def _reference_conv(layer, x, grad_out):
+    """The earlier Conv2d: an (n, C·k·k, H'·W') im2col per example, one
+    matmul per example forward, an einsum for ``grad_w``. Returns
+    (y, grad_w, grad_b, grad_x)."""
+    n, c, h, w = x.shape
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+    oh, ow = layer._out_hw(h, w)
+    o = layer.out_channels
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    cols = np.empty((n, c, k, k, oh, ow), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + s * oh:s, j:j + s * ow:s]
+    cols = cols.reshape(n, c * k * k, oh * ow)
+    wm = layer.w.reshape(o, -1)
+    y = np.matmul(wm, cols).reshape(n, o, oh, ow) + layer.b[:, None, None]
+    gm = grad_out.reshape(n, o, oh * ow)
+    grad_w = np.einsum("nol,nfl->of", gm, cols).reshape(layer.w.shape)
+    grad_b = grad_out.sum(axis=(0, 2, 3))
+    gcols = np.matmul(wm.T, gm).reshape(n, c, k, k, oh, ow)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += gcols[:, :, i, j]
+    return y, grad_w, grad_b, gxp[:, :, p:p + h, p:p + w] if p else gxp
+
+
+def _conv_case(c, o, k, s, p, n, h, w, dtype=np.float64):
+    rng = np.random.default_rng(17)
+    layer = Conv2d(c, o, k, stride=s, padding=p, dtype=dtype)
+    layer.init_params(rng)
+    layer.b[...] = rng.normal(size=o)
+    x = rng.normal(size=(n, c, h, w)).astype(dtype)
+    oh, ow = layer._out_hw(h, w)
+    grad_out = rng.normal(size=(n, o, oh, ow)).astype(dtype)
+    return layer, x, grad_out
+
+
+@pytest.mark.parametrize("c,o,h,w", [(3, 8, 32, 32), (8, 16, 16, 16)])
+@pytest.mark.parametrize("n", [128, 800])
+def test_conv_smallconv_shapes_bit_identical_to_reference(c, o, h, w, n):
+    # the two layers of smallconv on CIFAR-shaped input, at a training batch
+    # and at the evaluation size
+    layer, x, grad_out = _conv_case(c, o, 3, 2, 1, n, h, w)
+    y_ref, gw_ref, gb_ref, gx_ref = _reference_conv(layer, x, grad_out)
+    y = layer.forward(x)
+    gx = layer.backward(grad_out)
+    assert np.array_equal(y, y_ref)
+    assert np.array_equal(gx, gx_ref)
+    assert np.array_equal(layer.grad_b, gb_ref)
+    assert max_rel_error(layer.grad_w, gw_ref) < 1e-12
+
+
+@pytest.mark.parametrize("k,s,p,h,w", [
+    (3, 1, 1, 6, 6),
+    (3, 2, 1, 7, 7),
+    (3, 2, 0, 8, 8),    # ragged edge: the last row and column are dropped
+    (3, 2, 0, 9, 8),    # odd height, ragged width
+    (2, 1, 0, 5, 5),
+    (3, 2, 1, 6, 10),   # non-square
+])
+def test_conv_geometries_match_reference(k, s, p, h, w):
+    # A BLAS may round an output differently when it falls at a different
+    # place in a GEMM (the reference runs one GEMM per example), so outside
+    # the smallconv shapes the outputs are held to a float64 tolerance.
+    layer, x, grad_out = _conv_case(2, 3, k, s, p, 4, h, w)
+    y_ref, gw_ref, gb_ref, gx_ref = _reference_conv(layer, x, grad_out)
+    y = layer.forward(x)
+    gx = layer.backward(grad_out)
+    assert y.shape == y_ref.shape and gx.shape == x.shape
+    np.testing.assert_allclose(y, y_ref, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(gx, gx_ref, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(layer.grad_b, gb_ref)
+    assert max_rel_error(layer.grad_w, gw_ref) < 1e-12
+
+
+def test_conv_float32_stays_float32():
+    layer, x, grad_out = _conv_case(3, 4, 3, 2, 1, 5, 9, 9, dtype=np.float32)
+    y = layer.forward(x)
+    gx = layer.backward(grad_out)
+    for a in (y, gx, layer.grad_w, layer.grad_b):
+        assert a.dtype == np.float32
+
+
+def test_predict_logits_leaves_no_activation_caches():
+    from subanneal.models import build_small_conv
+    from subanneal.training import predict_logits
+
+    net = build_small_conv((3, 9, 9), 4)
+    net.init_params(np.random.default_rng(5))
+    x = np.random.default_rng(6).normal(size=(7, 3, 9, 9))
+    logits = net.forward(x)
+    _, grad_logits = cross_entropy_softmax(logits, np.zeros(7, dtype=int))
+    net.backward(grad_logits)  # caches are live after a training forward
+    predict_logits(net, x)
+    for layer in net.layers:
+        with pytest.raises(RuntimeError, match="backward called before forward"):
+            layer.backward(np.zeros_like(logits))
+
+
+def test_smallconv_clone_is_independent_and_bit_identical():
+    from subanneal.models import build_small_conv
+    from subanneal.training import masked_weights
+
+    net = build_small_conv((3, 9, 9), 4)
+    net.init_params(np.random.default_rng(9))
+    x = np.random.default_rng(10).normal(size=(6, 3, 9, 9))
+    before = net.forward(x)
+    with masked_weights(net, {n: np.ones(s) for n, s in
+                              net.weight_shapes().items()}):
+        pass
+    other = net.clone()
+    # no cached state and no shared arrays
+    with pytest.raises(RuntimeError, match="backward called before forward"):
+        other.layers[0].backward(np.zeros(1))
+    assert other.mask_buffers == {}
+    for mine, theirs in zip(net.params().values(), other.params().values()):
+        assert not np.shares_memory(mine, theirs)
+    assert np.array_equal(other.forward(x), before)
+    for w in other.params().values():
+        w[...] = 0.0
+    assert np.array_equal(net.forward(x), before)

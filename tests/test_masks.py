@@ -96,6 +96,22 @@ class TestApply:
         with pytest.raises(ValueError):
             apply_mask(np.zeros((2, 2)), np.zeros((2, 3)))
 
+    def test_out_receives_the_product(self):
+        w = np.array([[2.0, -3.0], [4.0, 5.0]])
+        m = np.array([[1, 0], [0, 1]], dtype=np.uint8)
+        out = np.full((2, 2), 7.0)
+        assert apply_mask(w, m, out=out) is out
+        np.testing.assert_array_equal(out, [[2.0, 0.0], [0.0, 5.0]])
+
+    def test_out_float32_rounds_a_float64_scale_like_astype(self):
+        rng = np.random.default_rng(4)
+        w = rng.normal(size=(5, 7)).astype(np.float32)
+        p = rng.random((5, 7))
+        out = np.empty_like(w)
+        apply_mask(w, p, out=out)
+        assert out.dtype == np.float32
+        assert np.array_equal(out, (w * p).astype(np.float32))
+
 
 class TestMaskedGrad:
     def test_identity(self):

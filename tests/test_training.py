@@ -16,7 +16,7 @@ from subanneal.nn.layers import Dense, Network, ReLU
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
-from subanneal.training import run_epoch
+from subanneal.training import masked_weights, run_epoch
 
 LR = 0.05
 BATCH = 16
@@ -85,3 +85,39 @@ def test_momentum_moves_a_weight_after_it_drops_out():
             want = want - LR * (v * 0.9)
         assert np.all(after[name] != before[name]), name
         assert np.array_equal(after[name], want), name
+
+
+def test_masked_weights_reuse_buffers_owned_by_each_network():
+    net, _, mask = _setup()
+    originals = {n: w.copy() for n, w in net.weights().items()}
+    with masked_weights(net, mask):
+        seen = dict(net.weights())
+    for name, w in net.weights().items():
+        assert np.array_equal(w, originals[name])  # stored weights restored
+        assert seen[name] is net.mask_buffers[name]
+        assert np.array_equal(seen[name], originals[name] * mask[name])
+    with masked_weights(net, mask.complement()):
+        again = dict(net.weights())
+    assert all(again[n] is seen[n] for n in seen)  # kept across batches
+
+    other = net.clone()
+    with masked_weights(other, mask):
+        theirs = dict(other.weights())
+    for name in seen:
+        assert not np.shares_memory(theirs[name], seen[name])
+        assert not np.shares_memory(theirs[name], net.weights()[name])
+
+
+def test_masked_weights_float32_scale_rounds_like_astype():
+    net = Network([Dense(6, 5, dtype=np.float32), ReLU(),
+                   Dense(5, 3, dtype=np.float32)], input_shape=(6,))
+    net.init_params(substream(0, "init"))
+    scale = {n: substream(4, n).random(w.shape)
+             for n, w in net.weights().items()}
+    want = {n: (w * scale[n]).astype(np.float32)
+            for n, w in net.weights().items()}
+    for _ in range(2):
+        with masked_weights(net, scale):
+            for name, w in net.weights().items():
+                assert w.dtype == np.float32
+                assert np.array_equal(w, want[name])
