@@ -204,11 +204,18 @@ def anti_probability(ps: ProbabilitySet) -> ProbabilitySet:
 
 
 # --- subnetwork controllers --------------------------------------------------
+#
+# A controller is what ``tune`` trains under: ``begin_epoch(epoch)`` moves it
+# to an epoch, ``batch_mask(rng)`` gives the mask of one forward pass, and two
+# attributes describe it between batches. ``mask`` is the binary mask the
+# subnetwork ends with (the current one for the binary controllers, the
+# annealing target for ``AnnealController``); ``probs`` is the current
+# ``ProbabilitySet``, or None when every batch gets ``mask`` itself.
 
 class FixedMaskController:
     """A static binary mask: plain fine-tuning of a pruned subnetwork."""
 
-    stochastic = False
+    probs = None
 
     def __init__(self, mask: MaskSet):
         self.mask = mask
@@ -219,26 +226,11 @@ class FixedMaskController:
     def batch_mask(self, rng) -> MaskSet:
         return self.mask
 
-    def eval_mask(self) -> MaskSet:
-        return self.mask
-
-    def eval_probs(self) -> ProbabilitySet | None:
-        return None
-
-    def terminal_mask(self) -> MaskSet:
-        return self.mask
-
-    def expected_active_fraction(self) -> float:
-        return 1.0 - self.mask.sparsity()
-
-    def realized_sparsity(self) -> float:
-        return self.mask.sparsity()
-
 
 class IterativeController:
     """Discrete pruning at the start of each of the first phi epochs."""
 
-    stochastic = False
+    probs = None
 
     def __init__(self, spec: PruneSpec, phi: int, weights: dict,
                  rng: np.random.Generator):
@@ -257,63 +249,32 @@ class IterativeController:
     def batch_mask(self, rng) -> MaskSet:
         return self.mask
 
-    def eval_mask(self) -> MaskSet:
-        return self.mask
-
-    def eval_probs(self) -> ProbabilitySet | None:
-        return None
-
-    def terminal_mask(self) -> MaskSet:
-        return self.mask
-
-    def expected_active_fraction(self) -> float:
-        return 1.0 - self.mask.sparsity()
-
-    def realized_sparsity(self) -> float:
-        return self.mask.sparsity()
-
 
 class AnnealController:
     """Probability-matrix annealing (temperature or random construction)."""
-
-    stochastic = True
 
     def __init__(self, init: ProbabilitySet, decay: str, anneal_epochs: int):
         self.init = init
         self.decay = decay
         self.anneal_epochs = anneal_epochs
-        self._set_current(init)
+        self.mask = init.terminal
+        self._set_probs(init)
 
-    def _set_current(self, probs: ProbabilitySet) -> None:
-        self.current = probs
+    def _set_probs(self, probs: ProbabilitySet) -> None:
+        self.probs = probs
         # Bernoulli of a 0/1 matrix is that matrix: build it once and skip
         # the per-batch draw.
         self._binary_mask = (MaskSet({n: p == 1.0 for n, p in probs.items()})
                              if probs.is_binary() else None)
 
     def begin_epoch(self, epoch: int) -> None:
-        self._set_current(probs_at_epoch(self.init, self.decay,
-                                         self.anneal_epochs, epoch))
+        self._set_probs(probs_at_epoch(self.init, self.decay,
+                                       self.anneal_epochs, epoch))
 
     def batch_mask(self, rng) -> MaskSet:
         if self._binary_mask is not None:
             return self._binary_mask
-        return realize(self.current, rng)
-
-    def eval_mask(self) -> MaskSet:
-        return self.init.terminal
-
-    def eval_probs(self) -> ProbabilitySet:
-        return self.current
-
-    def terminal_mask(self) -> MaskSet:
-        return self.init.terminal
-
-    def expected_active_fraction(self) -> float:
-        return self.current.mean()
-
-    def realized_sparsity(self) -> float:
-        return self.init.terminal.sparsity()
+        return realize(self.probs, rng)
 
 
 def temperature_controller(target: MaskSet,
@@ -362,18 +323,20 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
             net, x, y, optimizer, schedule, epoch, step, batch_size,
             rng_shuffle, controller=controller, rng_mask=rng_mask)
         step += steps
+        sparsity = controller.mask.sparsity()
         row = {
             "epoch": epoch,
             "train_loss": mean_loss,
             "lr": first_lr,
-            "realized_sparsity": controller.realized_sparsity(),
-            "mean_active_fraction": controller.expected_active_fraction(),
+            "realized_sparsity": sparsity,
+            "mean_active_fraction": (1.0 - sparsity if controller.probs is None
+                                     else controller.probs.mean()),
             "test_acc": None, "test_nll": None, "test_ece": None,
         }
         if eval_data is not None:
             row.update(_test_metrics(net, controller, eval_data, eval_mode))
         rows.append(row)
-    finalize(net, controller.terminal_mask())
+    finalize(net, controller.mask)
     return rows
 
 
@@ -381,10 +344,9 @@ def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
     from .metrics import evaluate  # local import keeps module deps one-way
 
     xt, yt = eval_data
-    probs_now = controller.eval_probs()
-    if eval_mode == "expected" and probs_now is not None:
-        logits = predict_logits(net, xt, weight_scale=probs_now.probs)
+    if eval_mode == "expected" and controller.probs is not None:
+        logits = predict_logits(net, xt, weight_scale=controller.probs.probs)
     else:
-        logits = predict_logits(net, xt, mask=controller.eval_mask())
+        logits = predict_logits(net, xt, mask=controller.mask)
     rec = evaluate(softmax(logits), yt)
     return {"test_acc": rec.accuracy, "test_nll": rec.nll, "test_ece": rec.ece}

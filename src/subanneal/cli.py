@@ -33,7 +33,7 @@ def main(argv=None) -> int:
 
     # imports deferred so --help stays fast and thread caps apply early
     from .config import ConfigError, ExperimentConfig
-    from .runner import run, summarize_dir
+    from .runner import limit_blas_threads, run, summarize_dir
 
     if args.command == "summarize":
         try:
@@ -57,13 +57,7 @@ def main(argv=None) -> int:
     if args.deterministic:
         cfg.deterministic = True
     if args.threads is not None:
-        cfg.threads = max(1, args.threads)
-        try:
-            from threadpoolctl import threadpool_limits
-
-            threadpool_limits(limits=cfg.threads)
-        except ImportError:
-            pass
+        limit_blas_threads(max(1, args.threads))
     try:
         manifest = run(cfg)
     except Exception as err:  # manifest already records the failure

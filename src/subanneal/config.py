@@ -38,12 +38,27 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _check_keys(raw: dict, allowed, where: str) -> None:
+    _require(isinstance(raw, dict), f"{where} must be an object")
     unknown = set(raw) - set(allowed)
     _require(not unknown, f"unknown {where} keys: {sorted(unknown)}")
 
 
 def _as_list(value):
     return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def _as_int(value, where: str) -> int:
+    """A JSON integer; a float is accepted only when it is integral."""
+    _require(isinstance(value, int) and not isinstance(value, bool)
+             or isinstance(value, float) and value.is_integer(),
+             f"{where} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _as_bool(value, where: str) -> bool:
+    _require(isinstance(value, bool), f"{where} must be true or false, "
+             f"got {value!r}")
+    return value
 
 
 def _check_lr(lr: dict, where: str) -> dict:
@@ -69,11 +84,18 @@ def _check_lr(lr: dict, where: str) -> dict:
     elif kind == "step":
         _check_keys(lr, ("kind", "breakpoints"), where)
         pts = lr.get("breakpoints")
-        _require(isinstance(pts, list) and pts, f"{where}.breakpoints required")
+        _require(isinstance(pts, list) and pts
+                 and all(isinstance(p, (list, tuple)) and len(p) == 2
+                         for p in pts),
+                 f"{where}.breakpoints must be a nonempty list of "
+                 "[epoch, lr] pairs")
         out = {"kind": kind,
                "breakpoints": [[float(e), float(v)] for e, v in pts]}
         _require(all(v > 0 for _, v in out["breakpoints"]),
                  f"{where} rates must be positive")
+        epochs = [e for e, _ in out["breakpoints"]]
+        _require(all(a < b for a, b in zip(epochs, epochs[1:])),
+                 f"{where} breakpoint epochs must be strictly increasing")
     else:  # parent-stepwise
         _check_keys(lr, ("kind", "hi", "lo"), where)
         out = {"kind": kind, "hi": float(lr.get("hi", 0.1)),
@@ -87,7 +109,8 @@ def _check_optimizer(opt: dict) -> dict:
                       "beta1", "beta2", "eps"), "optimizer")
     out = {"kind": opt.get("kind", "sgd"),
            "momentum": float(opt.get("momentum", 0.9)),
-           "nesterov": bool(opt.get("nesterov", True)),
+           "nesterov": _as_bool(opt.get("nesterov", True),
+                                "optimizer.nesterov"),
            "weight_decay": float(opt.get("weight_decay", 0.0)),
            "beta1": float(opt.get("beta1", 0.9)),
            "beta2": float(opt.get("beta2", 0.999)),
@@ -103,11 +126,14 @@ def _check_optimizer(opt: dict) -> dict:
 def _check_ensemble(e: dict) -> dict:
     _check_keys(e, ("n_members", "partitioning", "include_parent",
                     "corruption_severities"), "ensemble")
-    out = {"n_members": int(e.get("n_members", 4)),
-           "partitioning": bool(e.get("partitioning", True)),
-           "include_parent": bool(e.get("include_parent", False)),
-           "corruption_severities": [int(s) for s in
-                                     e.get("corruption_severities", [1, 2, 3, 4, 5])]}
+    out = {"n_members": _as_int(e.get("n_members", 4), "ensemble.n_members"),
+           "partitioning": _as_bool(e.get("partitioning", True),
+                                    "ensemble.partitioning"),
+           "include_parent": _as_bool(e.get("include_parent", False),
+                                      "ensemble.include_parent"),
+           "corruption_severities": [
+               _as_int(s, "corruption severity") for s in
+               _as_list(e.get("corruption_severities", [1, 2, 3, 4, 5]))]}
     _require(out["n_members"] >= 1, "ensemble.n_members must be >= 1")
     _require(all(1 <= s <= 5 for s in out["corruption_severities"]),
              "corruption severities must lie in 1..5")
@@ -116,9 +142,10 @@ def _check_ensemble(e: dict) -> dict:
 
 def _check_blobs(b: dict) -> dict:
     _check_keys(b, ("n", "d", "k", "separation", "data_seed"), "blobs")
-    out = {"n": int(b.get("n", 2000)), "d": int(b.get("d", 16)),
-           "k": int(b.get("k", 4)), "separation": float(b.get("separation", 4.0)),
-           "data_seed": int(b.get("data_seed", 0))}
+    out = {key: _as_int(b.get(key, default), f"blobs.{key}")
+           for key, default in (("n", 2000), ("d", 16), ("k", 4),
+                                ("data_seed", 0))}
+    out["separation"] = float(b.get("separation", 4.0))
     _require(out["n"] > 0 and out["d"] > 0 and out["k"] > 1,
              "blobs need n > 0, d > 0, k > 1")
     _require(out["separation"] > 0, "blobs.separation must be positive")
@@ -186,7 +213,6 @@ class ExperimentConfig:
     weights: str | None = None  # eval task: container to load
     mask: str | None = None  # eval task: optional mask container
     deterministic: bool = False
-    threads: int = 1
     dtype: str = "float64"
 
     @classmethod
@@ -226,34 +252,34 @@ class ExperimentConfig:
             cfg.method = methods
         if "rho" in raw:
             cfg.rho = [float(r) for r in _as_list(raw.pop("rho"))]
-            _require(all(0.0 <= r < 1.0 for r in cfg.rho),
-                     "rho values must lie in [0, 1)")
+            _require(cfg.rho and all(0.0 <= r < 1.0 for r in cfg.rho),
+                     "rho needs at least one value, each in [0, 1)")
         if "phi" in raw:
-            cfg.phi = [int(p) for p in _as_list(raw.pop("phi"))]
-            _require(all(p >= 0 for p in cfg.phi), "phi values must be >= 0")
+            cfg.phi = [_as_int(p, "phi") for p in _as_list(raw.pop("phi"))]
+            _require(cfg.phi and all(p >= 0 for p in cfg.phi),
+                     "phi needs at least one value, each >= 0")
         if "tau0" in raw:
             cfg.tau0 = [float(t) for t in _as_list(raw.pop("tau0"))]
-            _require(all(0.0 <= t <= 1.0 for t in cfg.tau0),
-                     "tau0 values must lie in [0, 1]")
+            _require(cfg.tau0 and all(0.0 <= t <= 1.0 for t in cfg.tau0),
+                     "tau0 needs at least one value, each in [0, 1]")
 
-        for key, caster, check in (
-                ("parent_epochs", int, lambda v: v >= 0),
-                ("epochs", int, lambda v: v >= 0),
-                ("batch_size", int, lambda v: v >= 1),
-                ("seed", int, lambda v: True),
-                ("repeats", int, lambda v: v >= 1),
-                ("train_subset", int, lambda v: v >= 0),
-                ("test_subset", int, lambda v: v >= 0),
-                ("threads", int, lambda v: v >= 1)):
+        for key, check in (
+                ("parent_epochs", lambda v: v >= 0),
+                ("epochs", lambda v: v >= 0),
+                ("batch_size", lambda v: v >= 1),
+                ("seed", lambda v: True),
+                ("repeats", lambda v: v >= 1),
+                ("train_subset", lambda v: v >= 0),
+                ("test_subset", lambda v: v >= 0)):
             if key in raw:
-                value = caster(raw.pop(key))
+                value = _as_int(raw.pop(key), key)
                 _require(check(value), f"invalid {key}: {value}")
                 setattr(cfg, key, value)
 
         if "seeds" in raw:
             seeds = raw.pop("seeds")
             if seeds is not None:
-                seeds = [int(s) for s in _as_list(seeds)]
+                seeds = [_as_int(s, "seeds") for s in _as_list(seeds)]
                 _require(len(seeds) >= 1, "seeds must be nonempty when given")
             cfg.seeds = seeds
         for key in ("bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
@@ -279,9 +305,9 @@ class ExperimentConfig:
                 _require(value is None or isinstance(value, str),
                          f"{key} must be a string path")
                 setattr(cfg, key, value)
-        for key in ("deterministic",):
-            if key in raw:
-                setattr(cfg, key, bool(raw.pop(key)))
+        if "deterministic" in raw:
+            cfg.deterministic = _as_bool(raw.pop("deterministic"),
+                                         "deterministic")
 
         # desk-scale default: a 10k training subset keeps CIFAR runs inside
         # the acceptance runtime budget; pass train_subset: 0 for the full set

@@ -106,7 +106,7 @@ def tune_children(children, tau_cfg: TemperatureConfig, partitioning: bool,
             log.error("member %d diverged: %s", i, err)
             failures.append({"member": i, "error": str(err), **err.record})
             continue
-        members.append((net, controller.terminal_mask()))
+        members.append((net, controller.mask))
         member_rows.append(rows)
     return members, member_rows, failures
 

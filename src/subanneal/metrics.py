@@ -7,7 +7,7 @@ argmax ties toward the lowest class index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class MetricsRecord:
     accuracy: float
     nll: float
     ece: float
-    loss_trail: list = field(default_factory=list)
     realized_sparsity: float = 0.0
 
     def __post_init__(self):

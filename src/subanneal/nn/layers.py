@@ -294,9 +294,6 @@ class Network:
     def weight_shapes(self) -> dict:
         return {name: w.shape for name, w in self.weights().items()}
 
-    def num_params(self) -> int:
-        return sum(int(p.size) for p in self.params().values())
-
     def clone(self) -> "Network":
         """Structural copy with copied parameter values and no cached state."""
         copies = [copy.copy(layer) for layer in self.layers]

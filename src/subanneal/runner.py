@@ -106,12 +106,13 @@ def write_json_atomic(path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def set_deterministic() -> None:
-    """Serial, single-threaded BLAS so trajectories are bit-reproducible."""
+def limit_blas_threads(n: int) -> None:
+    """Cap the BLAS pool at ``n`` threads; one thread makes trajectories
+    bit-reproducible."""
     try:
         from threadpoolctl import threadpool_limits
 
-        threadpool_limits(limits=1)
+        threadpool_limits(limits=n)
     except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
         log.warning("threadpoolctl unavailable; BLAS thread count unchanged")
 
@@ -210,15 +211,20 @@ def parent_cache_key(cfg: ExperimentConfig, seed: int) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def load_params(net, path) -> None:
+    """Set ``net``'s parameters from a weights container; ``set_param``
+    casts each to the network's dtype."""
+    for name, value in load_weights(path).items():
+        net.set_param(name, value)
+
+
 def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
     """Train the parent for this seed, or reload it from the run cache."""
     key = parent_cache_key(cfg, seed)
     path = out_dir / "parents" / f"parent-{key}-s{seed}.ssam"
     net = build_net(cfg, data, seed)
     if path.exists():
-        saved = load_weights(path)
-        for name, value in saved.items():
-            net.set_param(name, value.astype(_dtype(cfg)))
+        load_params(net, path)
         return net, path
     schedule, optimizer = build_training(cfg, cfg.parent_lr, cfg.parent_epochs,
                                          len(data.y_train))
@@ -246,19 +252,17 @@ def make_controller(method: str, cfg: ExperimentConfig, parent, seed: int,
     weights = child.weights()
     spec = PruneSpec(cfg.selector, rho, cfg.granularity)
     mask_rng = substream(seed, "mask")
-    if method == "oneshot":
+    if method in ("oneshot", "temperature-anneal"):
         target = (random_mask(child.weight_shapes(), spec, mask_rng)
                   if cfg.selector == "random" else magnitude_mask(weights, spec))
-        return child, FixedMaskController(target)
-    if method == "iterative":
-        return child, IterativeController(spec, max(phi, 1), weights, mask_rng)
-    if method == "temperature-anneal":
-        target = (random_mask(child.weight_shapes(), spec, mask_rng)
-                  if cfg.selector == "random" else magnitude_mask(weights, spec))
+        if method == "oneshot":
+            return child, FixedMaskController(target)
         tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
                                     decay=cfg.decay_for(method),
                                     anneal_epochs=phi)
         return child, temperature_controller(target, tau_cfg)
+    if method == "iterative":
+        return child, IterativeController(spec, max(phi, 1), weights, mask_rng)
     if method == "random-anneal":
         rand_cfg = RandomAnnealConfig(
             rho=rho, anneal_epochs=phi, distribution=cfg.distribution,
@@ -313,7 +317,7 @@ def run(cfg: ExperimentConfig) -> Path:
     callers can exit nonzero.
     """
     if cfg.deterministic:
-        set_deterministic()
+        limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
@@ -467,8 +471,7 @@ def _task_ensemble(cfg, data, out_dir, manifest):
 
 def _task_eval(cfg, data, out_dir, manifest):
     net = build_net(cfg, data, cfg.seed)
-    for name, value in load_weights(cfg.weights).items():
-        net.set_param(name, value.astype(_dtype(cfg)))
+    load_params(net, cfg.weights)
     mask = load_mask_set(cfg.mask) if cfg.mask else None
     logits = predict_logits(net, data.x_test, mask=mask)
     record = evaluate(softmax(logits), data.y_test)

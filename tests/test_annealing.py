@@ -357,8 +357,8 @@ class TestControllers:
             base.begin_epoch(epoch)
             mirror.begin_epoch(epoch)
             np.testing.assert_allclose(
-                base.current["a"] + mirror.current["a"], 1.0, atol=1e-15)
-        assert mirror.terminal_mask().equals(target.complement())
+                base.probs["a"] + mirror.probs["a"], 1.0, atol=1e-15)
+        assert mirror.mask.equals(target.complement())
 
     def test_binary_phase_builds_one_mask_per_epoch(self):
         target = MaskSet({"a": substream(15, "bm").random((9, 9)) < 0.5,
@@ -374,7 +374,7 @@ class TestControllers:
             controller.begin_epoch(epoch)
             first = controller.batch_mask(rng)
             assert all(controller.batch_mask(rng) is first for _ in range(3))
-            for name, p in controller.current.items():
+            for name, p in controller.probs.items():
                 assert np.array_equal(first[name], p == 1.0)
             masks.append(first)
         assert masks[0] is not masks[1] and masks[0].equals(target)
@@ -384,4 +384,39 @@ class TestControllers:
         cfg = RandomAnnealConfig(rho=0.7)
         controller = random_anneal_controller({"a": (50, 50)}, cfg,
                                               substream(14, "rc"))
-        assert controller.realized_sparsity() == pytest.approx(0.7, abs=0.05)
+        assert controller.mask.sparsity() == pytest.approx(0.7, abs=0.05)
+
+    @pytest.mark.parametrize("kind", ["fixed", "iterative", "anneal"])
+    def test_tune_reads_only_mask_and_probs(self, kind):
+        # rows, evaluation and the burned-in mask come from the controller's
+        # mask and probs as they stand after each begin_epoch
+        net = _toy_net()
+        target = TestTune()._target()
+        if kind == "fixed":
+            controller = FixedMaskController(target)
+        elif kind == "iterative":
+            controller = IterativeController(PruneSpec("random", 0.5), 2,
+                                             net.weights(), substream(5, "m"))
+        else:
+            controller = temperature_controller(
+                target, TemperatureConfig(tau0=0.5, anneal_epochs=2))
+        assert (controller.probs is None) == (kind != "anneal")
+        states = []
+        begin = controller.begin_epoch
+
+        def recording_begin(epoch):
+            begin(epoch)
+            probs = controller.probs
+            states.append((controller.mask.sparsity(),
+                           None if probs is None else probs.mean()))
+
+        controller.begin_epoch = recording_begin
+        x, y = _toy_data()
+        rows = tune(net, controller, (x, y), 3, Constant(0.05), SGD(0.05), 32,
+                    rng_shuffle=substream(5, "s"), rng_mask=substream(5, "b"))
+        for row, (sparsity, mean_prob) in zip(rows, states):
+            assert row["realized_sparsity"] == sparsity
+            assert row["mean_active_fraction"] == (
+                1.0 - sparsity if mean_prob is None else mean_prob)
+        for name, w in net.weights().items():
+            assert np.all(w[controller.mask[name] == 0] == 0.0)

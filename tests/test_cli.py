@@ -1,4 +1,8 @@
 import json
+import logging
+import sys
+
+import pytest
 
 from subanneal.cli import main
 
@@ -70,3 +74,34 @@ def test_summarize_subcommand(tmp_path, capsys):
 def test_summarize_missing_dir_exits_nonzero(tmp_path, capsys):
     assert main(["summarize", str(tmp_path / "nothing")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    {"rho": []},
+    {"phi": []},
+    {"lr": {"kind": "step", "breakpoints": [[2, 0.1], [1, 0.01]]}},
+    {"lr": {"kind": "step", "breakpoints": [[0, 0.1, 3]]}},
+    {"blobs": []},
+    {"optimizer": {"nesterov": "false"}},
+    {"epochs": 20.7},
+], ids=["empty-rho", "empty-phi", "unsorted-steps", "not-a-pair",
+        "blobs-not-object", "string-bool", "fractional-int"])
+def test_run_rejected_config_prints_one_error_line(tmp_path, capsys, extra):
+    config = _write_config(tmp_path, **extra)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()  # rejected before any compute
+
+
+def test_threads_flag_without_threadpoolctl_logs_a_warning(
+        tmp_path, caplog, monkeypatch):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    config = _write_config(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="subanneal.runner"):
+        code = main(["run", str(config), "--out", str(tmp_path / "out"),
+                     "--threads", "2"])
+    assert code == 0
+    assert "threadpoolctl unavailable" in caplog.text
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert "threads" not in manifest["config"]

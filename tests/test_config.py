@@ -183,3 +183,58 @@ def test_sweep_phi_bound_spares_oneshot():
 def test_shipped_configs_validate(path):
     cfg = ExperimentConfig.from_file(path)
     assert cfg.task
+
+
+def test_threads_is_not_a_config_key():
+    # the thread cap is a property of the process (--threads), not a config
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        ExperimentConfig.from_dict(_minimal(threads=2))
+
+
+# Configs the validator used to accept or crash on, each with the message
+# it now rejects them with. Every case raised no ConfigError before.
+VALIDATOR_HOLES = [
+    (dict(rho=[]), "rho needs at least one value"),
+    (dict(tau0=[]), "tau0 needs at least one value"),
+    (dict(phi=[]), "phi needs at least one value"),
+    (dict(lr={"kind": "step", "breakpoints": [[0, 0.1], [0, 0.01]]}),
+     "strictly increasing"),
+    (dict(parent_lr={"kind": "step", "breakpoints": [[5, 0.1], [2, 0.01]]}),
+     "strictly increasing"),
+    (dict(lr={"kind": "step", "breakpoints": [[0, 0.1, 3]]}), r"\[epoch, lr\]"),
+    (dict(lr={"kind": "step", "breakpoints": [0.1]}), r"\[epoch, lr\]"),
+    (dict(blobs=[]), "blobs must be an object"),
+    (dict(ensemble=[]), "ensemble must be an object"),
+    (dict(optimizer=None), "optimizer must be an object"),
+    (dict(optimizer={"nesterov": "false"}), "optimizer.nesterov must be true"),
+    (dict(ensemble={"partitioning": "no"}), "ensemble.partitioning must be"),
+    (dict(ensemble={"include_parent": 1}), "ensemble.include_parent must be"),
+    (dict(deterministic="false"), "deterministic must be true or false"),
+    (dict(epochs=20.7), "epochs must be an integer"),
+    (dict(batch_size=True), "batch_size must be an integer"),
+    (dict(phi=[2.5]), "phi must be an integer"),
+    (dict(seeds=[1, 1.5]), "seeds must be an integer"),
+    (dict(blobs={"n": 100.5}), "blobs.n must be an integer"),
+    (dict(ensemble={"n_members": 3.2}), "ensemble.n_members must be"),
+    (dict(ensemble={"corruption_severities": [1.5]}), "severity must be"),
+]
+
+
+@pytest.mark.parametrize("extra,message", VALIDATOR_HOLES,
+                         ids=[str(i) for i in range(len(VALIDATOR_HOLES))])
+def test_validator_rejects(extra, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict(_minimal(**extra))
+
+
+def test_integral_numbers_and_json_booleans_still_accepted():
+    cfg = ExperimentConfig.from_dict(_minimal(
+        epochs=20.0, phi=[2.0, 3], deterministic=True,
+        optimizer={"nesterov": False}, ensemble={"partitioning": False},
+        lr={"kind": "step", "breakpoints": [[0, 0.1], [2, 0.01]]}))
+    assert cfg.epochs == 20 and isinstance(cfg.epochs, int)
+    assert cfg.phi == [2, 3]
+    assert cfg.deterministic is True
+    assert cfg.optimizer["nesterov"] is False
+    assert cfg.ensemble["partitioning"] is False
+    assert cfg.lr["breakpoints"] == [[0.0, 0.1], [2.0, 0.01]]

@@ -183,9 +183,9 @@ class TestTuneChildren:
         for epoch in range(3):
             base.begin_epoch(epoch)
             mirror.begin_epoch(epoch)
-            for name in base.current.probs:
+            for name in base.probs.probs:
                 np.testing.assert_allclose(
-                    base.current[name] + mirror.current[name], 1.0, atol=1e-15)
+                    base.probs[name] + mirror.probs[name], 1.0, atol=1e-15)
         members, rows, failures = tune_children(
             children, _tau(), True, data, 2, _cycle(2), 32, seed=7,
             eval_data=test)
