@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -55,6 +56,15 @@ def _as_int(value, where: str) -> int:
     return int(value)
 
 
+def _as_float(value, where: str) -> float:
+    """A finite JSON number; null, booleans, strings, NaN and infinities
+    are rejected."""
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and -sys.float_info.max <= value <= sys.float_info.max,
+             f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _as_bool(value, where: str) -> bool:
     _require(isinstance(value, bool), f"{where} must be true or false, "
              f"got {value!r}")
@@ -68,15 +78,15 @@ def _check_lr(lr: dict, where: str) -> dict:
     _require(kind in _LR_KINDS, f"{where}.kind must be one of {_LR_KINDS}")
     if kind == "constant":
         _check_keys(lr, ("kind", "value"), where)
-        out = {"kind": kind, "value": float(lr.get("value", 0.01))}
+        out = {"kind": kind,
+               "value": _as_float(lr.get("value", 0.01), f"{where}.value")}
         _require(out["value"] > 0, f"{where}.value must be positive")
     elif kind == "onecycle":
         _check_keys(lr, ("kind", "start", "max", "end", "warmup_fraction"), where)
-        out = {"kind": kind,
-               "start": float(lr.get("start", 0.001)),
-               "max": float(lr.get("max", 0.1)),
-               "end": float(lr.get("end", 1e-7)),
-               "warmup_fraction": float(lr.get("warmup_fraction", 0.1))}
+        out = {"kind": kind}
+        for key, default in (("start", 0.001), ("max", 0.1), ("end", 1e-7),
+                             ("warmup_fraction", 0.1)):
+            out[key] = _as_float(lr.get(key, default), f"{where}.{key}")
         _require(min(out["start"], out["max"], out["end"]) > 0,
                  f"{where} rates must be positive")
         _require(0.0 < out["warmup_fraction"] < 1.0,
@@ -90,7 +100,9 @@ def _check_lr(lr: dict, where: str) -> dict:
                  f"{where}.breakpoints must be a nonempty list of "
                  "[epoch, lr] pairs")
         out = {"kind": kind,
-               "breakpoints": [[float(e), float(v)] for e, v in pts]}
+               "breakpoints": [[_as_float(e, f"{where} breakpoint epoch"),
+                                _as_float(v, f"{where} breakpoint lr")]
+                               for e, v in pts]}
         _require(all(v > 0 for _, v in out["breakpoints"]),
                  f"{where} rates must be positive")
         epochs = [e for e, _ in out["breakpoints"]]
@@ -98,8 +110,9 @@ def _check_lr(lr: dict, where: str) -> dict:
                  f"{where} breakpoint epochs must be strictly increasing")
     else:  # parent-stepwise
         _check_keys(lr, ("kind", "hi", "lo"), where)
-        out = {"kind": kind, "hi": float(lr.get("hi", 0.1)),
-               "lo": float(lr.get("lo", 0.001))}
+        out = {"kind": kind,
+               "hi": _as_float(lr.get("hi", 0.1), f"{where}.hi"),
+               "lo": _as_float(lr.get("lo", 0.001), f"{where}.lo")}
         _require(out["hi"] > 0 and out["lo"] > 0, f"{where} rates must be positive")
     return out
 
@@ -108,13 +121,15 @@ def _check_optimizer(opt: dict) -> dict:
     _check_keys(opt, ("kind", "momentum", "nesterov", "weight_decay",
                       "beta1", "beta2", "eps"), "optimizer")
     out = {"kind": opt.get("kind", "sgd"),
-           "momentum": float(opt.get("momentum", 0.9)),
+           "momentum": _as_float(opt.get("momentum", 0.9),
+                                 "optimizer.momentum"),
            "nesterov": _as_bool(opt.get("nesterov", True),
                                 "optimizer.nesterov"),
-           "weight_decay": float(opt.get("weight_decay", 0.0)),
-           "beta1": float(opt.get("beta1", 0.9)),
-           "beta2": float(opt.get("beta2", 0.999)),
-           "eps": float(opt.get("eps", 1e-8))}
+           "weight_decay": _as_float(opt.get("weight_decay", 0.0),
+                                     "optimizer.weight_decay"),
+           "beta1": _as_float(opt.get("beta1", 0.9), "optimizer.beta1"),
+           "beta2": _as_float(opt.get("beta2", 0.999), "optimizer.beta2"),
+           "eps": _as_float(opt.get("eps", 1e-8), "optimizer.eps")}
     _require(out["kind"] in ("sgd", "adam"), "optimizer.kind must be sgd or adam")
     _require(0.0 <= out["momentum"] < 1.0, "optimizer.momentum must lie in [0, 1)")
     _require(out["weight_decay"] >= 0.0, "optimizer.weight_decay must be >= 0")
@@ -145,7 +160,8 @@ def _check_blobs(b: dict) -> dict:
     out = {key: _as_int(b.get(key, default), f"blobs.{key}")
            for key, default in (("n", 2000), ("d", 16), ("k", 4),
                                 ("data_seed", 0))}
-    out["separation"] = float(b.get("separation", 4.0))
+    out["separation"] = _as_float(b.get("separation", 4.0),
+                                  "blobs.separation")
     _require(out["n"] > 0 and out["d"] > 0 and out["k"] > 1,
              "blobs need n > 0, d > 0, k > 1")
     _require(out["separation"] > 0, "blobs.separation must be positive")
@@ -251,7 +267,7 @@ class ExperimentConfig:
                      f"method values must come from {METHODS}")
             cfg.method = methods
         if "rho" in raw:
-            cfg.rho = [float(r) for r in _as_list(raw.pop("rho"))]
+            cfg.rho = [_as_float(r, "rho") for r in _as_list(raw.pop("rho"))]
             _require(cfg.rho and all(0.0 <= r < 1.0 for r in cfg.rho),
                      "rho needs at least one value, each in [0, 1)")
         if "phi" in raw:
@@ -259,7 +275,8 @@ class ExperimentConfig:
             _require(cfg.phi and all(p >= 0 for p in cfg.phi),
                      "phi needs at least one value, each >= 0")
         if "tau0" in raw:
-            cfg.tau0 = [float(t) for t in _as_list(raw.pop("tau0"))]
+            cfg.tau0 = [_as_float(t, "tau0")
+                        for t in _as_list(raw.pop("tau0"))]
             _require(cfg.tau0 and all(0.0 <= t <= 1.0 for t in cfg.tau0),
                      "tau0 needs at least one value, each in [0, 1]")
 
@@ -285,7 +302,7 @@ class ExperimentConfig:
         for key in ("bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
                     "bimodal_sigma2"):
             if key in raw:
-                setattr(cfg, key, float(raw.pop(key)))
+                setattr(cfg, key, _as_float(raw.pop(key), key))
         _require(cfg.bimodal_sigma1 > 0 and cfg.bimodal_sigma2 > 0,
                  "bimodal sigmas must be positive")
 

@@ -148,9 +148,12 @@ def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
             noise_scale: float = 0.04) -> np.ndarray:
     """Additive Gaussian pixel noise at sigma = noise_scale * severity.
 
-    Input must be unit-scaled pixels; output is clamped back to [0, 1].
+    Input must be unit-scaled pixels; output is clamped back to [0, 1]. The
+    noise array becomes the output, so the only allocation is one array the
+    size of ``x``, and ``x`` is left unchanged.
     """
     if not 1 <= int(severity) <= 5:
         raise ValueError("severity must lie in 1..5")
     noise = rng.normal(0.0, noise_scale * severity, x.shape)
-    return np.clip(x + noise, 0.0, 1.0)
+    noise += x
+    return np.clip(noise, 0.0, 1.0, out=noise)

@@ -211,14 +211,26 @@ class Network:
     any training starts. ``mask_buffers`` holds one array per weight tensor
     that ``training.masked_weights`` writes the masked weights into; it
     belongs to this network alone and is kept across batches.
+    ``row_floats`` is the size, in elements per example, of the largest
+    array any layer allocates in a forward pass: a layer's output (Flatten
+    returns a view), or a Conv2d's ``cols`` block (C·k²·H'·W'). Evaluation
+    sizes its chunks by it.
     """
 
     def __init__(self, layers, input_shape):
         self.layers = list(layers)
         self.input_shape = tuple(int(d) for d in input_shape)
         shape = self.input_shape
+        self.row_floats = 1
         for layer in self.layers:
             shape = layer.out_shape(shape)
+            if isinstance(layer, Flatten):
+                continue  # its output is a view of its input
+            size = int(np.prod(shape))
+            if isinstance(layer, Conv2d):  # cols: C·k² rows per output pixel
+                size = max(size, layer.in_channels * layer.kernel_size ** 2
+                           * shape[1] * shape[2])
+            self.row_floats = max(self.row_floats, size)
         self.output_shape = shape
         self.mask_buffers = {}
 

@@ -2,10 +2,11 @@
 
 A run executes one task from a validated config. Metric files are plain CSV
 with a fixed column set; the manifest (written atomically at the end) records
-the config, its hash, the seeds, every metric file produced, wall-clock time
-and the library version. Re-running the same config in deterministic mode
-reproduces the metric files byte for byte; wall-clock lives only in the
-manifest so it never breaks that contract.
+the config, its hash, the seeds, every metric file produced, wall-clock time,
+peak resident memory (``peak_rss_mb``) and the library version. Re-running
+the same config in deterministic mode reproduces the metric files byte for
+byte; wall clock and memory live only in the manifest so they never break
+that contract.
 """
 
 from __future__ import annotations
@@ -14,8 +15,14 @@ import csv
 import json
 import logging
 import os
+import sys
 import time
 from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # pragma: no cover - not available on Windows
+    resource = None
 
 import numpy as np
 
@@ -30,7 +37,7 @@ from .annealing import (
     tune,
 )
 from .config import ExperimentConfig
-from .data import load_dataset, normalization_stats, normalize, subset
+from .data import load_dataset, normalization_stats, normalize
 from .ensemble import (
     corrupt,
     score_ensemble,
@@ -122,40 +129,56 @@ def limit_blas_threads(n: int) -> None:
 class RunData:
     """Train/test tensors plus the unit-scale test set for corruption.
 
-    Model inputs are cast to the config's dtype, so a float32 network sees
-    float32 batches and its logits and gradients stay float32.
+    The loaders apply ``train_subset``/``test_subset``, so only the kept
+    rows are converted to float. The training array is normalised in place;
+    the test set is normalised into one copy, and ``x_test_raw`` keeps the
+    unit-scale original. Model inputs are cast to the config's dtype, so a
+    float32 network sees float32 batches and its logits and gradients stay
+    float32.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         blobs = cfg.blobs
         if cfg.dataset == "synthetic-blobs":
-            train = load_dataset("synthetic-blobs", "train", n=blobs["n"],
+            train = load_dataset("synthetic-blobs", "train",
+                                 limit=cfg.train_subset, n=blobs["n"],
                                  d=blobs["d"], k=blobs["k"],
                                  separation=blobs["separation"],
                                  data_seed=blobs["data_seed"])
             test = load_dataset("synthetic-blobs", "test",
+                                limit=cfg.test_subset,
                                 n=max(blobs["n"] // 4, blobs["k"]),
                                 d=blobs["d"], k=blobs["k"],
                                 separation=blobs["separation"],
                                 data_seed=blobs["data_seed"])
         else:
-            train = load_dataset(cfg.dataset, "train")
-            test = load_dataset(cfg.dataset, "test")
-        train = subset(train, cfg.train_subset)
-        test = subset(test, cfg.test_subset)
+            train = load_dataset(cfg.dataset, "train", limit=cfg.train_subset)
+            test = load_dataset(cfg.dataset, "test", limit=cfg.test_subset)
         self.num_classes = train.num_classes
         self.input_shape = tuple(train.x.shape[1:])
         self.dtype = _dtype(cfg)
         self.mean, self.std = normalization_stats(train.x)
-        self.x_train = self.normalizer(train.x)
+        self.x_train = self.normalizer(train.x, out=train.x)
         self.y_train = train.y
         self.x_test = self.normalizer(test.x)
         self.y_test = test.y
         self.x_test_raw = test.x  # unit scale, for corruption
 
-    def normalizer(self, x: np.ndarray) -> np.ndarray:
-        """Normalized model inputs in the run's dtype."""
-        return normalize(x, self.mean, self.std).astype(self.dtype, copy=False)
+    def normalizer(self, x: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """Normalized model inputs in the run's dtype. With ``out`` (which
+        may be ``x``) the normalisation is written into it first."""
+        return normalize(x, self.mean, self.std, out=out).astype(
+            self.dtype, copy=False)
+
+    def corrupted(self, severity: int, seed: int) -> np.ndarray:
+        """Normalized model inputs of the test set corrupted at
+        ``severity``, built and normalized in one array. Pass it straight
+        to the scoring call, so it is freed before the next severity's is
+        built."""
+        xc = corrupt(self.x_test_raw, severity,
+                     substream(seed, "corrupt", severity))
+        return self.normalizer(xc, out=xc)
 
 
 def _dtype(cfg: ExperimentConfig):
@@ -345,12 +368,23 @@ def run(cfg: ExperimentConfig) -> Path:
     except Exception as err:
         manifest["status"] = "failed"
         manifest["error"] = f"{type(err).__name__}: {err}"
-        manifest["wall_clock_s"] = time.perf_counter() - started
+        _finish_manifest(manifest, started)
         write_json_atomic(manifest_path, manifest)
         raise
-    manifest["wall_clock_s"] = time.perf_counter() - started
+    _finish_manifest(manifest, started)
     write_json_atomic(manifest_path, manifest)
     return manifest_path
+
+
+def _finish_manifest(manifest: dict, started: float) -> None:
+    """Wall clock and, where the platform reports it, the process's peak
+    resident memory so far (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    manifest["wall_clock_s"] = time.perf_counter() - started
+    if resource is not None:
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        if sys.platform == "darwin":
+            peak /= 1024.0
+        manifest["peak_rss_mb"] = peak / 1024.0
 
 
 def _task_train_parent(cfg, data, out_dir, manifest):
@@ -430,9 +464,8 @@ def _task_ensemble(cfg, data, out_dir, manifest):
             rec.realized_sparsity = mask.sparsity()
         corrupted = {}
         for severity in ens["corruption_severities"]:
-            xc = data.normalizer(corrupt(data.x_test_raw, severity,
-                                         substream(seed, "corrupt", severity)))
-            recs, ens_rec = score_ensemble(nets, extra, xc, data.y_test)
+            recs, ens_rec = score_ensemble(
+                nets, extra, data.corrupted(severity, seed), data.y_test)
             corrupted[str(severity)] = {
                 "ensemble": ens_rec.to_dict(),
                 "members": [r.to_dict() for r in recs],
@@ -478,9 +511,9 @@ def _task_eval(cfg, data, out_dir, manifest):
     payload = {"config": cfg.to_dict(), "clean": record.to_dict(),
                "corrupted": {}}
     for severity in cfg.ensemble["corruption_severities"]:
-        xc = data.normalizer(corrupt(data.x_test_raw, severity,
-                                     substream(cfg.seed, "corrupt", severity)))
-        rec = evaluate(softmax(predict_logits(net, xc, mask=mask)), data.y_test)
+        logits = predict_logits(net, data.corrupted(severity, cfg.seed),
+                                mask=mask)
+        rec = evaluate(softmax(logits), data.y_test)
         payload["corrupted"][str(severity)] = rec.to_dict()
     eval_path = out_dir / "eval.json"
     write_json_atomic(eval_path, payload)

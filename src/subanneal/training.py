@@ -23,7 +23,9 @@ from .nn.layers import Network
 from .nn.losses import cross_entropy_softmax
 from .nn.schedules import OneCycle, lr_at
 
-EVAL_CHUNK = 4096  # fixed so evaluation stays bit-reproducible
+# Bytes of the largest array one evaluation chunk may allocate; fixed, so a
+# network's chunks and hence its logits are bit-reproducible.
+EVAL_BYTES = 8 << 20
 
 
 class DivergenceError(RuntimeError):
@@ -102,17 +104,27 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
 
 def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
                    weight_scale: dict | None = None) -> np.ndarray:
-    """Deterministic forward pass in fixed-size chunks. It leaves no
-    activations cached on ``net``.
+    """Deterministic forward pass in chunks, written into one output array.
+    It leaves no activations cached on ``net``.
 
+    A chunk holds as many rows as keep the largest array any layer allocates
+    (``net.row_floats`` elements of ``x``'s dtype per row) within
+    ``EVAL_BYTES``; each chunk's activations are dropped before the next.
     ``weight_scale`` multiplies weights elementwise in place of ``mask`` (used
     for expected-mask evaluation, where the scale is the probability matrix).
     """
+    rows = max(1, EVAL_BYTES // (net.row_floats * x.itemsize))
+    out = None
     with masked_weights(net, weight_scale if weight_scale is not None else mask):
-        out = [net.forward(x[start:start + EVAL_CHUNK])
-               for start in range(0, len(x), EVAL_CHUNK)]
-    net.clear_cache()
-    return np.concatenate(out, axis=0)
+        for start in range(0, len(x), rows):
+            logits = net.forward(x[start:start + rows])
+            net.clear_cache()
+            if out is None:
+                out = np.empty((len(x),) + logits.shape[1:], logits.dtype)
+            out[start:start + rows] = logits
+    if out is None:
+        raise ValueError("cannot evaluate an empty input")
+    return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -105,3 +105,12 @@ def test_threads_flag_without_threadpoolctl_logs_a_warning(
     assert "threadpoolctl unavailable" in caplog.text
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "threads" not in manifest["config"]
+
+
+def test_run_null_float_prints_one_error_line(tmp_path, capsys):
+    config = _write_config(tmp_path, rho=None)
+    assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "rho must be a finite number" in err
+    assert not (tmp_path / "out").exists()

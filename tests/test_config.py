@@ -238,3 +238,43 @@ def test_integral_numbers_and_json_booleans_still_accepted():
     assert cfg.optimizer["nesterov"] is False
     assert cfg.ensemble["partitioning"] is False
     assert cfg.lr["breakpoints"] == [[0.0, 0.1], [2.0, 0.01]]
+
+
+# Float fields that used to go through a plain float(): null raised a
+# TypeError, strings and non-finite values were accepted.
+FLOAT_HOLES = [
+    dict(rho=None),
+    dict(rho=[0.5, None]),
+    dict(tau0="0.5"),
+    dict(rho=True),
+    dict(rho=10 ** 400),
+    dict(lr={"kind": "constant", "value": "inf"}),
+    dict(lr={"kind": "constant", "value": float("inf")}),
+    dict(lr={"kind": "onecycle", "max": float("nan")}),
+    dict(lr={"kind": "step", "breakpoints": [[0, "0.1"]]}),
+    dict(lr={"kind": "step", "breakpoints": [[None, 0.1]]}),
+    dict(parent_lr={"kind": "parent-stepwise", "hi": "0.1"}),
+    dict(optimizer={"momentum": None}),
+    dict(optimizer={"weight_decay": float("nan")}),
+    dict(optimizer={"eps": False}),
+    dict(blobs={"separation": "4"}),
+    dict(bimodal_mu1=None),
+    dict(bimodal_sigma2=float("-inf")),
+]
+
+
+@pytest.mark.parametrize("extra", FLOAT_HOLES,
+                         ids=[str(i) for i in range(len(FLOAT_HOLES))])
+def test_float_fields_need_finite_numbers(extra):
+    with pytest.raises(ConfigError, match="must be a finite number"):
+        ExperimentConfig.from_dict(_minimal(**extra))
+
+
+def test_integers_still_pass_as_floats():
+    cfg = ExperimentConfig.from_dict(_minimal(
+        rho=0, tau0=[1], lr={"kind": "constant", "value": 1},
+        optimizer={"momentum": 0}, blobs={"separation": 3}))
+    assert cfg.rho == [0.0] and isinstance(cfg.rho[0], float)
+    assert cfg.tau0 == [1.0] and cfg.lr["value"] == 1.0
+    assert cfg.optimizer["momentum"] == 0.0
+    assert cfg.blobs["separation"] == 3.0

@@ -110,6 +110,8 @@ class TestPredict:
 
     def test_mean_logit_arithmetic(self):
         class Fixed:
+            row_floats = 2  # elements per example of its largest array
+
             def __init__(self, logits):
                 self._logits = logits
 

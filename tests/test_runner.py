@@ -86,6 +86,20 @@ class TestPruneTuneTask:
         bytes_b = (tmp_path / "r2" / man_b["metrics_files"][0]).read_bytes()
         assert bytes_a == bytes_b
 
+    def test_manifest_records_peak_memory_outside_the_csvs(self, tmp_path):
+        manifest_path = run(_cfg(tmp_path))
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["peak_rss_mb"] > 0
+        header = (manifest_path.parent / manifest["metrics_files"][0]
+                  ).read_text().splitlines()[0]
+        assert "peak_rss_mb" not in header
+        failing = _cfg(tmp_path, rho=0.999, out_dir=str(tmp_path / "failed"))
+        with pytest.raises(Exception):
+            run(failing)
+        manifest = json.loads((tmp_path / "failed" / "manifest.json")
+                              .read_text())
+        assert manifest["status"] == "failed" and manifest["peak_rss_mb"] > 0
+
     def test_failure_recorded_in_manifest(self, tmp_path):
         cfg = _cfg(tmp_path, rho=0.999)  # quota would sever the head layer
         with pytest.raises(Exception):
