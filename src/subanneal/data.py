@@ -3,11 +3,11 @@ synthetic Gaussian blobs.
 
 Image datasets load as unit-scale (N, C, H, W) float64 tensors; model inputs
 are then mean-std normalized per channel with constants computed from the
-training split. A loader's ``limit`` keeps the first examples of a split, and
-the image loaders read and convert only those, so a small subset of a large
-file costs memory in proportion to the subset. The dataset root directory
-comes from the ``SUBANNEAL_DATA`` environment variable unless passed
-explicitly.
+training split. A loader's ``limit`` keeps the first examples of a split; the
+image loaders still read and check whole files as bytes, but convert only the
+kept rows to float, so a small subset of a large file costs float memory in
+proportion to the subset. The dataset root directory comes from the
+``SUBANNEAL_DATA`` environment variable unless passed explicitly.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
-CIFAR_CHUNK = 1024  # records read at once when only their labels are checked
 
 
 class DatasetError(ValueError):
@@ -69,10 +68,8 @@ def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
     return data
 
 
-def _read_idx(path, limit: int = 0):
-    """The first ``limit`` records of an IDX file (all of them when 0) and
-    the file's record count. Records past the kept ones are skipped, not
-    read into memory, but the file's length is still checked in full."""
+def load_idx(path) -> np.ndarray:
+    """Parse one big-endian IDX file of unsigned bytes."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
         (magic,) = struct.unpack(">I", _read_exact(fh, 4, 0, "magic"))
@@ -89,94 +86,61 @@ def _read_idx(path, limit: int = 0):
             (d,) = struct.unpack(">I", _read_exact(fh, 4, offset, f"dim {i}"))
             dims.append(d)
         offset = 4 + 4 * ndim
-        record = int(np.prod(dims[1:]))
-        count = dims[0] * record
-        rows = min(limit, dims[0]) if limit else dims[0]
-        kept = rows * record
-        raw = fh.read(kept)
-        end = len(raw)
-        if end == kept and kept < count:
-            # seek over the records not kept; a short file stops at its end
-            fh.seek(offset + count - 1)
-            end = count - 1 + len(fh.read(1))
-        if end != count:
-            raise DatasetError(f"truncated IDX file: wanted {count} data "
-                               f"bytes at offset {offset}")
-        if fh.read(1):
+        count = int(np.prod(dims))
+        raw = _read_exact(fh, count, offset, f"{count} data bytes")
+        extra = fh.read(1)
+        if extra:
             raise DatasetError(
                 f"trailing bytes at offset {offset + count} in {path.name}")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape([rows] + dims[1:])
-    return records, dims[0]
-
-
-def load_idx(path) -> np.ndarray:
-    """Parse one big-endian IDX file of unsigned bytes."""
-    return _read_idx(path)[0]
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
 
 
 def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:
-    """The first ``limit`` examples (all when 0); only those are read and
-    converted to float."""
+    """The first ``limit`` examples (all when 0); the whole files are read
+    and checked, but only the kept rows are converted to float."""
     root = data_root(root) / "mnist"
     prefix = "train" if split == "train" else "t10k"
-    images, n_images = _read_idx(root / f"{prefix}-images-idx3-ubyte", limit)
-    labels, n_labels = _read_idx(root / f"{prefix}-labels-idx1-ubyte", limit)
-    if n_images != n_labels:
+    images = load_idx(root / f"{prefix}-images-idx3-ubyte")
+    labels = load_idx(root / f"{prefix}-labels-idx1-ubyte")
+    if len(images) != len(labels):
         raise DatasetError(
-            f"mnist {split}: {n_images} images but {n_labels} labels")
+            f"mnist {split}: {len(images)} images but {len(labels)} labels")
+    if limit:
+        images, labels = images[:limit], labels[:limit]
     x = images.astype(np.float64)[:, None, :, :]
     x /= 255.0
     return Dataset(x, labels.astype(np.int64), 10)
 
 
-def _check_cifar_labels(labels: np.ndarray, first: int, name: str) -> None:
-    """``labels`` belong to records ``first``, ``first + 1``, ... of file
-    ``name``."""
-    bad = np.flatnonzero(labels > 9)
-    if bad.size:
-        raise DatasetError(
-            f"{name}: label {labels[bad[0]]} out of range at offset "
-            f"{(first + int(bad[0])) * CIFAR_RECORD}")
-
-
-def _read_cifar(path: Path, limit):
-    """(uint8 images, labels) of the first ``limit`` records of one batch
-    file, or of every record when ``limit`` is None. The records past the
-    kept ones are read ``CIFAR_CHUNK`` at a time, only to check their
-    labels."""
-    size = path.stat().st_size
-    if size == 0 or size % CIFAR_RECORD:
-        raise DatasetError(
-            f"{path.name}: size {size} is not a multiple of {CIFAR_RECORD}; "
-            f"first bad record at offset {size - size % CIFAR_RECORD}")
-    n = size // CIFAR_RECORD
-    keep = n if limit is None else min(limit, n)
-    with open(path, "rb") as fh:
-        records = np.frombuffer(fh.read(keep * CIFAR_RECORD),
-                                dtype=np.uint8).reshape(keep, CIFAR_RECORD)
-        _check_cifar_labels(records[:, 0], 0, path.name)
-        for start in range(keep, n, CIFAR_CHUNK):
-            chunk = fh.read(min(CIFAR_CHUNK, n - start) * CIFAR_RECORD)
-            _check_cifar_labels(
-                np.frombuffer(chunk, dtype=np.uint8)[::CIFAR_RECORD], start,
-                path.name)
-    return records[:, 1:].reshape(-1, 3, 32, 32), records[:, 0]
-
-
 def load_cifar10(split: str, root=None, limit: int = 0) -> Dataset:
     """The first ``limit`` examples over the split's files in order (all
-    when 0); only those are converted to float, but every label is
-    checked."""
+    when 0); every file is read and every label checked, but only the kept
+    rows are converted to float."""
     root = data_root(root) / "cifar10"
     files = CIFAR_TRAIN_FILES if split == "train" else CIFAR_TEST_FILES
-    remaining = limit or None
     xs, ys = [], []
+    kept = 0
     for name in files:
-        x, y = _read_cifar(root / name, remaining)
-        xs.append(x)
-        ys.append(y)
-        if remaining is not None:
-            remaining -= len(y)
+        raw = (root / name).read_bytes()
+        if len(raw) == 0 or len(raw) % CIFAR_RECORD:
+            raise DatasetError(
+                f"{name}: size {len(raw)} is not a multiple of {CIFAR_RECORD}; "
+                f"first bad record at offset {len(raw) - len(raw) % CIFAR_RECORD}")
+        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+        labels = records[:, 0]
+        bad = np.flatnonzero(labels > 9)
+        if bad.size:
+            raise DatasetError(
+                f"{name}: label {labels[bad[0]]} out of range at offset "
+                f"{int(bad[0]) * CIFAR_RECORD}")
+        if limit:
+            # a file past the limit keeps nothing, so nothing pins its bytes
+            records = records[:limit - kept]
+            if not len(records):
+                continue
+        xs.append(records[:, 1:].reshape(-1, 3, 32, 32))
+        ys.append(records[:, 0])
+        kept += len(records)
     x = np.concatenate(xs, dtype=np.float64)
     x /= 255.0
     y = np.concatenate(ys).astype(np.int64)
@@ -238,9 +202,7 @@ def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
 
 
 def subset(ds: Dataset, limit: int) -> Dataset:
-    """The first ``limit`` examples in file order (0 means everything), as
-    copies, so a kept subset never pins the full-size arrays."""
+    """The first ``limit`` examples in file order (0 means everything)."""
     if limit and limit < len(ds.y):
-        return Dataset(ds.x[:limit].copy(), ds.y[:limit].copy(),
-                       ds.num_classes)
+        return Dataset(ds.x[:limit], ds.y[:limit], ds.num_classes)
     return ds

@@ -47,6 +47,10 @@ class Dense:
                 f"Dense expects input shape ({self.in_features},), got {in_shape}")
         return (self.out_features,)
 
+    def forward_floats(self, in_shape) -> int:
+        """Elements per example of the largest array ``forward`` allocates."""
+        return self.out_features
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
         y = x @ self.w
@@ -118,6 +122,13 @@ class Conv2d:
         oh, ow = self._out_hw(in_shape[1], in_shape[2])
         return (self.out_channels, oh, ow)
 
+    def forward_floats(self, in_shape) -> int:
+        """Elements per example of the largest array ``forward`` allocates:
+        ``cols`` (C·k² per output position) or the output."""
+        _, oh, ow = self.out_shape(in_shape)
+        return max(self.in_channels * self.kernel_size ** 2,
+                   self.out_channels) * oh * ow
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
@@ -172,6 +183,9 @@ class ReLU:
     def out_shape(self, in_shape):
         return in_shape
 
+    def forward_floats(self, in_shape) -> int:
+        return int(np.prod(in_shape))
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x > 0
         return x * self._cache
@@ -188,6 +202,9 @@ class Flatten:
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
+
+    def forward_floats(self, in_shape) -> int:
+        return 0  # forward returns a view
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x.shape
@@ -212,9 +229,8 @@ class Network:
     that ``training.masked_weights`` writes the masked weights into; it
     belongs to this network alone and is kept across batches.
     ``row_floats`` is the size, in elements per example, of the largest
-    array any layer allocates in a forward pass: a layer's output (Flatten
-    returns a view), or a Conv2d's ``cols`` block (C·k²·H'·W'). Evaluation
-    sizes its chunks by it.
+    array any layer allocates in a forward pass (each layer reports its own
+    through ``forward_floats``). Evaluation sizes its chunks by it.
     """
 
     def __init__(self, layers, input_shape):
@@ -223,14 +239,8 @@ class Network:
         shape = self.input_shape
         self.row_floats = 1
         for layer in self.layers:
+            self.row_floats = max(self.row_floats, layer.forward_floats(shape))
             shape = layer.out_shape(shape)
-            if isinstance(layer, Flatten):
-                continue  # its output is a view of its input
-            size = int(np.prod(shape))
-            if isinstance(layer, Conv2d):  # cols: C·k² rows per output pixel
-                size = max(size, layer.in_channels * layer.kernel_size ** 2
-                           * shape[1] * shape[2])
-            self.row_floats = max(self.row_floats, size)
         self.output_shape = shape
         self.mask_buffers = {}
 
