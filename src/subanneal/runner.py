@@ -3,7 +3,8 @@
 A run executes one task from a validated config. Metric files are plain CSV
 with a fixed column set; the manifest (written atomically at the end) records
 the config, its hash, the seeds, every metric file produced, wall-clock time,
-peak resident memory (``peak_rss_mb``) and the library version. Re-running
+peak resident memory (``peak_rss_mb``), the BLAS thread count, the malloc
+settings ``run`` applied to the process, and the library version. Re-running
 the same config in deterministic mode reproduces the metric files byte for
 byte; wall clock and memory live only in the manifest so they never break
 that contract.
@@ -12,9 +13,11 @@ that contract.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import logging
 import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -37,7 +40,13 @@ from .annealing import (
     tune,
 )
 from .config import ExperimentConfig
-from .data import load_dataset, normalization_stats, normalize
+from .data import (
+    NormalizedRows,
+    load_dataset,
+    normalization_stats,
+    normalize,
+    to_float,
+)
 from .ensemble import (
     corrupt,
     score_ensemble,
@@ -113,28 +122,98 @@ def write_json_atomic(path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
-def limit_blas_threads(n: int) -> None:
-    """Cap the BLAS pool at ``n`` threads; one thread makes trajectories
-    bit-reproducible."""
-    try:
-        from threadpoolctl import threadpool_limits
+# --- process settings: BLAS threads and the allocator ---------------------------
 
-        threadpool_limits(limits=n)
-    except ImportError:  # pragma: no cover - threadpoolctl ships with sklearn
-        log.warning("threadpoolctl unavailable; BLAS thread count unchanged")
+# OpenBLAS names its thread-count functions
+# ``<prefix>_{set,get}_num_threads<suffix>``: prefix "scipy_openblas" in the
+# builds numpy wheels ship, suffix "64_" in builds with 64-bit integers.
+OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+OPENBLAS_SUFFIXES = ("64_", "")
+
+# glibc malloc settings ``run`` applies to its process, by mallopt parameter
+# (malloc.h). Freed memory up to 256 MB stays at the top of the heap, and
+# every allocation under 64 MB comes from the heap, so batch, activation and
+# gradient arrays reuse memory instead of being returned to the kernel and
+# faulted back in on every step. Fixing the mmap threshold also stops glibc
+# from moving it with whatever large block was freed last.
+MALLOC_SETTINGS = {"M_TRIM_THRESHOLD": (-1, 256 << 20),
+                   "M_MMAP_THRESHOLD": (-3, 64 << 20)}
+
+
+def _blas_thread_functions():
+    """``(set_num_threads, get_num_threads)`` of the OpenBLAS library this
+    process has loaded (numpy's), found through the process's memory map;
+    None when there is none or it exports no such pair."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:  # no /proc: not Linux
+        return None
+    paths = sorted({fields[5] for fields in
+                    (line.split(maxsplit=5) for line in maps.splitlines())
+                    if len(fields) == 6
+                    and "openblas" in Path(fields[5]).name})
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix in OPENBLAS_PREFIXES:
+            for suffix in OPENBLAS_SUFFIXES:
+                setter = getattr(lib, f"{prefix}_set_num_threads{suffix}",
+                                 None)
+                getter = getattr(lib, f"{prefix}_get_num_threads{suffix}",
+                                 None)
+                if setter is not None and getter is not None:
+                    setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    getter.argtypes, getter.restype = (), ctypes.c_int
+                    return setter, getter
+    return None
+
+
+def limit_blas_threads(n: int) -> None:
+    """Cap the BLAS pool at ``n`` threads through OpenBLAS's own setter; one
+    thread makes trajectories bit-reproducible. Without a setter this logs
+    an error and leaves the count unchanged."""
+    functions = _blas_thread_functions()
+    if functions is None:
+        log.error("no OpenBLAS thread setter found: BLAS thread count "
+                  "unchanged, so results may not be bit-reproducible")
+        return
+    functions[0](n)
+
+
+def blas_threads() -> int | None:
+    """The BLAS pool's thread count, or None when no OpenBLAS is found."""
+    functions = _blas_thread_functions()
+    return None if functions is None else int(functions[1]())
+
+
+def tune_allocator() -> dict | None:
+    """Apply ``MALLOC_SETTINGS`` to this process's malloc; returns the
+    settings glibc accepted, by name, or None when libc is not glibc."""
+    if platform.libc_ver()[0] != "glibc":
+        return None
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    applied = {}
+    for name, (param, value) in MALLOC_SETTINGS.items():
+        if mallopt(param, value) == 1:
+            applied[name] = value
+        else:
+            log.warning("glibc rejected mallopt %s=%d", name, value)
+    return applied
 
 
 # --- data and model assembly -------------------------------------------------
 
 class RunData:
-    """Train/test tensors plus the unit-scale test set for corruption.
+    """Train/test model inputs plus the raw test set for corruption.
 
-    The loaders apply ``train_subset``/``test_subset``, so only the kept
-    rows are converted to float. The training array is normalised in place;
-    the test set is normalised into one copy, and ``x_test_raw`` keeps the
-    unit-scale original. Model inputs are cast to the config's dtype, so a
-    float32 network sees float32 batches and its logits and gradients stay
-    float32.
+    The loaders apply ``train_subset``/``test_subset`` and return uint8
+    pixels (float features for blobs). ``x_train`` keeps the training
+    pixels and normalizes each batch as it is drawn (``NormalizedRows``);
+    the test set, which evaluation slices many times, is normalized into
+    one array, and ``x_test_raw`` keeps its pixels. Model inputs are cast
+    to the config's dtype, so a float32 network sees float32 batches and
+    its logits and gradients stay float32.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -158,11 +237,12 @@ class RunData:
         self.input_shape = tuple(train.x.shape[1:])
         self.dtype = _dtype(cfg)
         self.mean, self.std = normalization_stats(train.x)
-        self.x_train = self.normalizer(train.x, out=train.x)
+        self.x_train = NormalizedRows(train.x, self.mean, self.std,
+                                      self.dtype)
         self.y_train = train.y
         self.x_test = self.normalizer(test.x)
         self.y_test = test.y
-        self.x_test_raw = test.x  # unit scale, for corruption
+        self.x_test_raw = test.x
 
     def normalizer(self, x: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
@@ -173,10 +253,10 @@ class RunData:
 
     def corrupted(self, severity: int, seed: int) -> np.ndarray:
         """Normalized model inputs of the test set corrupted at
-        ``severity``, built and normalized in one array. Pass it straight
-        to the scoring call, so it is freed before the next severity's is
-        built."""
-        xc = corrupt(self.x_test_raw, severity,
+        ``severity``, built and normalized in one array from a unit-scale
+        copy of the test pixels. Pass it straight to the scoring call, so
+        it is freed before the next severity's is built."""
+        xc = corrupt(to_float(self.x_test_raw), severity,
                      substream(seed, "corrupt", severity))
         return self.normalizer(xc, out=xc)
 
@@ -336,9 +416,12 @@ def _cell_grid(cfg: ExperimentConfig):
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Failures are recorded in the manifest (status: failed) and re-raised so
-    callers can exit nonzero.
+    The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc);
+    with ``cfg.deterministic`` its BLAS pool keeps one thread. Failures
+    are recorded in the manifest (status: failed) and re-raised so callers
+    can exit nonzero.
     """
+    allocator = tune_allocator()
     if cfg.deterministic:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
@@ -351,6 +434,8 @@ def run(cfg: ExperimentConfig) -> Path:
         "config_hash": cfg.config_hash(),
         "seeds": cfg.run_seeds(),
         "status": "running",
+        "allocator": allocator,
+        "blas_threads": blas_threads(),
         "cells": [],
         "metrics_files": [],
     }

@@ -1,6 +1,5 @@
 import json
 import logging
-import sys
 
 import pytest
 
@@ -50,6 +49,19 @@ def test_run_flag_overrides_beat_file_values(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+def test_threads_flag_sets_and_records_the_blas_pool(tmp_path,
+                                                      monkeypatch):
+    from test_runner import fake_blas
+
+    calls = fake_blas(monkeypatch)
+    config = _write_config(tmp_path)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--threads", "3"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert calls == [3]
+    assert manifest["blas_threads"] == 3
+
+
 def test_run_invalid_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"task": "prune-tune", "bogus": 1}))
@@ -94,17 +106,20 @@ def test_run_rejected_config_prints_one_error_line(tmp_path, capsys, extra):
     assert not (tmp_path / "out").exists()  # rejected before any compute
 
 
-def test_threads_flag_without_threadpoolctl_logs_a_warning(
+def test_threads_flag_without_a_blas_setter_logs_an_error(
         tmp_path, caplog, monkeypatch):
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    from subanneal import runner
+
+    monkeypatch.setattr(runner, "_blas_thread_functions", lambda: None)
     config = _write_config(tmp_path)
-    with caplog.at_level(logging.WARNING, logger="subanneal.runner"):
+    with caplog.at_level(logging.ERROR, logger="subanneal.runner"):
         code = main(["run", str(config), "--out", str(tmp_path / "out"),
                      "--threads", "2"])
     assert code == 0
-    assert "threadpoolctl unavailable" in caplog.text
+    assert "no OpenBLAS thread setter found" in caplog.text
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert "threads" not in manifest["config"]
+    assert manifest["blas_threads"] is None
 
 
 def test_run_null_float_prints_one_error_line(tmp_path, capsys):

@@ -48,6 +48,11 @@ def make_mnist_dir(root, n_train=32, n_test=16):
     return d
 
 
+def idx_pixels(path) -> bytes:
+    """The pixel bytes of an IDX image file: everything after its header."""
+    return path.read_bytes()[16:]
+
+
 class TestIdx:
     def test_roundtrip(self, tmp_path):
         images = np.arange(2 * 28 * 28, dtype=np.uint8).reshape(2, 28, 28)
@@ -86,14 +91,17 @@ class TestIdx:
 
 class TestMnist:
     def test_load_counts_and_scaling(self, tmp_path):
-        make_mnist_dir(tmp_path)
+        # images load unscaled: the uint8 bytes of the file, exactly
+        d = make_mnist_dir(tmp_path)
         ds = load_mnist("train", root=tmp_path)
         assert ds.x.shape == (32, 1, 28, 28)
         assert ds.y.shape == (32,)
         assert ds.num_classes == 10
-        assert 0.0 <= ds.x.min() and ds.x.max() <= 1.0
+        assert ds.x.dtype == np.uint8
+        assert ds.x.tobytes() == idx_pixels(d / "train-images-idx3-ubyte")
         test = load_mnist("test", root=tmp_path)
         assert test.x.shape == (16, 1, 28, 28)
+        assert test.x.tobytes() == idx_pixels(d / "t10k-images-idx3-ubyte")
 
     def test_env_var_root(self, tmp_path, monkeypatch):
         make_mnist_dir(tmp_path)
@@ -121,14 +129,15 @@ class TestCifar:
         d.mkdir()
         recs = [self._write_batch(d / f"data_batch_{i}.bin", 4, seed=i)
                 for i in range(1, 6)]
-        self._write_batch(d / "test_batch.bin", 6, seed=9)
+        test_recs = self._write_batch(d / "test_batch.bin", 6, seed=9)
         ds = load_cifar10("train", root=tmp_path)
         assert ds.x.shape == (20, 3, 32, 32)
         np.testing.assert_array_equal(ds.y[:4], recs[0][:, 0])
-        np.testing.assert_allclose(
-            ds.x[0], recs[0][0, 1:].reshape(3, 32, 32) / 255.0)
+        assert ds.x.dtype == np.uint8
+        assert ds.x.tobytes() == b"".join(r[:, 1:].tobytes() for r in recs)
         test = load_cifar10("test", root=tmp_path)
         assert test.x.shape == (6, 3, 32, 32)
+        assert test.x.tobytes() == test_recs[:, 1:].tobytes()
 
     def test_bad_record_size_names_offset(self, tmp_path):
         d = tmp_path / "cifar10"

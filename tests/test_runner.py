@@ -1,7 +1,10 @@
 import json
+import logging
+import platform
 
 import pytest
 
+from subanneal import runner
 from subanneal.config import ExperimentConfig
 from subanneal.runner import (
     read_metrics_csv,
@@ -48,6 +51,82 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert back[0]["train_loss"] == 1.25
     assert back[1]["test_acc"] is None
     assert back[1]["epoch"] == 1
+
+
+def fake_blas(monkeypatch, threads=4):
+    """Stand in for OpenBLAS's thread setter and getter; returns the list
+    of counts the setter is called with."""
+    calls = []
+
+    def setter(n):
+        calls.append(n)
+
+    def getter():
+        return calls[-1] if calls else threads
+
+    monkeypatch.setattr(runner, "_blas_thread_functions",
+                        lambda: (setter, getter))
+    return calls
+
+
+class TestProcessSettings:
+    """``run`` records the BLAS thread count and the malloc settings it
+    applied in the manifest, never in a CSV."""
+
+    def _manifest(self, cfg):
+        path = run(cfg)
+        manifest = json.loads(path.read_text())
+        csv_text = "".join((path.parent / f).read_text()
+                           for f in manifest["metrics_files"])
+        for key in ("blas_threads", "allocator", "M_TRIM", "M_MMAP"):
+            assert key not in csv_text
+        return manifest
+
+    def test_deterministic_sets_one_blas_thread(self, tmp_path, monkeypatch):
+        calls = fake_blas(monkeypatch)
+        manifest = self._manifest(_cfg(tmp_path, deterministic=True))
+        assert calls == [1]
+        assert manifest["blas_threads"] == 1
+
+    def test_the_thread_count_is_recorded_as_found(self, tmp_path,
+                                                   monkeypatch):
+        calls = fake_blas(monkeypatch, threads=4)
+        manifest = self._manifest(_cfg(tmp_path))
+        assert calls == []
+        assert manifest["blas_threads"] == 4
+
+    def test_no_setter_logs_an_error(self, tmp_path, monkeypatch, caplog):
+        monkeypatch.setattr(runner, "_blas_thread_functions", lambda: None)
+        with caplog.at_level(logging.ERROR, logger="subanneal.runner"):
+            manifest = self._manifest(_cfg(tmp_path, deterministic=True))
+        assert manifest["blas_threads"] is None
+        assert [r for r in caplog.records if r.levelno == logging.ERROR
+                and "thread setter" in r.getMessage()]
+
+    def test_numpys_openblas_is_found_and_limited(self):
+        functions = runner._blas_thread_functions()
+        if functions is None:
+            pytest.skip("numpy is not linked against OpenBLAS here")
+        before = runner.blas_threads()
+        try:
+            runner.limit_blas_threads(1)
+            assert runner.blas_threads() == 1
+        finally:
+            runner.limit_blas_threads(before)
+
+    @pytest.mark.parametrize("libc", [("glibc", "2.36"), ("", "")],
+                             ids=["glibc", "other"])
+    def test_manifest_records_the_allocator_settings(self, tmp_path,
+                                                     monkeypatch, libc):
+        if libc[0] == "glibc" and platform.libc_ver()[0] != "glibc":
+            pytest.skip("mallopt needs glibc")
+        monkeypatch.setattr(platform, "libc_ver", lambda *a, **k: libc)
+        manifest = self._manifest(_cfg(tmp_path))
+        if libc[0] == "glibc":
+            assert manifest["allocator"] == {
+                "M_TRIM_THRESHOLD": 256 << 20, "M_MMAP_THRESHOLD": 64 << 20}
+        else:
+            assert manifest["allocator"] is None
 
 
 class TestPruneTuneTask:

@@ -1,6 +1,6 @@
 """The data and evaluation path holds one copy of what it keeps plus a
 bounded chunk, and computes the same numbers as the straightforward
-formulas it replaced.
+formulas it replaced: whole float64 arrays, normalized all at once.
 
 The memory tests use ``tracemalloc``, which sees numpy's buffers, so their
 peaks are deterministic byte counts rather than resident-set readings.
@@ -22,6 +22,7 @@ from subanneal.data import (
     make_blobs,
     normalization_stats,
     normalize,
+    to_float,
 )
 from subanneal.ensemble import corrupt
 from subanneal.models import build_mlp, build_small_conv
@@ -79,8 +80,14 @@ def old_cifar(records, limit):
     return (x[:limit], y[:limit]) if limit else (x, y)
 
 
+def old_stats(x):
+    axes = tuple(i for i in range(x.ndim) if i != 1)
+    std = x.std(axis=axes, keepdims=True)
+    return x.mean(axis=axes, keepdims=True), np.where(std < 1e-12, 1.0, std)
+
+
 def old_run_data(train_x, test_x, dtype):
-    mean, std = normalization_stats(train_x)
+    mean, std = old_stats(train_x)
     return (((train_x - mean) / std).astype(dtype, copy=False),
             ((test_x - mean) / std).astype(dtype, copy=False))
 
@@ -90,6 +97,13 @@ def _assert_same(got, want):
     assert np.array_equal(got, want)
 
 
+def _buffer_bytes(a):
+    """The size of the memory ``a`` keeps alive: its root base's buffer."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return memoryview(a if a.base is None else a.base).nbytes
+
+
 # --- bit equality ----------------------------------------------------------------
 
 @pytest.mark.parametrize("limit", [0, 7, 40, 500])
@@ -97,7 +111,8 @@ def test_mnist_loader_matches_the_old_formula(tmp_path, limit):
     make_mnist_dir(tmp_path, n_train=40, n_test=16)
     ds = load_mnist("train", root=tmp_path, limit=limit)
     x, y = old_mnist(tmp_path, "train", limit)
-    _assert_same(ds.x, x)
+    assert ds.x.dtype == np.uint8
+    _assert_same(to_float(ds.x), x)
     _assert_same(ds.y, y)
 
 
@@ -107,8 +122,49 @@ def test_cifar_loader_matches_the_old_formula(tmp_path, limit):
     records = make_cifar_dir(tmp_path, per_file=4, n_test=6)
     ds = load_cifar10("train", root=tmp_path, limit=limit)
     x, y = old_cifar(records, limit)
-    _assert_same(ds.x, x)
+    assert ds.x.dtype == np.uint8
+    _assert_same(to_float(ds.x), x)
     _assert_same(ds.y, y)
+
+
+@pytest.mark.parametrize("limit", [0, 20, 100, 500])
+@pytest.mark.parametrize("dataset", ["mnist", "cifar10-subset"])
+def test_kept_pixels_own_no_larger_buffer(tmp_path, dataset, limit):
+    # a 20-row subset of a 100-row file must not pin the file's bytes
+    if dataset == "mnist":
+        make_mnist_dir(tmp_path, n_train=100, n_test=4)
+    else:
+        make_cifar_dir(tmp_path, per_file=20, n_test=4)
+    x = load_dataset(dataset, "train", root=tmp_path, limit=limit).x
+    assert len(x) == min(limit or 100, 100)
+    assert _buffer_bytes(x) == x.nbytes
+
+
+@pytest.mark.parametrize("shape", [(2000, 1, 28, 28), (777, 1, 28, 28),
+                                   (800, 3, 32, 32), (2000, 16), (15, 5)],
+                         ids=["mnist", "mnist-odd", "cifar", "blobs",
+                              "blobs-small"])
+def test_normalization_stats_equal_numpy_mean_and_std(shape):
+    rng = np.random.default_rng(3)
+    if len(shape) == 4:
+        raw = rng.integers(0, 256, shape, dtype=np.uint8)
+        x = raw.astype(np.float64) / 255.0
+    else:
+        raw = x = rng.normal(2.0, 3.0, shape)
+    before = raw.copy()
+    mean, std = normalization_stats(raw)
+    want_mean, want_std = old_stats(x)
+    _assert_same(mean, want_mean)
+    _assert_same(std, want_std)
+    _assert_same(raw, before)
+
+
+def test_normalization_stats_keep_the_constant_channel_guard():
+    x = np.zeros((6, 2, 3, 3), dtype=np.uint8)
+    x[:, 1] = np.arange(6).reshape(6, 1, 1)
+    mean, std = normalization_stats(x)
+    assert std[0, 0, 0, 0] == 1.0 and mean[0, 0, 0, 0] == 0.0
+    _assert_same(std[:, 1:], old_stats(to_float(x))[1][:, 1:])
 
 
 def test_cifar_limit_still_checks_every_label(tmp_path):
@@ -210,9 +266,20 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
     rd = RunData(_run_cfg(dataset, train_subset=train_subset,
                           test_subset=test_subset, dtype=dtype))
     want_train, want_test = old_run_data(train_x, test_x, np.dtype(dtype))
-    _assert_same(rd.x_train, want_train)
+    assert len(rd.x_train) == len(want_train)
+    assert rd.x_train.shape == want_train.shape
+    assert rd.x_train.itemsize == want_train.itemsize
+    # the batches run_epoch draws, and whole and partial slices
+    order = np.random.default_rng(5).permutation(len(want_train))
+    for start in range(0, len(order), 7):
+        batch = order[start:start + 7]
+        _assert_same(rd.x_train[batch], want_train[batch])
+    _assert_same(rd.x_train[:], want_train)
+    _assert_same(rd.x_train[3:11], want_train[3:11])
     _assert_same(rd.x_test, want_test)
-    _assert_same(rd.x_test_raw, test_x)
+    _assert_same(to_float(rd.x_test_raw), test_x)
+    if dataset != "synthetic-blobs":
+        assert rd.x_test_raw.dtype == np.uint8
 
 
 def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
@@ -224,15 +291,20 @@ def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
     _assert_same(x, before)
 
 
-def test_run_data_corrupted_matches_the_old_formula():
+def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch):
     from subanneal.rng import substream
 
-    rd = RunData(_run_cfg("synthetic-blobs"))
-    raw = rd.x_test_raw.copy()
-    noise = substream(3, "corrupt", 2).normal(0.0, 0.04 * 2, raw.shape)
-    want = ((np.clip(raw + noise, 0.0, 1.0) - rd.mean) / rd.std)
-    _assert_same(rd.corrupted(2, 3), want)
-    _assert_same(rd.x_test_raw, raw)
+    make_mnist_dir(tmp_path, n_train=40, n_test=16)
+    monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
+    for dataset in ("mnist", "synthetic-blobs"):
+        rd = RunData(_run_cfg(dataset))
+        raw = rd.x_test_raw.copy()
+        unit = (old_mnist(tmp_path, "test", 0)[0] if dataset == "mnist"
+                else raw)
+        noise = substream(3, "corrupt", 2).normal(0.0, 0.04 * 2, raw.shape)
+        want = ((np.clip(unit + noise, 0.0, 1.0) - rd.mean) / rd.std)
+        _assert_same(rd.corrupted(2, 3), want)
+        _assert_same(rd.x_test_raw, raw)
 
 
 def test_normalize_writes_into_out_and_returns_it():
@@ -374,8 +446,11 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
     cfg = _run_cfg("mnist")
     RunData(cfg)  # warm-up
     rd, peak = _traced_peak(lambda: RunData(cfg))
-    train = rd.x_train.nbytes
-    kept = train + rd.x_test.nbytes + rd.x_test_raw.nbytes
-    # the kept arrays, one train-sized temporary (the variance in
-    # normalization_stats), the uint8 pixels, and 64 KiB for the rest
-    assert peak <= kept + train + train // 8 + 64 * KIB, (peak, train)
+    pixels = 2000 * 28 * 28
+    # the training input keeps only the uint8 pixels
+    assert rd.x_train.raw.dtype == np.uint8
+    assert _buffer_bytes(rd.x_train.raw) <= pixels
+    # the pixels, one float64 train-sized temporary (in
+    # normalization_stats), the test arrays, and 64 KiB for the rest
+    test = rd.x_test.nbytes + rd.x_test_raw.nbytes
+    assert peak <= pixels + 8 * pixels + test + 64 * KIB, (peak, pixels)
