@@ -9,6 +9,7 @@ averaging member logits before the softmax.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .annealing import (
     temperature_controller,
     tune,
 )
+from .data import to_float
 from .metrics import evaluate
 from .nn.layers import Network
 from .pruning import PruneSpec, random_mask
@@ -25,6 +27,10 @@ from .rng import substream
 from .training import DivergenceError, predict_logits, run_epoch, softmax
 
 log = logging.getLogger(__name__)
+
+# ``corrupt`` adds its input into the noise in row blocks of at most this
+# many float64 bytes.
+CORRUPT_BLOCK_BYTES = 1 << 20
 
 
 def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
@@ -148,12 +154,18 @@ def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
             noise_scale: float = 0.04) -> np.ndarray:
     """Additive Gaussian pixel noise at sigma = noise_scale * severity.
 
-    Input must be unit-scaled pixels; output is clamped back to [0, 1]. The
-    noise array becomes the output, so the only allocation is one array the
-    size of ``x``, and ``x`` is left unchanged.
+    Input is uint8 pixels or unit-scaled pixels; output is unit-scaled and
+    clamped back to [0, 1]. The noise array becomes the output, and the
+    input is added into it on the unit scale (``data.to_float``) one block
+    of at most ``CORRUPT_BLOCK_BYTES`` at a time, so the only large
+    allocation is one float64 array the size of ``x``; ``x`` is left
+    unchanged.
     """
     if not 1 <= int(severity) <= 5:
         raise ValueError("severity must lie in 1..5")
     noise = rng.normal(0.0, noise_scale * severity, x.shape)
-    noise += x
+    rows = max(1, CORRUPT_BLOCK_BYTES // (noise.itemsize
+                                          * math.prod(x.shape[1:])))
+    for start in range(0, len(x), rows):
+        noise[start:start + rows] += to_float(x[start:start + rows])
     return np.clip(noise, 0.0, 1.0, out=noise)

@@ -3,8 +3,12 @@
 Everything is plain numpy with hand-written backward passes. Each layer
 keeps what its backward pass needs from the last forward call in ``_cache``
 (None when there is none), so a backward call is only valid after a forward
-call on the same batch. Double precision is the default; float32 can be
-selected per network for speed.
+call on the same batch. A forward pass that no backward pass follows
+(``Network.forward(x, keep_cache=False)``, as evaluation runs it) drops each
+layer's cache as soon as that layer has run, and a training epoch clears
+every cache when it ends, so a trained network holds no activations.
+Double precision is the default; float32 can be selected per network for
+speed.
 """
 
 from __future__ import annotations
@@ -249,17 +253,25 @@ class Network:
             if isinstance(layer, WEIGHT_LAYERS):
                 layer.init_params(rng)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, *, keep_cache: bool = True) -> np.ndarray:
+        """The network's output on the batch ``x``. With ``keep_cache``
+        false, each layer's forward state is dropped right after that layer
+        has run, so only the activations in flight are alive and a backward
+        call fails afterwards."""
         if tuple(x.shape[1:]) != self.input_shape:
             raise ShapeError(
                 f"batch shape {tuple(x.shape[1:])} != input shape {self.input_shape}")
         for layer in self.layers:
             x = layer.forward(x)
+            if not keep_cache:
+                layer._cache = None
         return x
 
     def clear_cache(self) -> None:
         """Drop every layer's forward state, so no activations stay alive;
-        a backward call then fails until the next forward call."""
+        a backward call then fails until the next forward call. Training
+        calls it when an epoch ends; evaluation needs no call, since it
+        keeps no state (``forward(x, keep_cache=False)``)."""
         for layer in self.layers:
             layer._cache = None
 

@@ -45,7 +45,6 @@ from .data import (
     load_dataset,
     normalization_stats,
     normalize,
-    to_float,
 )
 from .ensemble import (
     corrupt,
@@ -208,12 +207,12 @@ class RunData:
     """Train/test model inputs plus the raw test set for corruption.
 
     The loaders apply ``train_subset``/``test_subset`` and return uint8
-    pixels (float features for blobs). ``x_train`` keeps the training
-    pixels and normalizes each batch as it is drawn (``NormalizedRows``);
-    the test set, which evaluation slices many times, is normalized into
-    one array, and ``x_test_raw`` keeps its pixels. Model inputs are cast
-    to the config's dtype, so a float32 network sees float32 batches and
-    its logits and gradients stay float32.
+    pixels (float features for blobs). Both ``x_train`` and ``x_test``
+    keep those pixels and normalize the rows asked for as they are sliced
+    (``NormalizedRows``), so no float copy of either split is held;
+    ``x_test_raw`` is the test pixels. Model inputs are cast to the
+    config's dtype, so a float32 network sees float32 batches and its
+    logits and gradients stay float32.
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -240,25 +239,19 @@ class RunData:
         self.x_train = NormalizedRows(train.x, self.mean, self.std,
                                       self.dtype)
         self.y_train = train.y
-        self.x_test = self.normalizer(test.x)
+        self.x_test = NormalizedRows(test.x, self.mean, self.std, self.dtype)
         self.y_test = test.y
         self.x_test_raw = test.x
 
-    def normalizer(self, x: np.ndarray,
-                   out: np.ndarray | None = None) -> np.ndarray:
-        """Normalized model inputs in the run's dtype. With ``out`` (which
-        may be ``x``) the normalisation is written into it first."""
-        return normalize(x, self.mean, self.std, out=out).astype(
-            self.dtype, copy=False)
-
     def corrupted(self, severity: int, seed: int) -> np.ndarray:
         """Normalized model inputs of the test set corrupted at
-        ``severity``, built and normalized in one array from a unit-scale
-        copy of the test pixels. Pass it straight to the scoring call, so
+        ``severity``, built from the test pixels and normalized in the one
+        array ``corrupt`` returns. Pass it straight to the scoring call, so
         it is freed before the next severity's is built."""
-        xc = corrupt(to_float(self.x_test_raw), severity,
+        xc = corrupt(self.x_test_raw, severity,
                      substream(seed, "corrupt", severity))
-        return self.normalizer(xc, out=xc)
+        return normalize(xc, self.mean, self.std, out=xc).astype(
+            self.dtype, copy=False)
 
 
 def _dtype(cfg: ExperimentConfig):

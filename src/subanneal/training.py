@@ -75,45 +75,55 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
               epoch: int, step0: int, batch_size: int,
               rng_shuffle: np.random.Generator,
               controller=None, rng_mask: np.random.Generator | None = None):
-    """Train one epoch. Returns (mean batch loss, steps taken, first lr)."""
+    """Train one epoch. Returns (mean batch loss, steps taken, first lr).
+
+    The network keeps no activations afterwards, even when the epoch
+    raises ``DivergenceError``: its layer caches are cleared on the way out.
+    """
     n = len(y)
     order = rng_shuffle.permutation(n)
     step = step0
     losses = []
     first_lr = None
-    for start in range(0, n, batch_size):
-        batch = order[start:start + batch_size]
-        xb, yb = x[batch], y[batch]
-        mask = controller.batch_mask(rng_mask) if controller is not None else None
-        with masked_weights(net, mask):
-            logits = net.forward(xb)
-            loss, grad_logits = cross_entropy_softmax(logits, yb)
-            grads = net.backward(grad_logits)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"non-finite loss at epoch {epoch}, step {step}",
-                record={"epoch": epoch, "step": step, "loss": loss})
-        if mask is not None:
-            for name in mask:
-                masked_grad(grads[name], mask[name], out=grads[name])
-        lr = schedule_lr(schedule, epoch, step)
-        if first_lr is None:
-            first_lr = lr
-        optimizer.step(net.params(), grads, lr=lr)
-        losses.append(loss)
-        step += 1
+    try:
+        for start in range(0, n, batch_size):
+            batch = order[start:start + batch_size]
+            xb, yb = x[batch], y[batch]
+            mask = (controller.batch_mask(rng_mask) if controller is not None
+                    else None)
+            with masked_weights(net, mask):
+                logits = net.forward(xb)
+                loss, grad_logits = cross_entropy_softmax(logits, yb)
+                grads = net.backward(grad_logits)
+            if not np.isfinite(loss):
+                raise DivergenceError(
+                    f"non-finite loss at epoch {epoch}, step {step}",
+                    record={"epoch": epoch, "step": step, "loss": loss})
+            if mask is not None:
+                for name in mask:
+                    masked_grad(grads[name], mask[name], out=grads[name])
+            lr = schedule_lr(schedule, epoch, step)
+            if first_lr is None:
+                first_lr = lr
+            optimizer.step(net.params(), grads, lr=lr)
+            losses.append(loss)
+            step += 1
+    finally:
+        net.clear_cache()
     return float(np.mean(losses)), step - step0, first_lr
 
 
-def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
+def predict_logits(net: Network, x, mask: MaskSet | None = None,
                    weight_scale: dict | None = None) -> np.ndarray:
     """Deterministic forward pass in chunks, written into one output array.
     It leaves no activations cached on ``net``.
 
+    ``x`` is an array, or rows sliced like one (``data.NormalizedRows``).
     A chunk holds at most ``EVAL_CHUNK`` rows, and no more than keep the
     largest array any layer allocates (``net.row_floats`` elements of
-    ``x``'s dtype per row) within ``EVAL_BYTES``; each chunk's activations
-    are dropped before the next.
+    ``x``'s dtype per row) within ``EVAL_BYTES``. Each chunk is one
+    ``net.forward`` call with ``keep_cache=False``, so every layer's
+    forward state is dropped as soon as that layer has run.
     ``weight_scale`` multiplies weights elementwise in place of ``mask`` (used
     for expected-mask evaluation, where the scale is the probability matrix).
     """
@@ -122,8 +132,7 @@ def predict_logits(net: Network, x: np.ndarray, mask: MaskSet | None = None,
     out = None
     with masked_weights(net, weight_scale if weight_scale is not None else mask):
         for start in range(0, len(x), rows):
-            logits = net.forward(x[start:start + rows])
-            net.clear_cache()
+            logits = net.forward(x[start:start + rows], keep_cache=False)
             if out is None:
                 out = np.empty((len(x),) + logits.shape[1:], logits.dtype)
             out[start:start + rows] = logits

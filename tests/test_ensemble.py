@@ -115,11 +115,8 @@ class TestPredict:
             def __init__(self, logits):
                 self._logits = logits
 
-            def forward(self, x):
+            def forward(self, x, *, keep_cache=True):
                 return np.tile(self._logits, (len(x), 1))
-
-            def clear_cache(self):
-                pass
 
         a, b = Fixed(np.array([2.0, 0.0])), Fixed(np.array([0.0, 2.0]))
         probs = predict([a, b], np.zeros((3, 1)))

@@ -1,6 +1,7 @@
 """The data and evaluation path holds one copy of what it keeps plus a
 bounded chunk, and computes the same numbers as the straightforward
 formulas it replaced: whole float64 arrays, normalized all at once.
+Trained networks keep no activations.
 
 The memory tests use ``tracemalloc``, which sees numpy's buffers, so their
 peaks are deterministic byte counts rather than resident-set readings.
@@ -12,7 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subanneal import data, training
+from subanneal import data, ensemble, training
+from subanneal.annealing import TemperatureConfig
 from subanneal.config import ExperimentConfig
 from subanneal.data import (
     load_cifar10,
@@ -24,11 +26,26 @@ from subanneal.data import (
     normalize,
     to_float,
 )
-from subanneal.ensemble import corrupt
+from subanneal.ensemble import (
+    CORRUPT_BLOCK_BYTES,
+    corrupt,
+    spawn_children,
+    train_parent,
+    tune_children,
+)
 from subanneal.models import build_mlp, build_small_conv
-from subanneal.nn.layers import Conv2d
-from subanneal.runner import RunData
-from subanneal.training import EVAL_BYTES, EVAL_CHUNK, predict_logits
+from subanneal.nn.layers import Conv2d, Network
+from subanneal.nn.optim import SGD
+from subanneal.nn.schedules import Constant
+from subanneal.rng import substream
+from subanneal.runner import RunData, build_net
+from subanneal.training import (
+    EVAL_BYTES,
+    EVAL_CHUNK,
+    DivergenceError,
+    predict_logits,
+    run_epoch,
+)
 from test_data import make_mnist_dir
 
 KIB = 1024
@@ -263,8 +280,9 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
         train_x = train_x[:train_subset] if train_subset else train_x
         test_x = test_x[:test_subset] if test_subset else test_x
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
-    rd = RunData(_run_cfg(dataset, train_subset=train_subset,
-                          test_subset=test_subset, dtype=dtype))
+    cfg = _run_cfg(dataset, train_subset=train_subset,
+                   test_subset=test_subset, dtype=dtype)
+    rd = RunData(cfg)
     want_train, want_test = old_run_data(train_x, test_x, np.dtype(dtype))
     assert len(rd.x_train) == len(want_train)
     assert rd.x_train.shape == want_train.shape
@@ -276,7 +294,19 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
         _assert_same(rd.x_train[batch], want_train[batch])
     _assert_same(rd.x_train[:], want_train)
     _assert_same(rd.x_train[3:11], want_train[3:11])
-    _assert_same(rd.x_test, want_test)
+    # the test set as evaluation slices it: whole, and in the chunks
+    # predict_logits draws under a 5-row budget, with the same logits
+    assert len(rd.x_test) == len(want_test)
+    assert rd.x_test.shape == want_test.shape
+    assert rd.x_test.itemsize == want_test.itemsize
+    _assert_same(rd.x_test[:], want_test)
+    net = build_net(cfg, rd, 0)
+    monkeypatch.setattr(training, "EVAL_BYTES",
+                        5 * net.row_floats * want_test.itemsize)
+    for start in range(0, len(want_test), 5):
+        _assert_same(rd.x_test[start:start + 5], want_test[start:start + 5])
+    _assert_same(predict_logits(net, rd.x_test),
+                 predict_logits(net, want_test))
     _assert_same(to_float(rd.x_test_raw), test_x)
     if dataset != "synthetic-blobs":
         assert rd.x_test_raw.dtype == np.uint8
@@ -291,9 +321,22 @@ def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
     _assert_same(x, before)
 
 
-def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch):
-    from subanneal.rng import substream
+@pytest.mark.parametrize("block_rows", [0, 1, 3], ids=["default", "1", "3"])
+def test_corrupt_on_pixels_equals_corrupt_on_their_unit_scale(monkeypatch,
+                                                              block_rows):
+    # 3-row blocks leave a ragged last block of 2 rows
+    x = np.random.default_rng(0).integers(0, 256, (20, 3, 4, 4),
+                                          dtype=np.uint8)
+    if block_rows:
+        monkeypatch.setattr(ensemble, "CORRUPT_BLOCK_BYTES",
+                            block_rows * 3 * 4 * 4 * 8)
+    before = x.copy()
+    got = corrupt(x, 3, np.random.default_rng(7))
+    _assert_same(got, corrupt(to_float(x), 3, np.random.default_rng(7)))
+    _assert_same(x, before)
 
+
+def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch):
     make_mnist_dir(tmp_path, n_train=40, n_test=16)
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
     for dataset in ("mnist", "synthetic-blobs"):
@@ -431,12 +474,52 @@ def test_smallconv_evaluation_peak_is_bounded_by_the_budget():
     x = np.random.default_rng(1).normal(size=(800, 3, 32, 32))
     predict_logits(net, x[:8])  # warm-up
     logits, peak = _traced_peak(lambda: predict_logits(net, x))
-    # Every layer's forward state stays cached until the chunk ends, so the
-    # largest block (conv1's cols, at most EVAL_BYTES) is alive together
-    # with the chunk's padded inputs, its activations and conv2's smaller
-    # cols: together less than three budgets (2.7 measured). Evaluating all
-    # 800 rows at once builds a 44 MB cols block alone.
-    assert peak < 3 * EVAL_BYTES + logits.nbytes, peak
+    # Each layer's forward state is dropped as soon as that layer has run,
+    # so conv1's cols block (at most EVAL_BYTES) is freed before conv2
+    # builds its own. The peak is inside conv1: its padded input, its cols
+    # and its output before and after the layout copy, about two budgets
+    # (2.09 measured). Evaluating all 800 rows at once builds a 44 MB cols
+    # block alone.
+    assert peak < 2.5 * EVAL_BYTES + logits.nbytes, peak
+
+
+@pytest.mark.parametrize("pixels", [False, True], ids=["array", "rows"])
+def test_evaluation_runs_one_forward_call_per_chunk(monkeypatch, pixels):
+    # the benchmark counts nn.forward calls and training.eval rows; freeing
+    # each layer's state inside the one call must not split a chunk
+    net = build_small_conv((3, 32, 32), 10)
+    net.init_params(np.random.default_rng(0))
+    raw = np.random.default_rng(1).integers(0, 256, (400, 3, 32, 32),
+                                            dtype=np.uint8)
+    x = to_float(raw)
+    if pixels:
+        mean, std = normalization_stats(raw)
+        x = data.NormalizedRows(raw, mean, std, np.float64)
+    rows = EVAL_BYTES // (net.row_floats * 8)
+    calls = []
+    forward = Network.forward
+
+    def counted(self, batch, **kwargs):
+        calls.append((len(batch), kwargs))
+        return forward(self, batch, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", counted)
+    predict_logits(net, x)
+    sizes = [rows] * (400 // rows) + [400 % rows]
+    assert calls == [(n, {"keep_cache": False}) for n in sizes]
+
+
+def test_corrupt_on_pixels_builds_one_float_array():
+    x = np.random.default_rng(0).integers(0, 256, (200, 3, 32, 32),
+                                          dtype=np.uint8)
+    corrupt(x[:2], 1, np.random.default_rng(7))  # warm-up
+    rng = np.random.default_rng(7)
+    out, peak = _traced_peak(lambda: corrupt(x, 2, rng))
+    # the noise array that becomes the output, plus one float64 row block
+    # of at most CORRUPT_BLOCK_BYTES (a 4.9 MB array here, 1 MiB blocks);
+    # unit-scaling the whole input first would add a second 4.9 MB
+    assert out.nbytes == x.size * 8
+    assert peak <= out.nbytes + CORRUPT_BLOCK_BYTES, peak
 
 
 def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
@@ -445,12 +528,100 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
     cfg = _run_cfg("mnist")
     RunData(cfg)  # warm-up
-    rd, peak = _traced_peak(lambda: RunData(cfg))
+    tracemalloc.start()
+    try:
+        rd = RunData(cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     pixels = 2000 * 28 * 28
-    # the training input keeps only the uint8 pixels
+    test_pixels = 50 * 28 * 28
+    # both splits keep only their uint8 pixels
     assert rd.x_train.raw.dtype == np.uint8
     assert _buffer_bytes(rd.x_train.raw) <= pixels
+    assert rd.x_test.raw is rd.x_test_raw
+    assert rd.x_test_raw.dtype == np.uint8
+    assert _buffer_bytes(rd.x_test_raw) <= test_pixels
+    assert kept <= pixels + test_pixels + 64 * KIB, (kept, pixels)
     # the pixels, one float64 train-sized temporary (in
-    # normalization_stats), the test arrays, and 64 KiB for the rest
-    test = rd.x_test.nbytes + rd.x_test_raw.nbytes
-    assert peak <= pixels + 8 * pixels + test + 64 * KIB, (peak, pixels)
+    # normalization_stats), and 64 KiB for the rest
+    assert peak <= pixels + 8 * pixels + test_pixels + 64 * KIB, (peak,
+                                                                  pixels)
+
+
+# --- trained networks keep no activations -------------------------------------
+
+def _no_caches(net):
+    return all(layer._cache is None for layer in net.layers)
+
+
+def _conv_data(n=96, shape=(3, 16, 16), k=3):
+    rng = np.random.default_rng(4)
+    return rng.normal(size=(n,) + shape), rng.integers(0, k, n)
+
+
+def _conv_net(shape=(3, 16, 16), k=3):
+    net = build_small_conv(shape, k)
+    net.init_params(substream(0, "init"))
+    return net
+
+
+def _epoch(net, x, y, controller=None):
+    return run_epoch(net, x, y, SGD(0.01, momentum=0.9), Constant(0.01), 0, 0,
+                     32, substream(1, "shuffle"), controller=controller,
+                     rng_mask=substream(2, "bernoulli"))
+
+
+def test_run_epoch_leaves_no_activation_caches():
+    net = _conv_net()
+    x, y = _conv_data()
+    _epoch(net, x, y)
+    assert _no_caches(net)
+
+
+def test_a_diverged_epoch_leaves_no_activation_caches():
+    net = _conv_net()
+    x, y = _conv_data()
+    x[:] = np.nan
+    with pytest.raises(DivergenceError):
+        _epoch(net, x, y)
+    assert _no_caches(net)
+
+
+@pytest.mark.parametrize("evaluated", [False, True],
+                         ids=["no-eval", "eval"])
+def test_tuned_ensemble_networks_hold_no_caches(evaluated):
+    x, y = _conv_data()
+    eval_data = (x[:20], y[:20]) if evaluated else None
+    parent = _conv_net()
+    train_parent(parent, (x, y), 1, SGD(0.01), Constant(0.01), 32,
+                 substream(1, "shuffle"), eval_data=eval_data)
+    children = spawn_children(parent, 2, 0.5, True, substream(1, "mask"))
+    members, _, failures = tune_children(
+        children, TemperatureConfig(tau0=0.5, anneal_epochs=1), True, (x, y),
+        1, lambda: (Constant(0.01), SGD(0.01)), 32, seed=3,
+        eval_data=eval_data)
+    assert not failures and len(members) == 2
+    for net in [parent, *(net for net, _ in members)]:
+        assert _no_caches(net)
+
+
+def _tuning_peak(n_members):
+    """Traced peak of tuning ``n_members`` smallconv children, one full
+    96-row batch each, so a member's last batch is its largest."""
+    x, y = _conv_data()
+    children = spawn_children(_conv_net(), n_members, 0.5, True,
+                              substream(1, "mask"))
+    _, peak = _traced_peak(lambda: tune_children(
+        children, TemperatureConfig(tau0=0.5, anneal_epochs=1), True, (x, y),
+        1, lambda: (Constant(0.01), SGD(0.01, momentum=0.9)), 96, seed=3))
+    return peak
+
+
+def test_tuning_more_members_holds_no_more_activations():
+    _tuning_peak(1)  # warm-up
+    two, four = _tuning_peak(2), _tuning_peak(4)
+    # Each finished member keeps its weights' masks, probabilities and
+    # masked-weight buffers (about 80 KB each here), but no activations;
+    # a member that kept its last batch's caches would add 2.5 MB.
+    assert four <= two + 256 * KIB, (two, four)
