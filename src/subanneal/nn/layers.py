@@ -229,12 +229,15 @@ class Network:
 
     ``input_shape`` is the per-example shape (no batch axis); layer
     compatibility is checked at construction so shape mismatches fail before
-    any training starts. ``mask_buffers`` holds one array per weight tensor
-    that ``training.masked_weights`` writes the masked weights into; it
-    belongs to this network alone and is kept across batches.
-    ``row_floats`` is the size, in elements per example, of the largest
-    array any layer allocates in a forward pass (each layer reports its own
-    through ``forward_floats``). Evaluation sizes its chunks by it.
+    any training starts. ``weight_layers`` maps each weight layer's name
+    prefix (``layer{i}``, i its position in the stack) to the layer, in
+    order; a parameter is named by its layer's prefix and attribute
+    (``layer0.w``, ``layer0.b``). ``mask_buffers`` holds one array per
+    weight tensor that ``training.masked_weights`` writes the masked weights
+    into; it belongs to this network alone and is kept across the batches
+    of an epoch. ``row_floats`` is the size, in elements per example, of the
+    largest array any layer allocates in a forward pass (each layer reports
+    its own through ``forward_floats``). Evaluation sizes its chunks by it.
     """
 
     def __init__(self, layers, input_shape):
@@ -246,12 +249,14 @@ class Network:
             self.row_floats = max(self.row_floats, layer.forward_floats(shape))
             shape = layer.out_shape(shape)
         self.output_shape = shape
+        self.weight_layers = {f"layer{i}": layer
+                              for i, layer in enumerate(self.layers)
+                              if isinstance(layer, WEIGHT_LAYERS)}
         self.mask_buffers = {}
 
     def init_params(self, rng: np.random.Generator) -> None:
-        for layer in self.layers:
-            if isinstance(layer, WEIGHT_LAYERS):
-                layer.init_params(rng)
+        for layer in self.weight_layers.values():
+            layer.init_params(rng)
 
     def forward(self, x: np.ndarray, *, keep_cache: bool = True) -> np.ndarray:
         """The network's output on the batch ``x``. With ``keep_cache``
@@ -268,12 +273,16 @@ class Network:
         return x
 
     def clear_cache(self) -> None:
-        """Drop every layer's forward state, so no activations stay alive;
-        a backward call then fails until the next forward call. Training
-        calls it when an epoch ends; evaluation needs no call, since it
-        keeps no state (``forward(x, keep_cache=False)``)."""
+        """Drop every layer's forward state, every parameter gradient and
+        the masked-weight buffers, so the network holds only its
+        parameters; a backward call then fails until the next forward call.
+        Training calls it when an epoch ends; evaluation needs no call,
+        since it keeps no state (``forward(x, keep_cache=False)``)."""
         for layer in self.layers:
             layer._cache = None
+        for layer in self.weight_layers.values():
+            layer.grad_w = layer.grad_b = None
+        self.mask_buffers.clear()
 
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Backpropagate and return {param name: gradient}.
@@ -290,28 +299,27 @@ class Network:
             g = layer.backward(g)
         if first < len(self.layers):
             self.layers[first].backward(g, input_grad=False)
-        return {name: grad for name, grad in self._iter_grads()}
+        return self._named("grad_w", "grad_b")
 
-    def _iter_grads(self):
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, WEIGHT_LAYERS):
-                yield f"layer{i}.w", layer.grad_w
-                if layer.b is not None:
-                    yield f"layer{i}.b", layer.grad_b
+    def _named(self, w_attr: str, b_attr: str | None) -> dict:
+        """Each weight layer's ``w_attr`` named ``<prefix>.w``, followed by
+        its ``b_attr`` named ``<prefix>.b`` when ``b_attr`` is given and
+        the layer has a bias, in layer order: the one place parameter names
+        are built."""
+        out = {}
+        for prefix, layer in self.weight_layers.items():
+            out[f"{prefix}.w"] = getattr(layer, w_attr)
+            if b_attr is not None and layer.b is not None:
+                out[f"{prefix}.b"] = getattr(layer, b_attr)
+        return out
 
     def params(self) -> dict:
         """All trainable parameters by name (live arrays, not copies)."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, WEIGHT_LAYERS):
-                out[f"layer{i}.w"] = layer.w
-                if layer.b is not None:
-                    out[f"layer{i}.b"] = layer.b
-        return out
+        return self._named("w", "b")
 
     def set_param(self, name: str, value: np.ndarray) -> None:
-        idx, attr = name.split(".")
-        layer = self.layers[int(idx.removeprefix("layer"))]
+        prefix, attr = name.split(".")
+        layer = self.weight_layers[prefix]
         current = getattr(layer, attr)
         if current.shape != value.shape:
             raise ShapeError(f"{name}: shape {value.shape} != {current.shape}")
@@ -319,11 +327,7 @@ class Network:
 
     def weights(self) -> dict:
         """Maskable weight tensors by name (live arrays). Biases excluded."""
-        return {
-            f"layer{i}.w": layer.w
-            for i, layer in enumerate(self.layers)
-            if isinstance(layer, WEIGHT_LAYERS)
-        }
+        return self._named("w", None)
 
     def weight_shapes(self) -> dict:
         return {name: w.shape for name, w in self.weights().items()}
@@ -336,7 +340,6 @@ class Network:
                 c.w = c.w.copy()
                 if c.b is not None:
                     c.b = c.b.copy()
-                c.grad_w = c.grad_b = None
         net = Network(copies, self.input_shape)
         net.clear_cache()
         return net

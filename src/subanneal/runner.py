@@ -42,9 +42,9 @@ from .annealing import (
 from .config import ExperimentConfig
 from .data import (
     NormalizedRows,
+    _normalize_in_place,
     load_dataset,
     normalization_stats,
-    normalize,
 )
 from .ensemble import (
     corrupt,
@@ -204,13 +204,13 @@ def tune_allocator() -> dict | None:
 # --- data and model assembly -------------------------------------------------
 
 class RunData:
-    """Train/test model inputs plus the raw test set for corruption.
+    """Train/test model inputs, and corrupted test inputs on demand.
 
     The loaders apply ``train_subset``/``test_subset`` and return uint8
     pixels (float features for blobs). Both ``x_train`` and ``x_test``
     keep those pixels and normalize the rows asked for as they are sliced
     (``NormalizedRows``), so no float copy of either split is held;
-    ``x_test_raw`` is the test pixels. Model inputs are cast to the
+    ``x_test.raw`` is the test pixels. Model inputs are cast to the
     config's dtype, so a float32 network sees float32 batches and its
     logits and gradients stay float32.
     """
@@ -241,17 +241,15 @@ class RunData:
         self.y_train = train.y
         self.x_test = NormalizedRows(test.x, self.mean, self.std, self.dtype)
         self.y_test = test.y
-        self.x_test_raw = test.x
 
     def corrupted(self, severity: int, seed: int) -> np.ndarray:
         """Normalized model inputs of the test set corrupted at
         ``severity``, built from the test pixels and normalized in the one
         array ``corrupt`` returns. Pass it straight to the scoring call, so
         it is freed before the next severity's is built."""
-        xc = corrupt(self.x_test_raw, severity,
+        xc = corrupt(self.x_test.raw, severity,
                      substream(seed, "corrupt", severity))
-        return normalize(xc, self.mean, self.std, out=xc).astype(
-            self.dtype, copy=False)
+        return _normalize_in_place(xc, self.mean, self.std, self.dtype)
 
 
 def _dtype(cfg: ExperimentConfig):

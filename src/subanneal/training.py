@@ -45,12 +45,13 @@ def masked_weights(net: Network, mask: MaskSet | dict | None):
     ``mask[name]``: a binary MaskSet, or a dict of per-entry scales. The
     product is written into the network's ``mask_buffers``, which keep the
     weight's dtype (float64 scales do not promote a float32 network) and
-    are reused by the next call, so calls on one network must not nest."""
+    are reused by later calls until ``net.clear_cache()``, so calls on one
+    network must not nest."""
     if mask is None:
         yield
         return
-    layers = [(name, net.layers[int(name.split(".")[0].removeprefix("layer"))])
-              for name in net.weights()]
+    # weights() names the weight layers in weight_layers' order
+    layers = list(zip(net.weights(), net.weight_layers.values()))
     originals = [layer.w for _, layer in layers]
     buffers = net.mask_buffers
     try:
@@ -113,24 +114,25 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
     return float(np.mean(losses)), step - step0, first_lr
 
 
-def predict_logits(net: Network, x, mask: MaskSet | None = None,
-                   weight_scale: dict | None = None) -> np.ndarray:
+def predict_logits(net: Network, x,
+                   mask: MaskSet | dict | None = None) -> np.ndarray:
     """Deterministic forward pass in chunks, written into one output array.
     It leaves no activations cached on ``net``.
 
     ``x`` is an array, or rows sliced like one (``data.NormalizedRows``).
+    ``mask`` multiplies the weights as in ``masked_weights``: a binary
+    MaskSet evaluates a subnetwork, a dict of per-entry scales (the
+    probability matrix) the expected network.
     A chunk holds at most ``EVAL_CHUNK`` rows, and no more than keep the
     largest array any layer allocates (``net.row_floats`` elements of
     ``x``'s dtype per row) within ``EVAL_BYTES``. Each chunk is one
     ``net.forward`` call with ``keep_cache=False``, so every layer's
     forward state is dropped as soon as that layer has run.
-    ``weight_scale`` multiplies weights elementwise in place of ``mask`` (used
-    for expected-mask evaluation, where the scale is the probability matrix).
     """
     rows = max(1, min(EVAL_CHUNK,
                       EVAL_BYTES // (net.row_floats * x.itemsize)))
     out = None
-    with masked_weights(net, weight_scale if weight_scale is not None else mask):
+    with masked_weights(net, mask):
         for start in range(0, len(x), rows):
             logits = net.forward(x[start:start + rows], keep_cache=False)
             if out is None:

@@ -18,23 +18,28 @@ import numpy as np
 import pytest
 
 from subanneal.annealing import (
-    AnnealSchedule,
     FixedMaskController,
     IterativeController,
     RandomAnnealConfig,
     TemperatureConfig,
     anti_probability,
+    decay_fraction,
     init_random,
     init_temperature,
     probs_at_epoch,
     random_anneal_controller,
-    schedule_value,
     temperature_controller,
     tune,
 )
 from subanneal.config import ExperimentConfig
 from subanneal.data import make_blobs
-from subanneal.masks import MaskSet, full_mask, load_mask_set, realize
+from subanneal.masks import (
+    MaskSet,
+    ProbabilitySet,
+    full_mask,
+    load_mask_set,
+    realize,
+)
 from subanneal.metrics import accuracy, ece
 from subanneal.nn.layers import Conv2d, Dense, Flatten, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
@@ -76,7 +81,6 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         probs = {n: rng.random(s) for n, s in shapes.items()}
         terminal = MaskSet({n: (p >= 0.5).astype(np.uint8)
                             for n, p in probs.items()})
-        from subanneal.masks import ProbabilitySet
         ps = ProbabilitySet(probs, terminal)
         draws = 200
         for name, p in ps.items():
@@ -330,14 +334,22 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
 def test_criterion_04_schedule_endpoints_exact():
     rng = substream(8, "ends")
     checked = 0
+    terminal = MaskSet({"w": np.array([0, 0, 1, 1], dtype=np.uint8)})
     for _ in range(200):
         tau_min = float(rng.uniform(0.0, 0.4))
         tau_max = tau_min + float(rng.uniform(0.0, 0.6))
         total = int(rng.integers(1, 50))
+        # arbitrary initial probabilities, annealing toward 0 and toward 1
+        init = ProbabilitySet(
+            {"w": np.array([tau_max, tau_min, tau_min, tau_max])}, terminal)
         for kind in ("linear", "cosine"):
-            s = AnnealSchedule(kind, tau_max, tau_min, total)
-            assert schedule_value(s, 0) == tau_max  # exact, double precision
-            assert schedule_value(s, total) == tau_min
+            assert decay_fraction(kind, 0, total) == 1.0  # exact, double precision
+            assert decay_fraction(kind, total, total) == 0.0
+            first = probs_at_epoch(init, kind, total, 0)
+            last = probs_at_epoch(init, kind, total, total)
+            assert first["w"].tobytes() == init["w"].tobytes()
+            assert last["w"].tobytes() == np.array([0.0, 0.0, 1.0, 1.0]).tobytes()
+            assert last.terminal.equals(terminal)
             checked += 1
     print(f"\n[criterion 04] PASS schedule endpoints exact in double "
           f"precision ({checked} schedules)")

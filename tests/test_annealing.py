@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from subanneal.annealing import (
-    AnnealSchedule,
     FixedMaskController,
     IterativeController,
     RandomAnnealConfig,
     TemperatureConfig,
     anti_controller,
     anti_probability,
+    decay_fraction,
     init_random,
     init_temperature,
     probs_at_epoch,
     random_anneal_controller,
-    schedule_value,
     temperature_controller,
     tune,
 )
@@ -28,45 +27,40 @@ from subanneal.training import DivergenceError, predict_logits
 
 
 class TestScheduleValue:
+    """``decay_fraction``, the schedule every annealing run follows."""
+
     def test_linear_endpoints(self):
-        s = AnnealSchedule("linear", 0.5, 0.0, 10)
-        assert schedule_value(s, 0) == 0.5
-        assert schedule_value(s, 10) == 0.0
+        assert decay_fraction("linear", 0, 10) == 1.0
+        assert decay_fraction("linear", 10, 10) == 0.0
 
     def test_cosine_endpoints_exact(self):
-        s = AnnealSchedule("cosine", 0.73, 0.11, 7)
-        assert schedule_value(s, 0) == 0.73
-        assert schedule_value(s, 7) == 0.11
+        assert decay_fraction("cosine", 0, 7) == 1.0
+        assert decay_fraction("cosine", 7, 7) == 0.0
 
     def test_cosine_midpoint_symmetry(self):
-        s = AnnealSchedule("cosine", 0.8, 0.2, 10)
-        assert schedule_value(s, 5) == pytest.approx(0.5, abs=1e-12)
+        assert decay_fraction("cosine", 5, 10) == pytest.approx(0.5, abs=1e-12)
 
     def test_linear_quarter_point(self):
-        s = AnnealSchedule("linear", 0.5, 0.0, 8)
-        assert schedule_value(s, 2) == pytest.approx(0.375, abs=1e-15)
+        assert decay_fraction("linear", 2, 8) == pytest.approx(0.75, abs=1e-15)
 
     def test_clamps_past_the_end(self):
-        s = AnnealSchedule("linear", 0.5, 0.1, 4)
-        assert schedule_value(s, 9) == 0.1
+        assert decay_fraction("linear", 9, 4) == 0.0
 
     def test_zero_length_schedule_is_terminal(self):
-        s = AnnealSchedule("cosine", 0.5, 0.0, 0)
-        assert schedule_value(s, 0) == 0.0
+        assert decay_fraction("cosine", 0, 0) == 0.0
 
     def test_monotone_nonincreasing(self):
         for kind in ("linear", "cosine"):
-            s = AnnealSchedule(kind, 0.9, 0.05, 50)
-            values = [schedule_value(s, t) for t in range(51)]
+            values = [decay_fraction(kind, t, 50) for t in range(51)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AnnealSchedule("linear", 0.1, 0.5, 10)
+            decay_fraction("exp", 0, 10)
         with pytest.raises(ValueError):
-            AnnealSchedule("exp", 0.5, 0.0, 10)
+            decay_fraction("linear", -1, 10)
         with pytest.raises(ValueError):
-            schedule_value(AnnealSchedule("linear", 0.5, 0.0, 10), -1)
+            decay_fraction("linear", 0, -1)
 
 
 class TestInitTemperature:
@@ -177,6 +171,10 @@ class TestProbsAtEpoch:
         ps = self._ps()
         out = probs_at_epoch(ps, "linear", 0, 0)
         np.testing.assert_array_equal(out["a"], ps.terminal["a"].astype(float))
+
+    def test_rejects_a_negative_epoch(self):
+        with pytest.raises(ValueError, match="epoch must be nonnegative"):
+            probs_at_epoch(self._ps(), "linear", 10, -1)
 
 
 class TestAntiProbability:

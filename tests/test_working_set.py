@@ -1,7 +1,7 @@
 """The data and evaluation path holds one copy of what it keeps plus a
 bounded chunk, and computes the same numbers as the straightforward
 formulas it replaced: whole float64 arrays, normalized all at once.
-Trained networks keep no activations.
+Trained networks keep no activations, gradients or masked weights.
 
 The memory tests use ``tracemalloc``, which sees numpy's buffers, so their
 peaks are deterministic byte counts rather than resident-set readings.
@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from subanneal import data, ensemble, training
+from subanneal import data, ensemble, runner, training
 from subanneal.annealing import TemperatureConfig
 from subanneal.config import ExperimentConfig
 from subanneal.data import (
@@ -307,9 +307,9 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
         _assert_same(rd.x_test[start:start + 5], want_test[start:start + 5])
     _assert_same(predict_logits(net, rd.x_test),
                  predict_logits(net, want_test))
-    _assert_same(to_float(rd.x_test_raw), test_x)
+    _assert_same(to_float(rd.x_test.raw), test_x)
     if dataset != "synthetic-blobs":
-        assert rd.x_test_raw.dtype == np.uint8
+        assert rd.x_test.raw.dtype == np.uint8
 
 
 def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
@@ -341,13 +341,28 @@ def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch):
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
     for dataset in ("mnist", "synthetic-blobs"):
         rd = RunData(_run_cfg(dataset))
-        raw = rd.x_test_raw.copy()
+        raw = rd.x_test.raw.copy()
         unit = (old_mnist(tmp_path, "test", 0)[0] if dataset == "mnist"
                 else raw)
         noise = substream(3, "corrupt", 2).normal(0.0, 0.04 * 2, raw.shape)
         want = ((np.clip(unit + noise, 0.0, 1.0) - rd.mean) / rd.std)
         _assert_same(rd.corrupted(2, 3), want)
-        _assert_same(rd.x_test_raw, raw)
+        _assert_same(rd.x_test.raw, raw)
+
+
+def test_run_data_corrupted_does_not_call_normalize(tmp_path, monkeypatch):
+    # the benchmark's tracer counts normalize as data loading, and scoring
+    # a corrupted test set is not loading
+    make_mnist_dir(tmp_path, n_train=40, n_test=16)
+    monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
+    rd = RunData(_run_cfg("mnist"))
+
+    def fail(*args, **kwargs):
+        pytest.fail("RunData.corrupted called normalize")
+
+    monkeypatch.setattr(data, "normalize", fail)
+    monkeypatch.setattr(runner, "normalize", fail, raising=False)
+    assert rd.corrupted(2, 3).shape == rd.x_test.shape
 
 
 def test_normalize_writes_into_out_and_returns_it():
@@ -539,9 +554,8 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
     # both splits keep only their uint8 pixels
     assert rd.x_train.raw.dtype == np.uint8
     assert _buffer_bytes(rd.x_train.raw) <= pixels
-    assert rd.x_test.raw is rd.x_test_raw
-    assert rd.x_test_raw.dtype == np.uint8
-    assert _buffer_bytes(rd.x_test_raw) <= test_pixels
+    assert rd.x_test.raw.dtype == np.uint8
+    assert _buffer_bytes(rd.x_test.raw) <= test_pixels
     assert kept <= pixels + test_pixels + 64 * KIB, (kept, pixels)
     # the pixels, one float64 train-sized temporary (in
     # normalization_stats), and 64 KiB for the rest
@@ -549,10 +563,13 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
                                                                   pixels)
 
 
-# --- trained networks keep no activations -------------------------------------
+# --- trained networks keep only their parameters ------------------------------
 
 def _no_caches(net):
-    return all(layer._cache is None for layer in net.layers)
+    """No activations, parameter gradients or masked-weight buffers."""
+    return (all(getattr(layer, attr, None) is None for layer in net.layers
+                for attr in ("_cache", "grad_w", "grad_b"))
+            and not net.mask_buffers)
 
 
 def _conv_data(n=96, shape=(3, 16, 16), k=3):
@@ -621,7 +638,7 @@ def _tuning_peak(n_members):
 def test_tuning_more_members_holds_no_more_activations():
     _tuning_peak(1)  # warm-up
     two, four = _tuning_peak(2), _tuning_peak(4)
-    # Each finished member keeps its weights' masks, probabilities and
-    # masked-weight buffers (about 80 KB each here), but no activations;
-    # a member that kept its last batch's caches would add 2.5 MB.
+    # Each finished member keeps its weights' masks and probabilities, but
+    # no activations, gradients or masked-weight buffers; a member that
+    # kept its last batch's caches would add 2.5 MB.
     assert four <= two + 256 * KIB, (two, four)
