@@ -12,7 +12,9 @@ Two constructions are provided:
 
 ``tune`` drives a network through the stochastic fine-tuning loop: update the
 probabilities once per epoch, draw one Bernoulli mask per mini-batch, and
-finally burn the terminal mask into the weights.
+finally burn the terminal mask into the weights. From epoch phi on the
+probabilities are the terminal mask itself, so the mask is burned in as
+those epochs start and they train the plain weights.
 """
 
 from __future__ import annotations
@@ -190,11 +192,17 @@ def anti_probability(ps: ProbabilitySet) -> ProbabilitySet:
 # subnetwork ends with (the current one for the binary controllers, the
 # annealing target for ``AnnealController``); ``probs`` is the current
 # ``ProbabilitySet``, or None when every batch gets ``mask`` itself.
+# ``permanent`` says that every batch of the current epoch gets ``mask`` and
+# that no later epoch re-admits an entry ``mask`` switches off, so
+# ``run_epoch`` may burn ``mask`` into the weights once. Binary probabilities
+# alone do not make a mask permanent: full scaling at tau0=1 starts from the
+# complement of its target.
 
 class FixedMaskController:
     """A static binary mask: plain fine-tuning of a pruned subnetwork."""
 
     probs = None
+    permanent = True
 
     def __init__(self, mask: MaskSet):
         self.mask = mask
@@ -207,9 +215,11 @@ class FixedMaskController:
 
 
 class IterativeController:
-    """Discrete pruning at the start of each of the first phi epochs."""
+    """Discrete pruning at the start of each of the first phi epochs; a
+    step only removes entries, so the mask is always permanent."""
 
     probs = None
+    permanent = True
 
     def __init__(self, spec: PruneSpec, phi: int, weights: dict,
                  rng: np.random.Generator):
@@ -237,6 +247,7 @@ class AnnealController:
         self.decay = decay
         self.anneal_epochs = anneal_epochs
         self.mask = init.terminal
+        self.permanent = False
         self._set_probs(init)
 
     def _set_probs(self, probs: ProbabilitySet) -> None:
@@ -249,6 +260,8 @@ class AnnealController:
     def begin_epoch(self, epoch: int) -> None:
         self._set_probs(probs_at_epoch(self.init, self.decay,
                                        self.anneal_epochs, epoch))
+        # from phi on the probabilities are the terminal mask for good
+        self.permanent = epoch >= self.anneal_epochs
 
     def batch_mask(self, rng) -> MaskSet:
         if self._binary_mask is not None:
@@ -284,13 +297,16 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
 
     Per epoch the controller updates its probabilities/mask, then every
     mini-batch samples a mask, trains with masked weights and masked
-    gradients, and steps the optimizer. After the last epoch the terminal
-    mask is burned into the weights, and the network is left holding only
-    its parameters (``clear_cache``). Returns per-epoch metric rows.
+    gradients, and steps the optimizer (``run_epoch``; an epoch whose mask
+    is permanent burns it into the weights and optimizer state first and
+    trains the plain weights). After the last epoch the terminal mask is
+    burned into the weights, and the network is left holding only its
+    parameters (``clear_cache``). Returns per-epoch metric rows.
 
     ``eval_mode`` selects how test metrics are computed during the stochastic
     phase: "terminal" evaluates the revealed subnetwork, "expected" scales
-    weights by the current probabilities instead.
+    weights by the current probabilities instead. After a permanent epoch
+    the weights already carry the mask, and both evaluate them unmasked.
     """
     if eval_mode not in ("terminal", "expected"):
         raise ValueError(f"unknown eval_mode {eval_mode!r}")
@@ -325,9 +341,12 @@ def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
     from .metrics import evaluate  # local import keeps module deps one-way
 
     xt, yt = eval_data
-    if eval_mode == "expected" and controller.probs is not None:
-        logits = predict_logits(net, xt, mask=controller.probs.probs)
+    if controller.permanent:
+        mask = None  # run_epoch burned controller.mask into the weights
+    elif eval_mode == "expected" and controller.probs is not None:
+        mask = controller.probs.probs
     else:
-        logits = predict_logits(net, xt, mask=controller.mask)
+        mask = controller.mask
+    logits = predict_logits(net, xt, mask=mask)
     rec = evaluate(softmax(logits), yt)
     return {"test_acc": rec.accuracy, "test_nll": rec.nll, "test_ece": rec.ece}

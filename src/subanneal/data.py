@@ -261,8 +261,15 @@ class NormalizedRows:
         return len(self.raw)
 
     def __getitem__(self, idx) -> np.ndarray:
-        return _normalize_in_place(to_float(self.raw[idx]), self.mean,
-                                   self.std, self.dtype)
+        rows = self.raw[idx]
+        if rows.dtype == np.uint8:
+            # ``to_float``'s exact cast and one rounded division, in one pass
+            x = np.divide(rows, 255.0, dtype=np.float64)
+        else:
+            # a gather owns its fresh rows and is normalized as it is; a
+            # view (a slice) of ``raw`` is copied first
+            x = rows.astype(np.float64, copy=rows.base is not None)
+        return _normalize_in_place(x, self.mean, self.std, self.dtype)
 
 
 def subset(ds: Dataset, limit: int) -> Dataset:

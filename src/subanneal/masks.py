@@ -4,7 +4,9 @@ A MaskSet holds one {0,1} matrix per maskable weight tensor (biases are never
 masked). A ProbabilitySet holds per-entry retention probabilities in [0,1]
 together with the binary terminal mask each entry anneals toward. Applying a
 mask is a Hadamard product that leaves the stored weights untouched, so
-masked-off parameters keep their values and can reactivate later.
+while a mask is stochastic its masked-off parameters keep their values and
+can reactivate later. A permanent mask is instead burned into the weights
+once (``training.run_epoch``), which zeroes its masked-off parameters.
 
 Both serialize to a small binary container: magic ``SSAM``, version u32,
 entry count u32, then per entry name length u32 + name bytes + rank u32 +

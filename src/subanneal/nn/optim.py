@@ -3,6 +3,10 @@
 Weight decay couples into the gradient before the momentum update, the
 classic formulation. Hyperparameters are fixed at construction; the learning
 rate is supplied per step so schedules stay outside the optimizer.
+
+``mask_state(mask)`` zeroes the per-entry state of masked-off weights. With
+the weight itself zero and its gradient masked, every later step leaves
+that entry's weight, velocity and moments at zero.
 """
 
 import numpy as np
@@ -69,6 +73,13 @@ class SGD:
                 np.multiply(g, lr, out=d)
             p -= d
 
+    def mask_state(self, mask) -> None:
+        """Multiply each masked weight's velocity by ``mask[name]`` in place."""
+        for name, m in mask.items():
+            v = self._velocity.get(name)
+            if v is not None:
+                v *= m
+
 
 class Adam:
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
@@ -108,6 +119,14 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+    def mask_state(self, mask) -> None:
+        """Multiply each masked weight's two moments by ``mask[name]`` in
+        place."""
+        for name, m in mask.items():
+            for state in (self._m, self._v):
+                if name in state:
+                    state[name] *= m
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9,

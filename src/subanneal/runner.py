@@ -39,7 +39,7 @@ from .annealing import (
     temperature_controller,
     tune,
 )
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .data import (
     NormalizedRows,
     _normalize_in_place,
@@ -305,10 +305,33 @@ def parent_cache_key(cfg: ExperimentConfig, seed: int) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
 
+def check_fits(what: str, got: dict, want: dict) -> None:
+    """Raise ``ConfigError`` unless ``got`` names exactly the arrays of
+    ``want`` with their shapes (both name -> array); the message lists
+    every missing, unexpected and misshapen array of ``what``."""
+    problems = []
+    missing = [name for name in want if name not in got]
+    if missing:
+        problems.append(f"missing {missing}")
+    unexpected = [name for name in got if name not in want]
+    if unexpected:
+        problems.append(f"unexpected {unexpected}")
+    for name, array in want.items():
+        if name in got and got[name].shape != array.shape:
+            problems.append(f"{name} has shape {got[name].shape}, "
+                            f"the model needs {array.shape}")
+    if problems:
+        raise ConfigError(f"{what} does not fit the model: "
+                          + "; ".join(problems))
+
+
 def load_params(net, path) -> None:
-    """Set ``net``'s parameters from a weights container; ``set_param``
-    casts each to the network's dtype."""
-    for name, value in load_weights(path).items():
+    """Set ``net``'s parameters from a weights container that names every
+    parameter with its shape (else ``ConfigError``, before any is set);
+    ``set_param`` casts each to the network's dtype."""
+    values = load_weights(path)
+    check_fits(f"weights file {path}", values, net.params())
+    for name, value in values.items():
         net.set_param(name, value)
 
 
@@ -579,17 +602,26 @@ def _task_ensemble(cfg, data, out_dir, manifest):
 
 
 def _task_eval(cfg, data, out_dir, manifest):
+    """Score a weights file, under ``cfg.mask`` when given, on the clean and
+    each corrupted test set; every record reports the mask's sparsity."""
     net = build_net(cfg, data, cfg.seed)
     load_params(net, cfg.weights)
-    mask = load_mask_set(cfg.mask) if cfg.mask else None
+    mask = None
+    sparsity = 0.0
+    if cfg.mask:
+        mask = load_mask_set(cfg.mask)
+        check_fits(f"mask file {cfg.mask}", mask.masks, net.weights())
+        sparsity = mask.sparsity()
     logits = predict_logits(net, data.x_test, mask=mask)
     record = evaluate(softmax(logits), data.y_test)
+    record.realized_sparsity = sparsity
     payload = {"config": cfg.to_dict(), "clean": record.to_dict(),
                "corrupted": {}}
     for severity in cfg.ensemble["corruption_severities"]:
         logits = predict_logits(net, data.corrupted(severity, cfg.seed),
                                 mask=mask)
         rec = evaluate(softmax(logits), data.y_test)
+        rec.realized_sparsity = sparsity
         payload["corrupted"][str(severity)] = rec.to_dict()
     eval_path = out_dir / "eval.json"
     write_json_atomic(eval_path, payload)

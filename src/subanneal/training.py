@@ -2,14 +2,22 @@
 
 One epoch shuffles the training set from a dedicated shuffle stream, then for
 every mini-batch draws/looks up the subnetwork mask, runs the forward and
-backward passes with masked weights, zeroes the gradients of masked-off
-parameters, and applies one optimizer step to the *unmasked* stored weights.
+backward passes, zeroes the gradients of masked-off parameters, and applies
+one optimizer step to the stored weights.
 
-The step updates every stored weight, masked off or not. A masked-off weight
-gets a zero gradient, so plain SGD leaves it alone, but weight decay shrinks
-it on every step, and momentum keeps moving a weight that was active and
-then dropped out (as annealed entries do) until its velocity decays. A
-weight masked off from the first step never moves without weight decay.
+How the forward pass sees the mask depends on whether the controller's mask
+is permanent for the epoch (``controller.permanent``): binary, and never
+re-admitting an entry it has switched off.
+
+* A stochastic epoch runs each batch on the Hadamard product of the weights
+  and that batch's mask (``masked_weights``). The stored weights are not
+  changed by the mask, so entries masked off in one batch keep their values
+  and can come back later; weight decay and momentum still move them, as
+  the step updates every stored weight.
+* A permanent epoch burns the mask in once, at its start: masked-off
+  weights and their optimizer state (velocity, Adam moments) are set to
+  zero, and every batch runs on the stored weights themselves. A burned
+  entry's gradient is masked, so it stays zero.
 """
 
 from __future__ import annotations
@@ -78,9 +86,22 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
               controller=None, rng_mask: np.random.Generator | None = None):
     """Train one epoch. Returns (mean batch loss, steps taken, first lr).
 
+    Under a controller whose mask is permanent, the mask is first burned
+    into ``net``'s weights and ``optimizer``'s state, and the batches train
+    the plain weights, their gradients masked by that mask in the weights'
+    dtype (the same products as by the uint8 mask, which numpy multiplies
+    more slowly). Otherwise each batch multiplies the weights and masks the
+    gradients by its own mask. Either way ``controller.batch_mask`` is
+    called once per batch.
     The network keeps no activations afterwards, even when the epoch
     raises ``DivergenceError``: its layer caches are cleared on the way out.
     """
+    permanent = controller is not None and controller.permanent
+    if permanent:
+        finalize(net, controller.mask)
+        optimizer.mask_state(controller.mask)
+        keep = {name: controller.mask[name].astype(w.dtype)
+                for name, w in net.weights().items()}
     n = len(y)
     order = rng_shuffle.permutation(n)
     step = step0
@@ -92,7 +113,7 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
             xb, yb = x[batch], y[batch]
             mask = (controller.batch_mask(rng_mask) if controller is not None
                     else None)
-            with masked_weights(net, mask):
+            with masked_weights(net, None if permanent else mask):
                 logits = net.forward(xb)
                 loss, grad_logits = cross_entropy_softmax(logits, yb)
                 grads = net.backward(grad_logits)
@@ -101,8 +122,8 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
                     f"non-finite loss at epoch {epoch}, step {step}",
                     record={"epoch": epoch, "step": step, "loss": loss})
             if mask is not None:
-                for name in mask:
-                    masked_grad(grads[name], mask[name], out=grads[name])
+                for name, m in (keep if permanent else mask).items():
+                    masked_grad(grads[name], m, out=grads[name])
             lr = schedule_lr(schedule, epoch, step)
             if first_lr is None:
                 first_lr = lr
@@ -150,6 +171,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def finalize(net: Network, terminal: MaskSet) -> None:
-    """Burn the terminal mask into the stored weights (permanent zeros)."""
+    """Burn a binary mask into the stored weights (permanent zeros)."""
     for name, w in net.weights().items():
         w *= terminal[name]

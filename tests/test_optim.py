@@ -134,3 +134,27 @@ def test_in_place_sgd_is_bit_identical_to_the_formula(momentum, nesterov,
     # weight decay and Nesterov both need one
     wanted = 2 if weight_decay and nesterov else 1
     assert all(len(s) == wanted for s in opt._scratch.values())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SGD(0.1, momentum=0.9, nesterov=True, weight_decay=0.01),
+    lambda: Adam(0.1, weight_decay=0.01),
+], ids=["sgd", "adam"])
+def test_mask_state_zeroes_only_the_masked_entries(make):
+    opt = make()
+    opt.mask_state({"w": np.array([0, 1], dtype=np.uint8)})  # no state yet
+    params = {"w": np.array([1.0, -2.0]), "b": np.array([0.5])}
+    opt.step(params, {"w": np.array([0.3, 0.4]), "b": np.array([0.1])})
+    states = ([opt._velocity] if isinstance(opt, SGD)
+              else [opt._m, opt._v])
+    before = [{n: s.copy() for n, s in state.items()} for state in states]
+    opt.mask_state({"w": np.array([0, 1], dtype=np.uint8)})
+    for state, old in zip(states, before):
+        assert state["w"][0] == 0.0 and state["w"][1] == old["w"][1]
+        assert np.array_equal(state["b"], old["b"])  # not named by the mask
+    # a zero weight with zero state and a masked (zero) gradient stays zero
+    params["w"][0] = 0.0
+    for _ in range(3):
+        opt.step(params, {"w": np.array([0.0, 0.4]), "b": np.array([0.1])})
+        assert params["w"][0] == 0.0
+        assert all(state["w"][0] == 0.0 for state in states)

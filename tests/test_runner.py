@@ -520,3 +520,106 @@ class TestTrainParentAndEval:
             (tmp_path / "eval" / eval_manifest["metrics_files"][0]).read_text())
         # a fully severed network predicts from biases alone: chance-level
         assert payload["clean"]["accuracy"] < 0.6
+
+    def _parent_weights(self, tmp_path):
+        cfg = _cfg(tmp_path, task="train-parent", parent_epochs=1,
+                   out_dir=str(tmp_path / "parent"))
+        manifest = json.loads(run(cfg).read_text())
+        return tmp_path / "parent" / manifest["cells"][0]["weights"]
+
+    def _eval_cfg(self, tmp_path, weights, mask=None, severities=()):
+        extra = {"mask": str(mask)} if mask is not None else {}
+        return _cfg(tmp_path, task="eval", weights=str(weights),
+                    out_dir=str(tmp_path / "eval"),
+                    ensemble={"n_members": 1, "partitioning": False,
+                              "include_parent": False,
+                              "corruption_severities": list(severities)},
+                    **extra)
+
+    def test_eval_reports_the_sparsity_of_its_mask(self, tmp_path):
+        import numpy as np
+
+        from subanneal.masks import MaskSet, save_mask_set
+        from subanneal.masks import load_weights
+
+        weights = self._parent_weights(tmp_path)
+        mask = MaskSet({name: np.arange(w.size).reshape(w.shape) % 4 == 0
+                        for name, w in load_weights(weights).items()
+                        if name.endswith(".w")})
+        mask_path = tmp_path / "quarter.ssam"
+        save_mask_set(mask, mask_path)
+        eval_cfg = self._eval_cfg(tmp_path, weights, mask_path, [1, 3])
+        eval_manifest = json.loads(run(eval_cfg).read_text())
+        payload = json.loads(
+            (tmp_path / "eval" / eval_manifest["metrics_files"][0]).read_text())
+        assert 0.7 < mask.sparsity() < 0.8
+        assert payload["clean"]["realized_sparsity"] == mask.sparsity()
+        assert set(payload["corrupted"]) == {"1", "3"}
+        for record in payload["corrupted"].values():
+            assert record["realized_sparsity"] == mask.sparsity()
+
+    def test_eval_without_a_mask_reports_no_sparsity(self, tmp_path):
+        weights = self._parent_weights(tmp_path)
+        eval_manifest = json.loads(
+            run(self._eval_cfg(tmp_path, weights, severities=[1])).read_text())
+        payload = json.loads(
+            (tmp_path / "eval" / eval_manifest["metrics_files"][0]).read_text())
+        assert payload["clean"]["realized_sparsity"] == 0.0
+        assert payload["corrupted"]["1"]["realized_sparsity"] == 0.0
+
+    @pytest.mark.parametrize("edit,message", [
+        ("drop", r"missing \['layer3.w'\]"),
+        ("rename", r"missing \['layer3.w'\]; unexpected \['layer9.w'\]"),
+        ("reshape", r"layer3.w has shape \(3, 2\), the model needs"),
+    ])
+    def test_eval_rejects_a_weights_file_that_does_not_fit(
+            self, tmp_path, monkeypatch, edit, message):
+        from subanneal.config import ConfigError
+        from subanneal.masks import load_weights, save_weights
+
+        values = load_weights(self._parent_weights(tmp_path))
+        if edit == "drop":
+            del values["layer3.w"]
+        elif edit == "rename":
+            values["layer9.w"] = values.pop("layer3.w")
+        else:
+            values["layer3.w"] = values["layer3.w"][:3, :2]
+        bad = tmp_path / "bad.weights.ssam"
+        save_weights(values, bad)
+        forwards = []
+        monkeypatch.setattr(runner, "predict_logits",
+                            lambda *a, **k: forwards.append(a))
+        with pytest.raises(ConfigError, match=message):
+            run(self._eval_cfg(tmp_path, bad))
+        assert not forwards  # rejected before any evaluation
+        manifest = json.loads((tmp_path / "eval" / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("ConfigError: weights file ")
+
+    @pytest.mark.parametrize("edit,message", [
+        ("drop", r"missing \['layer1.w'\]"),
+        ("reshape", r"layer1.w has shape \(2, 2\), the model needs"),
+    ])
+    def test_eval_rejects_a_mask_that_does_not_fit(self, tmp_path,
+                                                   monkeypatch, edit, message):
+        import numpy as np
+
+        from subanneal.config import ConfigError
+        from subanneal.masks import MaskSet, load_weights, save_mask_set
+
+        weights = self._parent_weights(tmp_path)
+        masks = {name: np.ones(w.shape, dtype=np.uint8)
+                 for name, w in load_weights(weights).items()
+                 if name.endswith(".w")}
+        if edit == "drop":
+            del masks["layer1.w"]
+        else:
+            masks["layer1.w"] = masks["layer1.w"][:2, :2]
+        bad = tmp_path / "bad.mask.ssam"
+        save_mask_set(MaskSet(masks), bad)
+        forwards = []
+        monkeypatch.setattr(runner, "predict_logits",
+                            lambda *a, **k: forwards.append(a))
+        with pytest.raises(ConfigError, match=message):
+            run(self._eval_cfg(tmp_path, weights, bad))
+        assert not forwards

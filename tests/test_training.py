@@ -1,19 +1,26 @@
 """What the optimizer does to stored weights that the mask switches off.
 
-Gradients of masked-off weights are zeroed, but the optimizer step still
-updates every stored weight: weight decay shrinks masked-off weights on
-every step, and momentum keeps moving a weight that was active and then
-dropped out, until its velocity decays. These tests pin that behaviour.
+Gradients of masked-off weights are always zeroed. While the mask is
+stochastic, the optimizer step still updates every stored weight: weight
+decay shrinks masked-off weights on every step, and momentum keeps moving a
+weight that was active and then dropped out, until its velocity decays.
+From the epoch a mask becomes permanent, its masked-off weights and their
+optimizer state are zero, and stay zero. These tests pin that behaviour.
 """
 
 import numpy as np
 import pytest
 
-from subanneal.annealing import FixedMaskController
+from subanneal.annealing import (
+    FULL_SCALING,
+    FixedMaskController,
+    TemperatureConfig,
+    temperature_controller,
+)
 from subanneal.data import make_blobs
 from subanneal.masks import MaskSet, full_mask
 from subanneal.nn.layers import Dense, Network, ReLU
-from subanneal.nn.optim import SGD
+from subanneal.nn.optim import SGD, Adam
 from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
 from subanneal.training import masked_weights, run_epoch
@@ -21,6 +28,7 @@ from subanneal.training import masked_weights, run_epoch
 LR = 0.05
 BATCH = 16
 N = 64  # four steps per epoch
+PHI = 2  # annealing epochs of the stochastic controllers below
 
 
 def _setup():
@@ -38,8 +46,33 @@ def _epoch(net, data, optimizer, controller, epoch=0):
               rng_mask=substream(3, "bernoulli"))
 
 
+def _stochastic(mask, epoch=0, **cfg):
+    """A temperature controller annealing to ``mask`` over PHI epochs, moved
+    to ``epoch``. At tau0 = 0 (the default here) its probabilities are
+    ``mask`` itself, but the mask is not permanent before epoch PHI."""
+    controller = temperature_controller(
+        mask, TemperatureConfig(**{"tau0": 0.0, "anneal_epochs": PHI, **cfg}))
+    controller.begin_epoch(epoch)
+    return controller
+
+
 def _off(mask, weights):
     return {name: w[mask[name] == 0].copy() for name, w in weights.items()}
+
+
+def _state(optimizer):
+    """The optimizer's per-entry state arrays, by kind."""
+    if isinstance(optimizer, Adam):
+        return {"m": optimizer._m, "v": optimizer._v}
+    return {"velocity": optimizer._velocity}
+
+
+def _assert_off_is_zero(mask, net, optimizer):
+    for name, w in _off(mask, net.weights()).items():
+        assert np.all(w == 0), name
+    for kind, state in _state(optimizer).items():
+        for name, s in _off(mask, {n: state[n] for n in mask}).items():
+            assert np.all(s == 0), (kind, name)
 
 
 @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -47,7 +80,9 @@ def test_weight_decay_shrinks_masked_off_weights(momentum):
     net, data, mask = _setup()
     before = _off(mask, net.weights())
     opt = SGD(LR, momentum=momentum, weight_decay=0.01)
-    _epoch(net, data, opt, FixedMaskController(mask))
+    controller = _stochastic(mask)
+    assert not controller.permanent
+    _epoch(net, data, opt, controller)
     after = _off(mask, net.weights())
     for name in before:
         assert np.all(np.abs(after[name]) < np.abs(before[name])), name
@@ -57,13 +92,19 @@ def test_weight_decay_shrinks_masked_off_weights(momentum):
             for _ in range(N // BATCH):
                 want = want - LR * (0.01 * want)
             assert np.array_equal(after[name], want), name
+    # once the mask is permanent there is nothing left to shrink
+    controller.begin_epoch(PHI)
+    assert controller.permanent
+    for epoch in (PHI, PHI + 1):
+        _epoch(net, data, opt, controller, epoch=epoch)
+        for name, w in _off(mask, net.weights()).items():
+            assert np.all(w == 0), (epoch, name)
 
 
 def test_momentum_leaves_weights_masked_from_the_start_alone():
     net, data, mask = _setup()
     before = _off(mask, net.weights())
-    _epoch(net, data, SGD(LR, momentum=0.9, nesterov=True),
-           FixedMaskController(mask))
+    _epoch(net, data, SGD(LR, momentum=0.9, nesterov=True), _stochastic(mask))
     after = _off(mask, net.weights())
     for name in before:
         assert np.array_equal(after[name], before[name]), name
@@ -75,7 +116,7 @@ def test_momentum_moves_a_weight_after_it_drops_out():
     _epoch(net, data, opt, FixedMaskController(full_mask(net.weight_shapes())))
     before = _off(mask, net.weights())
     velocity = _off(mask, {name: opt._velocity[name] for name in mask})
-    _epoch(net, data, opt, FixedMaskController(mask), epoch=1)
+    _epoch(net, data, opt, _stochastic(mask), epoch=1)
     after = _off(mask, net.weights())
     for name in before:
         # zero gradient: v <- 0.9 v, p <- p - lr * (0.9 v) per step
@@ -85,6 +126,77 @@ def test_momentum_moves_a_weight_after_it_drops_out():
             want = want - LR * (v * 0.9)
         assert np.all(after[name] != before[name]), name
         assert np.array_equal(after[name], want), name
+    # a permanent mask stops it: weight and velocity are zeroed, for good
+    for epoch in (2, 3):
+        _epoch(net, data, opt, _stochastic(mask, epoch=PHI), epoch=epoch)
+        _assert_off_is_zero(mask, net, opt)
+
+
+@pytest.mark.parametrize("make_opt", [
+    lambda: SGD(LR, momentum=0.9, nesterov=True, weight_decay=0.01),
+    lambda: Adam(0.01, weight_decay=0.01),
+], ids=["sgd", "adam"])
+def test_a_permanent_mask_zeroes_masked_off_weights_and_state(make_opt):
+    net, data, mask = _setup()
+    opt = make_opt()
+    _epoch(net, data, opt, None)  # dense: every entry gets optimizer state
+    for kind, state in _state(opt).items():
+        assert all(np.all(state[name] != 0) for name in mask), kind
+    active = {name: w[mask[name] == 1].copy()
+              for name, w in net.weights().items()}
+    for epoch in (1, 2, 3):
+        _epoch(net, data, opt, FixedMaskController(mask), epoch=epoch)
+        _assert_off_is_zero(mask, net, opt)
+    for name, w in net.weights().items():
+        assert np.all(w[mask[name] == 1] != active[name]), name
+
+
+def test_entries_masked_only_in_stochastic_epochs_keep_their_values():
+    # reverse dropout at tau0 = 0.5: the pruned entries of the target are
+    # dropped from most batches, yet they keep their values until PHI
+    net, data, mask = _setup()
+    opt = SGD(LR, momentum=0.9, nesterov=True, weight_decay=0.01)
+    controller = _stochastic(mask, tau0=0.5)
+    for epoch in range(PHI):
+        controller.begin_epoch(epoch)
+        assert not controller.permanent
+        _epoch(net, data, opt, controller, epoch=epoch)
+        for name, w in _off(mask, net.weights()).items():
+            assert np.all(w != 0), (epoch, name)
+    controller.begin_epoch(PHI)
+    assert controller.permanent
+    _epoch(net, data, opt, controller, epoch=PHI)
+    _assert_off_is_zero(mask, net, opt)
+
+
+def test_a_binary_first_epoch_of_full_scaling_is_not_permanent():
+    # at tau0 = 1 full scaling starts from the complement of its target:
+    # binary, but the target's entries come back from epoch 1 on, so
+    # epoch 0 must not burn them
+    net, data, mask = _setup()
+    controller = _stochastic(mask, tau0=1.0, variant=FULL_SCALING)
+    assert controller.probs.is_binary()
+    assert not controller.permanent
+    before = {name: w[mask[name] == 1].copy()
+              for name, w in net.weights().items()}
+    _epoch(net, data, SGD(LR, momentum=0.9), controller)
+    for name, w in net.weights().items():
+        assert np.array_equal(w[mask[name] == 1], before[name]), name
+        assert np.all(w[mask[name] == 1] != 0), name
+
+
+def test_a_permanent_mask_is_still_asked_for_every_batch():
+    net, data, mask = _setup()
+    controller = FixedMaskController(mask)
+    calls = []
+
+    def batch_mask(rng):
+        calls.append(rng)
+        return mask
+
+    controller.batch_mask = batch_mask
+    _epoch(net, data, SGD(LR), controller)
+    assert len(calls) == N // BATCH
 
 
 def test_masked_weights_reuse_buffers_owned_by_each_network():

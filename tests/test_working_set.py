@@ -312,6 +312,25 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
         assert rd.x_test.raw.dtype == np.uint8
 
 
+def test_a_float_batch_is_normalized_in_its_own_gather():
+    raw = np.random.default_rng(0).normal(size=(500, 64))
+    keep = raw.copy()
+    mean, std = normalization_stats(raw)
+    rows = data.NormalizedRows(raw, mean, std, np.float64)
+    idx = np.random.default_rng(1).permutation(500)[:200]
+    rows[idx]  # warm-up
+    batch, peak = _traced_peak(lambda: rows[idx])
+    # the gathered rows become the batch, with no second float copy of
+    # them (100 KiB here); the in-place broadcast steps take numpy's fixed
+    # 64 KiB ufunc buffer
+    assert peak <= batch.nbytes + 80 * KIB, (peak, batch.nbytes)
+    _assert_same(batch, normalize(raw[idx], mean, std))
+    # a slice is a view of the raw rows, so it is copied before normalizing
+    _assert_same(rows[10:20], normalize(keep[10:20], mean, std))
+    _assert_same(rows[:], normalize(keep, mean, std))
+    _assert_same(raw, keep)
+
+
 def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
     x = np.random.default_rng(0).random((20, 3, 4, 4))
     before = x.copy()
