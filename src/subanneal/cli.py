@@ -7,6 +7,13 @@ import logging
 import sys
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subanneal",
@@ -19,9 +26,15 @@ def main(argv=None) -> int:
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output dir")
     run_p.add_argument("--deterministic", action="store_true",
-                       help="serial single-threaded mode (bit-reproducible)")
+                       help="one BLAS thread in every process, so metric "
+                            "files are bit-reproducible for any --workers")
     run_p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap for linear algebra")
+                       help="BLAS thread cap for linear algebra (one "
+                            "thread whenever more than one worker runs)")
+    run_p.add_argument("--workers", type=_positive_int, default=None,
+                       help="processes sharing the seeds of a run "
+                            "(default: the CPUs available, at most one "
+                            "per seed)")
 
     sum_p = sub.add_parser("summarize",
                            help="aggregate manifests under a directory")
@@ -33,7 +46,7 @@ def main(argv=None) -> int:
 
     # imports deferred so --help stays fast and thread caps apply early
     from .config import ConfigError, ExperimentConfig
-    from .runner import limit_blas_threads, run, summarize_dir
+    from .runner import error_text, limit_blas_threads, run, summarize_dir
 
     if args.command == "summarize":
         try:
@@ -59,9 +72,9 @@ def main(argv=None) -> int:
     if args.threads is not None:
         limit_blas_threads(max(1, args.threads))
     try:
-        manifest = run(cfg)
+        manifest = run(cfg, workers=args.workers)
     except Exception as err:  # manifest already records the failure
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        print(f"error: {error_text(err)}", file=sys.stderr)
         return 1
     print(manifest)
     return 0

@@ -3,21 +3,29 @@
 A run executes one task from a validated config. Metric files are plain CSV
 with a fixed column set; the manifest (written atomically at the end) records
 the config, its hash, the seeds, every metric file produced, wall-clock time,
-peak resident memory (``peak_rss_mb``), the BLAS thread count, the malloc
-settings ``run`` applied to the process, and the library version. Re-running
-the same config in deterministic mode reproduces the metric files byte for
-byte; wall clock and memory live only in the manifest so they never break
-that contract.
+peak resident memory (``peak_rss_mb``) and CPU time, the number of worker
+processes and each helper's own memory and CPU time, the BLAS thread count,
+the malloc settings ``run`` applied to the process, and the library version.
+Re-running the same config in deterministic mode reproduces the metric files
+byte for byte, whatever the number of workers; wall clock and memory live
+only in the manifest so they never break that contract.
+
+Every task but ``eval`` works seed by seed, and a seed's outputs depend on
+that seed alone (its parent cache entry, its ``substream(seed, ...)``
+streams, its own files). So ``run`` can hand seeds to forked helper
+processes (``_map_seeds``) and merge what they report in seed order.
 """
 
 from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import json
 import logging
 import os
 import platform
+import signal
 import sys
 import time
 from pathlib import Path
@@ -425,18 +433,218 @@ def _cell_grid(cfg: ExperimentConfig):
     return cells
 
 
+# --- worker processes ------------------------------------------------------------
+
+# prctl(2) option: the signal the kernel sends a process when its parent exits
+PR_SET_PDEATHSIG = 1
+
+
+class WorkerError(RuntimeError):
+    """A seed failed in a helper process. The message is the failure as the
+    helper reported it, ``"<type>: <message>"``: what a serial run reports
+    for the same failure (see ``error_text``)."""
+
+
+def error_text(err: BaseException) -> str:
+    """How a run reports ``err``: its type name and message."""
+    if isinstance(err, WorkerError):
+        return str(err)
+    return f"{type(err).__name__}: {err}"
+
+
+def worker_count(cfg: ExperimentConfig, workers: int | None = None) -> int:
+    """The processes a run of ``cfg`` uses: ``workers`` (default: the CPUs
+    this process may run on), at most one per seed; 1 for the ``eval``
+    task and where the platform cannot fork or report its CPUs."""
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if cfg.task not in SEED_TASKS or not hasattr(os, "fork"):
+        return 1
+    if workers is None:
+        if not hasattr(os, "sched_getaffinity"):
+            return 1
+        workers = len(os.sched_getaffinity(0))
+    return min(workers, len(cfg.run_seeds()))
+
+
+def _usage() -> dict:
+    """This process's peak resident memory and CPU time so far, where the
+    platform reports them (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    if resource is None:
+        return {}
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    peak = usage.ru_maxrss
+    if sys.platform == "darwin":
+        peak /= 1024.0
+    return {"peak_rss_mb": peak / 1024.0,
+            "cpu_s": usage.ru_utime + usage.ru_stime}
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when its parent exits (Linux),
+    and exit now if ``parent`` has already gone."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
+        prctl.restype = ctypes.c_int
+        if prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0) != 0:
+            log.warning("prctl(PR_SET_PDEATHSIG) failed: %s",
+                        os.strerror(ctypes.get_errno()))
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _helper_main(work, seeds, positions, conn, parent: int) -> None:
+    """Body of a helper process: ``work`` on the seeds at ``positions`` in
+    order, sending ``(position, result, None)`` for each, or ``(position,
+    None, error text)`` for the first that raises and stopping there; then
+    ``(None, usage, None)``."""
+    _die_with_parent(parent)
+    for i in positions:
+        try:
+            message = (i, work(seeds[i]), None)
+        except Exception as err:
+            message = (i, None, error_text(err))
+        conn.send(message)
+        if message[2] is not None:
+            break
+    conn.send((None, _usage(), None))
+    conn.close()
+
+
+class _Helper:
+    """A forked process running the seeds at ``positions`` of ``seeds``."""
+
+    def __init__(self, ctx, work, seeds, positions):
+        self.seeds = seeds
+        self.positions = list(positions)
+        self.pending = list(positions)  # positions not reported yet
+        self.usage = None
+        self.done = False  # usage received, or the pipe closed
+        self.conn, send = ctx.Pipe(duplex=False)
+        self.proc = ctx.Process(target=_helper_main,
+                                args=(work, seeds, self.positions, send,
+                                      os.getpid()))
+        self.proc.start()
+        send.close()  # the pipe then reads EOF once the helper is gone
+
+    def receive(self, outcomes: dict) -> None:
+        """Wait for the helper's next message and file it in ``outcomes``
+        (seed position -> (result, WorkerError or None)); a helper gone
+        without finishing fails the seed it was running."""
+        try:
+            i, payload, error = self.conn.recv()
+        except EOFError:
+            self.proc.join()
+            self.done = True
+            if self.pending:
+                i = self.pending[0]
+                outcomes[i] = (None, WorkerError(
+                    f"{WorkerError.__name__}: the helper process running "
+                    f"seed {self.seeds[i]} exited with code "
+                    f"{self.proc.exitcode}"))
+            self.pending = []
+            return
+        if i is None:
+            self.usage, self.done = payload, True
+            return
+        self.pending.remove(i)
+        outcomes[i] = (payload, None if error is None else WorkerError(error))
+        if error is not None:
+            self.pending = []
+
+    def stop(self, kill: bool) -> dict:
+        """Reap the helper (killing it first if ``kill``); returns its seeds
+        and, when it reported them, its peak memory and CPU time."""
+        if kill and self.proc.is_alive():
+            self.proc.kill()
+        self.proc.join()
+        while not self.done and self.conn.poll():
+            self.receive({})
+        self.conn.close()
+        return {"seeds": [self.seeds[i] for i in self.positions],
+                **(self.usage or {})}
+
+
+def _map_seeds(seeds: list, work, workers: int, merge, helpers: list) -> None:
+    """Call ``work(seed)`` for every seed and ``merge`` on each result, in
+    seed order, sharing the seeds among ``workers`` processes.
+
+    The calling process runs the seeds at positions 0, N, 2N, ... of
+    ``seeds`` (N = ``workers``) and forked helper w those at w, w + N, ...;
+    helpers send their results back through a pipe. A seed's work must
+    depend on the seed alone, so the results do not depend on N. As in a
+    serial loop, the first seed in seed order whose work raises ends the
+    run: the results before it are merged and its error is raised (a
+    helper's as ``WorkerError`` with the same text). Every helper is reaped
+    before this returns or raises, and killed first if it raises; each
+    helper's seeds, peak memory and CPU time are appended to ``helpers``.
+    With one worker the seeds run in this process and nothing is forked.
+    """
+    if workers == 1:
+        for seed in seeds:
+            merge(work(seed))
+        return
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    outcomes = {}  # seed position -> (result, error)
+
+    def first_failure() -> int:
+        return min((i for i, (_, err) in outcomes.items() if err is not None),
+                   default=len(seeds))
+
+    forked = []
+    finished = False
+    try:
+        for w in range(1, workers):
+            forked.append(_Helper(ctx, work, seeds,
+                                  range(w, len(seeds), workers)))
+        for i in range(0, len(seeds), workers):
+            # take what has arrived, so no helper blocks on a full pipe
+            for helper in forked:
+                while not helper.done and helper.conn.poll():
+                    helper.receive(outcomes)
+            if first_failure() < i:
+                break
+            try:
+                outcomes[i] = (work(seeds[i]), None)
+            except Exception as err:
+                outcomes[i] = (None, err)
+                break
+        for helper in forked:
+            while helper.pending and helper.pending[0] < first_failure():
+                helper.receive(outcomes)
+        for i in range(len(seeds)):
+            result, err = outcomes[i]
+            if err is not None:
+                raise err
+            merge(result)
+        for helper in forked:
+            while not helper.done:
+                helper.receive(outcomes)
+        finished = True
+    finally:
+        for helper in forked:
+            helpers.append(helper.stop(kill=not finished))
+
+
 # --- tasks ---------------------------------------------------------------------
 
-def run(cfg: ExperimentConfig) -> Path:
+def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
     """Execute the config; returns the manifest path.
 
-    The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc);
-    with ``cfg.deterministic`` its BLAS pool keeps one thread. Failures
-    are recorded in the manifest (status: failed) and re-raised so callers
-    can exit nonzero.
+    Tasks that work seed by seed share their seeds among
+    ``worker_count(cfg, workers)`` processes; the outputs do not depend on
+    how many. The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on
+    glibc); with ``cfg.deterministic`` or more than one worker its BLAS pool
+    keeps one thread, as every helper's does. Failures are recorded in the
+    manifest (status: failed, ``error`` as ``error_text`` gives it) and
+    re-raised so callers can exit nonzero.
     """
     allocator = tune_allocator()
-    if cfg.deterministic:
+    workers = worker_count(cfg, workers)
+    if cfg.deterministic or workers > 1:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -450,23 +658,33 @@ def run(cfg: ExperimentConfig) -> Path:
         "status": "running",
         "allocator": allocator,
         "blas_threads": blas_threads(),
+        "workers": workers,
+        "helpers": [],
         "cells": [],
         "metrics_files": [],
     }
+
+    def merge(cells):
+        manifest["cells"] += cells
+        manifest["metrics_files"] += [cell["metrics"] for cell in cells]
+
     try:
         data = RunData(cfg)
-        if cfg.task == "train-parent":
-            _task_train_parent(cfg, data, out_dir, manifest)
-        elif cfg.task == "prune-tune" or cfg.task == "ablate":
-            _task_sweep(cfg, data, out_dir, manifest)
-        elif cfg.task == "ensemble":
-            _task_ensemble(cfg, data, out_dir, manifest)
-        elif cfg.task == "eval":
+        if cfg.task == "eval":
             _task_eval(cfg, data, out_dir, manifest)
+        else:
+            work = functools.partial(SEED_TASKS[cfg.task], cfg, data, out_dir)
+            _map_seeds(cfg.run_seeds(), work, workers, merge,
+                       manifest["helpers"])
+        if cfg.task == "ablate":
+            rows = summarize_manifests([manifest_path],
+                                       manifest_payloads=[manifest],
+                                       base_dirs=[out_dir])
+            write_summary_csv(out_dir / "summary.csv", rows)
         manifest["status"] = "ok"
     except Exception as err:
         manifest["status"] = "failed"
-        manifest["error"] = f"{type(err).__name__}: {err}"
+        manifest["error"] = error_text(err)
         _finish_manifest(manifest, started)
         write_json_atomic(manifest_path, manifest)
         raise
@@ -476,129 +694,130 @@ def run(cfg: ExperimentConfig) -> Path:
 
 
 def _finish_manifest(manifest: dict, started: float) -> None:
-    """Wall clock and, where the platform reports it, the process's peak
-    resident memory so far (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    """Wall clock and, where the platform reports them, this process's peak
+    resident memory and CPU time so far, plus ``peak_rss_mb_sum``: its peak
+    plus every helper's, an upper bound on the run's resident memory at any
+    moment (pages a helper shares with this process count twice)."""
     manifest["wall_clock_s"] = time.perf_counter() - started
-    if resource is not None:
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        if sys.platform == "darwin":
-            peak /= 1024.0
-        manifest["peak_rss_mb"] = peak / 1024.0
+    manifest.update(_usage())
+    if "peak_rss_mb" in manifest:
+        manifest["peak_rss_mb_sum"] = manifest["peak_rss_mb"] + sum(
+            helper.get("peak_rss_mb", 0.0) for helper in manifest["helpers"])
 
 
-def _task_train_parent(cfg, data, out_dir, manifest):
-    for seed in cfg.run_seeds():
-        net = build_net(cfg, data, seed)
-        schedule, optimizer = build_training(cfg, cfg.parent_lr,
-                                             cfg.parent_epochs, len(data.y_train))
-        rows = train_parent(net, (data.x_train, data.y_train),
-                            cfg.parent_epochs, optimizer, schedule,
-                            cfg.batch_size, substream(seed, "shuffle", "parent"),
-                            eval_data=(data.x_test, data.y_test))
-        csv_path = out_dir / "metrics" / f"parent-s{seed}.csv"
+def _seed_parent(cfg, data, out_dir, seed) -> list:
+    """``train-parent`` for one seed: its metric CSV and weights."""
+    net = build_net(cfg, data, seed)
+    schedule, optimizer = build_training(cfg, cfg.parent_lr,
+                                         cfg.parent_epochs, len(data.y_train))
+    rows = train_parent(net, (data.x_train, data.y_train),
+                        cfg.parent_epochs, optimizer, schedule,
+                        cfg.batch_size, substream(seed, "shuffle", "parent"),
+                        eval_data=(data.x_test, data.y_test))
+    csv_path = out_dir / "metrics" / f"parent-s{seed}.csv"
+    write_metrics_csv(csv_path, rows)
+    weights_path = out_dir / f"parent-s{seed}.weights.ssam"
+    save_weights(net.params(), weights_path)
+    return [{
+        "method": "parent", "selector": "-", "lr_schedule":
+            cfg.parent_lr["kind"], "rho": 0.0, "phi": 0, "tau0": 0.0,
+        "epochs": cfg.parent_epochs, "seed": seed,
+        "metrics": str(csv_path.relative_to(out_dir)),
+        "weights": str(weights_path.relative_to(out_dir)),
+    }]
+
+
+def _seed_sweep(cfg, data, out_dir, seed) -> list:
+    """``prune-tune``/``ablate`` for one seed: every cell of the grid,
+    tuned from that seed's parent."""
+    parent, parent_path = get_parent(cfg, data, seed, out_dir)
+    cells = []
+    for method, rho, phi, tau0 in _cell_grid(cfg):
+        child, rows = run_cell(cfg, data, parent, seed, method, rho, phi,
+                               tau0)
+        slug = _cell_slug(method, rho, phi, tau0)
+        csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
         write_metrics_csv(csv_path, rows)
-        weights_path = out_dir / f"parent-s{seed}.weights.ssam"
-        save_weights(net.params(), weights_path)
-        manifest["metrics_files"].append(str(csv_path.relative_to(out_dir)))
-        manifest["cells"].append({
-            "method": "parent", "selector": "-", "lr_schedule":
-                cfg.parent_lr["kind"], "rho": 0.0, "phi": 0, "tau0": 0.0,
-            "epochs": cfg.parent_epochs, "seed": seed,
+        cells.append({
+            "method": method, "selector": cfg.selector,
+            "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
+            "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
             "metrics": str(csv_path.relative_to(out_dir)),
-            "weights": str(weights_path.relative_to(out_dir)),
+            "parent": str(parent_path.relative_to(out_dir)),
         })
+    return cells
 
 
-def _task_sweep(cfg, data, out_dir, manifest):
-    cells = _cell_grid(cfg)
-    for seed in cfg.run_seeds():
-        parent, parent_path = get_parent(cfg, data, seed, out_dir)
-        for method, rho, phi, tau0 in cells:
-            child, rows = run_cell(cfg, data, parent, seed, method, rho, phi,
-                                   tau0)
-            slug = _cell_slug(method, rho, phi, tau0)
-            csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
-            write_metrics_csv(csv_path, rows)
-            manifest["metrics_files"].append(str(csv_path.relative_to(out_dir)))
-            manifest["cells"].append({
-                "method": method, "selector": cfg.selector,
-                "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
-                "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
-                "metrics": str(csv_path.relative_to(out_dir)),
-                "parent": str(parent_path.relative_to(out_dir)),
-            })
-    if cfg.task == "ablate":
-        rows = summarize_manifests([out_dir / "manifest.json"],
-                                   manifest_payloads=[manifest],
-                                   base_dirs=[out_dir])
-        write_summary_csv(out_dir / "summary.csv", rows)
-
-
-def _task_ensemble(cfg, data, out_dir, manifest):
-    """Parent (shared cache), spawned children, anneal-tuning, then scoring
-    on the clean test set and on each corruption severity in turn."""
+def _seed_ensemble(cfg, data, out_dir, seed) -> list:
+    """``ensemble`` for one seed: parent (shared cache), spawned children,
+    anneal-tuning, then scoring on the clean test set and on each
+    corruption severity in turn."""
     ens = cfg.ensemble
     rho, phi, tau0 = cfg.rho[0], cfg.phi[0], cfg.tau0[0]
     tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
                                 decay=cfg.decay_for("temperature-anneal"),
                                 anneal_epochs=phi)
-    train_data = (data.x_train, data.y_train)
-    for seed in cfg.run_seeds():
-        started = time.perf_counter()
-        parent, parent_path = get_parent(cfg, data, seed, out_dir)
-        children = spawn_children(parent, ens["n_members"], rho,
-                                  ens["partitioning"], substream(seed, "mask"),
-                                  cfg.granularity)
-        members, member_rows, failures = tune_children(
-            children, tau_cfg, ens["partitioning"], train_data, cfg.epochs,
-            lambda: build_training(cfg, cfg.lr, cfg.epochs, len(data.y_train)),
-            cfg.batch_size, seed)
-        if not members:
-            raise DivergenceError("every ensemble member diverged")
-        nets = [net for net, _ in members]
-        extra = parent if ens["include_parent"] else None
-        member_records, ensemble_record = score_ensemble(
-            nets, extra, data.x_test, data.y_test)
-        for rec, (_, mask) in zip(member_records, members):
-            rec.realized_sparsity = mask.sparsity()
-        corrupted = {}
-        for severity in ens["corruption_severities"]:
-            recs, ens_rec = score_ensemble(
-                nets, extra, data.corrupted(severity, seed), data.y_test)
-            corrupted[str(severity)] = {
-                "ensemble": ens_rec.to_dict(),
-                "members": [r.to_dict() for r in recs],
-            }
-        wall = time.perf_counter() - started
-        seed_dir = out_dir / f"seed-{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
-        for i, ((net, mask), rows) in enumerate(zip(members, member_rows)):
-            save_weights(net.params(), seed_dir / f"member-{i}.weights.ssam")
-            save_mask_set(mask, seed_dir / f"member-{i}.mask.ssam")
-            write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
-        member_mean_acc = float(np.mean([r.accuracy for r in member_records]))
-        summary = {
-            "config": cfg.to_dict(),
-            "seed": seed,
-            "members": [rec.to_dict() for rec in member_records],
-            "member_mean_accuracy": member_mean_acc,
-            "ensemble_minus_mean_member":
-                ensemble_record.accuracy - member_mean_acc,
-            "ensemble": ensemble_record.to_dict(),
-            "corrupted": corrupted,
-            "failures": failures,
-            "wall_clock_s": wall,
+    started = time.perf_counter()
+    parent, parent_path = get_parent(cfg, data, seed, out_dir)
+    children = spawn_children(parent, ens["n_members"], rho,
+                              ens["partitioning"], substream(seed, "mask"),
+                              cfg.granularity)
+    members, member_rows, failures = tune_children(
+        children, tau_cfg, ens["partitioning"], (data.x_train, data.y_train),
+        cfg.epochs,
+        lambda: build_training(cfg, cfg.lr, cfg.epochs, len(data.y_train)),
+        cfg.batch_size, seed)
+    if not members:
+        raise DivergenceError("every ensemble member diverged")
+    nets = [net for net, _ in members]
+    extra = parent if ens["include_parent"] else None
+    member_records, ensemble_record = score_ensemble(
+        nets, extra, data.x_test, data.y_test)
+    for rec, (_, mask) in zip(member_records, members):
+        rec.realized_sparsity = mask.sparsity()
+    corrupted = {}
+    for severity in ens["corruption_severities"]:
+        recs, ens_rec = score_ensemble(
+            nets, extra, data.corrupted(severity, seed), data.y_test)
+        corrupted[str(severity)] = {
+            "ensemble": ens_rec.to_dict(),
+            "members": [r.to_dict() for r in recs],
         }
-        summary_path = seed_dir / "ensemble-summary.json"
-        write_json_atomic(summary_path, summary)
-        manifest["metrics_files"].append(str(summary_path.relative_to(out_dir)))
-        manifest["cells"].append({
-            "method": "ensemble", "selector": cfg.selector,
-            "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
-            "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
-            "metrics": str(summary_path.relative_to(out_dir)),
-            "parent": str(parent_path.relative_to(out_dir)),
-        })
+    wall = time.perf_counter() - started
+    seed_dir = out_dir / f"seed-{seed}"
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    for i, ((net, mask), rows) in enumerate(zip(members, member_rows)):
+        save_weights(net.params(), seed_dir / f"member-{i}.weights.ssam")
+        save_mask_set(mask, seed_dir / f"member-{i}.mask.ssam")
+        write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
+    member_mean_acc = float(np.mean([r.accuracy for r in member_records]))
+    summary = {
+        "config": cfg.to_dict(),
+        "seed": seed,
+        "members": [rec.to_dict() for rec in member_records],
+        "member_mean_accuracy": member_mean_acc,
+        "ensemble_minus_mean_member":
+            ensemble_record.accuracy - member_mean_acc,
+        "ensemble": ensemble_record.to_dict(),
+        "corrupted": corrupted,
+        "failures": failures,
+        "wall_clock_s": wall,
+    }
+    summary_path = seed_dir / "ensemble-summary.json"
+    write_json_atomic(summary_path, summary)
+    return [{
+        "method": "ensemble", "selector": cfg.selector,
+        "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
+        "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
+        "metrics": str(summary_path.relative_to(out_dir)),
+        "parent": str(parent_path.relative_to(out_dir)),
+    }]
+
+
+# the tasks that work seed by seed: name -> work(cfg, data, out_dir, seed),
+# which writes that seed's files and returns its manifest cells
+SEED_TASKS = {"train-parent": _seed_parent, "prune-tune": _seed_sweep,
+              "ablate": _seed_sweep, "ensemble": _seed_ensemble}
 
 
 def _task_eval(cfg, data, out_dir, manifest):
