@@ -7,13 +7,6 @@ import logging
 import sys
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="subanneal",
@@ -26,15 +19,12 @@ def main(argv=None) -> int:
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output dir")
     run_p.add_argument("--deterministic", action="store_true",
-                       help="one BLAS thread in every process, so metric "
-                            "files are bit-reproducible for any --workers")
+                       help="one BLAS thread in every process "
+                            "(bit-reproducible)")
     run_p.add_argument("--threads", type=int, default=None,
                        help="BLAS thread cap for linear algebra (one "
-                            "thread whenever more than one worker runs)")
-    run_p.add_argument("--workers", type=_positive_int, default=None,
-                       help="processes sharing the seeds of a run "
-                            "(default: the CPUs available, at most one "
-                            "per seed)")
+                            "thread whenever seeds run in several "
+                            "processes)")
 
     sum_p = sub.add_parser("summarize",
                            help="aggregate manifests under a directory")
@@ -72,7 +62,7 @@ def main(argv=None) -> int:
     if args.threads is not None:
         limit_blas_threads(max(1, args.threads))
     try:
-        manifest = run(cfg, workers=args.workers)
+        manifest = run(cfg)
     except Exception as err:  # manifest already records the failure
         print(f"error: {error_text(err)}", file=sys.stderr)
         return 1

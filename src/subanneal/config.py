@@ -298,6 +298,10 @@ class ExperimentConfig:
             if seeds is not None:
                 seeds = [_as_int(s, "seeds") for s in _as_list(seeds)]
                 _require(len(seeds) >= 1, "seeds must be nonempty when given")
+                # a seed names its files and parent cache entry: twice would
+                # write them twice, and average a seed with itself
+                _require(len(set(seeds)) == len(seeds),
+                         f"seeds must be distinct, got {seeds}")
             cfg.seeds = seeds
         for key in ("bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
                     "bimodal_sigma2"):

@@ -13,7 +13,7 @@ only in the manifest so they never break that contract.
 Every task but ``eval`` works seed by seed, and a seed's outputs depend on
 that seed alone (its parent cache entry, its ``substream(seed, ...)``
 streams, its own files). So ``run`` can hand seeds to forked helper
-processes (``_map_seeds``) and merge what they report in seed order.
+processes (``workers.map_seeds``) and merge what they report in seed order.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import logging
 import os
 import platform
-import signal
 import sys
 import time
 from pathlib import Path
@@ -435,10 +434,6 @@ def _cell_grid(cfg: ExperimentConfig):
 
 # --- worker processes ------------------------------------------------------------
 
-# prctl(2) option: the signal the kernel sends a process when its parent exits
-PR_SET_PDEATHSIG = 1
-
-
 class WorkerError(RuntimeError):
     """A seed failed in a helper process. The message is the failure as the
     helper reported it, ``"<type>: <message>"``: what a serial run reports
@@ -452,22 +447,17 @@ def error_text(err: BaseException) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def worker_count(cfg: ExperimentConfig, workers: int | None = None) -> int:
-    """The processes a run of ``cfg`` uses: ``workers`` (default: the CPUs
-    this process may run on), at most one per seed; 1 for the ``eval``
-    task and where the platform cannot fork or report its CPUs."""
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    if cfg.task not in SEED_TASKS or not hasattr(os, "fork"):
+def worker_count(cfg: ExperimentConfig) -> int:
+    """The processes a run of ``cfg`` uses: the CPUs this process may run
+    on, at most one per seed; 1 for the ``eval`` task and where the
+    platform cannot fork or report its CPUs."""
+    if (cfg.task not in SEED_TASKS or not hasattr(os, "fork")
+            or not hasattr(os, "sched_getaffinity")):
         return 1
-    if workers is None:
-        if not hasattr(os, "sched_getaffinity"):
-            return 1
-        workers = len(os.sched_getaffinity(0))
-    return min(workers, len(cfg.run_seeds()))
+    return min(len(os.sched_getaffinity(0)), len(cfg.run_seeds()))
 
 
-def _usage() -> dict:
+def process_usage() -> dict:
     """This process's peak resident memory and CPU time so far, where the
     platform reports them (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
     if resource is None:
@@ -480,170 +470,21 @@ def _usage() -> dict:
             "cpu_s": usage.ru_utime + usage.ru_stime}
 
 
-def _die_with_parent(parent: int) -> None:
-    """Have the kernel SIGKILL this process when its parent exits (Linux),
-    and exit now if ``parent`` has already gone."""
-    if sys.platform.startswith("linux"):
-        prctl = ctypes.CDLL(None, use_errno=True).prctl
-        prctl.argtypes = (ctypes.c_int,) + (ctypes.c_ulong,) * 4
-        prctl.restype = ctypes.c_int
-        if prctl(PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0) != 0:
-            log.warning("prctl(PR_SET_PDEATHSIG) failed: %s",
-                        os.strerror(ctypes.get_errno()))
-    if os.getppid() != parent:
-        os._exit(1)
-
-
-def _helper_main(work, seeds, positions, conn, parent: int) -> None:
-    """Body of a helper process: ``work`` on the seeds at ``positions`` in
-    order, sending ``(position, result, None)`` for each, or ``(position,
-    None, error text)`` for the first that raises and stopping there; then
-    ``(None, usage, None)``."""
-    _die_with_parent(parent)
-    for i in positions:
-        try:
-            message = (i, work(seeds[i]), None)
-        except Exception as err:
-            message = (i, None, error_text(err))
-        conn.send(message)
-        if message[2] is not None:
-            break
-    conn.send((None, _usage(), None))
-    conn.close()
-
-
-class _Helper:
-    """A forked process running the seeds at ``positions`` of ``seeds``."""
-
-    def __init__(self, ctx, work, seeds, positions):
-        self.seeds = seeds
-        self.positions = list(positions)
-        self.pending = list(positions)  # positions not reported yet
-        self.usage = None
-        self.done = False  # usage received, or the pipe closed
-        self.conn, send = ctx.Pipe(duplex=False)
-        self.proc = ctx.Process(target=_helper_main,
-                                args=(work, seeds, self.positions, send,
-                                      os.getpid()))
-        self.proc.start()
-        send.close()  # the pipe then reads EOF once the helper is gone
-
-    def receive(self, outcomes: dict) -> None:
-        """Wait for the helper's next message and file it in ``outcomes``
-        (seed position -> (result, WorkerError or None)); a helper gone
-        without finishing fails the seed it was running."""
-        try:
-            i, payload, error = self.conn.recv()
-        except EOFError:
-            self.proc.join()
-            self.done = True
-            if self.pending:
-                i = self.pending[0]
-                outcomes[i] = (None, WorkerError(
-                    f"{WorkerError.__name__}: the helper process running "
-                    f"seed {self.seeds[i]} exited with code "
-                    f"{self.proc.exitcode}"))
-            self.pending = []
-            return
-        if i is None:
-            self.usage, self.done = payload, True
-            return
-        self.pending.remove(i)
-        outcomes[i] = (payload, None if error is None else WorkerError(error))
-        if error is not None:
-            self.pending = []
-
-    def stop(self, kill: bool) -> dict:
-        """Reap the helper (killing it first if ``kill``); returns its seeds
-        and, when it reported them, its peak memory and CPU time."""
-        if kill and self.proc.is_alive():
-            self.proc.kill()
-        self.proc.join()
-        while not self.done and self.conn.poll():
-            self.receive({})
-        self.conn.close()
-        return {"seeds": [self.seeds[i] for i in self.positions],
-                **(self.usage or {})}
-
-
-def _map_seeds(seeds: list, work, workers: int, merge, helpers: list) -> None:
-    """Call ``work(seed)`` for every seed and ``merge`` on each result, in
-    seed order, sharing the seeds among ``workers`` processes.
-
-    The calling process runs the seeds at positions 0, N, 2N, ... of
-    ``seeds`` (N = ``workers``) and forked helper w those at w, w + N, ...;
-    helpers send their results back through a pipe. A seed's work must
-    depend on the seed alone, so the results do not depend on N. As in a
-    serial loop, the first seed in seed order whose work raises ends the
-    run: the results before it are merged and its error is raised (a
-    helper's as ``WorkerError`` with the same text). Every helper is reaped
-    before this returns or raises, and killed first if it raises; each
-    helper's seeds, peak memory and CPU time are appended to ``helpers``.
-    With one worker the seeds run in this process and nothing is forked.
-    """
-    if workers == 1:
-        for seed in seeds:
-            merge(work(seed))
-        return
-    import multiprocessing
-
-    ctx = multiprocessing.get_context("fork")
-    outcomes = {}  # seed position -> (result, error)
-
-    def first_failure() -> int:
-        return min((i for i, (_, err) in outcomes.items() if err is not None),
-                   default=len(seeds))
-
-    forked = []
-    finished = False
-    try:
-        for w in range(1, workers):
-            forked.append(_Helper(ctx, work, seeds,
-                                  range(w, len(seeds), workers)))
-        for i in range(0, len(seeds), workers):
-            # take what has arrived, so no helper blocks on a full pipe
-            for helper in forked:
-                while not helper.done and helper.conn.poll():
-                    helper.receive(outcomes)
-            if first_failure() < i:
-                break
-            try:
-                outcomes[i] = (work(seeds[i]), None)
-            except Exception as err:
-                outcomes[i] = (None, err)
-                break
-        for helper in forked:
-            while helper.pending and helper.pending[0] < first_failure():
-                helper.receive(outcomes)
-        for i in range(len(seeds)):
-            result, err = outcomes[i]
-            if err is not None:
-                raise err
-            merge(result)
-        for helper in forked:
-            while not helper.done:
-                helper.receive(outcomes)
-        finished = True
-    finally:
-        for helper in forked:
-            helpers.append(helper.stop(kill=not finished))
-
-
 # --- tasks ---------------------------------------------------------------------
 
-def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
+def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
     Tasks that work seed by seed share their seeds among
-    ``worker_count(cfg, workers)`` processes; the outputs do not depend on
-    how many. The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on
+    ``worker_count(cfg)`` processes; the outputs do not depend on how
+    many. The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on
     glibc); with ``cfg.deterministic`` or more than one worker its BLAS pool
     keeps one thread, as every helper's does. Failures are recorded in the
     manifest (status: failed, ``error`` as ``error_text`` gives it) and
     re-raised so callers can exit nonzero.
     """
     allocator = tune_allocator()
-    workers = worker_count(cfg, workers)
+    workers = worker_count(cfg)
     if cfg.deterministic or workers > 1:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
@@ -674,8 +515,13 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> Path:
             _task_eval(cfg, data, out_dir, manifest)
         else:
             work = functools.partial(SEED_TASKS[cfg.task], cfg, data, out_dir)
-            _map_seeds(cfg.run_seeds(), work, workers, merge,
-                       manifest["helpers"])
+            if workers == 1:
+                for seed in cfg.run_seeds():
+                    merge(work(seed))
+            else:  # compiled and imported only by a run that forks
+                from .workers import map_seeds
+                map_seeds(cfg.run_seeds(), work, workers, merge,
+                          manifest["helpers"])
         if cfg.task == "ablate":
             rows = summarize_manifests([manifest_path],
                                        manifest_payloads=[manifest],
@@ -699,7 +545,7 @@ def _finish_manifest(manifest: dict, started: float) -> None:
     plus every helper's, an upper bound on the run's resident memory at any
     moment (pages a helper shares with this process count twice)."""
     manifest["wall_clock_s"] = time.perf_counter() - started
-    manifest.update(_usage())
+    manifest.update(process_usage())
     if "peak_rss_mb" in manifest:
         manifest["peak_rss_mb_sum"] = manifest["peak_rss_mb"] + sum(
             helper.get("peak_rss_mb", 0.0) for helper in manifest["helpers"])

@@ -88,22 +88,20 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
 
     Under a controller whose mask is permanent, the mask is first burned
     into ``net``'s weights and ``optimizer``'s state, and the batches train
-    the plain weights, their gradients masked by that mask. Otherwise each
-    batch multiplies the weights and masks the gradients by its own mask.
-    Either way ``controller.batch_mask`` is called once per batch, and the
-    mask is cast once to the weights' dtype before it multiplies anything
-    (the same products as by the uint8 mask, which numpy multiplies more
-    slowly).
+    the plain weights, their gradients masked by that mask in the weights'
+    dtype (the same products as by the uint8 mask, which numpy multiplies
+    more slowly). Otherwise each batch multiplies the weights and masks the
+    gradients by its own mask. Either way ``controller.batch_mask`` is
+    called once per batch.
     The network keeps no activations afterwards, even when the epoch
     raises ``DivergenceError``: its layer caches are cleared on the way out.
     """
-    dtypes = {name: w.dtype for name, w in net.weights().items()}
     permanent = controller is not None and controller.permanent
-    keep = None  # the mask in the weights' dtype, when there is one
     if permanent:
         finalize(net, controller.mask)
         optimizer.mask_state(controller.mask)
-        keep = _cast(controller.mask, dtypes)
+        keep = {name: controller.mask[name].astype(w.dtype)
+                for name, w in net.weights().items()}
     n = len(y)
     order = rng_shuffle.permutation(n)
     step = step0
@@ -113,11 +111,9 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             xb, yb = x[batch], y[batch]
-            if controller is not None:
-                mask = controller.batch_mask(rng_mask)
-                if not permanent:
-                    keep = _cast(mask, dtypes)
-            with masked_weights(net, None if permanent else keep):
+            mask = (controller.batch_mask(rng_mask) if controller is not None
+                    else None)
+            with masked_weights(net, None if permanent else mask):
                 logits = net.forward(xb)
                 loss, grad_logits = cross_entropy_softmax(logits, yb)
                 grads = net.backward(grad_logits)
@@ -125,8 +121,8 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}",
                     record={"epoch": epoch, "step": step, "loss": loss})
-            if keep is not None:
-                for name, m in keep.items():
+            if mask is not None:
+                for name, m in (keep if permanent else mask).items():
                     masked_grad(grads[name], m, out=grads[name])
             lr = schedule_lr(schedule, epoch, step)
             if first_lr is None:
@@ -137,12 +133,6 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
     finally:
         net.clear_cache()
     return float(np.mean(losses)), step - step0, first_lr
-
-
-def _cast(mask: MaskSet, dtypes: dict) -> dict:
-    """``mask`` cast to each weight's dtype: the same products as the uint8
-    mask, without numpy's per-call cast buffer."""
-    return {name: mask[name].astype(dtype) for name, dtype in dtypes.items()}
 
 
 def predict_logits(net: Network, x,

@@ -214,6 +214,7 @@ VALIDATOR_HOLES = [
     (dict(batch_size=True), "batch_size must be an integer"),
     (dict(phi=[2.5]), "phi must be an integer"),
     (dict(seeds=[1, 1.5]), "seeds must be an integer"),
+    (dict(seeds=[0, 0]), r"seeds must be distinct, got \[0, 0\]"),
     (dict(blobs={"n": 100.5}), "blobs.n must be an integer"),
     (dict(ensemble={"n_members": 3.2}), "ensemble.n_members must be"),
     (dict(ensemble={"corruption_severities": [1.5]}), "severity must be"),

@@ -233,35 +233,3 @@ def test_masked_weights_float32_scale_rounds_like_astype():
             for name, w in net.weights().items():
                 assert w.dtype == np.float32
                 assert np.array_equal(w, want[name])
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("epoch", [0, PHI], ids=["stochastic", "permanent"])
-def test_every_mask_product_is_in_the_weights_dtype(monkeypatch, dtype,
-                                                    epoch):
-    """Each batch's mask is cast once to the weights' dtype before it
-    multiplies weights or gradients, so no product multiplies floats by the
-    uint8 mask (numpy's slower mixed-dtype path)."""
-    from subanneal import training
-
-    net = Network([Dense(6, 5, dtype=dtype), ReLU(), Dense(5, 3, dtype=dtype)],
-                  input_shape=(6,))
-    net.init_params(substream(0, "init"))
-    _, data, mask = _setup()
-    data = (data[0].astype(dtype), data[1])
-    products = []
-
-    def spy(real):
-        def product(a, m, out=None):
-            products.append((a.dtype, m.dtype))
-            return real(a, m, out=out)
-        return product
-
-    monkeypatch.setattr(training, "apply_mask", spy(training.apply_mask))
-    monkeypatch.setattr(training, "masked_grad", spy(training.masked_grad))
-    controller = _stochastic(mask, epoch=epoch, tau0=0.5)
-    assert controller.permanent == (epoch == PHI)
-    _epoch(net, data, SGD(LR), controller, epoch=epoch)
-    # per batch and layer: the weights (stochastic only) and the gradient
-    assert len(products) == (2 if epoch == PHI else 4) * (N // BATCH)
-    assert set(products) == {(np.dtype(dtype), np.dtype(dtype))}

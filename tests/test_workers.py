@@ -1,7 +1,8 @@
-"""Seeds shared among forked worker processes (``run(cfg, workers=N)``).
+"""Seeds shared among forked worker processes, one per CPU available.
 
-The outputs do not depend on N, a seed that fails in a helper fails the run
-as it would in a serial loop, and no helper outlives ``run`` or its caller.
+The tests set the CPU count N by replacing ``os.sched_getaffinity``. The
+outputs do not depend on N, a seed that fails in a helper fails the run as
+it would in a serial loop, and no helper outlives ``run`` or its caller.
 """
 
 import json
@@ -55,6 +56,12 @@ def _cfg(**extra):
     return ExperimentConfig.from_dict({**BASE, **extra})
 
 
+def _cpus(monkeypatch, n: int) -> None:
+    """Make the process look as if it may run on ``n`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 def _outputs(out: Path) -> dict:
     """Every file under ``out`` by relative path: its bytes, but only
     status, cells and metric files of the manifest, and an ensemble
@@ -83,8 +90,8 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
         work = tmp_path / f"w{workers}"
         work.mkdir()
         monkeypatch.chdir(work)  # the same relative out_dir in every run
-        manifest = json.loads(run(_cfg(**CONFIGS[name]),
-                                  workers=workers).read_text())
+        _cpus(monkeypatch, workers)
+        manifest = json.loads(run(_cfg(**CONFIGS[name])).read_text())
         assert not multiprocessing.active_children()
         used = min(workers, len(manifest["seeds"]))
         assert manifest["workers"] == used
@@ -114,7 +121,9 @@ def _corrupt_parents(cfg, seeds):
 
 @pytest.mark.parametrize("broken", [[1], [2], [1, 2]],
                          ids=["helper", "caller", "both"])
-def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path, broken):
+def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path,
+                                                           monkeypatch,
+                                                           broken):
     """Seed 1 runs in the helper and seeds 0 and 2 in the caller; the
     first failing seed in seed order decides the error, and the manifest
     keeps the cells of the seeds before it."""
@@ -123,8 +132,9 @@ def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path, broken):
         cfg = _cfg(task="ablate", seeds=[0, 1, 2],
                    out_dir=str(tmp_path / f"w{workers}"))
         _corrupt_parents(cfg, broken)
+        _cpus(monkeypatch, workers)
         with pytest.raises(Exception) as info:
-            run(cfg, workers=workers)
+            run(cfg)
         assert not multiprocessing.active_children()
         errors[workers] = error_text(info.value)
         manifests[workers] = json.loads(
@@ -141,13 +151,14 @@ def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path, broken):
 
 
 def test_a_helper_failure_exits_the_cli_nonzero_with_the_serial_error(
-        tmp_path, capsys):
+        tmp_path, monkeypatch, capsys):
     raw = {**BASE, "task": "ablate", "seeds": [0, 1, 2],
            "out_dir": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
     _corrupt_parents(ExperimentConfig.from_dict(raw), [1])
-    assert main(["run", str(path), "--workers", "2"]) == 1
+    _cpus(monkeypatch, 2)
+    assert main(["run", str(path)]) == 1
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["workers"] == 2
     assert manifest["error"].startswith("ContainerError: truncated")
@@ -165,8 +176,9 @@ def test_a_helper_that_dies_fails_its_seed(tmp_path, monkeypatch):
 
     monkeypatch.setitem(runner.SEED_TASKS, "ablate", dies_in_the_helper)
     cfg = _cfg(task="ablate", seeds=[0, 1, 2], out_dir=str(tmp_path / "out"))
-    with pytest.raises(WorkerError, match="seed 1 exited with code -9"):
-        run(cfg, workers=2)
+    _cpus(monkeypatch, 2)
+    with pytest.raises(WorkerError, match="seeds 1 exited with code -9"):
+        run(cfg)
     assert not multiprocessing.active_children()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["error"].startswith("WorkerError: ")
@@ -197,9 +209,12 @@ def test_killing_the_caller_mid_sweep_leaves_no_helper(tmp_path):
            "out_dir": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
+    two_cpus = ("import os, sys\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from subanneal.cli import main\n"
+                "sys.exit(main(sys.argv[1:]))\n")
     proc = subprocess.Popen(
-        [sys.executable, "-m", "subanneal.cli", "run", str(path),
-         "--workers", "2"],
+        [sys.executable, "-c", two_cpus, "run", str(path)],
         env=dict(os.environ, PYTHONPATH=str(SRC)), start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     try:
@@ -226,7 +241,7 @@ def test_killing_the_caller_mid_sweep_leaves_no_helper(tmp_path):
             pass
 
 
-def test_one_worker_forks_nothing_and_loads_no_multiprocessing(tmp_path):
+def test_one_worker_forks_nothing_and_loads_no_worker_module(tmp_path):
     script = f"""
 import json, os, sys
 def no_fork():
@@ -235,13 +250,16 @@ os.fork = no_fork
 from subanneal.config import ExperimentConfig
 from subanneal.runner import run
 base = json.loads({json.dumps(json.dumps(BASE))})
-# one seed at the default worker count, three seeds at one worker
+# one seed on two CPUs, then three seeds on one CPU
+os.sched_getaffinity = lambda pid: {{0, 1}}
 run(ExperimentConfig.from_dict({{**base, "out_dir": "a", "task": "prune-tune",
                                  "seed": 1}}))
+os.sched_getaffinity = lambda pid: {{0}}
 run(ExperimentConfig.from_dict({{**base, "out_dir": "b", "task": "ablate",
-                                 "seeds": [0, 1, 2]}}), workers=1)
+                                 "seeds": [0, 1, 2]}}))
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "multiprocessing")))
+                        if m.split(".")[0] == "multiprocessing"
+                        or m == "subanneal.workers")))
 """
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -254,37 +272,26 @@ print(json.dumps(sorted(m for m in sys.modules
 
 
 class TestWorkerCount:
-    def test_defaults_to_the_cpus_available_at_most_one_per_seed(
-            self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
-                            raising=False)
+    def test_the_cpus_available_at_most_one_per_seed(self, monkeypatch):
+        _cpus(monkeypatch, 4)
         assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2])) == 3
         assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2, 3, 4])) == 4
+        assert worker_count(_cfg(task="ensemble", repeats=2)) == 2
         assert worker_count(_cfg(task="prune-tune", seed=1)) == 1
 
-    def test_an_explicit_count_is_capped_by_the_seeds(self):
-        cfg = _cfg(task="ensemble", seeds=[0, 1])
-        assert worker_count(cfg, 1) == 1
-        assert worker_count(cfg, 8) == 2
-
-    def test_eval_runs_in_one_process(self):
+    def test_eval_runs_in_one_process(self, monkeypatch):
+        _cpus(monkeypatch, 2)
         cfg = _cfg(task="eval", weights="w.ssam", seeds=[0, 1])
-        assert worker_count(cfg, 2) == 1
+        assert worker_count(cfg) == 1
 
     def test_one_process_where_fork_or_affinity_is_missing(self, monkeypatch):
         cfg = _cfg(task="ablate", seeds=[0, 1, 2])
+        _cpus(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork")
+        assert worker_count(cfg) == 1
+        monkeypatch.undo()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert worker_count(cfg) == 1
-        assert worker_count(cfg, 2) == 2
-        monkeypatch.delattr(os, "fork")
-        assert worker_count(cfg, 2) == 1
-
-    def test_fewer_than_one_is_rejected(self, tmp_path, capsys):
-        with pytest.raises(ValueError, match="at least 1"):
-            worker_count(_cfg(task="ablate", seeds=[0, 1]), 0)
-        with pytest.raises(SystemExit):
-            main(["run", "config.json", "--workers", "0"])
-        assert "at least 1" in capsys.readouterr().err
 
 
 def test_several_workers_run_one_blas_thread_each(tmp_path, monkeypatch):
@@ -293,6 +300,8 @@ def test_several_workers_run_one_blas_thread_each(tmp_path, monkeypatch):
     calls = fake_blas(monkeypatch, threads=4)
     cfg = _cfg(task="ablate", seeds=[0, 1], deterministic=False,
                out_dir=str(tmp_path / "out"))
-    manifest = json.loads(run(cfg, workers=2).read_text())
+    _cpus(monkeypatch, 2)
+    manifest = json.loads(run(cfg).read_text())
+    assert manifest["workers"] == 2
     assert calls == [1]
     assert manifest["blas_threads"] == 1
