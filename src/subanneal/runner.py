@@ -10,10 +10,13 @@ Re-running the same config in deterministic mode reproduces the metric files
 byte for byte, whatever the number of workers; wall clock and memory live
 only in the manifest so they never break that contract.
 
-Every task but ``eval`` works seed by seed, and a seed's outputs depend on
-that seed alone (its parent cache entry, its ``substream(seed, ...)``
-streams, its own files). So ``run`` can hand seeds to forked helper
-processes (``workers.map_seeds``) and merge what they report in seed order.
+Every task but ``eval`` is a list of units of work (``run_units``): one per
+``(seed, cell)`` pair for ``prune-tune``/``ablate``, one per seed for
+``train-parent`` and ``ensemble``. A unit's outputs depend on that unit
+alone: its seed's parent (trained, or loaded from the run's parent cache),
+its ``substream(seed, ...)`` streams and its own files. So ``run`` can hand
+contiguous blocks of units to forked helper processes
+(``workers.map_units``) and merge what they report in unit order.
 """
 
 from __future__ import annotations
@@ -356,8 +359,10 @@ def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
                  optimizer, schedule, cfg.batch_size,
                  substream(seed, "shuffle", "parent"))
     path.parent.mkdir(parents=True, exist_ok=True)
-    # write then rename, so a killed write never leaves a truncated cache entry
-    tmp = path.with_suffix(path.suffix + ".tmp")
+    # write then rename, so a killed write never leaves a truncated cache
+    # entry; the name is per process, because two workers that share a seed
+    # can train and write its parent at the same time
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     save_weights(net.params(), tmp)
     os.replace(tmp, path)
     return net, path
@@ -435,9 +440,9 @@ def _cell_grid(cfg: ExperimentConfig):
 # --- worker processes ------------------------------------------------------------
 
 class WorkerError(RuntimeError):
-    """A seed failed in a helper process. The message is the failure as the
-    helper reported it, ``"<type>: <message>"``: what a serial run reports
-    for the same failure (see ``error_text``)."""
+    """A unit of work failed in a helper process. The message is the failure
+    as the helper reported it, ``"<type>: <message>"``: what a serial run
+    reports for the same failure (see ``error_text``)."""
 
 
 def error_text(err: BaseException) -> str:
@@ -448,10 +453,11 @@ def error_text(err: BaseException) -> str:
 
 
 def worker_count(cfg: ExperimentConfig) -> int:
-    """The processes a run of ``cfg`` uses: the CPUs this process may run
-    on, at most one per seed; 1 for the ``eval`` task and where the
-    platform cannot fork or report its CPUs."""
-    if (cfg.task not in SEED_TASKS or not hasattr(os, "fork")
+    """The processes a run of ``cfg`` shares its units of work among: the
+    CPUs this process may run on, at most one per seed (a one-seed run
+    forks nothing); 1 for the ``eval`` task and where the platform cannot
+    fork or report its CPUs."""
+    if (cfg.task == "eval" or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")):
         return 1
     return min(len(os.sched_getaffinity(0)), len(cfg.run_seeds()))
@@ -475,7 +481,7 @@ def process_usage() -> dict:
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Tasks that work seed by seed share their seeds among
+    Every task but ``eval`` shares its units of work (``run_units``) among
     ``worker_count(cfg)`` processes; the outputs do not depend on how
     many. The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on
     glibc); with ``cfg.deterministic`` or more than one worker its BLAS pool
@@ -514,14 +520,13 @@ def run(cfg: ExperimentConfig) -> Path:
         if cfg.task == "eval":
             _task_eval(cfg, data, out_dir, manifest)
         else:
-            work = functools.partial(SEED_TASKS[cfg.task], cfg, data, out_dir)
+            units, work = run_units(cfg), unit_work(cfg, data, out_dir)
             if workers == 1:
-                for seed in cfg.run_seeds():
-                    merge(work(seed))
+                for unit in units:
+                    merge(work(unit))
             else:  # compiled and imported only by a run that forks
-                from .workers import map_seeds
-                map_seeds(cfg.run_seeds(), work, workers, merge,
-                          manifest["helpers"])
+                from .workers import map_units
+                map_units(units, work, workers, merge, manifest["helpers"])
         if cfg.task == "ablate":
             rows = summarize_manifests([manifest_path],
                                        manifest_payloads=[manifest],
@@ -573,25 +578,27 @@ def _seed_parent(cfg, data, out_dir, seed) -> list:
     }]
 
 
-def _seed_sweep(cfg, data, out_dir, seed) -> list:
-    """``prune-tune``/``ablate`` for one seed: every cell of the grid,
-    tuned from that seed's parent."""
-    parent, parent_path = get_parent(cfg, data, seed, out_dir)
-    cells = []
-    for method, rho, phi, tau0 in _cell_grid(cfg):
-        child, rows = run_cell(cfg, data, parent, seed, method, rho, phi,
-                               tau0)
-        slug = _cell_slug(method, rho, phi, tau0)
-        csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
-        write_metrics_csv(csv_path, rows)
-        cells.append({
-            "method": method, "selector": cfg.selector,
-            "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
-            "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
-            "metrics": str(csv_path.relative_to(out_dir)),
-            "parent": str(parent_path.relative_to(out_dir)),
-        })
-    return cells
+def _sweep_cell(cfg, data, out_dir, held, unit) -> list:
+    """``prune-tune``/``ablate`` for one ``(seed, method, rho, phi, tau0)``
+    unit: that cell tuned from the seed's parent. ``held`` maps the seed
+    this process is at to its parent and cache path, so a process keeps
+    one parent at a time."""
+    seed, method, rho, phi, tau0 = unit
+    if seed not in held:
+        held.clear()  # free the last seed's parent before the next is built
+        held[seed] = get_parent(cfg, data, seed, out_dir)
+    parent, parent_path = held[seed]
+    _, rows = run_cell(cfg, data, parent, seed, method, rho, phi, tau0)
+    slug = _cell_slug(method, rho, phi, tau0)
+    csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
+    write_metrics_csv(csv_path, rows)
+    return [{
+        "method": method, "selector": cfg.selector,
+        "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
+        "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
+        "metrics": str(csv_path.relative_to(out_dir)),
+        "parent": str(parent_path.relative_to(out_dir)),
+    }]
 
 
 def _seed_ensemble(cfg, data, out_dir, seed) -> list:
@@ -660,10 +667,30 @@ def _seed_ensemble(cfg, data, out_dir, seed) -> list:
     }]
 
 
-# the tasks that work seed by seed: name -> work(cfg, data, out_dir, seed),
-# which writes that seed's files and returns its manifest cells
-SEED_TASKS = {"train-parent": _seed_parent, "prune-tune": _seed_sweep,
-              "ablate": _seed_sweep, "ensemble": _seed_ensemble}
+# the tasks whose unit of work is one seed: name -> work(cfg, data,
+# out_dir, seed), which writes that seed's files and returns its manifest
+# cells
+SEED_TASKS = {"train-parent": _seed_parent, "ensemble": _seed_ensemble}
+
+
+def run_units(cfg: ExperimentConfig) -> list:
+    """The units of work of a run of ``cfg`` (not ``eval``), in the order
+    their manifest cells are merged: ``(seed, method, rho, phi, tau0)`` for
+    every seed and, within it, every cell in ``_cell_grid`` order for
+    ``prune-tune``/``ablate``; the seeds for the other tasks."""
+    if cfg.task in SEED_TASKS:
+        return cfg.run_seeds()
+    return [(seed, *cell) for seed in cfg.run_seeds()
+            for cell in _cell_grid(cfg)]
+
+
+def unit_work(cfg: ExperimentConfig, data: RunData, out_dir: Path):
+    """``work(unit)`` for the units of ``run_units(cfg)``: writes that
+    unit's files and returns its manifest cells. A helper forked after
+    this call holds its own copy of a sweep's parent."""
+    if cfg.task in SEED_TASKS:
+        return functools.partial(SEED_TASKS[cfg.task], cfg, data, out_dir)
+    return functools.partial(_sweep_cell, cfg, data, out_dir, {})
 
 
 def _task_eval(cfg, data, out_dir, manifest):

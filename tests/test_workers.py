@@ -1,7 +1,8 @@
-"""Seeds shared among forked worker processes, one per CPU available.
+"""Units of work shared among forked worker processes, one per CPU
+available (at most one per seed), a contiguous block of units each.
 
 The tests set the CPU count N by replacing ``os.sched_getaffinity``. The
-outputs do not depend on N, a seed that fails in a helper fails the run as
+outputs do not depend on N, a unit that fails in a helper fails the run as
 it would in a serial loop, and no helper outlives ``run`` or its caller.
 """
 
@@ -14,12 +15,20 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subanneal import runner
 from subanneal.cli import main
 from subanneal.config import ExperimentConfig
-from subanneal.runner import WorkerError, error_text, run, worker_count
+from subanneal.runner import (
+    WorkerError,
+    error_text,
+    run,
+    run_units,
+    worker_count,
+)
+from subanneal.workers import unit_blocks
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="helpers are forked")
@@ -40,7 +49,8 @@ BASE = {
 }
 
 CONFIGS = {
-    # seeds out of order: results are merged in the order the config lists
+    # seeds out of order: results are merged in the order the config lists;
+    # 8 cells a seed, so at 2 workers seed 1 straddles the two blocks
     "ablate": {"task": "ablate", "seeds": [3, 1, 2], "rho": [0.5, 0.8],
                "method": ["oneshot", "iterative", "temperature-anneal",
                           "random-anneal"]},
@@ -91,13 +101,22 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
         work.mkdir()
         monkeypatch.chdir(work)  # the same relative out_dir in every run
         _cpus(monkeypatch, workers)
-        manifest = json.loads(run(_cfg(**CONFIGS[name])).read_text())
+        cfg = _cfg(**CONFIGS[name])
+        manifest = json.loads(run(cfg).read_text())
         assert not multiprocessing.active_children()
         used = min(workers, len(manifest["seeds"]))
         assert manifest["workers"] == used
         helpers = manifest["helpers"]
-        assert [h["seeds"] for h in helpers] == [
-            manifest["seeds"][w::used] for w in range(1, used)]
+        # the helpers' blocks are contiguous and follow the caller's, in
+        # unit order, and no two blocks differ in size by more than one
+        units = json.loads(json.dumps(run_units(cfg)))
+        blocks = [h["units"] for h in helpers]
+        caller = len(units) - sum(map(len, blocks))
+        assert sum(blocks, []) == units[caller:]
+        sizes = [caller] + [len(block) for block in blocks]
+        assert len(sizes) == used and max(sizes) - min(sizes) <= 1
+        if name == "ablate" and used == 2:  # trained by one, loaded by one
+            assert units[caller - 1][0] == units[caller][0]
         assert all(h["peak_rss_mb"] > 0 and h["cpu_s"] > 0 for h in helpers)
         assert manifest["peak_rss_mb_sum"] == pytest.approx(
             manifest["peak_rss_mb"] + sum(h["peak_rss_mb"] for h in helpers))
@@ -124,12 +143,14 @@ def _corrupt_parents(cfg, seeds):
 def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path,
                                                            monkeypatch,
                                                            broken):
-    """Seed 1 runs in the helper and seeds 0 and 2 in the caller; the
-    first failing seed in seed order decides the error, and the manifest
-    keeps the cells of the seeds before it."""
+    """One cell a seed, seeds listed 0, 2, 1: seeds 0 and 2 run in the
+    caller and seed 1 in the helper. The first failing seed in the listed
+    order decides the error, and the manifest keeps the cells of the seeds
+    before it."""
+    seeds = [0, 2, 1]
     errors, manifests = {}, {}
     for workers in (1, 2):
-        cfg = _cfg(task="ablate", seeds=[0, 1, 2],
+        cfg = _cfg(task="ablate", seeds=seeds,
                    out_dir=str(tmp_path / f"w{workers}"))
         _corrupt_parents(cfg, broken)
         _cpus(monkeypatch, workers)
@@ -144,15 +165,16 @@ def test_a_failing_seed_fails_the_run_as_a_serial_run_does(tmp_path,
     for manifest in manifests.values():
         assert manifest["status"] == "failed"
         assert manifest["error"] == errors[1]
-        assert {cell["seed"] for cell in manifest["cells"]} == set(
-            range(min(broken)))
+        first = min(seeds.index(seed) for seed in broken)
+        assert [cell["seed"] for cell in manifest["cells"]] == seeds[:first]
     assert manifests[2]["cells"] == manifests[1]["cells"]
     assert manifests[2]["metrics_files"] == manifests[1]["metrics_files"]
 
 
 def test_a_helper_failure_exits_the_cli_nonzero_with_the_serial_error(
         tmp_path, monkeypatch, capsys):
-    raw = {**BASE, "task": "ablate", "seeds": [0, 1, 2],
+    # seed 1 is the helper's only unit
+    raw = {**BASE, "task": "ablate", "seeds": [0, 2, 1],
            "out_dir": str(tmp_path / "out")}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
@@ -165,24 +187,108 @@ def test_a_helper_failure_exits_the_cli_nonzero_with_the_serial_error(
     assert f"error: {manifest['error']}\n" in capsys.readouterr().err
 
 
+# 3 seeds of 2 cells: the caller's block is units 0-2 and the helper's 3-5,
+# (1, rho 0.8), (2, rho 0.5) and (2, rho 0.8)
+SPLIT = {"task": "ablate", "seeds": [0, 1, 2], "rho": [0.5, 0.8]}
+
+
 def test_a_helper_that_dies_fails_its_seed(tmp_path, monkeypatch):
+    """A helper killed mid-block, after it finished its first unit, fails
+    the first unit it did not report: the first of its block."""
     caller = os.getpid()
-    real = runner.SEED_TASKS["ablate"]
+    real = runner._sweep_cell
 
-    def dies_in_the_helper(cfg, data, out_dir, seed):
-        if seed == 1 and os.getpid() != caller:
+    def dies_in_the_helper(cfg, data, out_dir, held, unit):
+        if unit[0] == 2 and unit[2] == 0.5 and os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(cfg, data, out_dir, seed)
+        return real(cfg, data, out_dir, held, unit)
 
-    monkeypatch.setitem(runner.SEED_TASKS, "ablate", dies_in_the_helper)
-    cfg = _cfg(task="ablate", seeds=[0, 1, 2], out_dir=str(tmp_path / "out"))
+    monkeypatch.setattr(runner, "_sweep_cell", dies_in_the_helper)
+    cfg = _cfg(**SPLIT, out_dir=str(tmp_path / "out"))
     _cpus(monkeypatch, 2)
-    with pytest.raises(WorkerError, match="seeds 1 exited with code -9"):
+    with pytest.raises(WorkerError) as info:
         run(cfg)
+    assert str(info.value) == (
+        "WorkerError: the helper process for units "
+        "(1, 'temperature-anneal', 0.8, 2, 0.5) to "
+        "(2, 'temperature-anneal', 0.8, 2, 0.5) exited with code -9")
     assert not multiprocessing.active_children()
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["error"].startswith("WorkerError: ")
-    assert manifest["helpers"] == [{"seeds": [1]}]  # it reported no usage
+    out = tmp_path / "out"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == str(info.value)
+    units = json.loads(json.dumps(run_units(cfg)))
+    assert manifest["helpers"] == [{"units": units[3:]}]  # and no usage
+    assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
+        [0, 0.5], [0, 0.8], [1, 0.5]]
+    # the helper got past its first unit, so it died mid-block
+    assert (out / "metrics" / "temperature-anneal-rho0p8-phi2-tau0p5-s1.csv"
+            ).is_file()
+
+
+def test_a_cell_failing_in_a_helper_fails_the_run_as_a_serial_run_does(
+        tmp_path, monkeypatch):
+    """Unit (2, rho 0.5) raises: the helper's second unit at 2 workers,
+    its first at 3. The error and the cells before it are the serial
+    run's."""
+    real = runner.run_cell
+
+    def fails_one_cell(cfg, data, parent, seed, method, rho, phi, tau0):
+        if (seed, rho) == (2, 0.5):
+            raise ValueError(f"cell rho {rho} of seed {seed} failed")
+        return real(cfg, data, parent, seed, method, rho, phi, tau0)
+
+    monkeypatch.setattr(runner, "run_cell", fails_one_cell)
+    errors, manifests = {}, {}
+    for workers in (1, 2, 3):
+        cfg = _cfg(**SPLIT, out_dir=str(tmp_path / f"w{workers}"))
+        _cpus(monkeypatch, workers)
+        with pytest.raises(Exception) as info:
+            run(cfg)
+        assert not multiprocessing.active_children()
+        errors[workers] = error_text(info.value)
+        manifests[workers] = json.loads(
+            (tmp_path / f"w{workers}" / "manifest.json").read_text())
+    assert errors[1] == "ValueError: cell rho 0.5 of seed 2 failed"
+    assert errors[2] == errors[3] == errors[1]
+    assert [2, "temperature-anneal", 0.5, 2, 0.5] in (
+        manifests[2]["helpers"][0]["units"])
+    for manifest in manifests.values():
+        assert manifest["error"] == errors[1]
+        assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
+            [0, 0.5], [0, 0.8], [1, 0.5], [1, 0.8]]
+        assert manifest["metrics_files"] == manifests[1]["metrics_files"]
+
+
+def test_two_writers_of_one_parent_leave_a_complete_cache_entry(
+        tmp_path, monkeypatch):
+    """A second process writes the same parent while the first is between
+    its write and its rename; each writes its own temporary file."""
+    cfg = _cfg(task="prune-tune", seed=5, out_dir=str(tmp_path))
+    data = runner.RunData(cfg)
+    caller = os.getpid()
+    real = runner.save_weights
+
+    def another_writer_meanwhile(params, path):
+        real(params, path)
+        if os.getpid() == caller:
+            pid = os.fork()
+            if pid == 0:  # the second writer trains and writes the entry
+                code = 1
+                try:
+                    runner.get_parent(cfg, data, 5, tmp_path)
+                    code = 0
+                finally:
+                    os._exit(code)
+            assert os.waitpid(pid, 0)[1] == 0
+
+    monkeypatch.setattr(runner, "save_weights", another_writer_meanwhile)
+    net, path = runner.get_parent(cfg, data, 5, tmp_path)
+    assert path.is_file()
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+    again = runner.build_net(cfg, data, 5)
+    runner.load_params(again, path)
+    for name, value in net.params().items():
+        assert np.array_equal(again.params()[name], value)
 
 
 def _alive_in_group(pgid: int) -> list:
@@ -269,6 +375,46 @@ print(json.dumps(sorted(m for m in sys.modules
         manifest = json.loads((tmp_path / name / "manifest.json").read_text())
         assert manifest["status"] == "ok"
         assert manifest["workers"] == 1 and manifest["helpers"] == []
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_process_gets_each_parent_once_before_that_seeds_cells(
+        tmp_path, monkeypatch, cpus):
+    """One CPU gets each seed's parent once, seed by seed; at two CPUs the
+    caller's block, (0, 0.5), (0, 0.8) and (1, 0.5), gets parents 0 and
+    1 once each."""
+    calls = []
+    real = runner.get_parent
+
+    def counted(cfg, data, seed, out_dir):
+        calls.append(seed)
+        return real(cfg, data, seed, out_dir)
+
+    monkeypatch.setattr(runner, "get_parent", counted)
+    _cpus(monkeypatch, cpus)
+    run(_cfg(**SPLIT, out_dir=str(tmp_path / "out")))
+    # a helper's calls append to its own copy of ``calls``
+    assert calls == ([0, 1, 2] if cpus == 1 else [0, 1])
+
+
+def test_unit_blocks_are_contiguous_the_larger_first():
+    assert unit_blocks(18, 2) == [range(0, 9), range(9, 18)]
+    assert unit_blocks(7, 3) == [range(0, 3), range(3, 5), range(5, 7)]
+    assert unit_blocks(3, 3) == [range(0, 1), range(1, 2), range(2, 3)]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_callers_block_of_blobs_ablate_holds_every_method(monkeypatch,
+                                                              cpus):
+    """The benchmark traces only the calling process, so its block must
+    run every method's code."""
+    path = SRC.parent / "configs" / "blobs-ablate.json"
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    _cpus(monkeypatch, cpus)
+    assert worker_count(cfg) == cpus
+    units = run_units(cfg)
+    caller = [units[i] for i in unit_blocks(len(units), cpus)[0]]
+    assert {unit[1] for unit in caller} == set(cfg.method)
 
 
 class TestWorkerCount:
