@@ -24,7 +24,6 @@ from .annealing import (
 )
 from .ensemble import (
     corrupt,
-    predict,
     score_ensemble,
     spawn_children,
     train_parent,
@@ -43,7 +42,7 @@ from .masks import (
     save_probability_set,
     save_weights,
 )
-from .metrics import MetricsRecord, accuracy, ece, evaluate, nll
+from .metrics import MetricsRecord, accuracy, ece, evaluate, softmax
 from .pruning import (
     PruneSpec,
     SeveredLayerError,
@@ -53,7 +52,7 @@ from .pruning import (
     random_mask,
 )
 from .rng import substream
-from .training import DivergenceError, finalize, predict_logits, softmax
+from .training import DivergenceError, finalize, predict_logits
 
 __all__ = [
     "AnnealController",
@@ -83,8 +82,6 @@ __all__ = [
     "magnitude_mask",
     "make_iterative_schedule",
     "masked_grad",
-    "nll",
-    "predict",
     "predict_logits",
     "probs_at_epoch",
     "prune_increment",

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masks import MaskSet, ProbabilitySet, full_mask, realize
+from .metrics import evaluate
 from .pruning import PruneSpec, make_iterative_schedule, prune_increment
-from .training import finalize, predict_logits, run_epoch, softmax
+from .training import finalize, predict_logits, run_epoch
 
 log = logging.getLogger(__name__)
 
@@ -338,8 +339,6 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
 
 
 def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
-    from .metrics import evaluate  # local import keeps module deps one-way
-
     xt, yt = eval_data
     if controller.permanent:
         mask = None  # run_epoch burned controller.mask into the weights
@@ -347,6 +346,5 @@ def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
         mask = controller.probs.probs
     else:
         mask = controller.mask
-    logits = predict_logits(net, xt, mask=mask)
-    rec = evaluate(softmax(logits), yt)
+    rec = evaluate(predict_logits(net, xt, mask=mask), yt)
     return {"test_acc": rec.accuracy, "test_nll": rec.nll, "test_ece": rec.ece}

@@ -340,6 +340,8 @@ class ExperimentConfig:
         if cfg.task == "ensemble":
             _check_ensemble_task(cfg)
         if cfg.task in ("prune-tune", "ablate", "ensemble"):
+            _require(cfg.epochs >= 1,  # results are the last epoch's rows
+                     f"{cfg.task} task needs epochs >= 1, got {cfg.epochs}")
             _check_phi_within_epochs(cfg)
         return cfg
 

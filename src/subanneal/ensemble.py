@@ -24,7 +24,7 @@ from .metrics import evaluate
 from .nn.layers import Network
 from .pruning import PruneSpec, random_mask
 from .rng import substream
-from .training import DivergenceError, predict_logits, run_epoch, softmax
+from .training import DivergenceError, predict_logits, run_epoch
 
 log = logging.getLogger(__name__)
 
@@ -49,7 +49,7 @@ def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
                "test_acc": None, "test_nll": None, "test_ece": None}
         if eval_data is not None:
             xt, yt = eval_data
-            rec = evaluate(softmax(predict_logits(net, xt)), yt)
+            rec = evaluate(predict_logits(net, xt), yt)
             row.update({"test_acc": rec.accuracy, "test_nll": rec.nll,
                         "test_ece": rec.ece})
         rows.append(row)
@@ -122,32 +122,22 @@ def _mean_logits(logits: list) -> np.ndarray:
     return sum(logits[1:], logits[0]) / len(logits)
 
 
-def predict(member_nets, x: np.ndarray, parent: Network | None = None,
-            include_parent: bool = False) -> np.ndarray:
-    """Class probabilities: softmax of the mean member logits."""
-    nets = list(member_nets)
-    if include_parent:
-        if parent is None:
-            raise ValueError("include_parent requires a parent network")
-        nets.append(parent)
-    if not nets:
-        raise ValueError("cannot predict with an empty ensemble")
-    return softmax(_mean_logits([predict_logits(net, x) for net in nets]))
-
-
 def score_ensemble(member_nets, parent: Network | None, x: np.ndarray,
-          y: np.ndarray) -> tuple:
+                   y: np.ndarray) -> tuple:
     """(member records, ensemble record) on (x, y).
 
     Each network's logits are computed once and feed both its own record and
-    the mean-logit ensemble. A given ``parent`` joins the ensemble average
-    but gets no record of its own.
+    the ensemble's, which scores the mean logits. A given ``parent`` joins
+    the ensemble average but gets no record of its own. An ensemble needs at
+    least one member.
     """
+    if not member_nets:
+        raise ValueError("cannot score an empty ensemble")
     logits = [predict_logits(net, x) for net in member_nets]
-    records = [evaluate(softmax(z), y) for z in logits]
+    records = [evaluate(z, y) for z in logits]
     if parent is not None:
         logits.append(predict_logits(parent, x))
-    return records, evaluate(softmax(_mean_logits(logits)), y)
+    return records, evaluate(_mean_logits(logits), y)
 
 
 def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,

@@ -1,8 +1,8 @@
-"""Classification metrics: accuracy, negative log likelihood, and ECE.
-
-ECE uses 15 equal-width, right-closed bins over the max-probability
-confidence unless a different bin count is requested. Accuracy breaks
-argmax ties toward the lowest class index.
+"""Classification metrics of logits: accuracy, negative log likelihood, and
+ECE (15 equal-width, right-closed bins over the max-probability confidence
+unless a different bin count is requested). Accuracy and ECE read the
+softmax probabilities, and accuracy breaks argmax ties toward the lowest
+class index; NLL reads the logits, so it stays finite.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .nn.losses import log_sum_exp
 
 ECE_BINS = 15
 
@@ -38,21 +40,15 @@ class MetricsRecord:
         }
 
 
-def _check_rows(probs: np.ndarray) -> None:
-    sums = probs.sum(axis=1)
-    if np.abs(sums - 1.0).max() > 1e-6:
-        raise ValueError("probability rows must sum to 1 within 1e-6")
+def softmax(logits: np.ndarray) -> np.ndarray:
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     preds = probs.argmax(axis=1)  # argmax takes the lowest index on ties
     return float(np.mean(preds == labels))
-
-
-def nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    p_true = probs[np.arange(len(labels)), labels]
-    with np.errstate(divide="ignore"):
-        return float(np.mean(-np.log(p_true)))
 
 
 def ece(probs: np.ndarray, labels: np.ndarray, bins: int = ECE_BINS) -> float:
@@ -75,14 +71,17 @@ def ece(probs: np.ndarray, labels: np.ndarray, bins: int = ECE_BINS) -> float:
     return value
 
 
-def evaluate(probs: np.ndarray, labels: np.ndarray,
+def evaluate(logits: np.ndarray, labels: np.ndarray,
              bins: int = ECE_BINS) -> MetricsRecord:
-    """Score predicted class probabilities against integer labels."""
-    probs = np.asarray(probs, dtype=np.float64)
+    """Score class logits against integer labels: accuracy and ECE of
+    ``softmax(logits)`` (in the logits' dtype, then widened to float64), and
+    NLL as ``mean(lse - logit[true])`` in float64, the training loss's sum."""
+    logits = np.asarray(logits)
     labels = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] != labels.shape[0]:
-        raise ValueError("predictions and labels disagree in length")
-    _check_rows(probs)
-    return MetricsRecord(accuracy=accuracy(probs, labels),
-                         nll=nll(probs, labels),
+    if logits.ndim != 2 or logits.shape[0] != labels.shape[0]:
+        raise ValueError("logits and labels disagree in length")
+    probs = softmax(logits).astype(np.float64, copy=False)
+    z = logits.astype(np.float64, copy=False)
+    nll = float(np.mean(log_sum_exp(z) - z[np.arange(len(labels)), labels]))
+    return MetricsRecord(accuracy=accuracy(probs, labels), nll=nll,
                          ece=ece(probs, labels, bins))

@@ -1,11 +1,13 @@
 """Experiment execution: datasets in, metric CSVs and manifests out.
 
 A run executes one task from a validated config. Metric files are plain CSV
-with a fixed column set; the manifest (written atomically at the end) records
-the config, its hash, the seeds, every metric file produced, wall-clock time,
-peak resident memory (``peak_rss_mb``) and CPU time, the number of worker
-processes and each helper's own memory and CPU time, the BLAS thread count,
-the malloc settings ``run`` applied to the process, and the library version.
+with a fixed column set; they, the JSON files and the parent cache are
+written atomically (``_write_atomic``). The manifest (written at the end)
+records the config, its hash, the seeds, every metric file produced,
+wall-clock time, peak resident memory (``peak_rss_mb``) and CPU time, the
+number of worker processes and each helper's own memory and CPU time, the
+BLAS thread count, the malloc settings ``run`` applied to the process, and
+the library version.
 Re-running the same config in deterministic mode reproduces the metric files
 byte for byte, whatever the number of workers; wall clock and memory live
 only in the manifest so they never break that contract.
@@ -76,7 +78,7 @@ from .nn.schedules import (
 )
 from .pruning import PruneSpec, magnitude_mask, random_mask
 from .rng import substream
-from .training import DivergenceError, predict_logits, softmax
+from .training import DivergenceError, predict_logits
 
 log = logging.getLogger(__name__)
 
@@ -96,14 +98,34 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_metrics_csv(path, rows) -> None:
+def _write_atomic(path, write) -> None:
+    """``write(tmp)`` the whole file at a per-process name beside ``path``,
+    then rename it to ``path``, so no partial ``path`` is ever seen; ``tmp``
+    is removed when ``write`` raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in METRICS_COLUMNS])
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path, columns, rows) -> None:
+    """A ``columns`` header, then one line per dict in ``rows``."""
+    def write(tmp):
+        with open(tmp, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([_fmt(row.get(col)) for col in columns])
+    _write_atomic(path, write)
+
+
+def write_metrics_csv(path, rows) -> None:
+    _write_csv(path, METRICS_COLUMNS, rows)
 
 
 def read_metrics_csv(path) -> list:
@@ -124,11 +146,10 @@ def read_metrics_csv(path) -> list:
 
 
 def write_json_atomic(path, payload: dict) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    """``payload`` as strict JSON (a NaN or infinity raises ValueError, and
+    nothing is written), atomically."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    _write_atomic(path, lambda tmp: tmp.write_text(text + "\n"))
 
 
 # --- process settings: BLAS threads and the allocator ---------------------------
@@ -358,13 +379,8 @@ def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
     train_parent(net, (data.x_train, data.y_train), cfg.parent_epochs,
                  optimizer, schedule, cfg.batch_size,
                  substream(seed, "shuffle", "parent"))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    # write then rename, so a killed write never leaves a truncated cache
-    # entry; the name is per process, because two workers that share a seed
-    # can train and write its parent at the same time
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    save_weights(net.params(), tmp)
-    os.replace(tmp, path)
+    # two workers that share a seed can train and write its parent at once
+    _write_atomic(path, functools.partial(save_weights, net.params()))
     return net, path
 
 
@@ -704,15 +720,14 @@ def _task_eval(cfg, data, out_dir, manifest):
         mask = load_mask_set(cfg.mask)
         check_fits(f"mask file {cfg.mask}", mask.masks, net.weights())
         sparsity = mask.sparsity()
-    logits = predict_logits(net, data.x_test, mask=mask)
-    record = evaluate(softmax(logits), data.y_test)
+    record = evaluate(predict_logits(net, data.x_test, mask=mask),
+                      data.y_test)
     record.realized_sparsity = sparsity
     payload = {"config": cfg.to_dict(), "clean": record.to_dict(),
                "corrupted": {}}
     for severity in cfg.ensemble["corruption_severities"]:
-        logits = predict_logits(net, data.corrupted(severity, cfg.seed),
-                                mask=mask)
-        rec = evaluate(softmax(logits), data.y_test)
+        rec = evaluate(predict_logits(net, data.corrupted(severity, cfg.seed),
+                                      mask=mask), data.y_test)
         rec.realized_sparsity = sparsity
         payload["corrupted"][str(severity)] = rec.to_dict()
     eval_path = out_dir / "eval.json"
@@ -781,13 +796,7 @@ def summarize_manifests(manifest_paths, manifest_payloads=None,
 
 
 def write_summary_csv(path, rows) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[col]) for col in SUMMARY_COLUMNS])
+    _write_csv(path, SUMMARY_COLUMNS, rows)
 
 
 def summarize_dir(directory) -> Path:

@@ -40,7 +40,8 @@ EVAL_BYTES = 10 << 20
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss. ``record`` holds the epoch, the
+    step and the loss as text (``repr``), which strict JSON can hold."""
 
     def __init__(self, message: str, record: dict | None = None):
         super().__init__(message)
@@ -120,7 +121,7 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
             if not np.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}",
-                    record={"epoch": epoch, "step": step, "loss": loss})
+                    record={"epoch": epoch, "step": step, "loss": repr(loss)})
             if mask is not None:
                 for name, m in (keep if permanent else mask).items():
                     masked_grad(grads[name], m, out=grads[name])
@@ -162,12 +163,6 @@ def predict_logits(net: Network, x,
     if out is None:
         raise ValueError("cannot evaluate an empty input")
     return out
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def finalize(net: Network, terminal: MaskSet) -> None:

@@ -218,6 +218,12 @@ VALIDATOR_HOLES = [
     (dict(blobs={"n": 100.5}), "blobs.n must be an integer"),
     (dict(ensemble={"n_members": 3.2}), "ensemble.n_members must be"),
     (dict(ensemble={"corruption_severities": [1.5]}), "severity must be"),
+    # header-only metric CSVs, then an IndexError in summarize_manifests
+    (dict(task="ablate", method="oneshot", epochs=0),
+     "ablate task needs epochs >= 1"),
+    (dict(method="oneshot", epochs=0), "prune-tune task needs epochs >= 1"),
+    (dict(task="ensemble", epochs=0, phi=0),
+     "ensemble task needs epochs >= 1"),
 ]
 
 

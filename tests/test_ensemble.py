@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from subanneal.data import make_blobs
 from subanneal.ensemble import (
+    _mean_logits,
     corrupt,
-    predict,
     score_ensemble,
     spawn_children,
     train_parent,
@@ -22,7 +24,7 @@ from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant, OneCycle
 from subanneal.rng import substream
-from subanneal.training import predict_logits, softmax
+from subanneal.training import predict_logits
 
 
 def _net(seed=0, d=8, k=3, hidden=(16, 12)):
@@ -92,50 +94,6 @@ class TestSpawnChildren:
         assert m1.sparsity() == pytest.approx(0.7, abs=0.02)
         assert m2.sparsity() == pytest.approx(0.3, abs=0.02)
         assert any("complement" in rec.message for rec in caplog.records)
-
-
-class TestPredict:
-    def test_single_member_is_softmax_of_its_logits(self):
-        net = _net()
-        (_, _), (test, yt) = _data()
-        probs = predict([net], test)
-        np.testing.assert_allclose(probs, softmax(predict_logits(net, test)),
-                                   atol=1e-15)
-
-    def test_identical_members_match_single(self):
-        net = _net()
-        (_, _), (test, _) = _data()
-        probs = predict([net, net.clone()], test)
-        np.testing.assert_allclose(probs, predict([net], test), atol=1e-12)
-
-    def test_mean_logit_arithmetic(self):
-        class Fixed:
-            row_floats = 2  # elements per example of its largest array
-
-            def __init__(self, logits):
-                self._logits = logits
-
-            def forward(self, x, *, keep_cache=True):
-                return np.tile(self._logits, (len(x), 1))
-
-        a, b = Fixed(np.array([2.0, 0.0])), Fixed(np.array([0.0, 2.0]))
-        probs = predict([a, b], np.zeros((3, 1)))
-        np.testing.assert_allclose(probs, np.full((3, 2), 0.5), atol=1e-15)
-
-    def test_empty_ensemble_rejected(self):
-        with pytest.raises(ValueError):
-            predict([], np.zeros((1, 2)))
-
-    def test_include_parent_changes_the_aggregate(self):
-        parent = _net(0)
-        member = _net(1)
-        (_, _), (test, _) = _data()
-        without = predict([member], test)
-        with_parent = predict([member], test, parent=parent,
-                              include_parent=True)
-        assert not np.allclose(without, with_parent)
-        with pytest.raises(ValueError):
-            predict([member], test, include_parent=True)
 
 
 class TestTrainParent:
@@ -221,6 +179,9 @@ class TestTuneChildren:
         assert len(failures) == 1
         assert failures[0]["member"] == 0
         assert "epoch" in failures[0]
+        # the non-finite loss is kept as its text, which strict JSON can hold
+        assert failures[0]["loss"] in ("nan", "inf")
+        json.dumps(failures, allow_nan=False)
 
     def test_final_sparsity_near_half(self):
         parent = _net()
@@ -276,6 +237,17 @@ class TestCorrupt:
             corrupt(np.zeros((1, 1, 2, 2)), 6, substream(0, "c"))
 
 
+class Fixed:
+    """A stand-in network whose logits are the same row for every input."""
+    row_floats = 2  # elements per example of its largest array
+
+    def __init__(self, logits):
+        self._logits = np.asarray(logits, dtype=float)
+
+    def forward(self, x, *, keep_cache=True):
+        return np.tile(self._logits, (len(x), 1))
+
+
 class TestScoreEnsemble:
     def test_records_match_separate_passes_bit_for_bit(self):
         members = [_net(1), _net(2), _net(3)]
@@ -284,11 +256,51 @@ class TestScoreEnsemble:
         for extra in (None, parent):
             records, ens = score_ensemble(members, extra, test, yt)
             for net, rec in zip(members, records):
-                want = evaluate(softmax(predict_logits(net, test)), yt)
+                want = evaluate(predict_logits(net, test), yt)
                 assert rec.to_dict() == want.to_dict()
-            want = evaluate(predict(members, test, parent=parent,
-                                    include_parent=extra is not None), yt)
+            nets = members + ([] if extra is None else [extra])
+            want = evaluate(_mean_logits(
+                [predict_logits(net, test) for net in nets]), yt)
             assert ens.to_dict() == want.to_dict()
+
+    def test_single_member_scores_as_itself(self):
+        net = _net()
+        (_, _), (test, yt) = _data()
+        (record,), ens = score_ensemble([net], None, test, yt)
+        assert ens.to_dict() == record.to_dict()
+        # identical members average to the same logits
+        _, twice = score_ensemble([net, net.clone()], None, test, yt)
+        assert twice.to_dict() == record.to_dict()
+
+    def test_mean_logit_arithmetic(self):
+        # logits (2, 0) and (0, 2) average to a tie: probability 1/2 each,
+        # so NLL log 2, argmax class 0 and one ECE bin at confidence 1/2
+        a, b = Fixed([2.0, 0.0]), Fixed([0.0, 2.0])
+        y = np.array([0, 1, 1])
+        (rec_a, rec_b), ens = score_ensemble([a, b], None, np.zeros((3, 1)), y)
+        assert ens.nll == pytest.approx(np.log(2.0), abs=1e-15)
+        assert ens.accuracy == pytest.approx(1 / 3)
+        assert ens.ece == pytest.approx(abs(1 / 3 - 0.5))
+        assert rec_a.accuracy == pytest.approx(1 / 3)
+        assert rec_b.accuracy == pytest.approx(2 / 3)
+        # a parent joins the average: (2, 0), (0, 2), (0, 2) -> (2/3, 4/3)
+        _, with_parent = score_ensemble([a, b], Fixed([0.0, 2.0]),
+                                        np.zeros((3, 1)), y)
+        assert with_parent.accuracy == pytest.approx(2 / 3)
+
+    def test_parent_changes_the_aggregate(self):
+        parent = _net(0)
+        member = _net(1)
+        (_, _), (test, yt) = _data()
+        (own,), without = score_ensemble([member], None, test, yt)
+        (own_too,), with_parent = score_ensemble([member], parent, test, yt)
+        assert own_too.to_dict() == own.to_dict()  # the parent has no record
+        assert with_parent.nll != without.nll
+
+    def test_empty_ensemble_rejected(self):
+        (_, _), (test, yt) = _data()
+        with pytest.raises(ValueError, match="empty ensemble"):
+            score_ensemble([], _net(0), test, yt)
 
     def test_each_network_is_run_once(self, monkeypatch):
         import subanneal.ensemble as ensemble
@@ -303,24 +315,33 @@ class TestScoreEnsemble:
         assert calls == [*members, parent]
 
 
+def _ensemble_config(out_dir, **extra):
+    from subanneal.config import ExperimentConfig
+
+    return ExperimentConfig.from_dict({
+        "task": "ensemble", "model": "mlp",
+        "blobs": {"n": 240, "d": 8, "k": 3, "separation": 4.0},
+        "rho": 0.5, "phi": 2, "tau0": 0.5, "parent_epochs": 4,
+        "epochs": 3, "batch_size": 32,
+        "lr": {"kind": "onecycle", "start": 0.001, "max": 0.1,
+               "end": 1e-7, "warmup_fraction": 0.1},
+        "optimizer": {"weight_decay": 0.0},
+        "ensemble": {"n_members": 4, "corruption_severities": [1, 3]},
+        "seed": 11, "out_dir": str(out_dir), **extra})
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestRunEnsemble:
     def test_full_pipeline_on_blobs(self, tmp_path):
-        import json
-
-        from subanneal.config import ExperimentConfig
         from subanneal.masks import load_mask_set
         from subanneal.runner import run
 
-        cfg = ExperimentConfig.from_dict({
-            "task": "ensemble", "model": "mlp",
-            "blobs": {"n": 240, "d": 8, "k": 3, "separation": 4.0},
-            "rho": 0.5, "phi": 2, "tau0": 0.5, "parent_epochs": 4,
-            "epochs": 3, "batch_size": 32,
-            "lr": {"kind": "onecycle", "start": 0.001, "max": 0.1,
-                   "end": 1e-7, "warmup_fraction": 0.1},
-            "optimizer": {"weight_decay": 0.0},
-            "ensemble": {"n_members": 4, "corruption_severities": [1, 3]},
-            "seed": 11, "out_dir": str(tmp_path)})
+        cfg = _ensemble_config(tmp_path)
         manifest = json.loads(run(cfg).read_text())
         summary = json.loads((tmp_path / manifest["metrics_files"][0])
                              .read_text())
@@ -332,3 +353,21 @@ class TestRunEnsemble:
         m0, m1 = (load_mask_set(tmp_path / "seed-11" / f"member-{i}.mask.ssam")
                   for i in (0, 1))
         assert m0.overlap(m1) == 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverged_member_leaves_strict_json(self, tmp_path, monkeypatch):
+        import subanneal.runner as runner
+
+        def spawn_poisoned(*args, **kwargs):
+            children = spawn_children(*args, **kwargs)
+            children[0][0].layers[1].w[...] = 1e200
+            return children
+
+        monkeypatch.setattr(runner, "spawn_children", spawn_poisoned)
+        cfg = _ensemble_config(tmp_path, ensemble={"n_members": 2})
+        manifest = _strict_json(runner.run(cfg).read_text())
+        summary = _strict_json((tmp_path / manifest["metrics_files"][0])
+                               .read_text())
+        assert [f["member"] for f in summary["failures"]] == [0]
+        assert summary["failures"][0]["loss"] in ("nan", "inf")
+        assert len(summary["members"]) == 1

@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from subanneal.metrics import MetricsRecord, accuracy, ece, evaluate, nll
+from subanneal.metrics import MetricsRecord, accuracy, ece, evaluate, softmax
+from subanneal.nn.losses import cross_entropy_softmax
 
 
 def test_perfect_one_hot_predictions():
-    probs = np.eye(4)
+    logits = 800.0 * np.eye(4)  # softmax rounds to exactly one-hot
     labels = np.arange(4)
-    rec = evaluate(probs, labels)
+    rec = evaluate(logits, labels)
     assert rec.accuracy == 1.0
     assert rec.nll == 0.0
     assert rec.ece == pytest.approx(0.0, abs=1e-15)
 
 
 def test_uniform_predictions_symmetry_and_tie_rule():
-    probs = np.full((10, 10), 0.1)
+    logits = np.zeros((10, 10))
     labels = np.array([0, 0, 1, 2, 3, 4, 5, 0, 9, 8])
-    rec = evaluate(probs, labels)
+    rec = evaluate(logits, labels)
     assert rec.nll == pytest.approx(math.log(10), abs=1e-12)
     # argmax ties resolve to class 0, so accuracy is the rate of true zeros
     assert rec.accuracy == pytest.approx(0.3)
@@ -50,6 +51,9 @@ def test_six_prediction_fixture_fifteen_bins():
     # hand-binned: (1*|1-0.45| + 2*|0.5-0.565| + 2*|0.5-0.915| + 1*|1-0.97|)/6
     expected = (0.55 + 2 * 0.065 + 2 * 0.415 + 0.03) / 6
     assert ece(probs, labels) == pytest.approx(expected, abs=1e-12)
+    # the same probabilities given as logits score the same through evaluate
+    assert evaluate(np.log(probs), labels).ece == pytest.approx(expected,
+                                                                abs=1e-12)
 
 
 def test_one_bin_ece_equals_accuracy_confidence_gap_exactly():
@@ -62,10 +66,11 @@ def test_one_bin_ece_equals_accuracy_confidence_gap_exactly():
     assert ece(probs, labels, bins=1) == gap
 
 
-def test_row_sum_validation():
-    bad = np.array([[0.5, 0.4], [0.5, 0.5]])
-    with pytest.raises(ValueError):
-        evaluate(bad, np.array([0, 1]))
+def test_shape_validation():
+    with pytest.raises(ValueError, match="disagree"):
+        evaluate(np.zeros((2, 3)), np.array([0, 1, 2]))
+    with pytest.raises(ValueError, match="disagree"):
+        evaluate(np.zeros(3), np.array([0, 1, 2]))
 
 
 def test_metrics_record_ranges_enforced():
@@ -80,16 +85,46 @@ def test_metrics_record_ranges_enforced():
 def test_evaluate_is_pure():
     rng = np.random.default_rng(1)
     logits = rng.normal(size=(64, 10))
-    probs = np.exp(logits)
-    probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 10, size=64)
-    a = evaluate(probs, labels)
-    b = evaluate(probs, labels)
+    a = evaluate(logits, labels)
+    b = evaluate(logits, labels)
     assert (a.accuracy, a.nll, a.ece) == (b.accuracy, b.nll, b.ece)
 
 
 def test_nll_of_known_probabilities():
     probs = np.array([[0.5, 0.5], [0.25, 0.75]])
     labels = np.array([0, 1])
-    assert nll(probs, labels) == pytest.approx(
+    assert evaluate(np.log(probs), labels).nll == pytest.approx(
         -(math.log(0.5) + math.log(0.75)) / 2, abs=1e-12)
+
+
+def test_nll_is_the_training_loss_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for scale in (1.0, 30.0):
+        logits = scale * rng.normal(size=(97, 7))
+        labels = rng.integers(0, 7, size=97)
+        assert (evaluate(logits, labels).nll
+                == cross_entropy_softmax(logits, labels)[0])
+
+
+@pytest.mark.parametrize("dtype,gap", [(np.float64, 800.0),
+                                       (np.float32, 120.0)])
+def test_nll_stays_finite_when_the_true_class_underflows(dtype, gap):
+    # softmax gives the true class a probability of exactly 0 here
+    logits = np.array([[0.0, gap], [gap, 0.0]], dtype=dtype)
+    assert softmax(logits)[0, 0] == 0.0
+    rec = evaluate(logits, np.array([0, 0]))
+    assert rec.nll == gap / 2
+    assert rec.accuracy == 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_accuracy_and_ece_are_those_of_the_softmax(dtype):
+    # the probabilities are the softmax in the logits' dtype, then widened
+    rng = np.random.default_rng(3)
+    logits = (4.0 * rng.normal(size=(300, 10))).astype(dtype)
+    labels = rng.integers(0, 10, size=300)
+    probs = np.asarray(softmax(logits), dtype=np.float64)
+    rec = evaluate(logits, labels)
+    assert rec.accuracy == accuracy(probs, labels)
+    assert rec.ece == ece(probs, labels)

@@ -38,7 +38,6 @@ from subanneal.training import (
     masked_weights,
     predict_logits,
     schedule_lr,
-    softmax,
 )
 
 EPOCHS = 5
@@ -79,7 +78,7 @@ def reference_tune(net, controller, train_data, epochs, schedule, optimizer,
             logits = predict_logits(net, xt, mask=controller.probs.probs)
         else:
             logits = predict_logits(net, xt, mask=controller.mask)
-        rec = evaluate(softmax(logits), yt)
+        rec = evaluate(logits, yt)
         rows.append({
             "epoch": epoch, "train_loss": float(np.mean(losses)),
             "lr": first_lr, "realized_sparsity": sparsity,

@@ -53,6 +53,38 @@ def test_metrics_csv_roundtrip(tmp_path):
     assert back[1]["epoch"] == 1
 
 
+class BrokenRow(dict):
+    """A metrics row whose ``test_nll`` cannot be read."""
+
+    def get(self, key, default=None):
+        if key == "test_nll":
+            raise RuntimeError("killed mid-row")
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("existing", [False, True],
+                         ids=["new", "over-old"])
+def test_csv_write_failing_mid_row_leaves_no_partial_file(tmp_path, existing):
+    path = tmp_path / "metrics" / "m.csv"
+    if existing:
+        write_metrics_csv(path, [{"epoch": 0, "train_loss": 1.0}])
+    before = path.read_bytes() if existing else None
+    with pytest.raises(RuntimeError, match="killed mid-row"):
+        write_metrics_csv(path, [{"epoch": 0, "train_loss": 2.0},
+                                 BrokenRow(epoch=1)])
+    # the old file, whole, or none at all; and no temporary file behind
+    assert (path.read_bytes() if path.exists() else None) == before
+    assert sorted(p.name for p in path.parent.iterdir()) == (
+        ["m.csv"] if existing else [])
+
+
+def test_json_write_rejects_non_finite_numbers(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        runner.write_json_atomic(path, {"loss": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+
+
 def fake_blas(monkeypatch, threads=4):
     """Stand in for OpenBLAS's thread setter and getter; returns the list
     of counts the setter is called with."""
