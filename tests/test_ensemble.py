@@ -19,7 +19,7 @@ from subanneal.annealing import (
     temperature_controller,
     tune,
 )
-from subanneal.metrics import evaluate
+from subanneal.metrics import evaluate, softmax
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant, OneCycle
@@ -248,6 +248,31 @@ class Fixed:
         return np.tile(self._logits, (len(x), 1))
 
 
+class TestPredict:
+    """The ensemble's prediction: the softmax of its members' mean logits."""
+
+    def test_single_member_is_softmax_of_its_logits(self):
+        net = _net()
+        (_, _), (test, yt) = _data()
+        logits = predict_logits(net, test)
+        np.testing.assert_allclose(softmax(_mean_logits([logits])),
+                                   softmax(logits), atol=1e-15)
+        (record,), ens = score_ensemble([net], None, test, yt)
+        assert ens.to_dict() == record.to_dict()
+
+    def test_identical_members_match_single(self):
+        net = _net()
+        (_, _), (test, yt) = _data()
+        logits = [predict_logits(net, test),
+                  predict_logits(net.clone(), test)]
+        np.testing.assert_allclose(softmax(_mean_logits(logits)),
+                                   softmax(_mean_logits(logits[:1])),
+                                   atol=1e-12)
+        _, once = score_ensemble([net], None, test, yt)
+        _, twice = score_ensemble([net, net.clone()], None, test, yt)
+        assert twice.to_dict() == once.to_dict()
+
+
 class TestScoreEnsemble:
     def test_records_match_separate_passes_bit_for_bit(self):
         members = [_net(1), _net(2), _net(3)]
@@ -262,15 +287,6 @@ class TestScoreEnsemble:
             want = evaluate(_mean_logits(
                 [predict_logits(net, test) for net in nets]), yt)
             assert ens.to_dict() == want.to_dict()
-
-    def test_single_member_scores_as_itself(self):
-        net = _net()
-        (_, _), (test, yt) = _data()
-        (record,), ens = score_ensemble([net], None, test, yt)
-        assert ens.to_dict() == record.to_dict()
-        # identical members average to the same logits
-        _, twice = score_ensemble([net, net.clone()], None, test, yt)
-        assert twice.to_dict() == record.to_dict()
 
     def test_mean_logit_arithmetic(self):
         # logits (2, 0) and (0, 2) average to a tie: probability 1/2 each,
