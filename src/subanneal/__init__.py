@@ -24,10 +24,10 @@ from .annealing import (
 )
 from .ensemble import (
     corrupt,
+    member_controller,
     score_ensemble,
-    spawn_children,
     train_parent,
-    tune_children,
+    tune_member,
 )
 from .masks import (
     MaskSet,
@@ -82,6 +82,7 @@ __all__ = [
     "magnitude_mask",
     "make_iterative_schedule",
     "masked_grad",
+    "member_controller",
     "predict_logits",
     "probs_at_epoch",
     "prune_increment",
@@ -93,10 +94,9 @@ __all__ = [
     "save_weights",
     "score_ensemble",
     "softmax",
-    "spawn_children",
     "substream",
     "temperature_controller",
     "train_parent",
     "tune",
-    "tune_children",
+    "tune_member",
 ]

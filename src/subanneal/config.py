@@ -150,8 +150,13 @@ def _check_ensemble(e: dict) -> dict:
                _as_int(s, "corruption severity") for s in
                _as_list(e.get("corruption_severities", [1, 2, 3, 4, 5]))]}
     _require(out["n_members"] >= 1, "ensemble.n_members must be >= 1")
-    _require(all(1 <= s <= 5 for s in out["corruption_severities"]),
+    severities = out["corruption_severities"]
+    _require(all(1 <= s <= 5 for s in severities),
              "corruption severities must lie in 1..5")
+    # a severity names its results: twice would score it twice and keep
+    # only the second
+    _require(len(set(severities)) == len(severities),
+             f"corruption severities must be distinct, got {severities}")
     return out
 
 

@@ -1,9 +1,10 @@
 """Stochastic prune-and-tune ensembles.
 
-Train one parent, spawn children by cloning it and drawing sparse masks
-(optionally in complementary pairs, so siblings inherit opposite parameter
-sets), tune every child with temperature annealing, then aggregate by
-averaging member logits before the softmax.
+Train one parent; make each member by cloning it under a sparse target
+mask (optionally in complementary pairs, so siblings inherit opposite
+parameter sets) and tuning the clone with temperature annealing; then
+aggregate by averaging member logits before the softmax. Members depend on
+the parent alone, not on each other.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 import numpy as np
 
 from .annealing import (
+    AnnealController,
     TemperatureConfig,
     anti_controller,
     temperature_controller,
@@ -24,7 +26,7 @@ from .metrics import evaluate
 from .nn.layers import Network
 from .pruning import PruneSpec, random_mask
 from .rng import substream
-from .training import DivergenceError, predict_logits, run_epoch
+from .training import predict_logits, run_epoch
 
 log = logging.getLogger(__name__)
 
@@ -56,65 +58,52 @@ def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
     return rows
 
 
-def spawn_children(parent: Network, n: int, rho: float, partitioning: bool,
-                   rng: np.random.Generator,
-                   granularity: str = "layerwise") -> list:
-    """Clone the parent n times with target masks at sparsity rho.
+def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
+                      tau_cfg: TemperatureConfig, rng: np.random.Generator,
+                      granularity: str = "layerwise") -> AnnealController:
+    """Member i's temperature-annealing controller, its target mask drawn
+    from ``rng`` at sparsity rho.
 
-    With partitioning, children come in complementary pairs (M, 1-M); an odd
-    final child gets its own fresh mask. A complement pair at rho != 0.5 has
-    sparsity 1-rho, which is allowed but worth noticing in the logs.
+    Members draw their masks from one stream in member order, so ``rng``
+    is replayed through the draws of the members before i. With
+    partitioning, members come in complementary pairs: an odd member's
+    controller is the ``anti_controller`` of its pair's, whose
+    probabilities mirror 1 - P every epoch and whose terminal mask is the
+    pair's complement; an odd final member gets its own fresh mask. A
+    complement at rho != 0.5 has sparsity 1-rho, which is allowed but worth
+    noticing in the logs.
     """
-    if partitioning and rho != 0.5:
-        log.warning("partitioning with rho=%s: complement children have "
-                    "sparsity %s", rho, 1.0 - rho)
     spec = PruneSpec("random", rho, granularity)
-    shapes = parent.weight_shapes()
-    children = []
-    mask = None
-    for i in range(n):
-        if partitioning and i % 2 == 1 and mask is not None:
-            child_mask = mask.complement()
-        else:
-            mask = random_mask(shapes, spec, rng)
-            child_mask = mask
-        children.append((parent.clone(), child_mask))
-    return children
+    for _ in range(i // 2 + 1 if partitioning else i + 1):
+        mask = random_mask(shapes, spec, rng)
+    controller = temperature_controller(mask, tau_cfg)
+    if not (partitioning and i % 2 == 1):
+        return controller
+    if rho != 0.5:
+        log.warning("partitioning with rho=%s: complement member %d has "
+                    "sparsity %s", rho, i, 1.0 - rho)
+    return anti_controller(controller)
 
 
-def tune_children(children, tau_cfg: TemperatureConfig, partitioning: bool,
-                  train_data, epochs: int, new_training, batch_size: int,
-                  seed: int, eval_data=None, eval_mode: str = "terminal"):
-    """Anneal-tune every child; returns (members, per-member rows, failures).
+def tune_member(parent: Network, i: int, controller, train_data, epochs: int,
+                schedule, optimizer, batch_size: int, seed: int,
+                eval_data=None):
+    """Anneal-tune a clone of the parent as member i of ``seed``'s
+    ensemble; returns (net, per-epoch rows).
 
-    ``new_training()`` returns a fresh (schedule, optimizer) pair per child.
-    Partitioned siblings use mirrored probability matrices (P' = 1 - P at
-    every epoch), the probabilistic analogue of mask complementation. A
-    member that diverges is excluded and reported, not fatal.
+    Each member has its own ``controller`` (``member_controller``), its own
+    (schedule, optimizer) pair and its own shuffle and Bernoulli streams,
+    so members can be tuned in any order or process. A member that
+    diverges raises ``DivergenceError``; the ensemble leaves it out and
+    reports it.
     """
-    controllers = []
-    for i, (_, mask) in enumerate(children):
-        if partitioning and i % 2 == 1:
-            controllers.append(anti_controller(controllers[i - 1]))
-        else:
-            controllers.append(temperature_controller(mask, tau_cfg))
-
-    members, member_rows, failures = [], [], []
-    for i, ((net, _), controller) in enumerate(zip(children, controllers)):
-        schedule, optimizer = new_training()
-        try:
-            rows = tune(net, controller, train_data, epochs, schedule,
-                        optimizer, batch_size,
-                        rng_shuffle=substream(seed, "shuffle", "member", i),
-                        rng_mask=substream(seed, "bernoulli", "member", i),
-                        eval_data=eval_data, eval_mode=eval_mode)
-        except DivergenceError as err:
-            log.error("member %d diverged: %s", i, err)
-            failures.append({"member": i, "error": str(err), **err.record})
-            continue
-        members.append((net, controller.mask))
-        member_rows.append(rows)
-    return members, member_rows, failures
+    net = parent.clone()
+    rows = tune(net, controller, train_data, epochs, schedule, optimizer,
+                batch_size,
+                rng_shuffle=substream(seed, "shuffle", "member", i),
+                rng_mask=substream(seed, "bernoulli", "member", i),
+                eval_data=eval_data)
+    return net, rows
 
 
 def _mean_logits(logits: list) -> np.ndarray:

@@ -4,20 +4,24 @@ A run executes one task from a validated config. Metric files are plain CSV
 with a fixed column set; they, the JSON files and the parent cache are
 written atomically (``_write_atomic``). The manifest (written at the end)
 records the config, its hash, the seeds, every metric file produced,
-wall-clock time, peak resident memory (``peak_rss_mb``) and CPU time, the
-number of worker processes and each helper's own memory and CPU time, the
-BLAS thread count, the malloc settings ``run`` applied to the process, and
-the library version.
+wall-clock time in all and per stage, peak resident memory
+(``peak_rss_mb``) and CPU time, the number of worker processes and each
+helper's own memory and CPU time, the BLAS thread count, the malloc
+settings ``run`` applied to the process, and the library version.
 Re-running the same config in deterministic mode reproduces the metric files
-byte for byte, whatever the number of workers; wall clock and memory live
-only in the manifest so they never break that contract.
+and ensemble summaries byte for byte, whatever the number of workers; wall
+clock and memory live only in the manifest so they never break that
+contract.
 
-Every task but ``eval`` is a list of units of work (``run_units``): one per
-``(seed, cell)`` pair for ``prune-tune``/``ablate``, one per seed for
-``train-parent`` and ``ensemble``. A unit's outputs depend on that unit
-alone: its seed's parent (trained, or loaded from the run's parent cache),
-its ``substream(seed, ...)`` streams and its own files. So ``run`` can hand
-contiguous blocks of units to forked helper processes
+Every task but ``eval`` runs as one or more stages (``run_stages``), each
+a list of units of work: one per ``(seed, cell)`` pair for
+``prune-tune``/``ablate``, one per seed for ``train-parent``, and for
+``ensemble`` three stages (``ensemble_task``): parents, one unit per seed;
+members, one per ``(seed, member)``; scores, one per ``(seed, set)``. A unit's outputs
+depend on that unit alone and on files earlier stages wrote: its seed's
+parent (trained, or loaded from the run's parent cache), its
+``substream(seed, ...)`` streams and its own files. So ``run`` can hand
+contiguous blocks of a stage's units to forked helper processes
 (``workers.map_units``) and merge what they report in unit order.
 """
 
@@ -58,14 +62,8 @@ from .data import (
     load_dataset,
     normalization_stats,
 )
-from .ensemble import (
-    corrupt,
-    score_ensemble,
-    spawn_children,
-    train_parent,
-    tune_children,
-)
-from .masks import load_mask_set, load_weights, save_mask_set, save_weights
+from .ensemble import corrupt, train_parent
+from .masks import load_mask_set, load_weights, save_weights
 from .metrics import evaluate
 from .models import build_model
 from .nn.optim import make_optimizer
@@ -78,7 +76,7 @@ from .nn.schedules import (
 )
 from .pruning import PruneSpec, magnitude_mask, random_mask
 from .rng import substream
-from .training import DivergenceError, predict_logits
+from .training import predict_logits
 
 log = logging.getLogger(__name__)
 
@@ -468,15 +466,18 @@ def error_text(err: BaseException) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def worker_count(cfg: ExperimentConfig) -> int:
-    """The processes a run of ``cfg`` shares its units of work among: the
-    CPUs this process may run on, at most one per seed (a one-seed run
-    forks nothing); 1 for the ``eval`` task and where the platform cannot
-    fork or report its CPUs."""
+def worker_count(cfg: ExperimentConfig, units: int) -> int:
+    """The processes a stage of ``units`` units of work of a run of ``cfg``
+    is shared among: the CPUs this process may run on, at most one per
+    unit and, but for ``ensemble``, at most one per seed (so a one-seed
+    sweep forks nothing); 1 for the ``eval`` task and where the platform
+    cannot fork or report its CPUs."""
     if (cfg.task == "eval" or not hasattr(os, "fork")
             or not hasattr(os, "sched_getaffinity")):
         return 1
-    return min(len(os.sched_getaffinity(0)), len(cfg.run_seeds()))
+    if cfg.task != "ensemble":
+        units = min(units, len(cfg.run_seeds()))
+    return min(len(os.sched_getaffinity(0)), units)
 
 
 def process_usage() -> dict:
@@ -497,16 +498,18 @@ def process_usage() -> dict:
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Every task but ``eval`` shares its units of work (``run_units``) among
-    ``worker_count(cfg)`` processes; the outputs do not depend on how
-    many. The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on
-    glibc); with ``cfg.deterministic`` or more than one worker its BLAS pool
-    keeps one thread, as every helper's does. Failures are recorded in the
-    manifest (status: failed, ``error`` as ``error_text`` gives it) and
-    re-raised so callers can exit nonzero.
+    Every task but ``eval`` runs as stages (``run_stages``), each a list of
+    units of work shared among ``worker_count(cfg, units)`` processes; the
+    outputs do not depend on how many. The process's malloc keeps
+    ``MALLOC_SETTINGS`` afterwards (on glibc); with ``cfg.deterministic``
+    or more than one worker in any stage its BLAS pool keeps one thread,
+    as every helper's does. Failures are recorded in the manifest (status:
+    failed, ``error`` as ``error_text`` gives it) and re-raised so callers
+    can exit nonzero.
     """
     allocator = tune_allocator()
-    workers = worker_count(cfg)
+    workers = max([worker_count(cfg, len(units))
+                   for _, units in run_stages(cfg)], default=1)
     if cfg.deterministic or workers > 1:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
@@ -522,6 +525,7 @@ def run(cfg: ExperimentConfig) -> Path:
         "allocator": allocator,
         "blas_threads": blas_threads(),
         "workers": workers,
+        "stages": [],
         "helpers": [],
         "cells": [],
         "metrics_files": [],
@@ -531,18 +535,47 @@ def run(cfg: ExperimentConfig) -> Path:
         manifest["cells"] += cells
         manifest["metrics_files"] += [cell["metrics"] for cell in cells]
 
+    def stage(name, units, work):
+        """``work(unit)`` for each of ``units``, shared among the stage's
+        processes; returns the results in unit order up to the first
+        failing unit, and that unit's error (None when none failed)."""
+        if not units:  # every seed failed in an earlier stage
+            return [], None
+        count = worker_count(cfg, len(units))
+        stage_started = time.perf_counter()
+        results, error = [], None
+        try:
+            if count == 1:
+                for unit in units:
+                    results.append(work(unit))
+            else:  # compiled and imported only by a run that forks
+                from .workers import map_units
+                map_units(units, work, count, results.append,
+                          manifest["helpers"])
+        except Exception as err:
+            error = err
+        manifest["stages"].append({
+            "name": name, "workers": count,
+            "wall_s": time.perf_counter() - stage_started})
+        return results, error
+
     try:
         data = RunData(cfg)
         if cfg.task == "eval":
             _task_eval(cfg, data, out_dir, manifest)
+        elif cfg.task == "ensemble":  # compiled only by an ensemble run
+            from .ensemble_task import run_ensemble
+            run_ensemble(cfg, data, out_dir, stage, merge)
         else:
-            units, work = run_units(cfg), unit_work(cfg, data, out_dir)
-            if workers == 1:
-                for unit in units:
-                    merge(work(unit))
-            else:  # compiled and imported only by a run that forks
-                from .workers import map_units
-                map_units(units, work, workers, merge, manifest["helpers"])
+            ((name, units),) = run_stages(cfg)
+            work = (functools.partial(_seed_parent, cfg, data, out_dir)
+                    if cfg.task == "train-parent" else
+                    functools.partial(_sweep_cell, cfg, data, out_dir, {}))
+            results, error = stage(name, units, work)
+            for cells in results:
+                merge(cells)
+            if error is not None:
+                raise error
         if cfg.task == "ablate":
             rows = summarize_manifests([manifest_path],
                                        manifest_payloads=[manifest],
@@ -572,6 +605,37 @@ def _finish_manifest(manifest: dict, started: float) -> None:
             helper.get("peak_rss_mb", 0.0) for helper in manifest["helpers"])
 
 
+def run_stages(cfg: ExperimentConfig, seeds=None) -> list:
+    """``(name, units)`` of each stage of a run of ``cfg`` over ``seeds``
+    (its run seeds when None), in the order the stages run and, within
+    one, the order its results are merged; none for ``eval``.
+
+    - ``prune-tune``/``ablate``: "cells", a ``(seed, method, rho, phi,
+      tau0)`` unit for every seed and, within it, every cell in
+      ``_cell_grid`` order;
+    - ``train-parent``: "parents", one unit per seed;
+    - ``ensemble``: "parents", the seeds; "members", a ``(seed, member)``
+      unit per member of every seed; "scores", a ``(seed, set)`` unit per
+      scoring set of every seed: ``"clean"`` (the test set), then each
+      corruption severity.
+    """
+    seeds = cfg.run_seeds() if seeds is None else seeds
+    if cfg.task == "eval":
+        return []
+    if cfg.task == "train-parent":
+        return [("parents", seeds)]
+    if cfg.task != "ensemble":
+        return [("cells", [(seed, *cell) for seed in seeds
+                           for cell in _cell_grid(cfg)])]
+    ens = cfg.ensemble
+    return [("parents", seeds),
+            ("members", [(seed, i) for seed in seeds
+                         for i in range(ens["n_members"])]),
+            ("scores", [(seed, which) for seed in seeds
+                        for which in ("clean",
+                                      *ens["corruption_severities"])])]
+
+
 def _seed_parent(cfg, data, out_dir, seed) -> list:
     """``train-parent`` for one seed: its metric CSV and weights."""
     net = build_net(cfg, data, seed)
@@ -594,16 +658,21 @@ def _seed_parent(cfg, data, out_dir, seed) -> list:
     }]
 
 
-def _sweep_cell(cfg, data, out_dir, held, unit) -> list:
-    """``prune-tune``/``ablate`` for one ``(seed, method, rho, phi, tau0)``
-    unit: that cell tuned from the seed's parent. ``held`` maps the seed
-    this process is at to its parent and cache path, so a process keeps
-    one parent at a time."""
-    seed, method, rho, phi, tau0 = unit
+def held_parent(cfg, data, out_dir, held, seed):
+    """``seed``'s parent and cache path from ``held``, the parent this
+    process is at, else from ``get_parent`` after dropping the last one,
+    so a process keeps one parent at a time."""
     if seed not in held:
         held.clear()  # free the last seed's parent before the next is built
         held[seed] = get_parent(cfg, data, seed, out_dir)
-    parent, parent_path = held[seed]
+    return held[seed]
+
+
+def _sweep_cell(cfg, data, out_dir, held, unit) -> list:
+    """``prune-tune``/``ablate`` for one ``(seed, method, rho, phi, tau0)``
+    unit: that cell tuned from the seed's parent (``held_parent``)."""
+    seed, method, rho, phi, tau0 = unit
+    parent, parent_path = held_parent(cfg, data, out_dir, held, seed)
     _, rows = run_cell(cfg, data, parent, seed, method, rho, phi, tau0)
     slug = _cell_slug(method, rho, phi, tau0)
     csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
@@ -615,98 +684,6 @@ def _sweep_cell(cfg, data, out_dir, held, unit) -> list:
         "metrics": str(csv_path.relative_to(out_dir)),
         "parent": str(parent_path.relative_to(out_dir)),
     }]
-
-
-def _seed_ensemble(cfg, data, out_dir, seed) -> list:
-    """``ensemble`` for one seed: parent (shared cache), spawned children,
-    anneal-tuning, then scoring on the clean test set and on each
-    corruption severity in turn."""
-    ens = cfg.ensemble
-    rho, phi, tau0 = cfg.rho[0], cfg.phi[0], cfg.tau0[0]
-    tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
-                                decay=cfg.decay_for("temperature-anneal"),
-                                anneal_epochs=phi)
-    started = time.perf_counter()
-    parent, parent_path = get_parent(cfg, data, seed, out_dir)
-    children = spawn_children(parent, ens["n_members"], rho,
-                              ens["partitioning"], substream(seed, "mask"),
-                              cfg.granularity)
-    members, member_rows, failures = tune_children(
-        children, tau_cfg, ens["partitioning"], (data.x_train, data.y_train),
-        cfg.epochs,
-        lambda: build_training(cfg, cfg.lr, cfg.epochs, len(data.y_train)),
-        cfg.batch_size, seed)
-    if not members:
-        raise DivergenceError("every ensemble member diverged")
-    nets = [net for net, _ in members]
-    extra = parent if ens["include_parent"] else None
-    member_records, ensemble_record = score_ensemble(
-        nets, extra, data.x_test, data.y_test)
-    for rec, (_, mask) in zip(member_records, members):
-        rec.realized_sparsity = mask.sparsity()
-    corrupted = {}
-    for severity in ens["corruption_severities"]:
-        recs, ens_rec = score_ensemble(
-            nets, extra, data.corrupted(severity, seed), data.y_test)
-        corrupted[str(severity)] = {
-            "ensemble": ens_rec.to_dict(),
-            "members": [r.to_dict() for r in recs],
-        }
-    wall = time.perf_counter() - started
-    seed_dir = out_dir / f"seed-{seed}"
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    for i, ((net, mask), rows) in enumerate(zip(members, member_rows)):
-        save_weights(net.params(), seed_dir / f"member-{i}.weights.ssam")
-        save_mask_set(mask, seed_dir / f"member-{i}.mask.ssam")
-        write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
-    member_mean_acc = float(np.mean([r.accuracy for r in member_records]))
-    summary = {
-        "config": cfg.to_dict(),
-        "seed": seed,
-        "members": [rec.to_dict() for rec in member_records],
-        "member_mean_accuracy": member_mean_acc,
-        "ensemble_minus_mean_member":
-            ensemble_record.accuracy - member_mean_acc,
-        "ensemble": ensemble_record.to_dict(),
-        "corrupted": corrupted,
-        "failures": failures,
-        "wall_clock_s": wall,
-    }
-    summary_path = seed_dir / "ensemble-summary.json"
-    write_json_atomic(summary_path, summary)
-    return [{
-        "method": "ensemble", "selector": cfg.selector,
-        "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
-        "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
-        "metrics": str(summary_path.relative_to(out_dir)),
-        "parent": str(parent_path.relative_to(out_dir)),
-    }]
-
-
-# the tasks whose unit of work is one seed: name -> work(cfg, data,
-# out_dir, seed), which writes that seed's files and returns its manifest
-# cells
-SEED_TASKS = {"train-parent": _seed_parent, "ensemble": _seed_ensemble}
-
-
-def run_units(cfg: ExperimentConfig) -> list:
-    """The units of work of a run of ``cfg`` (not ``eval``), in the order
-    their manifest cells are merged: ``(seed, method, rho, phi, tau0)`` for
-    every seed and, within it, every cell in ``_cell_grid`` order for
-    ``prune-tune``/``ablate``; the seeds for the other tasks."""
-    if cfg.task in SEED_TASKS:
-        return cfg.run_seeds()
-    return [(seed, *cell) for seed in cfg.run_seeds()
-            for cell in _cell_grid(cfg)]
-
-
-def unit_work(cfg: ExperimentConfig, data: RunData, out_dir: Path):
-    """``work(unit)`` for the units of ``run_units(cfg)``: writes that
-    unit's files and returns its manifest cells. A helper forked after
-    this call holds its own copy of a sweep's parent."""
-    if cfg.task in SEED_TASKS:
-        return functools.partial(SEED_TASKS[cfg.task], cfg, data, out_dir)
-    return functools.partial(_sweep_cell, cfg, data, out_dir, {})
 
 
 def _task_eval(cfg, data, out_dir, manifest):

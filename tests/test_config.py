@@ -224,6 +224,13 @@ VALIDATOR_HOLES = [
     (dict(method="oneshot", epochs=0), "prune-tune task needs epochs >= 1"),
     (dict(task="ensemble", epochs=0, phi=0),
      "ensemble task needs epochs >= 1"),
+    # a repeated severity was scored twice, the second result overwriting
+    # the first under the same key
+    (dict(task="ensemble", ensemble={"corruption_severities": [1, 1, 3]}),
+     r"corruption severities must be distinct, got \[1, 1, 3\]"),
+    (dict(task="eval", weights="w.ssam",
+          ensemble={"corruption_severities": [2, 2]}),
+     r"corruption severities must be distinct, got \[2, 2\]"),
 ]
 
 

@@ -24,10 +24,10 @@ from subanneal.annealing import (
 from subanneal.data import normalization_stats, normalize
 from subanneal.ensemble import (
     corrupt,
+    member_controller,
     score_ensemble,
-    spawn_children,
     train_parent,
-    tune_children,
+    tune_member,
 )
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
@@ -137,9 +137,14 @@ def ensemble_results(digits):
                          weight_decay=0.0005),
                      parent_stepwise(10), BATCH,
                      substream(seed, "shuffle", "parent"))
-        children = spawn_children(parent, 4, 0.5, True, substream(seed, "mask"))
-        members, _, _ = tune_children(children, tau_cfg, True, digits["train"],
-                                      10, new_training, BATCH, seed)
+        members = []
+        for i in range(4):
+            controller = member_controller(parent.weight_shapes(), i, 0.5,
+                                           True, tau_cfg,
+                                           substream(seed, "mask"))
+            net, _ = tune_member(parent, i, controller, digits["train"], 10,
+                                 *new_training(), BATCH, seed)
+            members.append((net, controller.mask))
         nets = [net for net, _ in members]
         member_records, ensemble_record = score_ensemble(
             nets, None, *digits["test"])

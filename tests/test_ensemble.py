@@ -7,24 +7,19 @@ from subanneal.data import make_blobs
 from subanneal.ensemble import (
     _mean_logits,
     corrupt,
+    member_controller,
     score_ensemble,
-    spawn_children,
     train_parent,
-    tune_children,
+    tune_member,
 )
-from subanneal.annealing import (
-    FixedMaskController,
-    TemperatureConfig,
-    anti_controller,
-    temperature_controller,
-    tune,
-)
+from subanneal.annealing import FixedMaskController, TemperatureConfig, tune
 from subanneal.metrics import evaluate, softmax
 from subanneal.models import build_mlp
+from subanneal.pruning import PruneSpec, random_mask
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant, OneCycle
 from subanneal.rng import substream
-from subanneal.training import predict_logits
+from subanneal.training import DivergenceError, predict_logits
 
 
 def _net(seed=0, d=8, k=3, hidden=(16, 12)):
@@ -53,47 +48,87 @@ def _data(n=240, d=8, k=3):
     return (train.x, train.y), (test.x, test.y)
 
 
+def _controllers(n, rho, partitioning, seed, tau=None):
+    """Members 0 .. n-1's controllers for ``_net()``, each drawn from its
+    own fresh copy of the seed's mask stream, as the members stage does."""
+    shapes = _net().weight_shapes()
+    return [member_controller(shapes, i, rho, partitioning, tau or _tau(),
+                              substream(seed, "m")) for i in range(n)]
+
+
+def _members(parent, controllers, data, epochs, seed, eval_data=None):
+    """Tune each member in turn; returns (members, rows), a member as
+    (net, terminal mask)."""
+    members, rows = [], []
+    for i, controller in enumerate(controllers):
+        schedule, optimizer = _cycle(max(epochs, 1))()  # at least one step
+        net, member_rows = tune_member(parent, i, controller, data, epochs,
+                                       schedule, optimizer, 32, seed,
+                                       eval_data=eval_data)
+        members.append((net, controller.mask))
+        rows.append(member_rows)
+    return members, rows
+
+
 class TestSpawnChildren:
+    """Members' target masks, drawn by ``member_controller``."""
+
     def test_partitioned_pair_masks_sum_to_one(self):
-        parent = _net()
-        children = spawn_children(parent, 2, 0.5, True, substream(1, "m"))
-        (_, m1), (_, m2) = children
+        m1, m2 = (c.mask for c in _controllers(2, 0.5, True, 1))
         for name in m1:
             np.testing.assert_array_equal(m1[name] + m2[name],
                                           np.ones_like(m1[name]))
 
     def test_six_children_make_three_complementary_pairs(self):
-        parent = _net()
-        children = spawn_children(parent, 6, 0.5, True, substream(2, "m"))
-        assert len(children) == 6
+        masks = [c.mask for c in _controllers(6, 0.5, True, 2)]
+        assert len(masks) == 6
         for a in range(0, 6, 2):
-            ma, mb = children[a][1], children[a + 1][1]
-            assert mb.equals(ma.complement())
+            assert masks[a + 1].equals(masks[a].complement())
         # distinct pairs differ
-        assert not children[0][1].equals(children[2][1])
+        assert not masks[0].equals(masks[2])
 
     def test_partitioned_pair_covers_every_weight_exactly_once(self):
-        parent = _net()
-        (_, m1), (_, m2) = spawn_children(parent, 2, 0.5, True,
-                                          substream(3, "m"))
+        m1, m2 = (c.mask for c in _controllers(2, 0.5, True, 3))
         assert m1.overlap(m2) == 0
         assert m1.zeros() + m2.zeros() == m1.total()
 
     def test_children_inherit_parent_weights(self):
+        # no epochs: each member is the parent under its terminal mask,
+        # and the parent is left as it was
         parent = _net()
-        children = spawn_children(parent, 3, 0.5, False, substream(4, "m"))
-        for child, _ in children:
-            for name, w in parent.params().items():
-                np.testing.assert_array_equal(child.params()[name], w)
+        before = {n: w.copy() for n, w in parent.params().items()}
+        data, _ = _data()
+        members, _ = _members(parent, _controllers(3, 0.5, False, 4), data,
+                              0, seed=4)
+        for net, mask in members:
+            for name, w in before.items():
+                want = w * mask[name] if name in mask else w
+                np.testing.assert_array_equal(net.params()[name], want)
+        for name, w in parent.params().items():
+            np.testing.assert_array_equal(w, before[name])
 
     def test_partitioning_with_odd_rho_logs_and_complements(self, caplog):
-        parent = _net()
         with caplog.at_level("WARNING"):
-            children = spawn_children(parent, 2, 0.7, True, substream(5, "m"))
-        (_, m1), (_, m2) = children
+            m1, m2 = (c.mask for c in _controllers(2, 0.7, True, 5))
         assert m1.sparsity() == pytest.approx(0.7, abs=0.02)
         assert m2.sparsity() == pytest.approx(0.3, abs=0.02)
         assert any("complement" in rec.message for rec in caplog.records)
+
+    def test_each_member_replays_the_draws_of_the_members_before_it(self):
+        # member i alone gets the mask a single stream gives it in turn
+        shapes = _net().weight_shapes()
+        spec = PruneSpec("random", 0.5, "layerwise")
+        for partitioning in (False, True):
+            rng = substream(6, "m")
+            drawn = []
+            for i in range(5):
+                if partitioning and i % 2 == 1:
+                    drawn.append(drawn[-1].complement())
+                else:
+                    drawn.append(random_mask(shapes, spec, rng))
+            got = _controllers(5, 0.5, partitioning, 6)
+            for mask, controller in zip(drawn, got):
+                assert controller.mask.equals(mask)
 
 
 class TestTrainParent:
@@ -130,33 +165,32 @@ class TestTrainParent:
 
 
 class TestTuneChildren:
+    """Members tuned one at a time by ``tune_member``."""
+
     def test_sibling_probability_sets_mirror_each_epoch(self):
         parent = _net()
         data, test = _data()
-        children = spawn_children(parent, 2, 0.5, True, substream(7, "m"))
-        # mirror identity checked on the controllers the children will use
-        base = temperature_controller(children[0][1], _tau())
-        mirror = anti_controller(base)
+        base, mirror = _controllers(2, 0.5, True, 7)
+        # the mirror identity, on copies of the controllers the members use
+        copies = _controllers(2, 0.5, True, 7)
         for epoch in range(3):
-            base.begin_epoch(epoch)
-            mirror.begin_epoch(epoch)
-            for name in base.probs.probs:
+            for controller in copies:
+                controller.begin_epoch(epoch)
+            for name in copies[0].probs.probs:
                 np.testing.assert_allclose(
-                    base.probs[name] + mirror.probs[name], 1.0, atol=1e-15)
-        members, rows, failures = tune_children(
-            children, _tau(), True, data, 2, _cycle(2), 32, seed=7,
-            eval_data=test)
-        assert not failures
+                    copies[0].probs[name] + copies[1].probs[name], 1.0,
+                    atol=1e-15)
+        members, _ = _members(parent, [base, mirror], data, 2, seed=7,
+                              eval_data=test)
         assert len(members) == 2
         assert members[0][1].overlap(members[1][1]) == 0
 
     def test_single_member_tau_zero_equals_plain_prune_and_tune(self):
         parent = _net()
         data, _ = _data()
-        children = spawn_children(parent, 1, 0.5, False, substream(8, "m"))
-        target = children[0][1]
-        members, _, _ = tune_children(children, _tau(0.0, 0), False, data, 3,
-                                      _cycle(3), 32, seed=8)
+        (controller,) = _controllers(1, 0.5, False, 8, _tau(0.0, 0))
+        target = controller.mask
+        members, _ = _members(parent, [controller], data, 3, seed=8)
 
         # plain prune-and-tune of the same child through the generic loop
         clone = parent.clone()
@@ -169,26 +203,32 @@ class TestTuneChildren:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_member_excluded_and_reported(self):
+        # a member that diverges raises with the record the run reports
+        # (the run leaving it out: TestRunEnsemble); its sibling is unharmed
         parent = _net()
         data, _ = _data()
-        children = spawn_children(parent, 2, 0.5, False, substream(10, "m"))
-        children[0][0].layers[1].w[...] = 1e200  # poisoned child diverges
-        members, rows, failures = tune_children(
-            children, _tau(0.5, 1), False, data, 2, _cycle(2), 32, seed=10)
-        assert len(members) == 1
-        assert len(failures) == 1
-        assert failures[0]["member"] == 0
-        assert "epoch" in failures[0]
+        poisoned = parent.clone()
+        poisoned.layers[1].w[...] = 1e200  # a member tuned from it diverges
+        controllers = _controllers(2, 0.5, False, 10, _tau(0.5, 1))
+        schedule, optimizer = _cycle(2)()
+        with pytest.raises(DivergenceError) as info:
+            tune_member(poisoned, 0, controllers[0], data, 2, schedule,
+                        optimizer, 32, seed=10)
+        assert "epoch" in info.value.record
         # the non-finite loss is kept as its text, which strict JSON can hold
-        assert failures[0]["loss"] in ("nan", "inf")
-        json.dumps(failures, allow_nan=False)
+        assert info.value.record["loss"] in ("nan", "inf")
+        json.dumps(info.value.record, allow_nan=False)
+        schedule, optimizer = _cycle(2)()
+        net, rows = tune_member(parent, 1, controllers[1], data, 2, schedule,
+                                optimizer, 32, seed=10)
+        assert all(np.isfinite(row["train_loss"]) for row in rows)
 
     def test_final_sparsity_near_half(self):
         parent = _net()
         data, _ = _data()
-        children = spawn_children(parent, 2, 0.5, True, substream(9, "m"))
-        members, _, _ = tune_children(children, _tau(0.5, 1), True, data, 2,
-                                      _cycle(2), 32, seed=9)
+        members, _ = _members(parent,
+                              _controllers(2, 0.5, True, 9, _tau(0.5, 1)),
+                              data, 2, seed=9)
         for net, mask in members:
             assert mask.sparsity() == pytest.approx(0.5, abs=0.01)
             for name, w in net.weights().items():
@@ -372,18 +412,25 @@ class TestRunEnsemble:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_member_leaves_strict_json(self, tmp_path, monkeypatch):
-        import subanneal.runner as runner
+        import subanneal.ensemble_task as ensemble_task
+        from subanneal.runner import run
 
-        def spawn_poisoned(*args, **kwargs):
-            children = spawn_children(*args, **kwargs)
-            children[0][0].layers[1].w[...] = 1e200
-            return children
+        def member_0_diverges(parent, i, *args, **kwargs):
+            if i == 0:
+                parent = parent.clone()
+                parent.layers[1].w[...] = 1e200
+            return tune_member(parent, i, *args, **kwargs)
 
-        monkeypatch.setattr(runner, "spawn_children", spawn_poisoned)
+        monkeypatch.setattr(ensemble_task, "tune_member", member_0_diverges)
         cfg = _ensemble_config(tmp_path, ensemble={"n_members": 2})
-        manifest = _strict_json(runner.run(cfg).read_text())
+        manifest = _strict_json(run(cfg).read_text())
         summary = _strict_json((tmp_path / manifest["metrics_files"][0])
                                .read_text())
         assert [f["member"] for f in summary["failures"]] == [0]
+        assert "epoch" in summary["failures"][0]
         assert summary["failures"][0]["loss"] in ("nan", "inf")
+        # left out of the ensemble: no files, no record
         assert len(summary["members"]) == 1
+        seed_dir = tmp_path / "seed-11"
+        assert sorted(p.name for p in seed_dir.glob("member-*")) == [
+            "member-1.csv", "member-1.mask.ssam", "member-1.weights.ssam"]

@@ -175,6 +175,9 @@ class TestPruneTuneTask:
         assert len(rows) == 3
         assert rows[-1]["test_acc"] is not None
         assert "wall_clock_s" in manifest
+        (stage,) = manifest["stages"]
+        assert stage["name"] == "cells" and stage["workers"] == 1
+        assert 0 < stage["wall_s"] <= manifest["wall_clock_s"]
 
     def test_oneshot_vs_phi_one_iterative_identical_metric_files(self, tmp_path):
         cfg_a = _cfg(tmp_path, method="oneshot", out_dir=str(tmp_path / "a"))
@@ -315,9 +318,14 @@ class TestEnsembleTask:
         assert manifest["status"] == "ok"
         summary_file = tmp_path / "out" / manifest["metrics_files"][0]
         summary = json.loads(summary_file.read_text())
-        assert {"config", "members", "ensemble", "corrupted",
-                "member_mean_accuracy", "ensemble_minus_mean_member",
-                "wall_clock_s"} <= set(summary)
+        assert set(summary) == {
+            "config", "seed", "members", "ensemble", "corrupted",
+            "member_mean_accuracy", "ensemble_minus_mean_member",
+            "failures"}
+        # the wall clock is the manifest's, per stage
+        assert [s["name"] for s in manifest["stages"]] == [
+            "parents", "members", "scores"]
+        assert all(s["wall_s"] > 0 for s in manifest["stages"])
         assert len(summary["members"]) == 2
         assert "3" in summary["corrupted"]
         member_dir = summary_file.parent
@@ -371,10 +379,8 @@ class TestEnsembleTask:
         assert len(files) == 2 * 3 + 1  # member csv/weights/mask + parent
         for rel in files:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
-        summaries = [json.loads((out / "seed-1" / "ensemble-summary.json")
-                                .read_text()) for out in outs]
-        for summary in summaries:
-            assert summary.pop("wall_clock_s") > 0
+        summaries = [(out / "seed-1" / "ensemble-summary.json").read_bytes()
+                     for out in outs]
         assert summaries[0] == summaries[1]
 
 

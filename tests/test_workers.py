@@ -1,5 +1,6 @@
-"""Units of work shared among forked worker processes, one per CPU
-available (at most one per seed), a contiguous block of units each.
+"""Units of work shared among forked worker processes, stage by stage: one
+process per CPU available (at most one per unit, and but for ensembles at
+most one per seed), a contiguous block of units each.
 
 The tests set the CPU count N by replacing ``os.sched_getaffinity``. The
 outputs do not depend on N, a unit that fails in a helper fails the run as
@@ -18,14 +19,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subanneal import runner
+from subanneal import ensemble_task, runner
 from subanneal.cli import main
 from subanneal.config import ExperimentConfig
 from subanneal.runner import (
     WorkerError,
     error_text,
     run,
-    run_units,
+    run_stages,
     worker_count,
 )
 from subanneal.workers import unit_blocks
@@ -58,6 +59,16 @@ CONFIGS = {
                  "ensemble": {"n_members": 2, "partitioning": True,
                               "include_parent": False,
                               "corruption_severities": [1, 3]}},
+    # one seed: the members and the scoring sets are shared out
+    "ensemble-4": {"task": "ensemble", "seed": 5,
+                   "ensemble": {"n_members": 4, "partitioning": True,
+                                "corruption_severities": [1, 2, 3, 4, 5]}},
+    "ensemble-3": {"task": "ensemble", "seed": 6,
+                   "ensemble": {"n_members": 3, "partitioning": True,
+                                "corruption_severities": [2, 4]}},
+    "ensemble-parent": {"task": "ensemble", "seed": 7,
+                        "ensemble": {"n_members": 2, "include_parent": True,
+                                     "corruption_severities": [3]}},
     "train-parent": {"task": "train-parent", "seeds": [4, 7]},
 }
 
@@ -74,8 +85,7 @@ def _cpus(monkeypatch, n: int) -> None:
 
 def _outputs(out: Path) -> dict:
     """Every file under ``out`` by relative path: its bytes, but only
-    status, cells and metric files of the manifest, and an ensemble
-    summary without its wall clock."""
+    status, error, cells and metric files of the manifest."""
     files = {}
     for path in sorted(out.rglob("*")):
         if not path.is_file():
@@ -83,13 +93,34 @@ def _outputs(out: Path) -> dict:
         content = path.read_bytes()
         if path.name == "manifest.json":
             manifest = json.loads(content)
-            content = [manifest["status"], manifest["cells"],
-                       manifest["metrics_files"]]
-        elif path.name == "ensemble-summary.json":
-            content = json.loads(content)
-            assert content.pop("wall_clock_s") > 0
+            content = [manifest["status"], manifest.get("error"),
+                       manifest["cells"], manifest["metrics_files"]]
         files[path.relative_to(out).as_posix()] = content
     return files
+
+
+def _check_stages(cfg, manifest, cpus: int) -> None:
+    """Each stage ran on the CPUs available, at most one per unit (and but
+    for ensembles one per seed), its helpers' blocks contiguous and
+    following the caller's in unit order, no two blocks differing in size
+    by more than one; ``helpers`` lists the stages' helpers in turn."""
+    helpers = manifest["helpers"]
+    stages = run_stages(cfg)
+    assert [s["name"] for s in manifest["stages"]] == [n for n, _ in stages]
+    for (_, units), stage in zip(stages, manifest["stages"]):
+        cap = len(units if cfg.task == "ensemble" else manifest["seeds"])
+        assert stage["workers"] == min(cpus, cap, len(units))
+        assert stage["wall_s"] > 0
+        units = json.loads(json.dumps(units))
+        blocks = [h["units"] for h in helpers[:stage["workers"] - 1]]
+        helpers = helpers[stage["workers"] - 1:]
+        caller = len(units) - sum(map(len, blocks))
+        assert sum(blocks, []) == units[caller:]
+        sizes = [caller] + [len(block) for block in blocks]
+        assert max(sizes) - min(sizes) <= 1
+    assert helpers == []
+    assert manifest["workers"] == max(s["workers"]
+                                      for s in manifest["stages"])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -104,19 +135,12 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
         cfg = _cfg(**CONFIGS[name])
         manifest = json.loads(run(cfg).read_text())
         assert not multiprocessing.active_children()
-        used = min(workers, len(manifest["seeds"]))
-        assert manifest["workers"] == used
+        _check_stages(cfg, manifest, workers)
         helpers = manifest["helpers"]
-        # the helpers' blocks are contiguous and follow the caller's, in
-        # unit order, and no two blocks differ in size by more than one
-        units = json.loads(json.dumps(run_units(cfg)))
-        blocks = [h["units"] for h in helpers]
-        caller = len(units) - sum(map(len, blocks))
-        assert sum(blocks, []) == units[caller:]
-        sizes = [caller] + [len(block) for block in blocks]
-        assert len(sizes) == used and max(sizes) - min(sizes) <= 1
-        if name == "ablate" and used == 2:  # trained by one, loaded by one
-            assert units[caller - 1][0] == units[caller][0]
+        if name == "ablate" and workers == 2:  # trained by one, loaded by one
+            assert helpers[0]["units"][0][0] == 1  # seed 1 straddles blocks
+        if name.startswith("ensemble-") and workers > 1:
+            assert helpers  # a one-seed ensemble forks
         assert all(h["peak_rss_mb"] > 0 and h["cpu_s"] > 0 for h in helpers)
         assert manifest["peak_rss_mb_sum"] == pytest.approx(
             manifest["peak_rss_mb"] + sum(h["peak_rss_mb"] for h in helpers))
@@ -216,7 +240,8 @@ def test_a_helper_that_dies_fails_its_seed(tmp_path, monkeypatch):
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == str(info.value)
-    units = json.loads(json.dumps(run_units(cfg)))
+    ((_, units),) = run_stages(cfg)
+    units = json.loads(json.dumps(units))
     assert manifest["helpers"] == [{"units": units[3:]}]  # and no usage
     assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
         [0, 0.5], [0, 0.8], [1, 0.5]]
@@ -257,6 +282,125 @@ def test_a_cell_failing_in_a_helper_fails_the_run_as_a_serial_run_does(
         assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
             [0, 0.5], [0, 0.8], [1, 0.5], [1, 0.8]]
         assert manifest["metrics_files"] == manifests[1]["metrics_files"]
+
+
+def _ensemble_runs(tmp_path, monkeypatch, raw, name) -> tuple:
+    """Run the ensemble config ``raw`` at 1, 2 and 3 CPUs, each in its own
+    directory under the same relative out_dir; returns each run's error
+    text (None when it succeeded) and outputs, by CPU count."""
+    errors, outputs = {}, {}
+    for cpus in (1, 2, 3):
+        work = tmp_path / f"{name}-w{cpus}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        _cpus(monkeypatch, cpus)
+        try:
+            run(_cfg(**raw))
+            errors[cpus] = None
+        except Exception as err:
+            errors[cpus] = error_text(err)
+        assert not multiprocessing.active_children()
+        outputs[cpus] = _outputs(Path("out"))
+    return errors, outputs
+
+
+def _tune_member_through(hook):
+    """``tune_member``, but each member is tuned from the parent
+    ``hook(parent, seed, member)`` returns (it may raise instead)."""
+    real = ensemble_task.tune_member
+
+    def tune_member(parent, i, controller, train_data, epochs, schedule,
+                    optimizer, batch_size, seed, **kwargs):
+        return real(hook(parent, seed, i), i, controller, train_data,
+                    epochs, schedule, optimizer, batch_size, seed, **kwargs)
+    return tune_member
+
+
+def _diverges(when):
+    """Members ``when(seed, i)`` picks are tuned from a poisoned copy of
+    the parent, so they diverge."""
+    def hook(parent, seed, i):
+        if when(seed, i):
+            parent = parent.clone()
+            parent.layers[1].w[...] = 1e200
+        return parent
+    return _tune_member_through(hook)
+
+
+ONE_SEED = {"task": "ensemble", "seed": 5,
+            "ensemble": {"n_members": 4, "corruption_severities": [1, 3]}}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_member_diverging_in_a_helper_is_reported_as_in_a_serial_run(
+        tmp_path, monkeypatch):
+    # member 3 is a helper's at 2 and 3 CPUs
+    monkeypatch.setattr(ensemble_task, "tune_member",
+                        _diverges(lambda seed, i: i == 3))
+    errors, outputs = _ensemble_runs(tmp_path, monkeypatch, ONE_SEED, "m3")
+    assert errors == {1: None, 2: None, 3: None}
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    summary = json.loads(outputs[1]["seed-5/ensemble-summary.json"])
+    assert [f["member"] for f in summary["failures"]] == [3]
+    assert summary["failures"][0]["loss"] in ("nan", "inf")
+    assert len(summary["members"]) == 3
+    assert "seed-5/member-3.csv" not in outputs[1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_every_member_diverging_fails_the_run_as_a_serial_run_does(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(ensemble_task, "tune_member", _diverges(lambda *_: True))
+    errors, outputs = _ensemble_runs(tmp_path, monkeypatch, ONE_SEED, "all")
+    assert errors[1] == "DivergenceError: every ensemble member diverged"
+    assert errors[2] == errors[3] == errors[1]
+    assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
+    status, error, cells, _ = outputs[1]["manifest.json"]
+    assert (status, error, cells) == ("failed", errors[1], [])
+
+
+def _member_1_of_seed_1_raises(parent, seed, i):
+    if (seed, i) == (1, 1):
+        raise ValueError(f"member {i} of seed {seed} failed")
+    return parent
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stage", ["members", "every-member", "scores"])
+def test_an_ensemble_seed_failing_in_any_stage_fails_as_in_a_serial_run(
+        tmp_path, monkeypatch, stage):
+    """Seed 1 of 0, 1, 2 fails: in a member, by every member diverging, or
+    in scoring. As in a seed-by-seed serial run, the run fails with that
+    seed's error, and seed 0 is finished: summary and manifest cell."""
+    if stage == "members":
+        monkeypatch.setattr(ensemble_task, "tune_member",
+                            _tune_member_through(_member_1_of_seed_1_raises))
+        want = "ValueError: member 1 of seed 1 failed"
+    elif stage == "every-member":
+        monkeypatch.setattr(ensemble_task, "tune_member",
+                            _diverges(lambda seed, i: seed == 1))
+        want = "DivergenceError: every ensemble member diverged"
+    else:
+        real = ensemble_task._score
+
+        def a_set_fails(cfg, data, out_dir, survivors, unit):
+            if unit == (1, 3):
+                raise ValueError("severity 3 of seed 1 failed")
+            return real(cfg, data, out_dir, survivors, unit)
+        monkeypatch.setattr(ensemble_task, "_score", a_set_fails)
+        want = "ValueError: severity 3 of seed 1 failed"
+    raw = {**ONE_SEED, "seeds": [0, 1, 2],
+           "ensemble": {"n_members": 2, "corruption_severities": [1, 3]}}
+    errors, outputs = _ensemble_runs(tmp_path, monkeypatch, raw, stage)
+    assert errors == {1: want, 2: want, 3: want}
+    for cpus in (2, 3):
+        assert outputs[cpus]["manifest.json"] == outputs[1]["manifest.json"]
+        assert (outputs[cpus]["seed-0/ensemble-summary.json"]
+                == outputs[1]["seed-0/ensemble-summary.json"])
+    status, error, cells, _ = outputs[1]["manifest.json"]
+    assert (status, error) == ("failed", want)
+    assert [cell["seed"] for cell in cells] == [0]
+    assert "seed-1/ensemble-summary.json" not in outputs[1]
 
 
 def test_two_writers_of_one_parent_leave_a_complete_cache_entry(
@@ -365,7 +509,8 @@ run(ExperimentConfig.from_dict({{**base, "out_dir": "b", "task": "ablate",
                                  "seeds": [0, 1, 2]}}))
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] == "multiprocessing"
-                        or m == "subanneal.workers")))
+                        or m in ("subanneal.workers",
+                                 "subanneal.ensemble_task"))))
 """
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -411,33 +556,68 @@ def test_the_callers_block_of_blobs_ablate_holds_every_method(monkeypatch,
     path = SRC.parent / "configs" / "blobs-ablate.json"
     cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
     _cpus(monkeypatch, cpus)
-    assert worker_count(cfg) == cpus
-    units = run_units(cfg)
+    ((_, units),) = run_stages(cfg)
+    assert worker_count(cfg, len(units)) == cpus
     caller = [units[i] for i in unit_blocks(len(units), cpus)[0]]
     assert {unit[1] for unit in caller} == set(cfg.method)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_callers_blocks_of_a_one_seed_ensemble_tune_and_score(
+        monkeypatch, cpus):
+    """The benchmark's ensemble (4 partitioned members, severities 1-5,
+    one seed): the caller trains the parent, tunes members and scores
+    the clean set and at least one corrupted set, so the traced tuning,
+    evaluation and corruption counts stay nonzero."""
+    cfg = _cfg(task="ensemble", seed=0,
+               ensemble={"n_members": 4, "partitioning": True,
+                         "corruption_severities": [1, 2, 3, 4, 5]})
+    _cpus(monkeypatch, cpus)
+    caller = {}
+    for name, units in run_stages(cfg):
+        workers = worker_count(cfg, len(units))
+        assert workers == min(cpus, len(units))
+        caller[name] = [units[i] for i in unit_blocks(len(units), workers)[0]]
+    assert caller["parents"] == [0]
+    assert caller["members"] == [(0, 0), (0, 1)]
+    sets = [which for _, which in caller["scores"]]
+    assert sets[0] == "clean" and len(sets) >= 2
 
 
 class TestWorkerCount:
     def test_the_cpus_available_at_most_one_per_seed(self, monkeypatch):
         _cpus(monkeypatch, 4)
-        assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2])) == 3
-        assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2, 3, 4])) == 4
-        assert worker_count(_cfg(task="ensemble", repeats=2)) == 2
-        assert worker_count(_cfg(task="prune-tune", seed=1)) == 1
+        assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2]), 3) == 3
+        assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2, 3, 4]),
+                            5) == 4
+        assert worker_count(_cfg(task="train-parent", repeats=2), 2) == 2
+        assert worker_count(_cfg(task="prune-tune", seed=1), 1) == 1
+        # a one-seed sweep forks nothing, however many cells it has
+        assert worker_count(_cfg(task="ablate", seed=1,
+                                 method=["oneshot", "iterative"]), 2) == 1
+
+    def test_an_ensemble_stage_at_most_one_per_unit(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        cfg = _cfg(task="ensemble", seed=1,
+                   ensemble={"n_members": 3, "corruption_severities": [1]})
+        assert [worker_count(cfg, len(units))
+                for _, units in run_stages(cfg)] == [1, 3, 2]
+        assert worker_count(_cfg(task="ensemble", repeats=2), 2) == 2
 
     def test_eval_runs_in_one_process(self, monkeypatch):
         _cpus(monkeypatch, 2)
         cfg = _cfg(task="eval", weights="w.ssam", seeds=[0, 1])
-        assert worker_count(cfg) == 1
+        assert worker_count(cfg, 2) == 1
+        assert run_stages(cfg) == []
 
     def test_one_process_where_fork_or_affinity_is_missing(self, monkeypatch):
         cfg = _cfg(task="ablate", seeds=[0, 1, 2])
         _cpus(monkeypatch, 2)
         monkeypatch.delattr(os, "fork")
-        assert worker_count(cfg) == 1
+        assert worker_count(cfg, 3) == 1
         monkeypatch.undo()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert worker_count(cfg) == 1
+        assert worker_count(cfg, 3) == 1
 
 
 def test_several_workers_run_one_blas_thread_each(tmp_path, monkeypatch):

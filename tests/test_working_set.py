@@ -29,9 +29,9 @@ from subanneal.data import (
 from subanneal.ensemble import (
     CORRUPT_BLOCK_BYTES,
     corrupt,
-    spawn_children,
+    member_controller,
     train_parent,
-    tune_children,
+    tune_member,
 )
 from subanneal.models import build_mlp, build_small_conv
 from subanneal.nn.layers import Conv2d, Network
@@ -624,6 +624,22 @@ def test_a_diverged_epoch_leaves_no_activation_caches():
     assert _no_caches(net)
 
 
+def _tune_members(parent, n_members, x, y, batch_size, optimizer,
+                  eval_data=None):
+    """Members 0 .. n-1 of a partitioned ensemble, tuned one epoch each in
+    turn; returns the tuned networks."""
+    tau_cfg = TemperatureConfig(tau0=0.5, anneal_epochs=1)
+    nets = []
+    for i in range(n_members):
+        controller = member_controller(parent.weight_shapes(), i, 0.5, True,
+                                       tau_cfg, substream(1, "mask"))
+        net, _ = tune_member(parent, i, controller, (x, y), 1,
+                             Constant(0.01), optimizer(), batch_size, seed=3,
+                             eval_data=eval_data)
+        nets.append(net)
+    return nets
+
+
 @pytest.mark.parametrize("evaluated", [False, True],
                          ids=["no-eval", "eval"])
 def test_tuned_ensemble_networks_hold_no_caches(evaluated):
@@ -632,32 +648,26 @@ def test_tuned_ensemble_networks_hold_no_caches(evaluated):
     parent = _conv_net()
     train_parent(parent, (x, y), 1, SGD(0.01), Constant(0.01), 32,
                  substream(1, "shuffle"), eval_data=eval_data)
-    children = spawn_children(parent, 2, 0.5, True, substream(1, "mask"))
-    members, _, failures = tune_children(
-        children, TemperatureConfig(tau0=0.5, anneal_epochs=1), True, (x, y),
-        1, lambda: (Constant(0.01), SGD(0.01)), 32, seed=3,
-        eval_data=eval_data)
-    assert not failures and len(members) == 2
-    for net in [parent, *(net for net, _ in members)]:
+    members = _tune_members(parent, 2, x, y, 32, lambda: SGD(0.01),
+                            eval_data=eval_data)
+    for net in [parent, *members]:
         assert _no_caches(net)
 
 
 def _tuning_peak(n_members):
-    """Traced peak of tuning ``n_members`` smallconv children, one full
-    96-row batch each, so a member's last batch is its largest."""
+    """Traced peak of tuning ``n_members`` smallconv members in turn, one
+    full 96-row batch each, so a member's last batch is its largest."""
     x, y = _conv_data()
-    children = spawn_children(_conv_net(), n_members, 0.5, True,
-                              substream(1, "mask"))
-    _, peak = _traced_peak(lambda: tune_children(
-        children, TemperatureConfig(tau0=0.5, anneal_epochs=1), True, (x, y),
-        1, lambda: (Constant(0.01), SGD(0.01, momentum=0.9)), 96, seed=3))
+    parent = _conv_net()
+    _, peak = _traced_peak(lambda: _tune_members(
+        parent, n_members, x, y, 96, lambda: SGD(0.01, momentum=0.9)))
     return peak
 
 
 def test_tuning_more_members_holds_no_more_activations():
     _tuning_peak(1)  # warm-up
     two, four = _tuning_peak(2), _tuning_peak(4)
-    # Each finished member keeps its weights' masks and probabilities, but
-    # no activations, gradients or masked-weight buffers; a member that
-    # kept its last batch's caches would add 2.5 MB.
+    # Each finished member keeps its weights, but no activations,
+    # gradients or masked-weight buffers; a member that kept its last
+    # batch's caches would add 2.5 MB.
     assert four <= two + 256 * KIB, (two, four)
