@@ -34,12 +34,10 @@ from .masks import (
     ProbabilitySet,
     apply_mask,
     load_mask_set,
-    load_probability_set,
     load_weights,
     masked_grad,
     realize,
     save_mask_set,
-    save_probability_set,
     save_weights,
 )
 from .metrics import MetricsRecord, accuracy, ece, evaluate, softmax
@@ -77,7 +75,6 @@ __all__ = [
     "init_random",
     "init_temperature",
     "load_mask_set",
-    "load_probability_set",
     "load_weights",
     "magnitude_mask",
     "make_iterative_schedule",
@@ -90,7 +87,6 @@ __all__ = [
     "random_mask",
     "realize",
     "save_mask_set",
-    "save_probability_set",
     "save_weights",
     "score_ensemble",
     "softmax",

@@ -188,13 +188,20 @@ def _check_ensemble_task(cfg: "ExperimentConfig") -> None:
 def _check_phi_within_epochs(cfg: "ExperimentConfig") -> None:
     """Every method but one-shot reaches its target sparsity at epoch phi,
     so a tuning run shorter than phi would end short of the rho it is
-    filed under."""
-    annealed = [m for m in cfg.method if m != "oneshot"]
-    if annealed:
-        phi = max(cfg.phi)
-        _require(phi <= cfg.epochs,
-                 f"{cfg.task} task needs phi <= epochs for method "
-                 f"{annealed[0]} (phi {phi}, epochs {cfg.epochs})")
+    filed under. The annealed methods need one epoch more: their
+    probabilities reach the terminal mask only at epoch phi, so with
+    ``phi == epochs`` the last row would describe the last stochastic
+    epoch, not the pruned network the run ends with."""
+    phi = max(cfg.phi)
+    for method in cfg.method:
+        if method in ("temperature-anneal", "random-anneal"):
+            _require(phi < cfg.epochs,
+                     f"{cfg.task} task needs phi < epochs for method "
+                     f"{method} (phi {phi}, epochs {cfg.epochs})")
+        elif method == "iterative":
+            _require(phi <= cfg.epochs,
+                     f"{cfg.task} task needs phi <= epochs for method "
+                     f"{method} (phi {phi}, epochs {cfg.epochs})")
 
 
 @dataclass
@@ -234,7 +241,7 @@ class ExperimentConfig:
     weights: str | None = None  # eval task: container to load
     mask: str | None = None  # eval task: optional mask container
     deterministic: bool = False
-    dtype: str = "float64"
+    dtype: str = "float32"
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -232,8 +232,8 @@ def _normalize_in_place(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
     """``normalize``'s operations in its order on the float array ``x``,
     in place, then cast to ``dtype`` (no copy when ``x`` already is).
     Kept apart from ``normalize``, which the benchmark's tracer counts as
-    data loading, for the batches and corrupted test sets normalized while
-    a run trains and scores."""
+    data loading, for the float64 batches and the corrupted test sets
+    normalized while a run trains and scores."""
     x -= mean
     x /= std
     return x.astype(dtype, copy=False)
@@ -241,11 +241,16 @@ def _normalize_in_place(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
 
 class NormalizedRows:
     """Read-only model inputs ``(x - mean) / std`` in ``dtype``, computed for
-    the rows asked for.
+    the rows asked for; only the batch is ever held as float.
 
-    ``rows[idx]`` takes the raw rows ``raw[idx]`` and applies
+    In float64, ``rows[idx]`` takes the raw rows ``raw[idx]`` and applies
     ``normalize``'s operations in its order, so every element equals that of
-    one whole normalized array; only the batch is ever held as float.
+    one whole normalized array. Any other dtype computes in that dtype
+    alone, as ``raw[idx] * scale - shift`` with ``scale = 1 / (255 std)``
+    (``1 / std`` for float features) and ``shift = mean / std`` rounded once
+    to it: each element then lies within ``2**-21 * (|x| + |mean|) / std``
+    (``x`` on the unit scale) of the exact value, instead of being that
+    value's nearest float.
     """
 
     def __init__(self, raw: np.ndarray, mean: np.ndarray, std: np.ndarray,
@@ -256,12 +261,20 @@ class NormalizedRows:
         self.dtype = np.dtype(dtype)
         self.shape = raw.shape
         self.itemsize = self.dtype.itemsize
+        if self.dtype != np.float64:
+            unit = 255.0 if raw.dtype == np.uint8 else 1.0
+            self.scale = (1.0 / (unit * std)).astype(self.dtype)
+            self.shift = (mean / std).astype(self.dtype)
 
     def __len__(self) -> int:
         return len(self.raw)
 
     def __getitem__(self, idx) -> np.ndarray:
         rows = self.raw[idx]
+        if self.dtype != np.float64:
+            x = np.multiply(rows, self.scale, dtype=self.dtype)
+            x -= self.shift
+            return x
         if rows.dtype == np.uint8:
             # ``to_float``'s exact cast and one rounded division, in one pass
             x = np.divide(rows, 255.0, dtype=np.float64)

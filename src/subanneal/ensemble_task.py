@@ -13,8 +13,9 @@ several give the same bytes:
    ``member-i.csv``;
 3. scores, one unit per ``(seed, set)``, the set being ``"clean"`` or a
    corruption severity: the seed's surviving members, loaded from their
-   ``.ssam`` files (float64, so the bits match), and their ensemble on
-   that set.
+   ``.ssam`` files, and their ensemble on that set. The files store
+   float64, which holds a float32 or a float64 weight exactly, so a
+   loaded member has the bits of the tuned one.
 
 The calling process then writes each seed's ``ensemble-summary.json``.
 """

@@ -8,12 +8,11 @@ while a mask is stochastic its masked-off parameters keep their values and
 can reactivate later. A permanent mask is instead burned into the weights
 once (``training.run_epoch``), which zeroes its masked-off parameters.
 
-Both serialize to a small binary container: magic ``SSAM``, version u32,
-entry count u32, then per entry name length u32 + name bytes + rank u32 +
-dims (u64 each) + raw values, all little-endian. Mask entries store u8
-values; probability and weight entries store f64. A ProbabilitySet file
-carries its terminal mask as extra u8 entries named ``<layer>::terminal``
-(the layout has no per-entry dtype field, so the suffix marks them).
+Masks and network weights serialize to a small binary container: magic
+``SSAM``, version u32, entry count u32, then per entry name length u32 +
+name bytes + rank u32 + dims (u64 each) + raw values, all little-endian.
+Mask entries store u8 values, weight entries f64 (a float32 weight widens
+to f64 exactly, so it loads back bit for bit).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import numpy as np
 
 MAGIC = b"SSAM"
 VERSION = 1
-TERMINAL_SUFFIX = "::terminal"
 
 
 class MaskSet:
@@ -210,23 +208,6 @@ def save_mask_set(ms: MaskSet, path) -> None:
 
 def load_mask_set(path) -> MaskSet:
     return MaskSet(_read_entries(path, lambda name: "u8"))
-
-
-def save_probability_set(ps: ProbabilitySet, path) -> None:
-    entries = []
-    for name, p in ps.items():
-        entries.append((name, p, "f64"))
-        entries.append((name + TERMINAL_SUFFIX, ps.terminal[name], "u8"))
-    _write_container(path, entries)
-
-
-def load_probability_set(path) -> ProbabilitySet:
-    entries = _read_entries(
-        path, lambda name: "u8" if name.endswith(TERMINAL_SUFFIX) else "f64")
-    probs = {n: a for n, a in entries.items() if not n.endswith(TERMINAL_SUFFIX)}
-    terminal = {n.removesuffix(TERMINAL_SUFFIX): a
-                for n, a in entries.items() if n.endswith(TERMINAL_SUFFIX)}
-    return ProbabilitySet(probs, MaskSet(terminal))
 
 
 def save_weights(params: dict, path) -> None:

@@ -7,8 +7,9 @@ call on the same batch. A forward pass that no backward pass follows
 (``Network.forward(x, keep_cache=False)``, as evaluation runs it) drops each
 layer's cache as soon as that layer has run, and a training epoch clears
 every cache when it ends, so a trained network holds no activations.
-Double precision is the default; float32 can be selected per network for
-speed.
+The constructors default to double precision, which the finite-difference
+gradient checks need; a run builds its networks in the config's ``dtype``,
+float32 unless it asks for float64.
 """
 
 from __future__ import annotations

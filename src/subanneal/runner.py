@@ -239,9 +239,10 @@ class RunData:
     pixels (float features for blobs). Both ``x_train`` and ``x_test``
     keep those pixels and normalize the rows asked for as they are sliced
     (``NormalizedRows``), so no float copy of either split is held;
-    ``x_test.raw`` is the test pixels. Model inputs are cast to the
-    config's dtype, so a float32 network sees float32 batches and its
-    logits and gradients stay float32.
+    ``x_test.raw`` is the test pixels. Model inputs are in the config's
+    dtype, so a float32 network sees float32 batches and its logits and
+    gradients stay float32; a corrupted test set is built and normalized in
+    float64, then rounded once to that dtype.
     """
 
     def __init__(self, cfg: ExperimentConfig):

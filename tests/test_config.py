@@ -129,12 +129,28 @@ def _ensemble(**extra):
 def test_ensemble_task_accepts_its_one_recipe():
     cfg = ExperimentConfig.from_dict(_ensemble())
     assert cfg.method == ["temperature-anneal"]
-    ExperimentConfig.from_dict(_ensemble(phi=3))  # phi == epochs is fine
+    # phi == epochs - 1: the last epoch trains the terminal mask
+    ExperimentConfig.from_dict(_ensemble(phi=2, epochs=3))
 
 
 def test_ensemble_rejects_phi_beyond_epochs():
-    with pytest.raises(ConfigError, match="phi <= epochs"):
+    with pytest.raises(ConfigError, match="phi < epochs"):
         ExperimentConfig.from_dict(_ensemble(phi=5, epochs=2))
+
+
+@pytest.mark.parametrize("task,method", [
+    ("ensemble", "temperature-anneal"),
+    ("prune-tune", "temperature-anneal"),
+    ("ablate", ["oneshot", "random-anneal"]),
+])
+def test_annealed_methods_reject_phi_equal_to_epochs(task, method):
+    # an annealed method reaches its terminal mask at epoch phi, so with
+    # phi == epochs the last row (and summary.csv) would score the expected
+    # network of a stochastic epoch, not the pruned network the run ends with
+    with pytest.raises(ConfigError, match="phi < epochs for method"):
+        ExperimentConfig.from_dict({"task": task, "method": method,
+                                    "rho": 0.9, "phi": 2, "tau0": 0.5,
+                                    "epochs": 2})
 
 
 @pytest.mark.parametrize("key,values", [("rho", [0.5, 0.7]), ("phi", [1, 2]),
@@ -164,7 +180,7 @@ def test_ensemble_rejects_other_methods(method):
 ])
 def test_sweep_rejects_phi_beyond_epochs(task, method):
     # an iterative cell at rho 0.9 with phi 5, epochs 2 ends at 36% sparsity
-    with pytest.raises(ConfigError, match="phi <= epochs"):
+    with pytest.raises(ConfigError, match="phi <=? epochs"):
         ExperimentConfig.from_dict({"task": task, "method": method,
                                     "rho": 0.9, "phi": [2, 5], "epochs": 2})
 

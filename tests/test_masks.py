@@ -8,12 +8,10 @@ from subanneal.masks import (
     apply_mask,
     full_mask,
     load_mask_set,
-    load_probability_set,
     load_weights,
     masked_grad,
     realize,
     save_mask_set,
-    save_probability_set,
     save_weights,
 )
 from subanneal.nn.layers import Dense, Network, ReLU
@@ -233,17 +231,6 @@ class TestContainer:
         save_mask_set(ms, path)
         loaded = load_mask_set(path)
         assert loaded.equals(ms)
-
-    def test_probability_roundtrip_carries_terminal(self, tmp_path):
-        rng = substream(2, "io")
-        p = rng.random((6, 4))
-        terminal = MaskSet({"layer0.w": (p >= 0.5).astype(np.uint8)})
-        ps = ProbabilitySet({"layer0.w": p}, terminal)
-        path = tmp_path / "p.ssam"
-        save_probability_set(ps, path)
-        loaded = load_probability_set(path)
-        np.testing.assert_array_equal(loaded["layer0.w"], p)
-        assert loaded.terminal.equals(terminal)
 
     def test_weights_roundtrip(self, tmp_path):
         rng = substream(3, "io")

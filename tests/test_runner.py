@@ -421,6 +421,35 @@ def test_every_method_flavor_runs(tmp_path, overrides):
     assert rows[-1]["realized_sparsity"] == pytest.approx(0.5, abs=0.05)
 
 
+@pytest.mark.parametrize("eval_mask", ["terminal", "expected"])
+@pytest.mark.parametrize("method", ["temperature-anneal", "random-anneal"])
+def test_last_row_describes_the_network_the_cell_ends_with(tmp_path, method,
+                                                          eval_mask):
+    # phi == epochs - 1, the largest phi the validator accepts: the last
+    # epoch trains the terminal mask, so the last row (which summary.csv
+    # reads) scores the pruned network tune returns
+    import numpy as np
+
+    from subanneal.metrics import evaluate
+    from subanneal.training import predict_logits
+
+    cfg = _cfg(tmp_path, method=method, rho=0.9, phi=2, epochs=3,
+               eval_mask=eval_mask)
+    data = runner.RunData(cfg)
+    parent, _ = runner.get_parent(cfg, data, 1, tmp_path / "out")
+    child, rows = runner.run_cell(cfg, data, parent, 1, method, 0.9, 2, 0.5)
+    last = rows[-1]
+    rec = evaluate(predict_logits(child, data.x_test), data.y_test)
+    assert (last["test_acc"], last["test_nll"], last["test_ece"]) == (
+        rec.accuracy, rec.nll, rec.ece)
+    weights = child.weights().values()
+    zeros = sum(int((w == 0).sum()) for w in weights)
+    assert last["realized_sparsity"] == zeros / sum(w.size for w in weights)
+    assert last["mean_active_fraction"] == pytest.approx(
+        1.0 - last["realized_sparsity"], rel=1e-12)
+    assert np.isclose(last["realized_sparsity"], 0.9, atol=0.01)
+
+
 def test_cifar_pipeline_smoke(tmp_path, monkeypatch):
     import numpy as np
 
@@ -447,7 +476,7 @@ def test_mnist_three_method_sweep_shape(tmp_path, monkeypatch):
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path / "data"))
     cfg = _cfg(tmp_path, task="ablate", dataset="mnist",
                method=["oneshot", "iterative", "temperature-anneal"],
-               rho=0.5, phi=2, tau0=0.5, parent_epochs=1, epochs=2,
+               rho=0.5, phi=1, tau0=0.5, parent_epochs=1, epochs=2,
                seeds=[0, 1])
     manifest = json.loads(run(cfg).read_text())
     assert manifest["status"] == "ok"
@@ -459,7 +488,7 @@ def test_mnist_three_method_sweep_shape(tmp_path, monkeypatch):
 
 
 def test_float32_mode_runs(tmp_path):
-    cfg = _cfg(tmp_path, dtype="float32", epochs=2, parent_epochs=1)
+    cfg = _cfg(tmp_path, dtype="float32", epochs=2, parent_epochs=1, phi=1)
     manifest = json.loads(run(cfg).read_text())
     assert manifest["status"] == "ok"
 
@@ -468,8 +497,8 @@ def test_float32_mode_runs(tmp_path):
 def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
     import numpy as np
 
-    from subanneal import annealing, training
-    from subanneal.nn.optim import SGD
+    from subanneal import annealing, data, training
+    from subanneal.nn.optim import SGD, Adam
 
     seen = set()
     optimizers = []
@@ -485,24 +514,74 @@ def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
             seen.update({("param", p.dtype), ("grad", grads[name].dtype)})
         return real(self, params, grads, lr)
 
+    def adam_step(self, params, grads, lr=None, real=Adam.step):
+        optimizers.append(self)
+        return real(self, params, grads, lr)
+
     def predict(*args, real=training.predict_logits, **kwargs):
         logits = real(*args, **kwargs)
         seen.add(("eval logits", logits.dtype))
         return logits
 
+    def rows(self, idx, real=data.NormalizedRows.__getitem__):
+        x = real(self, idx)
+        seen.add(("inputs", x.dtype))
+        return x
+
+    def apply(w, m, out=None, real=training.apply_mask):
+        seen.add(("mask buffer", out.dtype))
+        return real(w, m, out=out)
+
     monkeypatch.setattr(training, "cross_entropy_softmax", loss)
     monkeypatch.setattr(SGD, "step", step)
+    monkeypatch.setattr(Adam, "step", adam_step)
     monkeypatch.setattr(annealing, "predict_logits", predict)
-    cfg = _cfg(tmp_path, dtype="float32", epochs=2, parent_epochs=1,
-               eval_mask=eval_mask, optimizer={"kind": "sgd", "momentum": 0.9, "nesterov": True,
-                          "weight_decay": 5e-4})
-    assert json.loads(run(cfg).read_text())["status"] == "ok"
-    assert {kind for kind, _ in seen} == {"logits", "grad_logits", "param",
-                                          "grad", "eval logits"}
+    monkeypatch.setattr(data.NormalizedRows, "__getitem__", rows)
+    monkeypatch.setattr(training, "apply_mask", apply)
+    for name, optimizer in (
+            ("sgd", {"kind": "sgd", "momentum": 0.9, "nesterov": True,
+                     "weight_decay": 5e-4}),
+            ("adam", {"kind": "adam", "weight_decay": 5e-4})):
+        cfg = _cfg(tmp_path / name, dtype="float32", epochs=2,
+                   parent_epochs=1, phi=1, eval_mask=eval_mask,
+                   optimizer=optimizer)
+        assert json.loads(run(cfg).read_text())["status"] == "ok"
+    assert {kind for kind, _ in seen} == {
+        "logits", "grad_logits", "param", "grad", "eval logits", "inputs",
+        "mask buffer"}
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
-    arrays = [a for opt in optimizers for a in opt._velocity.values()]
-    arrays += [a for opt in optimizers for s in opt._scratch.values() for a in s]
+    sgd = [opt for opt in optimizers if isinstance(opt, SGD)]
+    adam = [opt for opt in optimizers if isinstance(opt, Adam)]
+    arrays = [a for opt in sgd for a in opt._velocity.values()]
+    arrays += [a for opt in sgd for s in opt._scratch.values() for a in s]
     assert arrays and all(a.dtype == np.float32 for a in arrays)
+    moments = [a for opt in adam for state in (opt._m, opt._v)
+               for a in state.values()]
+    assert moments and all(a.dtype == np.float32 for a in moments)
+    # a corrupted test set is built in float64 (its noise stream), then
+    # handed to the network in float32
+    assert runner.RunData(cfg).corrupted(2, 1).dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [None, "float64"])
+def test_the_default_dtype_is_float32_and_the_manifest_records_it(
+        tmp_path, monkeypatch, dtype):
+    import numpy as np
+
+    from subanneal.nn.optim import SGD
+
+    seen = set()
+
+    def step(self, params, grads, lr=None, real=SGD.step):
+        seen.update(p.dtype for p in params.values())
+        return real(self, params, grads, lr)
+
+    monkeypatch.setattr(SGD, "step", step)
+    cfg = _cfg(tmp_path, **({} if dtype is None else {"dtype": dtype}))
+    manifest = json.loads(run(cfg).read_text())
+    want = dtype or "float32"
+    assert manifest["config"]["dtype"] == want
+    assert seen == {np.dtype(want)}
 
 
 def test_parent_cache_key_follows_the_library_version(tmp_path, monkeypatch):

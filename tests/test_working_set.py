@@ -109,6 +109,21 @@ def old_run_data(train_x, test_x, dtype):
             ((test_x - mean) / std).astype(dtype, copy=False))
 
 
+def float32_inputs(raw, unit_x, mean, std):
+    """The float32 model inputs of ``NormalizedRows`` as one whole array:
+    ``raw * scale - shift`` in float32, with ``scale = 1 / (255 std)``
+    (``1 / std`` for float features) and ``shift = mean / std`` rounded
+    once. Checks its documented bound against the exact ``(unit_x - mean)
+    / std`` of the unit-scaled ``unit_x`` on the way."""
+    unit = 255.0 if raw.dtype == np.uint8 else 1.0
+    x = np.multiply(raw, (1.0 / (unit * std)).astype(np.float32),
+                    dtype=np.float32)
+    x -= (mean / std).astype(np.float32)
+    error = np.abs(x - (unit_x - mean) / std)
+    assert np.all(error <= 2.0 ** -21 * (np.abs(unit_x) + np.abs(mean)) / std)
+    return x
+
+
 def _assert_same(got, want):
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want)
@@ -284,6 +299,12 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
                    test_subset=test_subset, dtype=dtype)
     rd = RunData(cfg)
     want_train, want_test = old_run_data(train_x, test_x, np.dtype(dtype))
+    if dtype == "float32":
+        # float32 inputs are computed in float32, within a documented bound
+        # of the float64 formula instead of its nearest floats
+        mean, std = old_stats(train_x)
+        want_train = float32_inputs(rd.x_train.raw, train_x, mean, std)
+        want_test = float32_inputs(rd.x_test.raw, test_x, mean, std)
     assert len(rd.x_train) == len(want_train)
     assert rd.x_train.shape == want_train.shape
     assert rd.x_train.itemsize == want_train.itemsize
@@ -355,17 +376,21 @@ def test_corrupt_on_pixels_equals_corrupt_on_their_unit_scale(monkeypatch,
     _assert_same(x, before)
 
 
-def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch):
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch,
+                                                    dtype):
+    # the float64 formula, bit for bit; float32 inputs are that array
+    # rounded once (its noise is float64, to keep the stream)
     make_mnist_dir(tmp_path, n_train=40, n_test=16)
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
     for dataset in ("mnist", "synthetic-blobs"):
-        rd = RunData(_run_cfg(dataset))
+        rd = RunData(_run_cfg(dataset, dtype=dtype))
         raw = rd.x_test.raw.copy()
         unit = (old_mnist(tmp_path, "test", 0)[0] if dataset == "mnist"
                 else raw)
         noise = substream(3, "corrupt", 2).normal(0.0, 0.04 * 2, raw.shape)
         want = ((np.clip(unit + noise, 0.0, 1.0) - rd.mean) / rd.std)
-        _assert_same(rd.corrupted(2, 3), want)
+        _assert_same(rd.corrupted(2, 3), want.astype(dtype))
         _assert_same(rd.x_test.raw, raw)
 
 
