@@ -4,17 +4,19 @@ synthetic Gaussian blobs.
 Image datasets load as their uint8 pixels, shaped (N, C, H, W); blobs load
 as float64 features. ``to_float`` puts either on the float64 scale the model
 works on (pixels divided by 255), and model inputs are mean-std normalized per
-channel with constants computed from the training split. ``NormalizedRows``
-serves normalized training rows a batch at a time, so no float copy of the
-training set is kept. A loader's ``limit`` keeps the first examples of a
-split; the image loaders still read and check whole files as bytes, but keep
-only the kept rows. The dataset root directory comes from the
-``SUBANNEAL_DATA`` environment variable unless passed explicitly.
+channel with constants computed from the training split (for pixels, from
+counts of their values). ``NormalizedRows`` serves normalized training rows a
+batch at a time, so no float copy of the training set is made. A loader's
+``limit`` keeps the first examples of a split; the image loaders still read
+and check whole files as bytes, but keep only the kept rows. The dataset root
+directory comes from the ``SUBANNEAL_DATA`` environment variable unless
+passed explicitly.
 """
 
 from __future__ import annotations
 
 import gzip
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -30,6 +32,11 @@ IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD = 3073  # 1 label byte + 3*32*32 pixel bytes
 CIFAR_TRAIN_FILES = [f"data_batch_{i}.bin" for i in range(1, 6)]
 CIFAR_TEST_FILES = ["test_batch.bin"]
+
+# ``normalization_stats`` counts pixel values in blocks of whole rows of at
+# most this many pixels of one channel (``np.bincount`` widens a block to
+# intp, eight bytes a pixel).
+STATS_BLOCK_PIXELS = 1 << 16
 
 
 class DatasetError(ValueError):
@@ -116,35 +123,50 @@ def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:
 def load_cifar10(split: str, root=None, limit: int = 0) -> Dataset:
     """The first ``limit`` examples over the split's files in order (all
     when 0); every file is read and every label checked, but only the kept
-    rows stay in memory."""
+    rows stay in memory. The output is sized from the file sizes, and each
+    file's kept rows are copied into it as the file is read, so at most one
+    file's bytes are held at a time."""
     root = data_root(root) / "cifar10"
-    files = CIFAR_TRAIN_FILES if split == "train" else CIFAR_TEST_FILES
-    xs, ys = [], []
+    paths = [root / name
+             for name in (CIFAR_TRAIN_FILES if split == "train"
+                          else CIFAR_TEST_FILES)]
+    # a missing or malformed file raises below, in file order
+    sizes = [path.stat().st_size if path.is_file() else 0 for path in paths]
+    n = sum(size // CIFAR_RECORD for size in sizes)
+    n = min(n, limit) if limit else n
+    x = np.empty((n, 3, 32, 32), dtype=np.uint8)
+    y = np.empty(n, dtype=np.int64)
     kept = 0
-    for name in files:
-        raw = (root / name).read_bytes()
-        if len(raw) == 0 or len(raw) % CIFAR_RECORD:
-            raise DatasetError(
-                f"{name}: size {len(raw)} is not a multiple of {CIFAR_RECORD}; "
-                f"first bad record at offset {len(raw) - len(raw) % CIFAR_RECORD}")
-        records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
-        labels = records[:, 0]
-        bad = np.flatnonzero(labels > 9)
-        if bad.size:
-            raise DatasetError(
-                f"{name}: label {labels[bad[0]]} out of range at offset "
-                f"{int(bad[0]) * CIFAR_RECORD}")
-        if limit:
-            # a file past the limit keeps nothing, so nothing pins its bytes
-            records = records[:limit - kept]
-            if not len(records):
-                continue
-        xs.append(records[:, 1:].reshape(-1, 3, 32, 32))
-        ys.append(records[:, 0])
-        kept += len(records)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys).astype(np.int64)
+    for path, size in zip(paths, sizes):
+        kept += _read_cifar_file(path, size, x[kept:], y[kept:])
     return Dataset(x, y, 10)
+
+
+def _read_cifar_file(path: Path, size: int, x: np.ndarray,
+                     y: np.ndarray) -> int:
+    """Check one CIFAR-10 batch file of ``size`` bytes and copy its first
+    records into the rows of ``x`` and ``y``, as many as fit; returns how
+    many were copied."""
+    name = path.name
+    raw = path.read_bytes()
+    if len(raw) == 0 or len(raw) % CIFAR_RECORD:
+        raise DatasetError(
+            f"{name}: size {len(raw)} is not a multiple of {CIFAR_RECORD}; "
+            f"first bad record at offset {len(raw) - len(raw) % CIFAR_RECORD}")
+    if len(raw) != size:
+        raise DatasetError(f"{name}: size changed from {size} to {len(raw)} "
+                           f"while loading")
+    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+    labels = records[:, 0]
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise DatasetError(
+            f"{name}: label {labels[bad[0]]} out of range at offset "
+            f"{int(bad[0]) * CIFAR_RECORD}")
+    records = records[:len(x)]
+    x[:len(records)] = records[:, 1:].reshape(-1, 3, 32, 32)
+    y[:len(records)] = records[:, 0]
+    return len(records)
 
 
 def make_blobs(split: str, n: int = 2000, d: int = 16, k: int = 4,
@@ -194,22 +216,88 @@ def to_float(x: np.ndarray) -> np.ndarray:
 def normalization_stats(train_x: np.ndarray):
     """Per-channel mean and std over the training split (axis 1 is the
     channel axis for images and the feature axis for flat data), on the
-    scale ``to_float`` gives.
+    scale ``to_float`` gives, as float64 arrays shaped like ``x.mean(axis,
+    keepdims=True)``. A channel whose std is below 1e-12 gets std 1.
 
-    Bit for bit ``x.mean``/``x.std`` of ``x = to_float(train_x)``, with
-    ``x`` the only train-sized temporary: numpy's variance steps
-    (``numpy._core._methods._var``) are replayed on it in place.
+    uint8 pixels are counted per channel (``_pixel_counts``), and the
+    population mean and std of their ``to_float`` values are computed
+    exactly from the counts and rounded once: no float copy of the pixels
+    is made. Float features are ``x.mean``/``x.std`` of ``x =
+    to_float(train_x)`` bit for bit, with ``x`` the only train-sized
+    temporary: numpy's variance steps (``numpy._core._methods._var``) are
+    replayed on it in place.
     """
-    x = to_float(train_x)
-    axes = tuple(i for i in range(x.ndim) if i != 1)
-    mean = x.mean(axis=axes, keepdims=True)
-    x -= mean
-    np.square(x, out=x)
-    var = np.add.reduce(x, axis=axes, keepdims=True)
-    np.true_divide(var, x.size // mean.size, out=var)
-    std = np.sqrt(var, out=var)
+    if train_x.dtype == np.uint8:
+        mean, std = _exact_stats(_pixel_counts(train_x))
+        shape = (1, -1) + (1,) * (train_x.ndim - 2)
+        mean, std = mean.reshape(shape), std.reshape(shape)
+    else:
+        x = to_float(train_x)
+        axes = tuple(i for i in range(x.ndim) if i != 1)
+        mean = x.mean(axis=axes, keepdims=True)
+        x -= mean
+        np.square(x, out=x)
+        var = np.add.reduce(x, axis=axes, keepdims=True)
+        np.true_divide(var, x.size // mean.size, out=var)
+        std = np.sqrt(var, out=var)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
+
+
+def _pixel_counts(x: np.ndarray) -> np.ndarray:
+    """(C, 256) int64: how often each uint8 value occurs in each channel
+    (axis 1) of ``x``, counted over row blocks of at most
+    ``STATS_BLOCK_PIXELS`` pixels of a channel."""
+    rows = max(1, STATS_BLOCK_PIXELS // math.prod(x.shape[2:]))
+    counts = np.zeros((x.shape[1], 256), dtype=np.int64)
+    for start in range(0, len(x), rows):
+        block = x[start:start + rows]
+        for c, channel in enumerate(counts):
+            channel += np.bincount(block[:, c].ravel(), minlength=256)
+    return counts
+
+
+def _unit_integers():
+    """(bits, values): ``to_float``'s value of each pixel 0..255, exactly,
+    as ``values[v] / 2**bits``."""
+    ratios = [u.as_integer_ratio()
+              for u in to_float(np.arange(256, dtype=np.uint8)).tolist()]
+    bits = max(den.bit_length() - 1 for _, den in ratios)
+    return bits, [num << (bits - den.bit_length() + 1) for num, den in ratios]
+
+
+def _exact_stats(counts: np.ndarray):
+    """Float64 mean and std of ``to_float``'s pixel values weighted by
+    ``counts`` (one row per channel), each the nearest float to the exact
+    population value. The sums are Python integers over ``2**bits``, so
+    nothing is rounded before the last step."""
+    bits, unit = _unit_integers()
+    means, stds = [], []
+    for channel in counts.tolist():
+        n = sum(channel)
+        s1 = sum(k * a for k, a in zip(channel, unit))
+        s2 = sum(k * a * a for k, a in zip(channel, unit))
+        means.append(s1 / (n << bits))  # int division rounds once
+        # var = s2 / n - (s1 / n)**2, over 2**(2 * bits)
+        stds.append(_sqrt_ratio(n * s2 - s1 * s1, (n * n) << (2 * bits)))
+    return np.array(means), np.array(stds)
+
+
+def _sqrt_ratio(num: int, den: int) -> float:
+    """The float nearest to sqrt(num / den), for integers num >= 0, den > 0.
+
+    ``isqrt`` truncates, and rounding its result to a float could round a
+    second time the wrong way. So the root is taken with at least 55 bits,
+    which puts every rounding midpoint on an even integer, and a nonzero
+    remainder sets its last bit: the float conversion then rounds the
+    truncated root as it would the exact one.
+    """
+    k = max(0, (110 - num.bit_length() + den.bit_length()) // 2 + 1)
+    q, rem = divmod(num << (2 * k), den)
+    root = math.isqrt(q)
+    if rem or root * root != q:
+        root |= 1
+    return math.ldexp(float(root), -k)
 
 
 def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
@@ -225,18 +313,6 @@ def normalize(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
     out = np.subtract(x, mean, out=out)
     out /= std
     return out
-
-
-def _normalize_in_place(x: np.ndarray, mean: np.ndarray, std: np.ndarray,
-                        dtype) -> np.ndarray:
-    """``normalize``'s operations in its order on the float array ``x``,
-    in place, then cast to ``dtype`` (no copy when ``x`` already is).
-    Kept apart from ``normalize``, which the benchmark's tracer counts as
-    data loading, for the float64 batches and the corrupted test sets
-    normalized while a run trains and scores."""
-    x -= mean
-    x /= std
-    return x.astype(dtype, copy=False)
 
 
 class NormalizedRows:
@@ -282,7 +358,9 @@ class NormalizedRows:
             # a gather owns its fresh rows and is normalized as it is; a
             # view (a slice) of ``raw`` is copied first
             x = rows.astype(np.float64, copy=rows.base is not None)
-        return _normalize_in_place(x, self.mean, self.std, self.dtype)
+        x -= self.mean
+        x /= self.std
+        return x
 
 
 def subset(ds: Dataset, limit: int) -> Dataset:

@@ -30,8 +30,8 @@ from .training import predict_logits, run_epoch
 
 log = logging.getLogger(__name__)
 
-# ``corrupt`` adds its input into the noise in row blocks of at most this
-# many float64 bytes.
+# ``corrupt`` works in row blocks whose float64 noise and unit-scaled input
+# take at most this many bytes together.
 CORRUPT_BLOCK_BYTES = 1 << 20
 
 
@@ -130,21 +130,30 @@ def score_ensemble(member_nets, parent: Network | None, x: np.ndarray,
 
 
 def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
-            noise_scale: float = 0.04) -> np.ndarray:
+            noise_scale: float = 0.04, stats=None,
+            dtype=np.float64) -> np.ndarray:
     """Additive Gaussian pixel noise at sigma = noise_scale * severity.
 
-    Input is uint8 pixels or unit-scaled pixels; output is unit-scaled and
-    clamped back to [0, 1]. The noise array becomes the output, and the
-    input is added into it on the unit scale (``data.to_float``) one block
-    of at most ``CORRUPT_BLOCK_BYTES`` at a time, so the only large
-    allocation is one float64 array the size of ``x``; ``x`` is left
-    unchanged.
+    Input is uint8 pixels or unit-scaled pixels; the noisy pixels are on the
+    unit scale (``data.to_float``) and clamped back to [0, 1], then, given
+    ``stats = (mean, std)``, normalized as ``(x - mean) / std``. The result
+    is one array of ``dtype``, filled one row block of at most
+    ``CORRUPT_BLOCK_BYTES`` at a time: the block's noise is drawn, the input
+    added, clipped and normalized in float64 and rounded once into it. The
+    noise is the one stream a single draw over ``x.shape`` gives, and ``x``
+    is left unchanged.
     """
     if not 1 <= int(severity) <= 5:
         raise ValueError("severity must lie in 1..5")
-    noise = rng.normal(0.0, noise_scale * severity, x.shape)
-    rows = max(1, CORRUPT_BLOCK_BYTES // (noise.itemsize
-                                          * math.prod(x.shape[1:])))
+    out = np.empty(x.shape, dtype)
+    rows = max(1, CORRUPT_BLOCK_BYTES // (16 * math.prod(x.shape[1:])))
     for start in range(0, len(x), rows):
-        noise[start:start + rows] += to_float(x[start:start + rows])
-    return np.clip(noise, 0.0, 1.0, out=noise)
+        block = x[start:start + rows]
+        noise = rng.normal(0.0, noise_scale * severity, block.shape)
+        noise += to_float(block)
+        np.clip(noise, 0.0, 1.0, out=noise)
+        if stats is not None:
+            noise -= stats[0]
+            noise /= stats[1]
+        out[start:start + rows] = noise
+    return out

@@ -58,7 +58,6 @@ from .annealing import (
 from .config import ConfigError, ExperimentConfig
 from .data import (
     NormalizedRows,
-    _normalize_in_place,
     load_dataset,
     normalization_stats,
 )
@@ -274,12 +273,12 @@ class RunData:
 
     def corrupted(self, severity: int, seed: int) -> np.ndarray:
         """Normalized model inputs of the test set corrupted at
-        ``severity``, built from the test pixels and normalized in the one
-        array ``corrupt`` returns. Pass it straight to the scoring call, so
-        it is freed before the next severity's is built."""
-        xc = corrupt(self.x_test.raw, severity,
-                     substream(seed, "corrupt", severity))
-        return _normalize_in_place(xc, self.mean, self.std, self.dtype)
+        ``severity``, built from the test pixels in the one array of the
+        run's dtype ``corrupt`` returns. Pass it straight to the scoring
+        call, so it is freed before the next severity's is built."""
+        return corrupt(self.x_test.raw, severity,
+                       substream(seed, "corrupt", severity),
+                       stats=(self.mean, self.std), dtype=self.dtype)
 
 
 def _dtype(cfg: ExperimentConfig):

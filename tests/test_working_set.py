@@ -8,7 +8,9 @@ peaks are deterministic byte counts rather than resident-set readings.
 """
 
 import gzip
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from subanneal import data, ensemble, runner, training
 from subanneal.annealing import TemperatureConfig
 from subanneal.config import ExperimentConfig
 from subanneal.data import (
+    STATS_BLOCK_PIXELS,
     load_cifar10,
     load_dataset,
     load_idx,
@@ -103,8 +106,40 @@ def old_stats(x):
     return x.mean(axis=axes, keepdims=True), np.where(std < 1e-12, 1.0, std)
 
 
-def old_run_data(train_x, test_x, dtype):
-    mean, std = old_stats(train_x)
+def nearest_sqrt(s, var):
+    """Whether the float ``s`` is the float nearest to sqrt(``var``), a
+    Fraction: ``var`` lies between the squares of the midpoints from ``s``
+    to its neighbours."""
+    below = (Fraction(s) + Fraction(math.nextafter(s, 0.0))) / 2
+    above = (Fraction(s) + Fraction(math.nextafter(s, math.inf))) / 2
+    return below * below <= var <= above * above
+
+
+def exact_stats(pixels):
+    """The mean and std ``normalization_stats`` gives uint8 ``pixels``:
+    the population mean and std of their ``to_float`` values per channel,
+    computed in Fractions and rounded once. Checks that the std is the
+    nearest float to the exact one on the way."""
+    means, stds = [], []
+    for c in range(pixels.shape[1]):
+        values, counts = np.unique(pixels[:, c], return_counts=True)
+        n = int(counts.sum())
+        xs = [Fraction(float(v) / 255.0) for v in values.tolist()]
+        mean = sum(int(k) * x for k, x in zip(counts, xs)) / n
+        var = sum(int(k) * (x - mean) ** 2 for k, x in zip(counts, xs)) / n
+        std = float(var) ** 0.5
+        # the float nearest the exact std is one of these three (a std
+        # halfway between two floats is left to the explicit test)
+        (std,) = {s for s in (math.nextafter(std, 0.0), std,
+                              math.nextafter(std, math.inf))
+                  if nearest_sqrt(s, var)}
+        means.append(float(mean))
+        stds.append(std if std >= 1e-12 else 1.0)
+    shape = (1, -1) + (1,) * (pixels.ndim - 2)
+    return np.array(means).reshape(shape), np.array(stds).reshape(shape)
+
+
+def old_run_data(train_x, test_x, dtype, mean, std):
     return (((train_x - mean) / std).astype(dtype, copy=False),
             ((test_x - mean) / std).astype(dtype, copy=False))
 
@@ -177,18 +212,59 @@ def test_kept_pixels_own_no_larger_buffer(tmp_path, dataset, limit):
                          ids=["mnist", "mnist-odd", "cifar", "blobs",
                               "blobs-small"])
 def test_normalization_stats_equal_numpy_mean_and_std(shape):
+    # pixels: the exact mean and std of their unit-scale values, each
+    # rounded once (numpy's own sums round as they go); float features:
+    # numpy's x.mean / x.std bit for bit
     rng = np.random.default_rng(3)
     if len(shape) == 4:
         raw = rng.integers(0, 256, shape, dtype=np.uint8)
-        x = raw.astype(np.float64) / 255.0
+        want_mean, want_std = exact_stats(raw)
+        np.testing.assert_allclose(want_std, old_stats(to_float(raw))[1],
+                                   rtol=1e-13)
     else:
-        raw = x = rng.normal(2.0, 3.0, shape)
+        raw = rng.normal(2.0, 3.0, shape)
+        want_mean, want_std = old_stats(raw)
     before = raw.copy()
     mean, std = normalization_stats(raw)
-    want_mean, want_std = old_stats(x)
     _assert_same(mean, want_mean)
     _assert_same(std, want_std)
     _assert_same(raw, before)
+
+
+def test_normalization_stats_round_the_square_root_once():
+    def stats(pixels):
+        mean, std = normalization_stats(
+            np.array(pixels, dtype=np.uint8).reshape(-1, 1, 1, 1))
+        x = [Fraction(float(v) / 255.0) for v in pixels]
+        var = ((x[1] - x[0]) / 2) ** 2
+        assert mean[0, 0, 0, 0] == float((x[0] + x[1]) / 2)
+        return std[0, 0, 0, 0], var
+
+    # the square root of the variance rounded to a float rounds twice: it
+    # misses the float nearest the exact std by one
+    std, var = stats([18, 239])
+    assert nearest_sqrt(std, var)
+    assert math.sqrt(float(var)) == math.nextafter(std, 0.0)
+    # this exact std lies halfway between two floats: the even one is taken
+    std, var = stats([117, 255])
+    assert nearest_sqrt(std, var)
+    assert nearest_sqrt(math.nextafter(std, 0.0), var)
+    assert std.hex() == "0x1.1515151515152p-2"
+
+
+def test_the_exact_square_root_is_rounded_to_the_nearest_float():
+    # random ratios of every size the stats produce, and exact squares;
+    # without the remainder's sticky bit, about one in twenty of these
+    # random ratios rounds the wrong way
+    rng = np.random.default_rng(5)
+    cases = [(0, 1), (1, 1), (4, 9), (2, 1), ((3 << 70) ** 2, 1 << 60)]
+    for _ in range(2000):
+        num_bits, den_bits = rng.integers(1, 260, 2)
+        cases.append((int(rng.integers(1, 1 << 62)) << int(num_bits),
+                      int(rng.integers(1, 1 << 62)) << int(den_bits)))
+    for num, den in cases:
+        s = data._sqrt_ratio(num, den)
+        assert nearest_sqrt(s, Fraction(num, den)), (num, den)
 
 
 def test_normalization_stats_keep_the_constant_channel_guard():
@@ -196,7 +272,7 @@ def test_normalization_stats_keep_the_constant_channel_guard():
     x[:, 1] = np.arange(6).reshape(6, 1, 1)
     mean, std = normalization_stats(x)
     assert std[0, 0, 0, 0] == 1.0 and mean[0, 0, 0, 0] == 0.0
-    _assert_same(std[:, 1:], old_stats(to_float(x))[1][:, 1:])
+    _assert_same(std[:, 1:], exact_stats(x)[1][:, 1:])
 
 
 def test_cifar_limit_still_checks_every_label(tmp_path):
@@ -298,11 +374,15 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
     cfg = _run_cfg(dataset, train_subset=train_subset,
                    test_subset=test_subset, dtype=dtype)
     rd = RunData(cfg)
-    want_train, want_test = old_run_data(train_x, test_x, np.dtype(dtype))
+    if dataset == "synthetic-blobs":
+        mean, std = old_stats(train_x)
+    else:
+        mean, std = exact_stats(np.rint(train_x * 255.0).astype(np.uint8))
+    want_train, want_test = old_run_data(train_x, test_x, np.dtype(dtype),
+                                         mean, std)
     if dtype == "float32":
         # float32 inputs are computed in float32, within a documented bound
         # of the float64 formula instead of its nearest floats
-        mean, std = old_stats(train_x)
         want_train = float32_inputs(rd.x_train.raw, train_x, mean, std)
         want_test = float32_inputs(rd.x_test.raw, test_x, mean, std)
     assert len(rd.x_train) == len(want_train)
@@ -368,8 +448,9 @@ def test_corrupt_on_pixels_equals_corrupt_on_their_unit_scale(monkeypatch,
     x = np.random.default_rng(0).integers(0, 256, (20, 3, 4, 4),
                                           dtype=np.uint8)
     if block_rows:
+        # a row's float64 noise and unit-scaled pixels: 16 bytes a pixel
         monkeypatch.setattr(ensemble, "CORRUPT_BLOCK_BYTES",
-                            block_rows * 3 * 4 * 4 * 8)
+                            block_rows * 3 * 4 * 4 * 16)
     before = x.copy()
     got = corrupt(x, 3, np.random.default_rng(7))
     _assert_same(got, corrupt(to_float(x), 3, np.random.default_rng(7)))
@@ -581,6 +662,73 @@ def test_corrupt_on_pixels_builds_one_float_array():
     assert peak <= out.nbytes + CORRUPT_BLOCK_BYTES, peak
 
 
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1), (3, 5), (2, 9, 1)])
+def test_generator_normal_drawn_in_row_blocks_equals_one_draw(sizes):
+    # corrupt draws its noise a row block at a time and relies on the
+    # blocks continuing one stream; a numpy whose Generator.normal buffers
+    # or skips between calls would change every corrupted test set
+    shape = (sum(sizes), 3, 4, 4)
+    want = np.random.default_rng(11).normal(0.0, 0.12, shape)
+    rng = np.random.default_rng(11)
+    got = np.concatenate([rng.normal(0.0, 0.12, (n,) + shape[1:])
+                          for n in sizes])
+    _assert_same(got, want)
+
+
+def test_corrupt_in_float32_holds_the_output_and_one_block():
+    x = np.random.default_rng(0).integers(0, 256, (200, 3, 32, 32),
+                                          dtype=np.uint8)
+    mean, std = normalization_stats(x)
+    corrupt(x[:2], 1, np.random.default_rng(7), stats=(mean, std),
+            dtype=np.float32)  # warm-up
+    out, peak = _traced_peak(lambda: corrupt(
+        x, 2, np.random.default_rng(7), stats=(mean, std), dtype=np.float32))
+    # the float32 output (2.5 MB here), plus one row block's float64 noise
+    # and unit-scaled pixels; a whole float64 set would add 4.9 MB
+    assert out.dtype == np.float32
+    assert peak <= out.nbytes + CORRUPT_BLOCK_BYTES, peak
+    want = corrupt(x, 2, np.random.default_rng(7))
+    _assert_same(out, ((want - mean) / std).astype(np.float32))
+
+
+@pytest.mark.parametrize("shape", [(2000, 1, 28, 28), (20000, 1, 28, 28),
+                                   (1500, 3, 32, 32)],
+                         ids=["mnist-2k", "mnist-20k", "cifar"])
+def test_normalization_stats_peak_does_not_grow_with_the_split(shape):
+    x = np.random.default_rng(0).integers(0, 256, shape, dtype=np.uint8)
+    normalization_stats(x[:4])  # warm-up
+    _, peak = _traced_peak(lambda: normalization_stats(x))
+    # one block of one channel's pixels, copied out and widened to intp by
+    # np.bincount; a float64 copy of the 2k-row split alone is 12.5 MB
+    assert peak <= 9 * STATS_BLOCK_PIXELS + 64 * KIB, peak
+
+
+def test_cifar_loader_holds_one_file_at_a_time(tmp_path):
+    make_cifar_dir(tmp_path, per_file=100, n_test=4)
+    load_cifar10("train", root=tmp_path)  # warm-up
+    ds, peak = _traced_peak(lambda: load_cifar10("train", root=tmp_path))
+    # the pixels and labels, plus the bytes of the file being read (300
+    # KiB); holding every file until a final concatenation adds 1.2 MB
+    assert peak <= ds.x.nbytes + ds.y.nbytes + 100 * 3073 + 64 * KIB, peak
+
+
+def test_cifar_file_that_changes_size_while_loading_is_an_error(
+        tmp_path, monkeypatch):
+    # the output is sized from the file sizes before any file is read
+    make_cifar_dir(tmp_path, per_file=4, n_test=2)
+    read_bytes = type(tmp_path).read_bytes
+
+    def grown(path):
+        raw = read_bytes(path)
+        return raw + raw[:3073] if path.name == "data_batch_2.bin" else raw
+
+    monkeypatch.setattr(type(tmp_path), "read_bytes", grown)
+    with pytest.raises(data.DatasetError,
+                       match="data_batch_2.bin: size changed from 12292 to "
+                             "15365"):
+        load_cifar10("train", root=tmp_path)
+
+
 def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
                                                           monkeypatch):
     make_mnist_dir(tmp_path, n_train=2000, n_test=50)
@@ -601,10 +749,11 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
     assert rd.x_test.raw.dtype == np.uint8
     assert _buffer_bytes(rd.x_test.raw) <= test_pixels
     assert kept <= pixels + test_pixels + 64 * KIB, (kept, pixels)
-    # the pixels, one float64 train-sized temporary (in
-    # normalization_stats), and 64 KiB for the rest
-    assert peak <= pixels + 8 * pixels + test_pixels + 64 * KIB, (peak,
-                                                                  pixels)
+    # the pixels, normalization_stats' one counting block, and 64 KiB for
+    # the rest: no float train-sized temporary (even float16 would be 3.1
+    # MB here)
+    assert peak <= (pixels + test_pixels + 9 * STATS_BLOCK_PIXELS
+                    + 64 * KIB), (peak, pixels)
 
 
 # --- trained networks keep only their parameters ------------------------------
