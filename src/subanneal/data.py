@@ -222,10 +222,8 @@ def normalization_stats(train_x: np.ndarray):
     uint8 pixels are counted per channel (``_pixel_counts``), and the
     population mean and std of their ``to_float`` values are computed
     exactly from the counts and rounded once: no float copy of the pixels
-    is made. Float features are ``x.mean``/``x.std`` of ``x =
-    to_float(train_x)`` bit for bit, with ``x`` the only train-sized
-    temporary: numpy's variance steps (``numpy._core._methods._var``) are
-    replayed on it in place.
+    is made. Float features get ``x.mean``/``x.std`` of ``x =
+    to_float(train_x)``.
     """
     if train_x.dtype == np.uint8:
         mean, std = _exact_stats(_pixel_counts(train_x))
@@ -235,11 +233,7 @@ def normalization_stats(train_x: np.ndarray):
         x = to_float(train_x)
         axes = tuple(i for i in range(x.ndim) if i != 1)
         mean = x.mean(axis=axes, keepdims=True)
-        x -= mean
-        np.square(x, out=x)
-        var = np.add.reduce(x, axis=axes, keepdims=True)
-        np.true_divide(var, x.size // mean.size, out=var)
-        std = np.sqrt(var, out=var)
+        std = x.std(axis=axes, keepdims=True)
     std = np.where(std < 1e-12, 1.0, std)
     return mean, std
 

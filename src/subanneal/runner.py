@@ -1,8 +1,8 @@
 """Experiment execution: datasets in, metric CSVs and manifests out.
 
 A run executes one task from a validated config. Metric files are plain CSV
-with a fixed column set; they, the JSON files and the parent cache are
-written atomically (``_write_atomic``). The manifest (written at the end)
+with a fixed column set; they, the JSON files and every ``.ssam`` file are
+written atomically (``write_atomic``). The manifest (written at the end)
 records the config, its hash, the seeds, every metric file produced,
 wall-clock time in all and per stage, peak resident memory
 (``peak_rss_mb``) and CPU time, the number of worker processes and each
@@ -13,16 +13,17 @@ and ensemble summaries byte for byte, whatever the number of workers; wall
 clock and memory live only in the manifest so they never break that
 contract.
 
-Every task but ``eval`` runs as one or more stages (``run_stages``), each
-a list of units of work: one per ``(seed, cell)`` pair for
-``prune-tune``/``ablate``, one per seed for ``train-parent``, and for
-``ensemble`` three stages (``ensemble_task``): parents, one unit per seed;
-members, one per ``(seed, member)``; scores, one per ``(seed, set)``. A unit's outputs
-depend on that unit alone and on files earlier stages wrote: its seed's
-parent (trained, or loaded from the run's parent cache), its
-``substream(seed, ...)`` streams and its own files. So ``run`` can hand
-contiguous blocks of a stage's units to forked helper processes
-(``workers.map_units``) and merge what they report in unit order.
+Every task but ``eval`` runs as a list of stages (``run_stages``), each a
+list of units of work, and ``run`` drives them all through one loop:
+``train-parent`` is one stage, "parents"; ``prune-tune``/``ablate`` train
+each seed's parent into the run's parent cache in "parents", then tune one
+``(seed, cell)`` unit each in "cells"; ``ensemble`` runs "parents",
+"members" and "scores" (``ensemble_task``). A unit's outputs depend on that
+unit alone and on files earlier stages wrote: a later unit loads its seed's
+parent from the cache file its "parents" unit reported, and draws from its
+own ``substream(seed, ...)`` streams. So ``run`` can hand contiguous blocks
+of a stage's units to forked helper processes (``workers.map_units``) and
+keep what they report in unit order.
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_atomic(path, write) -> None:
+def write_atomic(path, write) -> None:
     """``write(tmp)`` the whole file at a per-process name beside ``path``,
     then rename it to ``path``, so no partial ``path`` is ever seen; ``tmp``
     is removed when ``write`` raises."""
@@ -118,7 +119,7 @@ def _write_csv(path, columns, rows) -> None:
             writer.writerow(columns)
             for row in rows:
                 writer.writerow([_fmt(row.get(col)) for col in columns])
-    _write_atomic(path, write)
+    write_atomic(path, write)
 
 
 def write_metrics_csv(path, rows) -> None:
@@ -146,7 +147,7 @@ def write_json_atomic(path, payload: dict) -> None:
     """``payload`` as strict JSON (a NaN or infinity raises ValueError, and
     nothing is written), atomically."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    _write_atomic(path, lambda tmp: tmp.write_text(text + "\n"))
+    write_atomic(path, lambda tmp: tmp.write_text(text + "\n"))
 
 
 # --- process settings: BLAS threads and the allocator ---------------------------
@@ -309,7 +310,7 @@ def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
     elif kind == "step":
         schedule = StepDecay(tuple((e, v) for e, v in desc["breakpoints"]))
     else:
-        schedule = parent_stepwise(epochs, desc["hi"], desc["lo"])
+        schedule = parent_stepwise(max(epochs, 1), desc["hi"], desc["lo"])
     opt = cfg.optimizer
     optimizer = make_optimizer(
         opt["kind"], lr_at(schedule, 0), momentum=opt["momentum"],
@@ -378,8 +379,17 @@ def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
                  optimizer, schedule, cfg.batch_size,
                  substream(seed, "shuffle", "parent"))
     # two workers that share a seed can train and write its parent at once
-    _write_atomic(path, functools.partial(save_weights, net.params()))
+    write_atomic(path, functools.partial(save_weights, net.params()))
     return net, path
+
+
+def cached_parent(cfg: ExperimentConfig, data: RunData, out_dir: Path,
+                  done: dict, seed: int):
+    """``seed``'s parent, loaded from the cache file its "parents" unit
+    reported in ``done``."""
+    net = build_net(cfg, data, seed)
+    load_params(net, out_dir / done["parents"][seed])
+    return net
 
 
 # --- single method cell --------------------------------------------------------
@@ -498,18 +508,24 @@ def process_usage() -> dict:
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Every task but ``eval`` runs as stages (``run_stages``), each a list of
-    units of work shared among ``worker_count(cfg, units)`` processes; the
-    outputs do not depend on how many. The process's malloc keeps
-    ``MALLOC_SETTINGS`` afterwards (on glibc); with ``cfg.deterministic``
-    or more than one worker in any stage its BLAS pool keeps one thread,
-    as every helper's does. Failures are recorded in the manifest (status:
-    failed, ``error`` as ``error_text`` gives it) and re-raised so callers
-    can exit nonzero.
+    Every task but ``eval`` runs its stages (``run_stages``) in turn, each
+    stage's units shared among ``worker_count(cfg, units)`` processes; the
+    outputs do not depend on how many. As in a serial run, seed by seed,
+    the first seed that fails in any stage fails the run: later stages run
+    only the seeds before it, which finish every stage. A stage's results
+    are kept by unit in ``done[stage][unit]``, which later units read and
+    forked helpers inherit. The manifest cells are the last stage's results
+    (an ensemble's are its seeds' summaries).
+
+    The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc);
+    with ``cfg.deterministic`` or more than one worker in any stage its BLAS
+    pool keeps one thread, as every helper's does. Failures are recorded in
+    the manifest (status: failed, ``error`` as ``error_text`` gives it) and
+    re-raised so callers can exit nonzero.
     """
     allocator = tune_allocator()
     workers = max([worker_count(cfg, len(units))
-                   for _, units in run_stages(cfg)], default=1)
+                   for _, units, _ in run_stages(cfg)], default=1)
     if cfg.deterministic or workers > 1:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
@@ -530,50 +546,43 @@ def run(cfg: ExperimentConfig) -> Path:
         "cells": [],
         "metrics_files": [],
     }
-
-    def merge(cells):
-        manifest["cells"] += cells
-        manifest["metrics_files"] += [cell["metrics"] for cell in cells]
-
-    def stage(name, units, work):
-        """``work(unit)`` for each of ``units``, shared among the stage's
-        processes; returns the results in unit order up to the first
-        failing unit, and that unit's error (None when none failed)."""
-        if not units:  # every seed failed in an earlier stage
-            return [], None
-        count = worker_count(cfg, len(units))
-        stage_started = time.perf_counter()
-        results, error = [], None
-        try:
-            if count == 1:
-                for unit in units:
-                    results.append(work(unit))
-            else:  # compiled and imported only by a run that forks
-                from .workers import map_units
-                map_units(units, work, count, results.append,
-                          manifest["helpers"])
-        except Exception as err:
-            error = err
-        manifest["stages"].append({
-            "name": name, "workers": count,
-            "wall_s": time.perf_counter() - stage_started})
-        return results, error
-
     try:
         data = RunData(cfg)
         if cfg.task == "eval":
             _task_eval(cfg, data, out_dir, manifest)
-        elif cfg.task == "ensemble":  # compiled only by an ensemble run
-            from .ensemble_task import run_ensemble
-            run_ensemble(cfg, data, out_dir, stage, merge)
         else:
-            ((name, units),) = run_stages(cfg)
-            work = (functools.partial(_seed_parent, cfg, data, out_dir)
-                    if cfg.task == "train-parent" else
-                    functools.partial(_sweep_cell, cfg, data, out_dir, {}))
-            results, error = stage(name, units, work)
-            for cells in results:
-                merge(cells)
+            seeds, done, error = cfg.run_seeds(), {}, None
+            for name, units, work in run_stages(cfg):
+                units = [unit for unit in units if _unit_seed(unit) in seeds]
+                done[name], results = {}, []
+                if not units:  # every seed failed in an earlier stage
+                    continue
+                count = worker_count(cfg, len(units))
+                stage_started = time.perf_counter()
+                work = functools.partial(work, cfg, data, out_dir, done)
+                try:
+                    if count == 1:
+                        for unit in units:
+                            results.append(work(unit))
+                    else:  # compiled and imported only by a run that forks
+                        from .workers import map_units
+                        map_units(units, work, count, results.append,
+                                  manifest["helpers"])
+                except Exception as err:  # before any earlier failed seed
+                    error = err
+                    failed = _unit_seed(units[len(results)])
+                    seeds = seeds[:seeds.index(failed)]
+                manifest["stages"].append({
+                    "name": name, "workers": count,
+                    "wall_s": time.perf_counter() - stage_started})
+                done[name] = dict(zip(units, results))
+            if cfg.task == "ensemble":
+                from .ensemble_task import write_summaries
+                manifest["cells"] = write_summaries(cfg, out_dir, done, seeds)
+            else:
+                manifest["cells"] = list(done[name].values())  # last stage
+            manifest["metrics_files"] = [cell["metrics"]
+                                         for cell in manifest["cells"]]
             if error is not None:
                 raise error
         if cfg.task == "ablate":
@@ -605,38 +614,51 @@ def _finish_manifest(manifest: dict, started: float) -> None:
             helper.get("peak_rss_mb", 0.0) for helper in manifest["helpers"])
 
 
-def run_stages(cfg: ExperimentConfig, seeds=None) -> list:
-    """``(name, units)`` of each stage of a run of ``cfg`` over ``seeds``
-    (its run seeds when None), in the order the stages run and, within
-    one, the order its results are merged; none for ``eval``.
+def run_stages(cfg: ExperimentConfig) -> list:
+    """``(name, units, work)`` of each stage of a run of ``cfg``, in the
+    order the stages run and, within one, the order its results are kept;
+    none for ``eval``. ``work(cfg, data, out_dir, done, unit)`` does one
+    unit (``done`` as ``run`` keeps it) and returns its result.
 
-    - ``prune-tune``/``ablate``: "cells", a ``(seed, method, rho, phi,
-      tau0)`` unit for every seed and, within it, every cell in
-      ``_cell_grid`` order;
-    - ``train-parent``: "parents", one unit per seed;
-    - ``ensemble``: "parents", the seeds; "members", a ``(seed, member)``
-      unit per member of every seed; "scores", a ``(seed, set)`` unit per
-      scoring set of every seed: ``"clean"`` (the test set), then each
-      corruption severity.
+    - ``prune-tune``/``ablate``: "parents", one unit per seed
+      (``_cache_parent``); "cells", a ``(seed, method, rho, phi, tau0)``
+      unit for every seed and, within it, every cell in ``_cell_grid``
+      order (``_sweep_cell``);
+    - ``train-parent``: "parents", one unit per seed (``_seed_parent``);
+    - ``ensemble``: "parents" as for sweeps; "members", a ``(seed,
+      member)`` unit per member of every seed; "scores", a ``(seed, set)``
+      unit per scoring set of every seed: ``"clean"`` (the test set), then
+      each corruption severity (``ensemble_task``).
     """
-    seeds = cfg.run_seeds() if seeds is None else seeds
+    seeds = cfg.run_seeds()
     if cfg.task == "eval":
         return []
     if cfg.task == "train-parent":
-        return [("parents", seeds)]
+        return [("parents", seeds, _seed_parent)]
+    parents = ("parents", seeds, _cache_parent)
     if cfg.task != "ensemble":
-        return [("cells", [(seed, *cell) for seed in seeds
-                           for cell in _cell_grid(cfg)])]
+        return [parents, ("cells", [(seed, *cell) for seed in seeds
+                                    for cell in _cell_grid(cfg)],
+                          _sweep_cell)]
+    from . import ensemble_task  # compiled only by an ensemble run
     ens = cfg.ensemble
-    return [("parents", seeds),
+    return [parents,
             ("members", [(seed, i) for seed in seeds
-                         for i in range(ens["n_members"])]),
+                         for i in range(ens["n_members"])],
+             ensemble_task.tune_one_member),
             ("scores", [(seed, which) for seed in seeds
                         for which in ("clean",
-                                      *ens["corruption_severities"])])]
+                                      *ens["corruption_severities"])],
+             ensemble_task.score_one_set)]
 
 
-def _seed_parent(cfg, data, out_dir, seed) -> list:
+def _unit_seed(unit) -> int:
+    """The seed a unit of ``run_stages`` belongs to: the unit itself or its
+    first entry."""
+    return unit if isinstance(unit, int) else unit[0]
+
+
+def _seed_parent(cfg, data, out_dir, done, seed) -> dict:
     """``train-parent`` for one seed: its metric CSV and weights."""
     net = build_net(cfg, data, seed)
     schedule, optimizer = build_training(cfg, cfg.parent_lr,
@@ -648,42 +670,40 @@ def _seed_parent(cfg, data, out_dir, seed) -> list:
     csv_path = out_dir / "metrics" / f"parent-s{seed}.csv"
     write_metrics_csv(csv_path, rows)
     weights_path = out_dir / f"parent-s{seed}.weights.ssam"
-    save_weights(net.params(), weights_path)
-    return [{
+    write_atomic(weights_path, functools.partial(save_weights, net.params()))
+    return {
         "method": "parent", "selector": "-", "lr_schedule":
             cfg.parent_lr["kind"], "rho": 0.0, "phi": 0, "tau0": 0.0,
         "epochs": cfg.parent_epochs, "seed": seed,
         "metrics": str(csv_path.relative_to(out_dir)),
         "weights": str(weights_path.relative_to(out_dir)),
-    }]
+    }
 
 
-def held_parent(cfg, data, out_dir, held, seed):
-    """``seed``'s parent and cache path from ``held``, the parent this
-    process is at, else from ``get_parent`` after dropping the last one,
-    so a process keeps one parent at a time."""
-    if seed not in held:
-        held.clear()  # free the last seed's parent before the next is built
-        held[seed] = get_parent(cfg, data, seed, out_dir)
-    return held[seed]
+def _cache_parent(cfg, data, out_dir, done, seed) -> str:
+    """Stage "parents" of a sweep or an ensemble: the seed's parent into
+    the run's parent cache (``get_parent``); returns its path relative to
+    ``out_dir``."""
+    _, path = get_parent(cfg, data, seed, out_dir)
+    return str(path.relative_to(out_dir))
 
 
-def _sweep_cell(cfg, data, out_dir, held, unit) -> list:
-    """``prune-tune``/``ablate`` for one ``(seed, method, rho, phi, tau0)``
-    unit: that cell tuned from the seed's parent (``held_parent``)."""
+def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
+    """Stage "cells": one ``(seed, method, rho, phi, tau0)`` cell tuned
+    from the seed's cached parent; returns its manifest cell."""
     seed, method, rho, phi, tau0 = unit
-    parent, parent_path = held_parent(cfg, data, out_dir, held, seed)
+    parent = cached_parent(cfg, data, out_dir, done, seed)
     _, rows = run_cell(cfg, data, parent, seed, method, rho, phi, tau0)
     slug = _cell_slug(method, rho, phi, tau0)
     csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
     write_metrics_csv(csv_path, rows)
-    return [{
+    return {
         "method": method, "selector": cfg.selector,
         "lr_schedule": cfg.lr["kind"], "rho": rho, "phi": phi,
         "tau0": tau0, "epochs": cfg.epochs, "seed": seed,
         "metrics": str(csv_path.relative_to(out_dir)),
-        "parent": str(parent_path.relative_to(out_dir)),
-    }]
+        "parent": done["parents"][seed],
+    }
 
 
 def _task_eval(cfg, data, out_dir, manifest):

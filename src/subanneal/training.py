@@ -149,7 +149,9 @@ def predict_logits(net: Network, x,
     largest array any layer allocates (``net.row_floats`` elements of
     ``x``'s dtype per row) within ``EVAL_BYTES``. Each chunk is one
     ``net.forward`` call with ``keep_cache=False``, so every layer's
-    forward state is dropped as soon as that layer has run.
+    forward state is dropped as soon as that layer has run. A network whose
+    logits are not all finite has diverged (``DivergenceError``), even if
+    its training losses stayed finite.
     """
     rows = max(1, min(EVAL_CHUNK,
                       EVAL_BYTES // (net.row_floats * x.itemsize)))
@@ -162,6 +164,8 @@ def predict_logits(net: Network, x,
             out[start:start + rows] = logits
     if out is None:
         raise ValueError("cannot evaluate an empty input")
+    if not np.isfinite(out).all():
+        raise DivergenceError("non-finite logits in evaluation")
     return out
 
 

@@ -4,8 +4,8 @@ each.
 ``runner.run`` imports this module only when a run has more than one
 worker (``runner.worker_count``), so a one-process run neither compiles it
 nor imports ``multiprocessing``. Fork, not spawn: helpers inherit the
-loaded data and the task function, and nothing is pickled but each unit's
-manifest cells, a failure's text and the helper's usage.
+data, the unit function and earlier stages' results, and nothing is
+pickled but each unit's result, a failure's text and the helper's usage.
 """
 
 from __future__ import annotations

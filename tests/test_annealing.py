@@ -272,6 +272,17 @@ class TestTune:
             _run_tune(FixedMaskController(target), lr=1e150, epochs=4)
         assert "epoch" in info.value.record
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_logits_are_a_divergence(self):
+        """Weights large enough to overflow the logits, though no training
+        loss was seen: evaluating them raises, not a metric out of range."""
+        net = _toy_net()
+        x, _ = _toy_data()
+        for w in net.weights().values():
+            w[...] = 1e200
+        with pytest.raises(DivergenceError, match="non-finite logits"):
+            predict_logits(net, x)
+
     def test_reverse_dropout_keeps_target_always_active(self):
         target = self._target()
         controller = temperature_controller(

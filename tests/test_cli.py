@@ -1,6 +1,7 @@
 import json
 import logging
 
+import numpy as np
 import pytest
 
 from subanneal.cli import main
@@ -129,3 +130,26 @@ def test_run_null_float_prints_one_error_line(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err and "rho must be a finite number" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("task", ["prune-tune", "train-parent"])
+def test_zero_parent_epochs_keep_the_initial_parent(tmp_path, task):
+    """``parent_epochs: 0`` under the default ``parent_lr`` runs, and the
+    parent it writes is its initialisation."""
+    from subanneal.config import ExperimentConfig
+    from subanneal.masks import load_weights
+    from subanneal.runner import RunData, build_net
+
+    out = tmp_path / "out"
+    config = _write_config(tmp_path, task=task, parent_epochs=0, seed=3)
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    if task == "train-parent":
+        (path,) = out.glob("parent-s3.weights.ssam")
+    else:
+        (path,) = out.glob("parents/*.ssam")
+    cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
+    init = build_net(cfg, RunData(cfg), 3).params()
+    saved = load_weights(path)
+    assert sorted(saved) == sorted(init)
+    for name, value in init.items():
+        assert np.array_equal(saved[name], value)

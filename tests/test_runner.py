@@ -1,3 +1,4 @@
+import importlib
 import json
 import logging
 import platform
@@ -175,9 +176,10 @@ class TestPruneTuneTask:
         assert len(rows) == 3
         assert rows[-1]["test_acc"] is not None
         assert "wall_clock_s" in manifest
-        (stage,) = manifest["stages"]
-        assert stage["name"] == "cells" and stage["workers"] == 1
-        assert 0 < stage["wall_s"] <= manifest["wall_clock_s"]
+        stages = manifest["stages"]
+        assert [s["name"] for s in stages] == ["parents", "cells"]
+        assert all(s["workers"] == 1 for s in stages)
+        assert 0 < sum(s["wall_s"] for s in stages) <= manifest["wall_clock_s"]
 
     def test_oneshot_vs_phi_one_iterative_identical_metric_files(self, tmp_path):
         cfg_a = _cfg(tmp_path, method="oneshot", out_dir=str(tmp_path / "a"))
@@ -401,6 +403,33 @@ def test_interrupted_parent_cache_write_is_retrained(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "save_weights", real_save)
     manifest = json.loads(run(_cfg(tmp_path)).read_text())
     assert manifest["status"] == "ok"
+
+
+@pytest.mark.parametrize("module,writer,task,final", [
+    ("runner", "save_weights", "train-parent", "parent-s1.weights.ssam"),
+    ("ensemble_task", "save_weights", "ensemble",
+     "seed-1/member-0.weights.ssam"),
+    ("ensemble_task", "save_mask_set", "ensemble",
+     "seed-1/member-0.mask.ssam"),
+], ids=["parent-weights", "member-weights", "member-mask"])
+def test_an_ssam_write_failing_midway_leaves_no_file(tmp_path, monkeypatch,
+                                                     module, writer, task,
+                                                     final):
+    def dies_midway(payload, path):
+        with open(path, "wb") as fh:
+            fh.write(b"SSAM\x01")  # a truncated container
+        raise OSError("no space left for the container")
+
+    monkeypatch.setattr(importlib.import_module(f"subanneal.{module}"),
+                        writer, dies_midway)
+    extra = ({"phi": 1, "ensemble": {"n_members": 2,
+                                     "corruption_severities": [3]}}
+             if task == "ensemble" else {})
+    with pytest.raises(OSError, match="no space left"):
+        run(_cfg(tmp_path, task=task, **extra))
+    path = tmp_path / "out" / final
+    assert not path.exists()
+    assert not list(path.parent.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("overrides", [

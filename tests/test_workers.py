@@ -7,6 +7,7 @@ outputs do not depend on N, a unit that fails in a helper fails the run as
 it would in a serial loop, and no helper outlives ``run`` or its caller.
 """
 
+import importlib
 import json
 import multiprocessing
 import os
@@ -106,8 +107,8 @@ def _check_stages(cfg, manifest, cpus: int) -> None:
     by more than one; ``helpers`` lists the stages' helpers in turn."""
     helpers = manifest["helpers"]
     stages = run_stages(cfg)
-    assert [s["name"] for s in manifest["stages"]] == [n for n, _ in stages]
-    for (_, units), stage in zip(stages, manifest["stages"]):
+    assert [s["name"] for s in manifest["stages"]] == [n for n, _, _ in stages]
+    for (_, units, _), stage in zip(stages, manifest["stages"]):
         cap = len(units if cfg.task == "ensemble" else manifest["seeds"])
         assert stage["workers"] == min(cpus, cap, len(units))
         assert stage["wall_s"] > 0
@@ -137,8 +138,9 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
         assert not multiprocessing.active_children()
         _check_stages(cfg, manifest, workers)
         helpers = manifest["helpers"]
-        if name == "ablate" and workers == 2:  # trained by one, loaded by one
-            assert helpers[0]["units"][0][0] == 1  # seed 1 straddles blocks
+        if name == "ablate" and workers == 2:  # both load seed 1's parent
+            assert helpers[0]["units"] == [2]  # parents: the caller's 3 and 1
+            assert helpers[1]["units"][0][0] == 1  # seed 1 straddles blocks
         if name.startswith("ensemble-") and workers > 1:
             assert helpers  # a one-seed ensemble forks
         assert all(h["peak_rss_mb"] > 0 and h["cpu_s"] > 0 for h in helpers)
@@ -222,10 +224,10 @@ def test_a_helper_that_dies_fails_its_seed(tmp_path, monkeypatch):
     caller = os.getpid()
     real = runner._sweep_cell
 
-    def dies_in_the_helper(cfg, data, out_dir, held, unit):
+    def dies_in_the_helper(cfg, data, out_dir, done, unit):
         if unit[0] == 2 and unit[2] == 0.5 and os.getpid() != caller:
             os.kill(os.getpid(), signal.SIGKILL)
-        return real(cfg, data, out_dir, held, unit)
+        return real(cfg, data, out_dir, done, unit)
 
     monkeypatch.setattr(runner, "_sweep_cell", dies_in_the_helper)
     cfg = _cfg(**SPLIT, out_dir=str(tmp_path / "out"))
@@ -240,9 +242,11 @@ def test_a_helper_that_dies_fails_its_seed(tmp_path, monkeypatch):
     out = tmp_path / "out"
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == str(info.value)
-    ((_, units),) = run_stages(cfg)
+    _, (_, units, _) = run_stages(cfg)
     units = json.loads(json.dumps(units))
-    assert manifest["helpers"] == [{"units": units[3:]}]  # and no usage
+    parents, cells = manifest["helpers"]
+    assert parents["units"] == [2] and parents["cpu_s"] > 0
+    assert cells == {"units": units[3:]}  # and no usage
     assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
         [0, 0.5], [0, 0.8], [1, 0.5]]
     # the helper got past its first unit, so it died mid-block
@@ -276,7 +280,7 @@ def test_a_cell_failing_in_a_helper_fails_the_run_as_a_serial_run_does(
     assert errors[1] == "ValueError: cell rho 0.5 of seed 2 failed"
     assert errors[2] == errors[3] == errors[1]
     assert [2, "temperature-anneal", 0.5, 2, 0.5] in (
-        manifests[2]["helpers"][0]["units"])
+        manifests[2]["helpers"][-1]["units"])
     for manifest in manifests.values():
         assert manifest["error"] == errors[1]
         assert [[c["seed"], c["rho"]] for c in manifest["cells"]] == [
@@ -381,13 +385,13 @@ def test_an_ensemble_seed_failing_in_any_stage_fails_as_in_a_serial_run(
                             _diverges(lambda seed, i: seed == 1))
         want = "DivergenceError: every ensemble member diverged"
     else:
-        real = ensemble_task._score
+        real = ensemble_task.score_one_set
 
-        def a_set_fails(cfg, data, out_dir, survivors, unit):
+        def a_set_fails(cfg, data, out_dir, done, unit):
             if unit == (1, 3):
                 raise ValueError("severity 3 of seed 1 failed")
-            return real(cfg, data, out_dir, survivors, unit)
-        monkeypatch.setattr(ensemble_task, "_score", a_set_fails)
+            return real(cfg, data, out_dir, done, unit)
+        monkeypatch.setattr(ensemble_task, "score_one_set", a_set_fails)
         want = "ValueError: severity 3 of seed 1 failed"
     raw = {**ONE_SEED, "seeds": [0, 1, 2],
            "ensemble": {"n_members": 2, "corruption_severities": [1, 3]}}
@@ -522,24 +526,42 @@ print(json.dumps(sorted(m for m in sys.modules
         assert manifest["workers"] == 1 and manifest["helpers"] == []
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_a_process_gets_each_parent_once_before_that_seeds_cells(
-        tmp_path, monkeypatch, cpus):
-    """One CPU gets each seed's parent once, seed by seed; at two CPUs the
-    caller's block, (0, 0.5), (0, 0.8) and (1, 0.5), gets parents 0 and
-    1 once each."""
-    calls = []
-    real = runner.get_parent
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_each_parent_is_trained_once_in_the_parents_stage(tmp_path,
+                                                          monkeypatch, cpus):
+    """Every process appends its parent trainings and cell tunings to one
+    file: each seed's parent is trained once, all before the first cell,
+    which like every later cell loads it from the cache."""
+    calls = tmp_path / "calls.txt"
+    real_get, real_train = runner.get_parent, runner.train_parent
+    real_cell = runner.run_cell
+    getting = []  # the seed this process's get_parent call is for
 
-    def counted(cfg, data, seed, out_dir):
-        calls.append(seed)
-        return real(cfg, data, seed, out_dir)
+    def note(line):
+        with open(calls, "a") as fh:
+            fh.write(f"{line}\n")
 
-    monkeypatch.setattr(runner, "get_parent", counted)
+    def get_parent(cfg, data, seed, out_dir):
+        getting[:] = [seed]
+        return real_get(cfg, data, seed, out_dir)
+
+    def train_parent(*args, **kwargs):
+        note(f"parent {getting[0]}")
+        return real_train(*args, **kwargs)
+
+    def run_cell(cfg, data, parent, seed, *cell):
+        note(f"cell {seed}")
+        return real_cell(cfg, data, parent, seed, *cell)
+
+    monkeypatch.setattr(runner, "get_parent", get_parent)
+    monkeypatch.setattr(runner, "train_parent", train_parent)
+    monkeypatch.setattr(runner, "run_cell", run_cell)
     _cpus(monkeypatch, cpus)
     run(_cfg(**SPLIT, out_dir=str(tmp_path / "out")))
-    # a helper's calls append to its own copy of ``calls``
-    assert calls == ([0, 1, 2] if cpus == 1 else [0, 1])
+    lines = calls.read_text().splitlines()
+    assert sorted(lines[:3]) == ["parent 0", "parent 1", "parent 2"]
+    assert sorted(lines[3:]) == ["cell 0", "cell 0", "cell 1", "cell 1",
+                                 "cell 2", "cell 2"]
 
 
 def test_unit_blocks_are_contiguous_the_larger_first():
@@ -556,8 +578,8 @@ def test_the_callers_block_of_blobs_ablate_holds_every_method(monkeypatch,
     path = SRC.parent / "configs" / "blobs-ablate.json"
     cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
     _cpus(monkeypatch, cpus)
-    ((_, units),) = run_stages(cfg)
-    assert worker_count(cfg, len(units)) == cpus
+    _, (name, units, _) = run_stages(cfg)
+    assert name == "cells" and worker_count(cfg, len(units)) == cpus
     caller = [units[i] for i in unit_blocks(len(units), cpus)[0]]
     assert {unit[1] for unit in caller} == set(cfg.method)
 
@@ -574,7 +596,7 @@ def test_the_callers_blocks_of_a_one_seed_ensemble_tune_and_score(
                          "corruption_severities": [1, 2, 3, 4, 5]})
     _cpus(monkeypatch, cpus)
     caller = {}
-    for name, units in run_stages(cfg):
+    for name, units, _ in run_stages(cfg):
         workers = worker_count(cfg, len(units))
         assert workers == min(cpus, len(units))
         caller[name] = [units[i] for i in unit_blocks(len(units), workers)[0]]
@@ -582,6 +604,20 @@ def test_the_callers_blocks_of_a_one_seed_ensemble_tune_and_score(
     assert caller["members"] == [(0, 0), (0, 1)]
     sets = [which for _, which in caller["scores"]]
     assert sets[0] == "clean" and len(sets) >= 2
+
+
+def test_the_mnist_workload_tunes_its_cells_in_one_process(monkeypatch):
+    """The benchmark traces only the calling process, and it reads the
+    one-shot and the annealed step cost from ``prune-mnist-mlp``'s two
+    cells: at 2 CPUs, its one seed keeps both in the caller."""
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    raw = workloads.WORKLOADS["prune-mnist-mlp"].config(SRC.parent, 0)
+    cfg = ExperimentConfig.from_dict(raw)
+    _cpus(monkeypatch, 2)
+    assert [(name, len(units), worker_count(cfg, len(units)))
+            for name, units, _ in run_stages(cfg)] == [("parents", 1, 1),
+                                                       ("cells", 2, 1)]
 
 
 class TestWorkerCount:
@@ -601,7 +637,7 @@ class TestWorkerCount:
         cfg = _cfg(task="ensemble", seed=1,
                    ensemble={"n_members": 3, "corruption_severities": [1]})
         assert [worker_count(cfg, len(units))
-                for _, units in run_stages(cfg)] == [1, 3, 2]
+                for _, units, _ in run_stages(cfg)] == [1, 3, 2]
         assert worker_count(_cfg(task="ensemble", repeats=2), 2) == 2
 
     def test_eval_runs_in_one_process(self, monkeypatch):
