@@ -111,13 +111,11 @@ def init_temperature(target: MaskSet, cfg: TemperatureConfig) -> ProbabilitySet:
     entries to tau0 so they can pop back in; full scaling also drops the
     target entries to 1 - tau0.
     """
-    probs = {}
-    for name, m in target.items():
-        mf = m.astype(np.float64)
-        if cfg.variant == REVERSE_DROPOUT:
-            probs[name] = mf + (1.0 - mf) * cfg.tau0
-        else:
-            probs[name] = mf * (1.0 - cfg.tau0) + (1.0 - mf) * cfg.tau0
+    mf = target.flat.astype(np.float64)
+    kept = mf if cfg.variant == REVERSE_DROPOUT else mf * (1.0 - cfg.tau0)
+    # ufunc calls, not operators: numpy's operator reuse of a temporary of
+    # 256 KiB or more first walks the C stack, faulting in library pages
+    probs = np.add(kept, np.multiply(1.0 - mf, cfg.tau0))
     return ProbabilitySet(probs, target.copy())
 
 
@@ -170,19 +168,15 @@ def probs_at_epoch(init: ProbabilitySet, decay: str, anneal_epochs: int,
     if epoch == 0 and anneal_epochs > 0:
         return init.copy()
     d = decay_fraction(decay, epoch, anneal_epochs)
-    if d == 0.0:
-        return ProbabilitySet(
-            {n: m.astype(np.float64) for n, m in init.terminal.items()},
-            init.terminal.copy())
-    probs = {n: init.terminal[n] + (p - init.terminal[n]) * d
-             for n, p in init.items()}
+    t = init.terminal.flat
+    probs = (t.astype(np.float64) if d == 0.0
+             else np.add(t, np.multiply(init.flat - t, d)))
     return ProbabilitySet(probs, init.terminal.copy())
 
 
 def anti_probability(ps: ProbabilitySet) -> ProbabilitySet:
     """The mirrored set P' = 1 - P annealing to the complementary mask."""
-    return ProbabilitySet({n: 1.0 - p for n, p in ps.items()},
-                          ps.terminal.complement())
+    return ProbabilitySet(1.0 - ps.flat, ps.terminal.complement())
 
 
 # --- subnetwork controllers --------------------------------------------------
@@ -255,7 +249,7 @@ class AnnealController:
         self.probs = probs
         # Bernoulli of a 0/1 matrix is that matrix: build it once and skip
         # the per-batch draw.
-        self._binary_mask = (MaskSet({n: p == 1.0 for n, p in probs.items()})
+        self._binary_mask = (MaskSet(probs.flat == 1.0, probs.shapes)
                              if probs.is_binary() else None)
 
     def begin_epoch(self, epoch: int) -> None:
@@ -343,7 +337,7 @@ def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
     if controller.permanent:
         mask = None  # run_epoch burned controller.mask into the weights
     elif eval_mode == "expected" and controller.probs is not None:
-        mask = controller.probs.probs
+        mask = controller.probs
     else:
         mask = controller.mask
     rec = evaluate(predict_logits(net, xt, mask=mask), yt)

@@ -21,26 +21,31 @@ import struct
 
 import numpy as np
 
+from .nn.layers import views
+
 MAGIC = b"SSAM"
 VERSION = 1
 
 
 class MaskSet:
-    """Per-layer binary masks, stored as uint8 arrays of exact 0/1."""
+    """Per-layer binary masks: exact 0/1 uint8 values in one array, ``flat``,
+    viewed per name in ``masks``. Built from a dict of name -> array, or
+    from a flat uint8 or bool array (not copied) in ``shapes``' order."""
 
-    def __init__(self, masks: dict):
-        clean = {}
-        for name, m in masks.items():
-            a = np.asarray(m)
-            if a.dtype in (np.bool_, np.uint8):
-                # unsigned: the range check is the whole check
-                binary = a.size == 0 or a.max() <= 1
-            else:
-                binary = np.isin(a, (0, 1)).all()
-            if not binary:
-                raise ValueError(f"mask {name!r} has non-binary entries")
-            clean[name] = a.astype(np.uint8)
-        self.masks = clean
+    def __init__(self, masks, shapes: dict | None = None):
+        if shapes is None:
+            shapes = {name: np.shape(m) for name, m in masks.items()}
+            masks = np.concatenate([np.ravel(m) for m in masks.values()]
+                                   or [np.zeros(0, np.uint8)])
+        flat = np.asarray(masks)
+        if flat.dtype == np.bool_:
+            flat = flat.view(np.uint8)  # 0/1 by construction
+        elif flat.size and not (flat.max() <= 1 if flat.dtype == np.uint8
+                                else np.isin(flat, (0, 1)).all()):
+            raise ValueError("mask has non-binary entries")
+        self.flat = flat.astype(np.uint8, copy=False)
+        self.shapes = shapes
+        self.masks = dict(zip(shapes, views(self.flat, shapes.values())))
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.masks[name]
@@ -52,47 +57,50 @@ class MaskSet:
         return self.masks.items()
 
     def total(self) -> int:
-        return sum(int(m.size) for m in self.masks.values())
+        return self.flat.size
 
     def zeros(self) -> int:
-        return sum(int(m.size - m.sum()) for m in self.masks.values())
+        return self.flat.size - int(self.flat.sum())
 
     def sparsity(self) -> float:
         """Fraction of masked-off entries over all maskable parameters."""
         return self.zeros() / self.total()
 
     def complement(self) -> "MaskSet":
-        return MaskSet({name: 1 - m for name, m in self.masks.items()})
+        return MaskSet(1 - self.flat, self.shapes)
 
     def overlap(self, other: "MaskSet") -> int:
         """Number of positions active in both masks."""
-        return sum(int((m & other.masks[name]).sum())
-                   for name, m in self.masks.items())
+        return int((self.flat & other.flat).sum())
 
     def equals(self, other: "MaskSet") -> bool:
-        return self.masks.keys() == other.masks.keys() and all(
+        return self.shapes == other.shapes and all(
             np.array_equal(m, other.masks[name]) for name, m in self.masks.items())
 
     def copy(self) -> "MaskSet":
-        return MaskSet({name: m.copy() for name, m in self.masks.items()})
+        return MaskSet(self.flat.copy(), self.shapes)
 
 
 class ProbabilitySet:
-    """Per-layer retention probabilities plus the binary annealing target."""
+    """Per-layer retention probabilities plus the binary annealing target:
+    float64 values in one array, ``flat``, in the terminal's order, viewed
+    per name in ``probs``. Built from a dict, or a flat float64 array (not
+    copied)."""
 
-    def __init__(self, probs: dict, terminal: MaskSet):
-        if set(probs) != set(terminal.masks):
-            raise ValueError("probability and terminal layer names differ")
-        clean = {}
-        for name, p in probs.items():
-            a = np.asarray(p, dtype=np.float64)
-            if a.min() < 0.0 or a.max() > 1.0:
-                raise ValueError(f"probabilities {name!r} outside [0, 1]")
-            if a.shape != terminal[name].shape:
-                raise ValueError(f"{name!r}: probs shape {a.shape} != terminal "
-                                 f"shape {terminal[name].shape}")
-            clean[name] = a
-        self.probs = clean
+    def __init__(self, probs, terminal: MaskSet):
+        if isinstance(probs, dict):
+            if {n: np.shape(p) for n, p in probs.items()} != terminal.shapes:
+                raise ValueError("probability and terminal names or shapes differ")
+            probs = np.concatenate([np.ravel(probs[n]) for n in terminal]
+                                   or [np.zeros(0)], dtype=np.float64)
+        flat = np.asarray(probs, dtype=np.float64)
+        if flat.shape != terminal.flat.shape:
+            raise ValueError("probability and terminal sizes differ")
+        if flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
+            raise ValueError("probabilities outside [0, 1]")
+        self.flat = flat
+        self.shapes = terminal.shapes
+        self.probs = dict(zip(self.shapes, views(flat, self.shapes.values())))
         self.terminal = terminal
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -103,24 +111,21 @@ class ProbabilitySet:
 
     def mean(self) -> float:
         """Expected active fraction over all maskable parameters."""
-        total = sum(int(p.size) for p in self.probs.values())
-        return sum(float(p.sum()) for p in self.probs.values()) / total
+        return sum(float(p.sum()) for p in self.probs.values()) / self.flat.size
 
     def is_binary(self) -> bool:
-        return all(np.isin(p, (0.0, 1.0)).all() for p in self.probs.values())
+        return bool(np.isin(self.flat, (0.0, 1.0)).all())
 
     def copy(self) -> "ProbabilitySet":
-        return ProbabilitySet({n: p.copy() for n, p in self.probs.items()},
-                              self.terminal.copy())
+        return ProbabilitySet(self.flat.copy(), self.terminal.copy())
 
 
 def realize(probs: ProbabilitySet, rng: np.random.Generator) -> MaskSet:
     """One Bernoulli realization: entry i is active with probability P_i.
 
-    Each call draws fresh uniforms, one array per layer, in layer order.
+    Each call draws fresh uniforms in one array, one per entry in order.
     """
-    return MaskSet({name: rng.random(p.shape) < p
-                    for name, p in probs.items()})
+    return MaskSet(rng.random(probs.flat.size) < probs.flat, probs.shapes)
 
 
 def apply_mask(w: np.ndarray, m: np.ndarray,

@@ -10,11 +10,19 @@ every cache when it ends, so a trained network holds no activations.
 The constructors default to double precision, which the finite-difference
 gradient checks need; a run builds its networks in the config's ``dtype``,
 float32 unless it asks for float64.
+
+A ``Network`` owns the parameter layout: one flat array, ``flat``, holds
+every weight layer's ``w`` in layer order, then every ``b``, and each
+layer's ``w``/``b`` is a view into it; ``backward`` writes the gradients
+into views of one flat ``grad`` of the same layout. The weights are the
+prefix ``flat[:n_weights]``, so masks and optimizers act on the whole
+network in one numpy call per operation.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,6 +30,15 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 class ShapeError(ValueError):
     """Layer shapes do not compose."""
+
+
+def views(flat: np.ndarray, shapes) -> list:
+    """Consecutive views of ``flat``, one shaped like each of ``shapes``."""
+    out, start = [], 0
+    for shape in shapes:
+        out.append(flat[start:start + math.prod(shape)].reshape(shape))
+        start += out[-1].size
+    return out
 
 
 class Dense:
@@ -69,9 +86,9 @@ class Dense:
         when ``input_grad`` is false and nothing upstream needs it."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        self.grad_w = self._cache.T @ grad_out
+        self.grad_w = np.matmul(self._cache.T, grad_out, out=self.grad_w)
         if self.b is not None:
-            self.grad_b = grad_out.sum(axis=0)
+            self.grad_b = np.add.reduce(grad_out, axis=0, out=self.grad_b)
         if not input_grad:
             return None
         return grad_out @ self.w.T
@@ -167,9 +184,11 @@ class Conv2d:
         k, s, p = self.kernel_size, self.stride, self.padding
         _, o, oh, ow = grad_out.shape
         g = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # (O, N·H'·W')
-        self.grad_w = (g @ cols.T).reshape(self.w.shape)
+        out = None if self.grad_w is None else self.grad_w.reshape(o, -1)
+        self.grad_w = np.matmul(g, cols.T, out=out).reshape(self.w.shape)
         if self.b is not None:
-            self.grad_b = grad_out.sum(axis=(0, 2, 3))
+            self.grad_b = np.add.reduce(grad_out, axis=(0, 2, 3),
+                                        out=self.grad_b)
         if not input_grad:
             return None
         gcols = (self.w.reshape(o, -1).T @ g).reshape(c, k, k, n, oh, ow)
@@ -233,12 +252,13 @@ class Network:
     any training starts. ``weight_layers`` maps each weight layer's name
     prefix (``layer{i}``, i its position in the stack) to the layer, in
     order; a parameter is named by its layer's prefix and attribute
-    (``layer0.w``, ``layer0.b``). ``mask_buffers`` holds one array per
-    weight tensor that ``training.masked_weights`` writes the masked weights
-    into; it belongs to this network alone and is kept across the batches
-    of an epoch. ``row_floats`` is the size, in elements per example, of the
-    largest array any layer allocates in a forward pass (each layer reports
-    its own through ``forward_floats``). Evaluation sizes its chunks by it.
+    (``layer0.w``, ``layer0.b``); ``flat`` holds them (module docstring).
+    ``grad`` is the flat gradient while the network trains, else None.
+    ``training.masked_weights`` writes masked weights into ``mask_buffer``
+    (``mask_views`` per layer), kept across the batches of an epoch.
+    ``row_floats`` is the size, in elements per example, of the largest
+    array any layer allocates in a forward pass (each layer reports its own
+    through ``forward_floats``). Evaluation sizes its chunks by it.
     """
 
     def __init__(self, layers, input_shape):
@@ -253,7 +273,18 @@ class Network:
         self.weight_layers = {f"layer{i}": layer
                               for i, layer in enumerate(self.layers)
                               if isinstance(layer, WEIGHT_LAYERS)}
-        self.mask_buffers = {}
+        with_w = list(self.weight_layers.values())
+        # (layer, attribute) of every parameter, in the order of ``flat``
+        self._slots = ([(layer, "w") for layer in with_w]
+                       + [(layer, "b") for layer in with_w if layer.b is not None])
+        self._shapes = [getattr(*slot).shape for slot in self._slots]
+        self.n_weights = sum(layer.w.size for layer in with_w)
+        self.flat = np.concatenate([getattr(*slot).ravel() for slot in self._slots]
+                                   or [np.zeros(0)])
+        for (layer, attr), view in zip(self._slots, views(self.flat, self._shapes)):
+            setattr(layer, attr, view)
+        self._first = self.layers.index(with_w[0]) if with_w else len(self.layers)
+        self.grad = self.mask_buffer = self.mask_views = None
 
     def init_params(self, rng: np.random.Generator) -> None:
         for layer in self.weight_layers.values():
@@ -274,33 +305,38 @@ class Network:
         return x
 
     def clear_cache(self) -> None:
-        """Drop every layer's forward state, every parameter gradient and
-        the masked-weight buffers, so the network holds only its
-        parameters; a backward call then fails until the next forward call.
-        Training calls it when an epoch ends; evaluation needs no call,
-        since it keeps no state (``forward(x, keep_cache=False)``)."""
+        """Drop every layer's forward state, the flat gradient and the
+        masked-weight buffer, so the network holds only its parameters; a
+        backward call then fails until the next forward call. Training
+        calls it when an epoch ends; evaluation needs no call, since it
+        keeps no state (``forward(x, keep_cache=False)``)."""
         for layer in self.layers:
             layer._cache = None
         for layer in self.weight_layers.values():
             layer.grad_w = layer.grad_b = None
-        self.mask_buffers.clear()
+        self.grad = self.mask_buffer = self.mask_views = None
 
-    def backward(self, grad_logits: np.ndarray) -> dict:
-        """Backpropagate and return {param name: gradient}.
+    def backward(self, grad_logits: np.ndarray) -> np.ndarray:
+        """Backpropagate into the flat gradient ``grad`` (allocated after
+        ``clear_cache``; each layer's ``grad_w``/``grad_b`` is a view of it)
+        and return it.
 
         Backpropagation stops at the first weight layer: it computes only
         that layer's parameter gradients, and the layers before it (which
         hold no parameters) are not called, since no caller reads the
         gradient with respect to the network input.
         """
-        first = next((i for i, layer in enumerate(self.layers)
-                      if isinstance(layer, WEIGHT_LAYERS)), len(self.layers))
+        if self.grad is None:
+            self.grad = np.empty_like(self.flat)
+            for (layer, attr), view in zip(self._slots,
+                                           views(self.grad, self._shapes)):
+                setattr(layer, "grad_" + attr, view)
         g = grad_logits
-        for layer in reversed(self.layers[first + 1:]):
+        for layer in self.layers[:self._first:-1]:
             g = layer.backward(g)
-        if first < len(self.layers):
-            self.layers[first].backward(g, input_grad=False)
-        return self._named("grad_w", "grad_b")
+        if self._first < len(self.layers):
+            self.layers[self._first].backward(g, input_grad=False)
+        return self.grad
 
     def _named(self, w_attr: str, b_attr: str | None) -> dict:
         """Each weight layer's ``w_attr`` named ``<prefix>.w``, followed by
@@ -315,16 +351,15 @@ class Network:
         return out
 
     def params(self) -> dict:
-        """All trainable parameters by name (live arrays, not copies)."""
+        """All trainable parameters by name (live views of ``flat``)."""
         return self._named("w", "b")
 
     def set_param(self, name: str, value: np.ndarray) -> None:
         prefix, attr = name.split(".")
-        layer = self.weight_layers[prefix]
-        current = getattr(layer, attr)
+        current = getattr(self.weight_layers[prefix], attr)
         if current.shape != value.shape:
             raise ShapeError(f"{name}: shape {value.shape} != {current.shape}")
-        setattr(layer, attr, np.array(value, dtype=current.dtype))
+        current[...] = value
 
     def weights(self) -> dict:
         """Maskable weight tensors by name (live arrays). Biases excluded."""
@@ -334,13 +369,8 @@ class Network:
         return {name: w.shape for name, w in self.weights().items()}
 
     def clone(self) -> "Network":
-        """Structural copy with copied parameter values and no cached state."""
-        copies = [copy.copy(layer) for layer in self.layers]
-        for c in copies:
-            if isinstance(c, WEIGHT_LAYERS):
-                c.w = c.w.copy()
-                if c.b is not None:
-                    c.b = c.b.copy()
-        net = Network(copies, self.input_shape)
+        """Structural copy with its own ``flat`` and no cached state."""
+        net = Network([copy.copy(layer) for layer in self.layers],
+                      self.input_shape)
         net.clear_cache()
         return net

@@ -23,10 +23,11 @@ def cross_entropy_softmax(logits: np.ndarray, labels: np.ndarray):
         raise ValueError(f"labels shape {labels.shape} != ({n},)")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
+    rows = np.arange(n)
     lse = log_sum_exp(logits)
-    loss = float(np.mean(lse - logits[np.arange(n), labels]))
-    probs = np.exp(logits - lse[:, None])
-    grad = probs
-    grad[np.arange(n), labels] -= 1.0
+    # np.mean's own float reduction and division, without its wrapper
+    loss = float(np.add.reduce(lse - logits[rows, labels]) / n)
+    grad = np.exp(logits - lse[:, None])
+    grad[rows, labels] -= 1.0
     grad /= n
     return loss, grad

@@ -4,12 +4,22 @@ Weight decay couples into the gradient before the momentum update, the
 classic formulation. Hyperparameters are fixed at construction; the learning
 rate is supplied per step so schedules stay outside the optimizer.
 
-``mask_state(mask)`` zeroes the per-entry state of masked-off weights. With
-the weight itself zero and its gradient masked, every later step leaves
-that entry's weight, velocity and moments at zero.
+A step updates the flat parameters from the flat gradient (``Network.flat``
+and ``Network.grad``, laid out by ``nn.layers``) in one numpy call per
+operation; velocity and moments are flat arrays of that layout.
+``mask_state(mask)`` zeroes the state of masked-off weights, the prefix the
+flat ``mask`` covers. With the weight itself zero and its gradient masked,
+every later step leaves that entry's weight, velocity and moments at zero.
 """
 
 import numpy as np
+
+
+def _check(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
+    if lr <= 0:
+        raise ValueError("lr must be positive")
+    if grads.shape != params.shape:
+        raise ValueError(f"grad shape {grads.shape} != {params.shape}")
 
 
 class SGD:
@@ -27,13 +37,14 @@ class SGD:
         self.momentum = momentum
         self.nesterov = nesterov
         self.weight_decay = weight_decay
-        self._velocity = {}
-        # per-parameter work arrays: one, or two when weight decay and
-        # Nesterov both need their own (decayed gradient, then the update)
-        self._scratch = {}
+        self._velocity = None
+        # one work array, or two when weight decay and Nesterov both need
+        # their own (decayed gradient, then the update)
+        self._scratch = None
 
-    def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
-        """Update ``params`` in place from ``grads`` (both name -> array).
+    def step(self, params: np.ndarray, grads: np.ndarray,
+             lr: float | None = None) -> None:
+        """Update the flat array ``params`` in place from ``grads``.
 
         All arithmetic happens in place, in the optimizer's own arrays; the
         operations and their rounding are those of ``p -= lr * d`` with
@@ -41,44 +52,35 @@ class SGD:
         (Nesterov) or ``d = v``. ``grads`` is never written.
         """
         lr = self.lr if lr is None else lr
-        if lr <= 0:
-            raise ValueError("lr must be positive")
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValueError(f"{name}: grad shape {g.shape} != {p.shape}")
-            scratch = self._scratch.get(name)
-            if scratch is None:
-                count = 2 if self.weight_decay and self.nesterov else 1
-                scratch = [np.empty_like(p) for _ in range(count)]
-                self._scratch[name] = scratch
-            d = scratch[-1]
-            if self.weight_decay:
-                g = np.multiply(p, self.weight_decay, out=scratch[0])
-                g += grads[name]
-            if self.momentum:
-                v = self._velocity.get(name)
-                if v is None:
-                    v = np.zeros_like(p)
-                    self._velocity[name] = v
-                v *= self.momentum
-                v += g
-                if self.nesterov:
-                    np.multiply(v, self.momentum, out=d)
-                    d += g
-                    d *= lr
-                else:
-                    np.multiply(v, lr, out=d)
+        _check(params, grads, lr)
+        if self._scratch is None:
+            count = 2 if self.weight_decay and self.nesterov else 1
+            self._scratch = [np.empty_like(params) for _ in range(count)]
+        d = self._scratch[-1]
+        g = grads
+        if self.weight_decay:
+            g = np.multiply(params, self.weight_decay, out=self._scratch[0])
+            g += grads
+        if self.momentum:
+            if self._velocity is None:
+                self._velocity = np.zeros_like(params)
+            v = self._velocity
+            v *= self.momentum
+            v += g
+            if self.nesterov:
+                np.multiply(v, self.momentum, out=d)
+                d += g
+                d *= lr
             else:
-                np.multiply(g, lr, out=d)
-            p -= d
+                np.multiply(v, lr, out=d)
+        else:
+            np.multiply(g, lr, out=d)
+        params -= d
 
-    def mask_state(self, mask) -> None:
-        """Multiply each masked weight's velocity by ``mask[name]`` in place."""
-        for name, m in mask.items():
-            v = self._velocity.get(name)
-            if v is not None:
-                v *= m
+    def mask_state(self, mask: np.ndarray) -> None:
+        """Multiply the weights' velocity by the flat ``mask`` in place."""
+        if self._velocity is not None:
+            self._velocity[:mask.size] *= mask
 
 
 class Adam:
@@ -95,38 +97,33 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = {}
-        self._v = {}
+        self._m = self._v = None
         self._t = 0
 
-    def step(self, params: dict, grads: dict, lr: float | None = None) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray,
+             lr: float | None = None) -> None:
+        """Update the flat array ``params`` in place from ``grads``."""
         lr = self.lr if lr is None else lr
-        if lr <= 0:
-            raise ValueError("lr must be positive")
+        _check(params, grads, lr)
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
-        for name, p in params.items():
-            g = grads[name]
-            if g.shape != p.shape:
-                raise ValueError(f"{name}: grad shape {g.shape} != {p.shape}")
-            if self.weight_decay:
-                g = g + self.weight_decay * p
-            m = self._m.setdefault(name, np.zeros_like(p))
-            v = self._v.setdefault(name, np.zeros_like(p))
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self._m is None:
+            self._m, self._v = np.zeros_like(params), np.zeros_like(params)
+        m, v, g = self._m, self._v, grads
+        if self.weight_decay:
+            g = g + self.weight_decay * params
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        params -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
-    def mask_state(self, mask) -> None:
-        """Multiply each masked weight's two moments by ``mask[name]`` in
-        place."""
-        for name, m in mask.items():
-            for state in (self._m, self._v):
-                if name in state:
-                    state[name] *= m
+    def mask_state(self, mask: np.ndarray) -> None:
+        """Multiply the weights' two moments by the flat ``mask`` in place."""
+        if self._m is not None:
+            self._m[:mask.size] *= mask
+            self._v[:mask.size] *= mask
 
 
 def make_optimizer(kind: str, lr: float, momentum: float = 0.9,

@@ -79,10 +79,10 @@ def prune_increment(current: MaskSet, next_level: float, spec: PruneSpec,
     """
     if not 0.0 <= next_level < 1.0:
         raise ValueError("next_level must lie in [0, 1)")
-    new_masks = {name: m.copy() for name, m in current.items()}
+    new = current.copy()
 
     if spec.granularity == LAYERWISE:
-        for name, m in new_masks.items():
+        for name, m in new.items():
             flat = m.reshape(-1)
             target = _quota(flat.size, next_level)
             have = int(flat.size - flat.sum())
@@ -94,29 +94,22 @@ def prune_increment(current: MaskSet, next_level: float, spec: PruneSpec,
             chosen = _active_order(active, vals, spec.selector, rng, target - have)
             flat[chosen] = 0
     else:
-        sizes = {name: m.size for name, m in new_masks.items()}
-        total = sum(sizes.values())
-        target = _quota(total, next_level)
-        have = sum(int(m.size - m.sum()) for m in new_masks.values())
+        target = _quota(new.total(), next_level)
+        have = new.zeros()
         if target < have:
             raise ValueError(f"next level {next_level} is below current sparsity")
-        flat = np.concatenate([m.reshape(-1) for m in new_masks.values()])
-        active = np.flatnonzero(flat)
+        active = np.flatnonzero(new.flat)
         vals = None
         if params is not None:
             vals = np.concatenate(
-                [np.asarray(params[name]).reshape(-1) for name in new_masks])
+                [np.asarray(params[name]).reshape(-1) for name in new])
         chosen = _active_order(active, vals, spec.selector, rng, target - have)
-        flat[chosen] = 0
-        offset = 0
-        for name, m in new_masks.items():
-            m[...] = flat[offset:offset + sizes[name]].reshape(m.shape)
-            offset += sizes[name]
-        for name, m in new_masks.items():
+        new.flat[chosen] = 0
+        for name, m in new.items():
             if m.sum() == 0:
                 raise SeveredLayerError(
                     f"global quota fully severed layer {name!r}")
-    return MaskSet(new_masks)
+    return new
 
 
 def random_mask(shapes: dict, spec: PruneSpec,

@@ -63,7 +63,7 @@ from .data import (
     normalization_stats,
 )
 from .ensemble import corrupt, train_parent
-from .masks import load_mask_set, load_weights, save_weights
+from .masks import MaskSet, load_mask_set, load_weights, save_weights
 from .metrics import evaluate
 from .models import build_model
 from .nn.optim import make_optimizer
@@ -492,13 +492,19 @@ def worker_count(cfg: ExperimentConfig, units: int) -> int:
 
 def process_usage() -> dict:
     """This process's peak resident memory and CPU time so far, where the
-    platform reports them (``ru_maxrss`` is KiB on Linux, bytes on macOS)."""
+    platform reports them. The peak is ``VmHWM`` where /proc/self/status
+    has it (Linux carries ``ru_maxrss`` across ``exec``, from the launching
+    process), else ``ru_maxrss`` (KiB on Linux, bytes on macOS)."""
     if resource is None:
         return {}
     usage = resource.getrusage(resource.RUSAGE_SELF)
-    peak = usage.ru_maxrss
-    if sys.platform == "darwin":
-        peak /= 1024.0
+    peak = usage.ru_maxrss / (1024.0 if sys.platform == "darwin" else 1.0)
+    try:
+        with open("/proc/self/status") as fh:
+            peak = next(int(line.split()[1]) for line in fh
+                        if line.startswith("VmHWM:"))
+    except (OSError, StopIteration):
+        pass
     return {"peak_rss_mb": peak / 1024.0,
             "cpu_s": usage.ru_utime + usage.ru_stime}
 
@@ -716,6 +722,7 @@ def _task_eval(cfg, data, out_dir, manifest):
     if cfg.mask:
         mask = load_mask_set(cfg.mask)
         check_fits(f"mask file {cfg.mask}", mask.masks, net.weights())
+        mask = MaskSet({name: mask[name] for name in net.weights()})
         sparsity = mask.sparsity()
     record = evaluate(predict_logits(net, data.x_test, mask=mask),
                       data.y_test)

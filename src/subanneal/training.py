@@ -18,16 +18,21 @@ re-admitting an entry it has switched off.
   weights and their optimizer state (velocity, Adam moments) are set to
   zero, and every batch runs on the stored weights themselves. A burned
   entry's gradient is masked, so it stays zero.
+
+Masks act in one numpy call on the network's flat weights or gradient
+(``nn.layers`` owns the layout), so a mask must hold the network's weight
+tensors in their order (``masked_weights`` and ``finalize`` check it).
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
 
-from .masks import MaskSet, apply_mask, masked_grad
-from .nn.layers import Network
+from .masks import MaskSet, ProbabilitySet, apply_mask, masked_grad
+from .nn.layers import Network, views
 from .nn.losses import cross_entropy_softmax
 from .nn.schedules import OneCycle, lr_at
 
@@ -48,29 +53,35 @@ class DivergenceError(RuntimeError):
         self.record = record or {}
 
 
+def _check_fits(net: Network, mask) -> None:
+    if list(mask.shapes.items()) != list(net.weight_shapes().items()):
+        raise ValueError(f"mask layout {mask.shapes} != {net.weight_shapes()}")
+
+
 @contextmanager
-def masked_weights(net: Network, mask: MaskSet | dict | None):
-    """Temporarily replace each weight tensor with its Hadamard product with
-    ``mask[name]``: a binary MaskSet, or a dict of per-entry scales. The
-    product is written into the network's ``mask_buffers``, which keep the
-    weight's dtype (float64 scales do not promote a float32 network) and
-    are reused by later calls until ``net.clear_cache()``, so calls on one
-    network must not nest."""
+def masked_weights(net: Network, mask: MaskSet | ProbabilitySet | None):
+    """Temporarily point each weight layer's ``w`` at its part of the
+    Hadamard product of the flat weights with ``mask`` (a binary MaskSet,
+    or a ProbabilitySet of per-entry scales), written into the network's
+    ``mask_buffer``. The buffer keeps the weights' dtype (float64 scales do
+    not promote a float32 network) and is reused until
+    ``net.clear_cache()``, so calls on one network must not nest."""
     if mask is None:
         yield
         return
-    # weights() names the weight layers in weight_layers' order
-    layers = list(zip(net.weights(), net.weight_layers.values()))
-    originals = [layer.w for _, layer in layers]
-    buffers = net.mask_buffers
+    if net.mask_buffer is None:
+        _check_fits(net, mask)
+        net.mask_buffer = np.empty_like(net.flat[:net.n_weights])
+        net.mask_views = views(net.mask_buffer, net.weight_shapes().values())
+    layers = net.weight_layers.values()
+    apply_mask(net.flat[:net.n_weights], mask.flat, out=net.mask_buffer)
+    originals = [layer.w for layer in layers]
     try:
-        for name, layer in layers:
-            if name not in buffers:
-                buffers[name] = np.empty_like(layer.w)
-            layer.w = apply_mask(layer.w, mask[name], out=buffers[name])
+        for layer, view in zip(layers, net.mask_views):
+            layer.w = view
         yield
     finally:
-        for (_, layer), w in zip(layers, originals):
+        for layer, w in zip(layers, originals):
             layer.w = w
 
 
@@ -95,14 +106,19 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
     gradients by its own mask. Either way ``controller.batch_mask`` is
     called once per batch.
     The network keeps no activations afterwards, even when the epoch
-    raises ``DivergenceError``: its layer caches are cleared on the way out.
+    raises ``DivergenceError``: its layer caches and flat gradient are
+    cleared on the way out.
     """
     permanent = controller is not None and controller.permanent
     if permanent:
         finalize(net, controller.mask)
-        optimizer.mask_state(controller.mask)
-        keep = {name: controller.mask[name].astype(w.dtype)
-                for name, w in net.weights().items()}
+        optimizer.mask_state(controller.mask.flat)
+        keep = controller.mask.flat.astype(net.flat.dtype)
+
+    def gradient(xb, yb):
+        loss, grad_logits = cross_entropy_softmax(net.forward(xb), yb)
+        return loss, net.backward(grad_logits)
+
     n = len(y)
     order = rng_shuffle.permutation(n)
     step = step0
@@ -114,21 +130,22 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
             xb, yb = x[batch], y[batch]
             mask = (controller.batch_mask(rng_mask) if controller is not None
                     else None)
-            with masked_weights(net, None if permanent else mask):
-                logits = net.forward(xb)
-                loss, grad_logits = cross_entropy_softmax(logits, yb)
-                grads = net.backward(grad_logits)
-            if not np.isfinite(loss):
+            if mask is None or permanent:
+                loss, grad = gradient(xb, yb)
+            else:
+                with masked_weights(net, mask):
+                    loss, grad = gradient(xb, yb)
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"non-finite loss at epoch {epoch}, step {step}",
                     record={"epoch": epoch, "step": step, "loss": repr(loss)})
             if mask is not None:
-                for name, m in (keep if permanent else mask).items():
-                    masked_grad(grads[name], m, out=grads[name])
+                w = grad[:net.n_weights]
+                masked_grad(w, keep if permanent else mask.flat, out=w)
             lr = schedule_lr(schedule, epoch, step)
             if first_lr is None:
                 first_lr = lr
-            optimizer.step(net.params(), grads, lr=lr)
+            optimizer.step(net.flat, grad, lr=lr)
             losses.append(loss)
             step += 1
     finally:
@@ -137,14 +154,14 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
 
 
 def predict_logits(net: Network, x,
-                   mask: MaskSet | dict | None = None) -> np.ndarray:
+                   mask: MaskSet | ProbabilitySet | None = None) -> np.ndarray:
     """Deterministic forward pass in chunks, written into one output array.
     It leaves no activations cached on ``net``.
 
     ``x`` is an array, or rows sliced like one (``data.NormalizedRows``).
     ``mask`` multiplies the weights as in ``masked_weights``: a binary
-    MaskSet evaluates a subnetwork, a dict of per-entry scales (the
-    probability matrix) the expected network.
+    MaskSet evaluates a subnetwork, a ProbabilitySet (per-entry scales)
+    the expected network.
     A chunk holds at most ``EVAL_CHUNK`` rows, and no more than keep the
     largest array any layer allocates (``net.row_floats`` elements of
     ``x``'s dtype per row) within ``EVAL_BYTES``. Each chunk is one
@@ -171,5 +188,5 @@ def predict_logits(net: Network, x,
 
 def finalize(net: Network, terminal: MaskSet) -> None:
     """Burn a binary mask into the stored weights (permanent zeros)."""
-    for name, w in net.weights().items():
-        w *= terminal[name]
+    _check_fits(net, terminal)
+    net.flat[:net.n_weights] *= terminal.flat

@@ -1,4 +1,5 @@
-"""Central finite-difference oracle used by the gradient tests."""
+"""Central finite-difference oracle used by the gradient tests, and the
+named gradients it is compared with."""
 
 import numpy as np
 
@@ -22,3 +23,11 @@ def numerical_grad(f, arr, h=1e-5):
 def max_rel_error(analytic, numeric):
     denom = max(np.abs(analytic).max(), np.abs(numeric).max(), 1e-8)
     return np.abs(analytic - numeric).max() / denom
+
+
+def named_grads(net) -> dict:
+    """The gradients ``net.backward`` wrote, named like ``net.params()``:
+    each parameter's ``grad_w``/``grad_b``, a view of ``net.grad``."""
+    return {name: getattr(net.weight_layers[name.split(".")[0]],
+                          "grad_" + name.split(".")[1])
+            for name in net.params()}

@@ -4,7 +4,7 @@ import pytest
 from subanneal.nn.layers import Conv2d, Dense, Flatten, Network, ReLU, ShapeError
 from subanneal.nn.losses import cross_entropy_softmax
 
-from fd import max_rel_error, numerical_grad
+from fd import max_rel_error, named_grads, numerical_grad
 
 
 def test_dense_identity():
@@ -62,8 +62,8 @@ def test_zero_upstream_gradient_gives_zero_param_grads():
     net = Network([Dense(4, 3), ReLU(), Dense(3, 2)], input_shape=(4,))
     net.init_params(rng)
     net.forward(rng.normal(size=(6, 4)))
-    grads = net.backward(np.zeros((6, 2)))
-    for g in grads.values():
+    net.backward(np.zeros((6, 2)))
+    for g in named_grads(net).values():
         assert np.all(g == 0.0)
 
 
@@ -100,7 +100,8 @@ def test_gradcheck_all_layer_types(layers, in_shape):
 
     net.forward(x)
     loss, grad_logits = cross_entropy_softmax(net.forward(x), labels)
-    analytic = net.backward(grad_logits)
+    net.backward(grad_logits)
+    analytic = named_grads(net)
     f = _loss_of(net, x, labels)
     for name, param in net.params().items():
         numeric = numerical_grad(f, param)
@@ -148,7 +149,8 @@ def test_backward_stops_at_first_weight_layer_with_equal_grads(build, in_shape):
     net.init_params(rng)
     x = rng.normal(size=(5, *in_shape))
     _, grad_logits = cross_entropy_softmax(net.forward(x), rng.integers(0, 4, 5))
-    grads = {n: g.copy() for n, g in net.backward(grad_logits).items()}
+    net.backward(grad_logits)
+    grads = {n: g.copy() for n, g in named_grads(net).items()}
 
     # reference: every layer, input gradients included, down to the input
     g = grad_logits
@@ -176,7 +178,8 @@ def test_first_weight_layer_skips_its_input_gradient():
     net = Network([Flatten(), Dense(4, 2)], input_shape=(2, 2))
     net.layers[0].backward = lambda g: pytest.fail("Flatten.backward called")
     net.forward(rng.normal(size=(3, 2, 2)))
-    assert set(net.backward(np.ones((3, 2)))) == {"layer1.w", "layer1.b"}
+    net.backward(np.ones((3, 2)))
+    assert set(named_grads(net)) == {"layer1.w", "layer1.b"}
 
 
 # --- Conv2d against a per-example im2col/einsum reference ---------------------
@@ -283,20 +286,20 @@ def test_predict_logits_leaves_no_activation_caches():
 
 def test_smallconv_clone_is_independent_and_bit_identical():
     from subanneal.models import build_small_conv
+    from subanneal.masks import full_mask
     from subanneal.training import masked_weights
 
     net = build_small_conv((3, 9, 9), 4)
     net.init_params(np.random.default_rng(9))
     x = np.random.default_rng(10).normal(size=(6, 3, 9, 9))
     before = net.forward(x)
-    with masked_weights(net, {n: np.ones(s) for n, s in
-                              net.weight_shapes().items()}):
+    with masked_weights(net, full_mask(net.weight_shapes())):
         pass
     other = net.clone()
     # no cached state and no shared arrays
     with pytest.raises(RuntimeError, match="backward called before forward"):
         other.layers[0].backward(np.zeros(1))
-    assert other.mask_buffers == {}
+    assert other.mask_buffer is None
     for mine, theirs in zip(net.params().values(), other.params().values()):
         assert not np.shares_memory(mine, theirs)
     assert np.array_equal(other.forward(x), before)

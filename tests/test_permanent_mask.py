@@ -40,6 +40,8 @@ from subanneal.training import (
     schedule_lr,
 )
 
+from fd import named_grads
+
 EPOCHS = 5
 PHI = 2
 BATCH = 16
@@ -64,18 +66,19 @@ def reference_tune(net, controller, train_data, epochs, schedule, optimizer,
             with masked_weights(net, mask):
                 logits = net.forward(x[batch])
                 loss, grad_logits = cross_entropy_softmax(logits, y[batch])
-                grads = net.backward(grad_logits)
+                grad = net.backward(grad_logits)
+            grads = named_grads(net)  # per-tensor views of the flat gradient
             for name in mask:
                 masked_grad(grads[name], mask[name], out=grads[name])
             lr = schedule_lr(schedule, epoch, step)
             first_lr = lr if first_lr is None else first_lr
-            optimizer.step(net.params(), grads, lr=lr)
+            optimizer.step(net.flat, grad, lr=lr)
             losses.append(loss)
             step += 1
         net.clear_cache()
         sparsity = controller.mask.sparsity()
         if eval_mode == "expected" and controller.probs is not None:
-            logits = predict_logits(net, xt, mask=controller.probs.probs)
+            logits = predict_logits(net, xt, mask=controller.probs)
         else:
             logits = predict_logits(net, xt, mask=controller.mask)
         rec = evaluate(logits, yt)

@@ -216,6 +216,30 @@ class TestPruneTuneTask:
                               .read_text())
         assert manifest["status"] == "failed" and manifest["peak_rss_mb"] > 0
 
+    def test_peak_memory_excludes_the_launching_process(self, tmp_path):
+        # Linux carries ru_maxrss across exec: a run started by a process
+        # that once held a large array must not report that array
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        cfg = _cfg(tmp_path, parent_epochs=1, epochs=2, phi=1).to_dict()
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        src = str(Path(runner.__file__).resolve().parents[1])
+        big_mb = 160
+        launcher = (
+            "import os, subprocess, sys\n"
+            "import numpy as np\n"
+            f"big = np.ones({big_mb} << 17)\n"
+            "del big\n"
+            "env = dict(os.environ, PYTHONPATH=sys.argv[1])\n"
+            "subprocess.run([sys.executable, '-m', 'subanneal.cli', 'run',"
+            " sys.argv[2]], env=env, check=True)\n")
+        subprocess.run([sys.executable, "-c", launcher, src,
+                        str(tmp_path / "cfg.json")], check=True)
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert 0 < manifest["peak_rss_mb"] < big_mb
+
     def test_failure_recorded_in_manifest(self, tmp_path):
         cfg = _cfg(tmp_path, rho=0.999)  # quota would sever the head layer
         with pytest.raises(Exception):
@@ -539,8 +563,7 @@ def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
 
     def step(self, params, grads, lr=None, real=SGD.step):
         optimizers.append(self)
-        for name, p in params.items():
-            seen.update({("param", p.dtype), ("grad", grads[name].dtype)})
+        seen.update({("param", params.dtype), ("grad", grads.dtype)})
         return real(self, params, grads, lr)
 
     def adam_step(self, params, grads, lr=None, real=Adam.step):
@@ -581,11 +604,10 @@ def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
     assert {dtype for _, dtype in seen} == {np.dtype(np.float32)}
     sgd = [opt for opt in optimizers if isinstance(opt, SGD)]
     adam = [opt for opt in optimizers if isinstance(opt, Adam)]
-    arrays = [a for opt in sgd for a in opt._velocity.values()]
-    arrays += [a for opt in sgd for s in opt._scratch.values() for a in s]
+    arrays = [opt._velocity for opt in sgd]
+    arrays += [a for opt in sgd for a in opt._scratch]
     assert arrays and all(a.dtype == np.float32 for a in arrays)
-    moments = [a for opt in adam for state in (opt._m, opt._v)
-               for a in state.values()]
+    moments = [state for opt in adam for state in (opt._m, opt._v)]
     assert moments and all(a.dtype == np.float32 for a in moments)
     # a corrupted test set is built in float64 (its noise stream), then
     # handed to the network in float32
@@ -602,7 +624,7 @@ def test_the_default_dtype_is_float32_and_the_manifest_records_it(
     seen = set()
 
     def step(self, params, grads, lr=None, real=SGD.step):
-        seen.update(p.dtype for p in params.values())
+        seen.add(params.dtype)
         return real(self, params, grads, lr)
 
     monkeypatch.setattr(SGD, "step", step)
@@ -703,6 +725,29 @@ class TestTrainParentAndEval:
         assert set(payload["corrupted"]) == {"1", "3"}
         for record in payload["corrupted"].values():
             assert record["realized_sparsity"] == mask.sparsity()
+
+    def test_eval_reads_a_mask_file_in_any_entry_order(self, tmp_path):
+        # a mask multiplies the flat weights in the network's order; a file
+        # that lists the same masks in another order is the same mask
+        import numpy as np
+
+        from subanneal.masks import MaskSet, load_weights, save_mask_set
+
+        weights = self._parent_weights(tmp_path)
+        masks = {name: np.arange(w.size).reshape(w.shape) % 3 != 0
+                 for name, w in load_weights(weights).items()
+                 if name.endswith(".w")}
+        payloads = []
+        for order in (list(masks), list(masks)[::-1]):
+            mask_path = tmp_path / f"mask-{order[0]}.ssam"
+            save_mask_set(MaskSet({n: masks[n] for n in order}), mask_path)
+            cfg = self._eval_cfg(tmp_path, weights, mask_path, [2])
+            cfg.out_dir = str(tmp_path / f"eval-{order[0]}")
+            manifest = json.loads(run(cfg).read_text())
+            payload = json.loads((tmp_path / f"eval-{order[0]}" /
+                                  manifest["metrics_files"][0]).read_text())
+            payloads.append((payload["clean"], payload["corrupted"]))
+        assert payloads[0] == payloads[1]
 
     def test_eval_without_a_mask_reports_no_sparsity(self, tmp_path):
         weights = self._parent_weights(tmp_path)

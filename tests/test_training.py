@@ -18,8 +18,8 @@ from subanneal.annealing import (
     temperature_controller,
 )
 from subanneal.data import make_blobs
-from subanneal.masks import MaskSet, full_mask
-from subanneal.nn.layers import Dense, Network, ReLU
+from subanneal.masks import MaskSet, ProbabilitySet, full_mask
+from subanneal.nn.layers import Dense, Network, ReLU, views
 from subanneal.nn.optim import SGD, Adam
 from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
@@ -60,18 +60,26 @@ def _off(mask, weights):
     return {name: w[mask[name] == 0].copy() for name, w in weights.items()}
 
 
-def _state(optimizer):
-    """The optimizer's per-entry state arrays, by kind."""
-    if isinstance(optimizer, Adam):
-        return {"m": optimizer._m, "v": optimizer._v}
-    return {"velocity": optimizer._velocity}
+def _state(optimizer, net):
+    """The optimizer's per-entry state of ``net``'s weights, by kind, each
+    a dict of per-weight views of its flat array."""
+    kinds = ({"m": optimizer._m, "v": optimizer._v}
+             if isinstance(optimizer, Adam) else {"velocity": optimizer._velocity})
+    return {kind: _by_weight(flat, net) for kind, flat in kinds.items()}
+
+
+def _by_weight(flat, net):
+    """Per-weight views of a flat array in ``net``'s parameter layout,
+    whose prefix holds the weights in order."""
+    shapes = net.weight_shapes()
+    return dict(zip(shapes, views(flat, shapes.values())))
 
 
 def _assert_off_is_zero(mask, net, optimizer):
     for name, w in _off(mask, net.weights()).items():
         assert np.all(w == 0), name
-    for kind, state in _state(optimizer).items():
-        for name, s in _off(mask, {n: state[n] for n in mask}).items():
+    for kind, state in _state(optimizer, net).items():
+        for name, s in _off(mask, state).items():
             assert np.all(s == 0), (kind, name)
 
 
@@ -115,7 +123,7 @@ def test_momentum_moves_a_weight_after_it_drops_out():
     opt = SGD(LR, momentum=0.9, nesterov=True)
     _epoch(net, data, opt, FixedMaskController(full_mask(net.weight_shapes())))
     before = _off(mask, net.weights())
-    velocity = _off(mask, {name: opt._velocity[name] for name in mask})
+    velocity = _off(mask, _by_weight(opt._velocity, net))
     _epoch(net, data, opt, _stochastic(mask), epoch=1)
     after = _off(mask, net.weights())
     for name in before:
@@ -140,7 +148,7 @@ def test_a_permanent_mask_zeroes_masked_off_weights_and_state(make_opt):
     net, data, mask = _setup()
     opt = make_opt()
     _epoch(net, data, opt, None)  # dense: every entry gets optimizer state
-    for kind, state in _state(opt).items():
+    for kind, state in _state(opt, net).items():
         assert all(np.all(state[name] != 0) for name in mask), kind
     active = {name: w[mask[name] == 1].copy()
               for name, w in net.weights().items()}
@@ -206,7 +214,7 @@ def test_masked_weights_reuse_buffers_owned_by_each_network():
         seen = dict(net.weights())
     for name, w in net.weights().items():
         assert np.array_equal(w, originals[name])  # stored weights restored
-        assert seen[name] is net.mask_buffers[name]
+        assert np.shares_memory(seen[name], net.mask_buffer)
         assert np.array_equal(seen[name], originals[name] * mask[name])
     with masked_weights(net, mask.complement()):
         again = dict(net.weights())
@@ -228,8 +236,9 @@ def test_masked_weights_float32_scale_rounds_like_astype():
              for n, w in net.weights().items()}
     want = {n: (w * scale[n]).astype(np.float32)
             for n, w in net.weights().items()}
+    probs = ProbabilitySet(scale, full_mask(net.weight_shapes()))
     for _ in range(2):
-        with masked_weights(net, scale):
+        with masked_weights(net, probs):
             for name, w in net.weights().items():
                 assert w.dtype == np.float32
                 assert np.array_equal(w, want[name])

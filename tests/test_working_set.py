@@ -759,10 +759,13 @@ def test_run_data_holds_at_most_one_train_sized_temporary(tmp_path,
 # --- trained networks keep only their parameters ------------------------------
 
 def _no_caches(net):
-    """No activations, parameter gradients or masked-weight buffers."""
+    """No activations, parameter gradients (per layer or the flat array)
+    or masked-weight buffer: only the flat parameters and their views."""
     return (all(getattr(layer, attr, None) is None for layer in net.layers
                 for attr in ("_cache", "grad_w", "grad_b"))
-            and not net.mask_buffers)
+            and net.grad is None and net.mask_buffer is None
+            and all(np.shares_memory(p, net.flat)
+                    for p in net.params().values()))
 
 
 def _conv_data(n=96, shape=(3, 16, 16), k=3):
