@@ -349,6 +349,8 @@ class ExperimentConfig:
         _require(not raw, f"unconsumed config keys: {sorted(raw)}")
         if cfg.task == "eval":
             _require(cfg.weights is not None, "eval task requires 'weights'")
+            _require(len(cfg.run_seeds()) == 1,
+                     f"eval task takes one seed, got {cfg.run_seeds()}")
         if cfg.task == "ensemble":
             _check_ensemble_task(cfg)
         if cfg.task in ("prune-tune", "ablate", "ensemble"):

@@ -2,9 +2,9 @@
 
 ``runner.run_stages`` lists an ensemble run's three stages and imports this
 module only for an ``ensemble`` run; ``runner.run`` drives them through the
-loop every task but ``eval`` shares. Each unit's work depends only on files
-earlier stages wrote and on ``done``, the earlier stages' results by unit,
-so one process or several give the same bytes:
+loop every task shares. Each unit's work depends only on files earlier
+stages wrote and on ``done``, the earlier stages' results by unit, so one
+process or several give the same bytes:
 
 1. parents, one unit per seed: the seed's parent, into the run's parent
    cache, as for sweeps;
@@ -34,10 +34,8 @@ from .ensemble import member_controller, score_ensemble, tune_member
 from .masks import load_mask_set, save_mask_set, save_weights
 from .rng import substream
 from .runner import (
-    build_net,
     build_training,
-    cached_parent,
-    load_params,
+    load_net,
     write_atomic,
     write_json_atomic,
     write_metrics_csv,
@@ -53,7 +51,7 @@ def tune_one_member(cfg, data, out_dir, done, unit):
     or the member's ``failures`` record when it diverged: it then writes
     nothing and is left out of the ensemble."""
     seed, i = unit
-    parent = cached_parent(cfg, data, out_dir, done, seed)
+    parent = load_net(cfg, data, seed, out_dir / done["parents"][seed])
     tau_cfg = TemperatureConfig(tau0=cfg.tau0[0], variant=cfg.variant,
                                 decay=cfg.decay_for("temperature-anneal"),
                                 anneal_epochs=cfg.phi[0])
@@ -98,15 +96,12 @@ def score_one_set(cfg, data, out_dir, done, unit):
     if not survivors:
         raise DivergenceError("every ensemble member diverged")
     seed_dir = out_dir / f"seed-{seed}"
-    nets = []
-    for i in survivors:
-        net = build_net(cfg, data, seed)
-        load_params(net, seed_dir / f"member-{i}.weights.ssam")
-        nets.append(net)
-    extra = (cached_parent(cfg, data, out_dir, done, seed)
+    nets = [load_net(cfg, data, seed, seed_dir / f"member-{i}.weights.ssam")
+            for i in survivors]
+    extra = (load_net(cfg, data, seed, out_dir / done["parents"][seed])
              if cfg.ensemble["include_parent"] else None)
-    x = data.x_test if which == "clean" else data.corrupted(which, seed)
-    records, ensemble_record = score_ensemble(nets, extra, x, data.y_test)
+    records, ensemble_record = score_ensemble(
+        nets, extra, data.test_inputs(which, seed), data.y_test)
     if which == "clean":
         for rec, i in zip(records, survivors):
             rec.realized_sparsity = load_mask_set(

@@ -13,17 +13,17 @@ and ensemble summaries byte for byte, whatever the number of workers; wall
 clock and memory live only in the manifest so they never break that
 contract.
 
-Every task but ``eval`` runs as a list of stages (``run_stages``), each a
-list of units of work, and ``run`` drives them all through one loop:
-``train-parent`` is one stage, "parents"; ``prune-tune``/``ablate`` train
-each seed's parent into the run's parent cache in "parents", then tune one
-``(seed, cell)`` unit each in "cells"; ``ensemble`` runs "parents",
-"members" and "scores" (``ensemble_task``). A unit's outputs depend on that
-unit alone and on files earlier stages wrote: a later unit loads its seed's
-parent from the cache file its "parents" unit reported, and draws from its
-own ``substream(seed, ...)`` streams. So ``run`` can hand contiguous blocks
-of a stage's units to forked helper processes (``workers.map_units``) and
-keep what they report in unit order.
+Every task runs as a list of stages (``run_stages``), each a list of units
+of work, and ``run`` drives them all through one loop: ``train-parent`` is
+one stage, "parents"; ``prune-tune``/``ablate`` train each seed's parent
+into the run's parent cache in "parents", then tune one ``(seed, cell)``
+unit each in "cells"; ``ensemble`` runs "parents", "members" and "scores"
+(``ensemble_task``), ``eval`` only "scores". A unit's outputs depend on
+that unit alone and on files earlier stages wrote: a later unit loads its
+seed's parent from the cache file its "parents" unit reported, and draws
+from its own ``substream(seed, ...)`` streams. So ``run`` can hand
+contiguous blocks of a stage's units to forked helper processes
+(``workers.map_units``) and keep what they report in unit order.
 """
 
 from __future__ import annotations
@@ -281,6 +281,10 @@ class RunData:
                        substream(seed, "corrupt", severity),
                        stats=(self.mean, self.std), dtype=self.dtype)
 
+    def test_inputs(self, which, seed: int):
+        """The test set for ``"clean"``, else ``corrupted(which, seed)``."""
+        return self.x_test if which == "clean" else self.corrupted(which, seed)
+
 
 def _dtype(cfg: ExperimentConfig):
     return np.float64 if cfg.dtype == "float64" else np.float32
@@ -365,31 +369,36 @@ def load_params(net, path) -> None:
         net.set_param(name, value)
 
 
+def load_net(cfg: ExperimentConfig, data: RunData, seed: int, path):
+    """``cfg``'s network with the parameters of the weights file ``path``."""
+    net = build_net(cfg, data, seed)
+    load_params(net, path)
+    return net
+
+
+def trained_parent(cfg: ExperimentConfig, data: RunData, seed: int, path,
+                   eval_data=None):
+    """``seed``'s parent, trained and its weights written to ``path``;
+    returns (net, per-epoch rows), each scored on ``eval_data`` if given."""
+    net = build_net(cfg, data, seed)
+    schedule, optimizer = build_training(cfg, cfg.parent_lr,
+                                         cfg.parent_epochs, len(data.y_train))
+    rows = train_parent(net, (data.x_train, data.y_train),
+                        cfg.parent_epochs, optimizer, schedule,
+                        cfg.batch_size, substream(seed, "shuffle", "parent"),
+                        eval_data=eval_data)
+    # two workers that share a seed can write its cache entry at once
+    write_atomic(path, functools.partial(save_weights, net.params()))
+    return net, rows
+
+
 def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
     """Train the parent for this seed, or reload it from the run cache."""
     key = parent_cache_key(cfg, seed)
     path = out_dir / "parents" / f"parent-{key}-s{seed}.ssam"
-    net = build_net(cfg, data, seed)
     if path.exists():
-        load_params(net, path)
-        return net, path
-    schedule, optimizer = build_training(cfg, cfg.parent_lr, cfg.parent_epochs,
-                                         len(data.y_train))
-    train_parent(net, (data.x_train, data.y_train), cfg.parent_epochs,
-                 optimizer, schedule, cfg.batch_size,
-                 substream(seed, "shuffle", "parent"))
-    # two workers that share a seed can train and write its parent at once
-    write_atomic(path, functools.partial(save_weights, net.params()))
-    return net, path
-
-
-def cached_parent(cfg: ExperimentConfig, data: RunData, out_dir: Path,
-                  done: dict, seed: int):
-    """``seed``'s parent, loaded from the cache file its "parents" unit
-    reported in ``done``."""
-    net = build_net(cfg, data, seed)
-    load_params(net, out_dir / done["parents"][seed])
-    return net
+        return load_net(cfg, data, seed, path), path
+    return trained_parent(cfg, data, seed, path)[0], path
 
 
 # --- single method cell --------------------------------------------------------
@@ -479,13 +488,12 @@ def error_text(err: BaseException) -> str:
 def worker_count(cfg: ExperimentConfig, units: int) -> int:
     """The processes a stage of ``units`` units of work of a run of ``cfg``
     is shared among: the CPUs this process may run on, at most one per
-    unit and, but for ``ensemble``, at most one per seed (so a one-seed
-    sweep forks nothing); 1 for the ``eval`` task and where the platform
-    cannot fork or report its CPUs."""
-    if (cfg.task == "eval" or not hasattr(os, "fork")
-            or not hasattr(os, "sched_getaffinity")):
+    unit and, for ``prune-tune``/``ablate``, at most one per seed (so a
+    one-seed sweep forks nothing); 1 where the platform cannot fork or
+    report its CPUs."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if cfg.task != "ensemble":
+    if cfg.task in ("prune-tune", "ablate"):
         units = min(units, len(cfg.run_seeds()))
     return min(len(os.sched_getaffinity(0)), units)
 
@@ -514,14 +522,14 @@ def process_usage() -> dict:
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Every task but ``eval`` runs its stages (``run_stages``) in turn, each
-    stage's units shared among ``worker_count(cfg, units)`` processes; the
-    outputs do not depend on how many. As in a serial run, seed by seed,
-    the first seed that fails in any stage fails the run: later stages run
-    only the seeds before it, which finish every stage. A stage's results
-    are kept by unit in ``done[stage][unit]``, which later units read and
-    forked helpers inherit. The manifest cells are the last stage's results
-    (an ensemble's are its seeds' summaries).
+    Every task runs its stages (``run_stages``) in turn, each stage's
+    units shared among ``worker_count(cfg, units)`` processes; the outputs
+    do not depend on how many. As in a serial run, seed by seed, the first
+    seed that fails in any stage fails the run: later stages run only the
+    seeds before it, which finish every stage. A stage's results are kept
+    by unit in ``done[stage][unit]``, which later units read and forked
+    helpers inherit. The manifest's cells and metric files are then
+    written from them (``_write_results``).
 
     The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc);
     with ``cfg.deterministic`` or more than one worker in any stage its BLAS
@@ -530,8 +538,8 @@ def run(cfg: ExperimentConfig) -> Path:
     re-raised so callers can exit nonzero.
     """
     allocator = tune_allocator()
-    workers = max([worker_count(cfg, len(units))
-                   for _, units, _ in run_stages(cfg)], default=1)
+    workers = max(worker_count(cfg, len(units))
+                  for _, units, _ in run_stages(cfg))
     if cfg.deterministic or workers > 1:
         limit_blas_threads(1)
     out_dir = Path(cfg.out_dir)
@@ -554,43 +562,35 @@ def run(cfg: ExperimentConfig) -> Path:
     }
     try:
         data = RunData(cfg)
-        if cfg.task == "eval":
-            _task_eval(cfg, data, out_dir, manifest)
-        else:
-            seeds, done, error = cfg.run_seeds(), {}, None
-            for name, units, work in run_stages(cfg):
-                units = [unit for unit in units if _unit_seed(unit) in seeds]
-                done[name], results = {}, []
-                if not units:  # every seed failed in an earlier stage
-                    continue
-                count = worker_count(cfg, len(units))
-                stage_started = time.perf_counter()
-                work = functools.partial(work, cfg, data, out_dir, done)
-                try:
-                    if count == 1:
-                        for unit in units:
-                            results.append(work(unit))
-                    else:  # compiled and imported only by a run that forks
-                        from .workers import map_units
-                        map_units(units, work, count, results.append,
-                                  manifest["helpers"])
-                except Exception as err:  # before any earlier failed seed
-                    error = err
-                    failed = _unit_seed(units[len(results)])
-                    seeds = seeds[:seeds.index(failed)]
-                manifest["stages"].append({
-                    "name": name, "workers": count,
-                    "wall_s": time.perf_counter() - stage_started})
-                done[name] = dict(zip(units, results))
-            if cfg.task == "ensemble":
-                from .ensemble_task import write_summaries
-                manifest["cells"] = write_summaries(cfg, out_dir, done, seeds)
-            else:
-                manifest["cells"] = list(done[name].values())  # last stage
-            manifest["metrics_files"] = [cell["metrics"]
-                                         for cell in manifest["cells"]]
-            if error is not None:
-                raise error
+        seeds, done, error = cfg.run_seeds(), {}, None
+        for name, units, work in run_stages(cfg):
+            units = [unit for unit in units if _unit_seed(unit) in seeds]
+            done[name], results = {}, []
+            if not units:  # every seed failed in an earlier stage
+                continue
+            count = worker_count(cfg, len(units))
+            stage_started = time.perf_counter()
+            work = functools.partial(work, cfg, data, out_dir, done)
+            try:
+                if count == 1:
+                    for unit in units:
+                        results.append(work(unit))
+                else:  # compiled and imported only by a run that forks
+                    from .workers import map_units
+                    map_units(units, work, count, results.append,
+                              manifest["helpers"])
+            except Exception as err:  # before any earlier failed seed
+                error = err
+                failed = _unit_seed(units[len(results)])
+                seeds = seeds[:seeds.index(failed)]
+            manifest["stages"].append({
+                "name": name, "workers": count,
+                "wall_s": time.perf_counter() - stage_started})
+            done[name] = dict(zip(units, results))
+        manifest["cells"], manifest["metrics_files"] = _write_results(
+            cfg, out_dir, done, seeds)
+        if error is not None:
+            raise error
         if cfg.task == "ablate":
             rows = summarize_manifests([manifest_path],
                                        manifest_payloads=[manifest],
@@ -622,9 +622,9 @@ def _finish_manifest(manifest: dict, started: float) -> None:
 
 def run_stages(cfg: ExperimentConfig) -> list:
     """``(name, units, work)`` of each stage of a run of ``cfg``, in the
-    order the stages run and, within one, the order its results are kept;
-    none for ``eval``. ``work(cfg, data, out_dir, done, unit)`` does one
-    unit (``done`` as ``run`` keeps it) and returns its result.
+    order the stages run and, within one, the order its results are kept.
+    ``work(cfg, data, out_dir, done, unit)`` does one unit (``done`` as
+    ``run`` keeps it) and returns its result.
 
     - ``prune-tune``/``ablate``: "parents", one unit per seed
       (``_cache_parent``); "cells", a ``(seed, method, rho, phi, tau0)``
@@ -634,11 +634,14 @@ def run_stages(cfg: ExperimentConfig) -> list:
     - ``ensemble``: "parents" as for sweeps; "members", a ``(seed,
       member)`` unit per member of every seed; "scores", a ``(seed, set)``
       unit per scoring set of every seed: ``"clean"`` (the test set), then
-      each corruption severity (``ensemble_task``).
+      each corruption severity (``ensemble_task``);
+    - ``eval``: "scores", as for ``ensemble`` (``_score_weights``).
     """
     seeds = cfg.run_seeds()
+    sets = [(seed, which) for seed in seeds
+            for which in ("clean", *cfg.ensemble["corruption_severities"])]
     if cfg.task == "eval":
-        return []
+        return [("scores", sets, _score_weights)]
     if cfg.task == "train-parent":
         return [("parents", seeds, _seed_parent)]
     parents = ("parents", seeds, _cache_parent)
@@ -647,15 +650,11 @@ def run_stages(cfg: ExperimentConfig) -> list:
                                     for cell in _cell_grid(cfg)],
                           _sweep_cell)]
     from . import ensemble_task  # compiled only by an ensemble run
-    ens = cfg.ensemble
     return [parents,
             ("members", [(seed, i) for seed in seeds
-                         for i in range(ens["n_members"])],
+                         for i in range(cfg.ensemble["n_members"])],
              ensemble_task.tune_one_member),
-            ("scores", [(seed, which) for seed in seeds
-                        for which in ("clean",
-                                      *ens["corruption_severities"])],
-             ensemble_task.score_one_set)]
+            ("scores", sets, ensemble_task.score_one_set)]
 
 
 def _unit_seed(unit) -> int:
@@ -666,17 +665,11 @@ def _unit_seed(unit) -> int:
 
 def _seed_parent(cfg, data, out_dir, done, seed) -> dict:
     """``train-parent`` for one seed: its metric CSV and weights."""
-    net = build_net(cfg, data, seed)
-    schedule, optimizer = build_training(cfg, cfg.parent_lr,
-                                         cfg.parent_epochs, len(data.y_train))
-    rows = train_parent(net, (data.x_train, data.y_train),
-                        cfg.parent_epochs, optimizer, schedule,
-                        cfg.batch_size, substream(seed, "shuffle", "parent"),
-                        eval_data=(data.x_test, data.y_test))
+    weights_path = out_dir / f"parent-s{seed}.weights.ssam"
+    _, rows = trained_parent(cfg, data, seed, weights_path,
+                             (data.x_test, data.y_test))
     csv_path = out_dir / "metrics" / f"parent-s{seed}.csv"
     write_metrics_csv(csv_path, rows)
-    weights_path = out_dir / f"parent-s{seed}.weights.ssam"
-    write_atomic(weights_path, functools.partial(save_weights, net.params()))
     return {
         "method": "parent", "selector": "-", "lr_schedule":
             cfg.parent_lr["kind"], "rho": 0.0, "phi": 0, "tau0": 0.0,
@@ -698,7 +691,7 @@ def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
     """Stage "cells": one ``(seed, method, rho, phi, tau0)`` cell tuned
     from the seed's cached parent; returns its manifest cell."""
     seed, method, rho, phi, tau0 = unit
-    parent = cached_parent(cfg, data, out_dir, done, seed)
+    parent = load_net(cfg, data, seed, out_dir / done["parents"][seed])
     _, rows = run_cell(cfg, data, parent, seed, method, rho, phi, tau0)
     slug = _cell_slug(method, rho, phi, tau0)
     csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
@@ -712,31 +705,40 @@ def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
     }
 
 
-def _task_eval(cfg, data, out_dir, manifest):
-    """Score a weights file, under ``cfg.mask`` when given, on the clean and
-    each corrupted test set; every record reports the mask's sparsity."""
-    net = build_net(cfg, data, cfg.seed)
-    load_params(net, cfg.weights)
+def _score_weights(cfg, data, out_dir, done, unit) -> dict:
+    """Stage "scores" of ``eval``: ``cfg.weights``, under ``cfg.mask`` when
+    given, scored on one ``(seed, set)`` set (``RunData.test_inputs``);
+    the record reports the mask's sparsity."""
+    seed, which = unit
+    net = load_net(cfg, data, seed, cfg.weights)
     mask = None
-    sparsity = 0.0
     if cfg.mask:
         mask = load_mask_set(cfg.mask)
         check_fits(f"mask file {cfg.mask}", mask.masks, net.weights())
         mask = MaskSet({name: mask[name] for name in net.weights()})
-        sparsity = mask.sparsity()
-    record = evaluate(predict_logits(net, data.x_test, mask=mask),
-                      data.y_test)
-    record.realized_sparsity = sparsity
-    payload = {"config": cfg.to_dict(), "clean": record.to_dict(),
-               "corrupted": {}}
-    for severity in cfg.ensemble["corruption_severities"]:
-        rec = evaluate(predict_logits(net, data.corrupted(severity, cfg.seed),
-                                      mask=mask), data.y_test)
-        rec.realized_sparsity = sparsity
-        payload["corrupted"][str(severity)] = rec.to_dict()
-    eval_path = out_dir / "eval.json"
-    write_json_atomic(eval_path, payload)
-    manifest["metrics_files"].append(str(eval_path.relative_to(out_dir)))
+    record = evaluate(predict_logits(net, data.test_inputs(which, seed),
+                                     mask=mask), data.y_test)
+    record.realized_sparsity = 0.0 if mask is None else mask.sparsity()
+    return record.to_dict()
+
+
+def _write_results(cfg, out_dir, done, seeds) -> tuple:
+    """The manifest's cells and metric files, written from the results in
+    ``done`` of the ``seeds`` that finished every stage."""
+    if cfg.task == "eval":  # no cell; the records of its seed, if finished
+        sets = ("clean", *cfg.ensemble["corruption_severities"])
+        for seed in seeds:
+            clean, *corrupted = [done["scores"][seed, which] for which in sets]
+            write_json_atomic(out_dir / "eval.json", {
+                "config": cfg.to_dict(), "clean": clean,
+                "corrupted": dict(zip(map(str, sets[1:]), corrupted))})
+        return [], ["eval.json" for _ in seeds]
+    if cfg.task == "ensemble":
+        from .ensemble_task import write_summaries
+        cells = write_summaries(cfg, out_dir, done, seeds)
+    else:  # the last stage's results
+        cells = list(list(done.values())[-1].values())
+    return cells, [cell["metrics"] for cell in cells]
 
 
 # --- summaries -------------------------------------------------------------------

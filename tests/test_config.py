@@ -247,6 +247,11 @@ VALIDATOR_HOLES = [
     (dict(task="eval", weights="w.ssam",
           ensemble={"corruption_severities": [2, 2]}),
      r"corruption severities must be distinct, got \[2, 2\]"),
+    # eval scored once, with seed 0's corruption noise, whatever the seeds
+    (dict(task="eval", weights="w.ssam", seeds=[3, 4]),
+     r"eval task takes one seed, got \[3, 4\]"),
+    (dict(task="eval", weights="w.ssam", seed=5, repeats=2),
+     r"eval task takes one seed, got \[5, 6\]"),
 ]
 
 

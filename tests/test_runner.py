@@ -758,6 +758,23 @@ class TestTrainParentAndEval:
         assert payload["clean"]["realized_sparsity"] == 0.0
         assert payload["corrupted"]["1"]["realized_sparsity"] == 0.0
 
+    def test_eval_draws_its_corruption_noise_from_its_run_seed(self,
+                                                               tmp_path):
+        weights = self._parent_weights(tmp_path)
+
+        def severity_5(**seed):
+            cfg = _cfg(tmp_path, task="eval", weights=str(weights),
+                       out_dir=str(tmp_path / "eval"),
+                       ensemble={"corruption_severities": [5]}, **seed)
+            manifest = json.loads(run(cfg).read_text())
+            payload = json.loads((tmp_path / "eval" / "eval.json").read_text())
+            return manifest["seeds"], payload["corrupted"]["5"]
+
+        seeds, listed = severity_5(seeds=[3])
+        assert seeds == [3]
+        assert listed == severity_5(seed=3)[1]
+        assert listed != severity_5()[1]  # _cfg's seed, 1
+
     @pytest.mark.parametrize("edit,message", [
         ("drop", r"missing \['layer3.w'\]"),
         ("rename", r"missing \['layer3.w'\]; unexpected \['layer9.w'\]"),

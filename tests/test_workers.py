@@ -1,6 +1,6 @@
 """Units of work shared among forked worker processes, stage by stage: one
-process per CPU available (at most one per unit, and but for ensembles at
-most one per seed), a contiguous block of units each.
+process per CPU available (at most one per unit, and for sweeps at most one
+per seed), a contiguous block of units each.
 
 The tests set the CPU count N by replacing ``os.sched_getaffinity``. The
 outputs do not depend on N, a unit that fails in a helper fails the run as
@@ -23,6 +23,7 @@ import pytest
 from subanneal import ensemble_task, runner
 from subanneal.cli import main
 from subanneal.config import ExperimentConfig
+from subanneal.masks import MaskSet, load_weights, save_mask_set
 from subanneal.runner import (
     WorkerError,
     error_text,
@@ -71,11 +72,35 @@ CONFIGS = {
                         "ensemble": {"n_members": 2, "include_parent": True,
                                      "corruption_severities": [3]}},
     "train-parent": {"task": "train-parent", "seeds": [4, 7]},
+    # scored from a train-parent run's weights, under a mask when "mask"
+    "eval": {"task": "eval", "seed": 2,
+             "ensemble": {"corruption_severities": [1, 3, 5]}},
+    "eval-clean": {"task": "eval", "seed": 2,
+                   "ensemble": {"corruption_severities": []}},
+    "eval-mask": {"task": "eval", "seed": 2, "mask": True,
+                  "ensemble": {"corruption_severities": [2, 4]}},
+    "eval-mask-clean": {"task": "eval", "seed": 2, "mask": True,
+                        "ensemble": {"corruption_severities": []}},
 }
 
 
 def _cfg(**extra):
     return ExperimentConfig.from_dict({**BASE, **extra})
+
+
+def _eval_inputs(tmp_path: Path, mask: bool) -> dict:
+    """``weights`` from a one-process ``train-parent`` run, and with
+    ``mask`` a ``mask`` keeping every third weight of each layer."""
+    out = tmp_path / "parent"
+    run(_cfg(task="train-parent", seed=3, out_dir=str(out)))
+    weights = out / "parent-s3.weights.ssam"
+    if not mask:
+        return {"weights": str(weights)}
+    mask_set = MaskSet({name: np.arange(w.size).reshape(w.shape) % 3 == 0
+                        for name, w in load_weights(weights).items()
+                        if name.endswith(".w")})
+    save_mask_set(mask_set, out / "third.mask.ssam")
+    return {"weights": str(weights), "mask": str(out / "third.mask.ssam")}
 
 
 def _cpus(monkeypatch, n: int) -> None:
@@ -101,15 +126,16 @@ def _outputs(out: Path) -> dict:
 
 
 def _check_stages(cfg, manifest, cpus: int) -> None:
-    """Each stage ran on the CPUs available, at most one per unit (and but
-    for ensembles one per seed), its helpers' blocks contiguous and
+    """Each stage ran on the CPUs available, at most one per unit (and for
+    sweeps one per seed), its helpers' blocks contiguous and
     following the caller's in unit order, no two blocks differing in size
     by more than one; ``helpers`` lists the stages' helpers in turn."""
     helpers = manifest["helpers"]
     stages = run_stages(cfg)
     assert [s["name"] for s in manifest["stages"]] == [n for n, _, _ in stages]
     for (_, units, _), stage in zip(stages, manifest["stages"]):
-        cap = len(units if cfg.task == "ensemble" else manifest["seeds"])
+        cap = len(manifest["seeds"] if cfg.task in ("prune-tune", "ablate")
+                  else units)
         assert stage["workers"] == min(cpus, cap, len(units))
         assert stage["wall_s"] > 0
         units = json.loads(json.dumps(units))
@@ -127,13 +153,16 @@ def _check_stages(cfg, manifest, cpus: int) -> None:
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
                                                    name):
+    raw = dict(CONFIGS[name])
+    if raw["task"] == "eval":
+        raw.update(_eval_inputs(tmp_path, raw.pop("mask", False)))
     outputs = {}
     for workers in (1, 2, 3):
         work = tmp_path / f"w{workers}"
         work.mkdir()
         monkeypatch.chdir(work)  # the same relative out_dir in every run
         _cpus(monkeypatch, workers)
-        cfg = _cfg(**CONFIGS[name])
+        cfg = _cfg(**raw)
         manifest = json.loads(run(cfg).read_text())
         assert not multiprocessing.active_children()
         _check_stages(cfg, manifest, workers)
@@ -143,12 +172,17 @@ def test_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
             assert helpers[1]["units"][0][0] == 1  # seed 1 straddles blocks
         if name.startswith("ensemble-") and workers > 1:
             assert helpers  # a one-seed ensemble forks
+        if name in ("eval", "eval-mask") and workers > 1:
+            assert helpers  # the corrupted sets are shared out
         assert all(h["peak_rss_mb"] > 0 and h["cpu_s"] > 0 for h in helpers)
         assert manifest["peak_rss_mb_sum"] == pytest.approx(
             manifest["peak_rss_mb"] + sum(h["peak_rss_mb"] for h in helpers))
         outputs[workers] = _outputs(Path("out"))
     kinds = {Path(rel).suffix for rel in outputs[1]}
-    assert {".csv", ".ssam"} <= kinds
+    if raw["task"] == "eval":
+        assert sorted(outputs[1]) == ["eval.json", "manifest.json"]
+    else:
+        assert {".csv", ".ssam"} <= kinds
     assert outputs[2] == outputs[1]
     assert outputs[3] == outputs[1]
 
@@ -640,11 +674,17 @@ class TestWorkerCount:
                 for _, units, _ in run_stages(cfg)] == [1, 3, 2]
         assert worker_count(_cfg(task="ensemble", repeats=2), 2) == 2
 
-    def test_eval_runs_in_one_process(self, monkeypatch):
-        _cpus(monkeypatch, 2)
-        cfg = _cfg(task="eval", weights="w.ssam", seeds=[0, 1])
-        assert worker_count(cfg, 2) == 1
-        assert run_stages(cfg) == []
+    def test_an_eval_stage_one_per_set(self, monkeypatch):
+        _cpus(monkeypatch, 4)
+        cfg = _cfg(task="eval", weights="w.ssam", seeds=[3],
+                   ensemble={"corruption_severities": [1, 2]})
+        assert [(name, units, worker_count(cfg, len(units)))
+                for name, units, _ in run_stages(cfg)] == [
+            ("scores", [(3, "clean"), (3, 1), (3, 2)], 3)]
+        cfg = _cfg(task="eval", weights="w.ssam",
+                   ensemble={"corruption_severities": [1, 2, 3, 4, 5]})
+        assert [worker_count(cfg, len(units))
+                for _, units, _ in run_stages(cfg)] == [4]
 
     def test_one_process_where_fork_or_affinity_is_missing(self, monkeypatch):
         cfg = _cfg(task="ablate", seeds=[0, 1, 2])
