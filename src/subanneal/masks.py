@@ -69,14 +69,6 @@ class MaskSet:
     def complement(self) -> "MaskSet":
         return MaskSet(1 - self.flat, self.shapes)
 
-    def overlap(self, other: "MaskSet") -> int:
-        """Number of positions active in both masks."""
-        return int((self.flat & other.flat).sum())
-
-    def equals(self, other: "MaskSet") -> bool:
-        return self.shapes == other.shapes and all(
-            np.array_equal(m, other.masks[name]) for name, m in self.masks.items())
-
     def copy(self) -> "MaskSet":
         return MaskSet(self.flat.copy(), self.shapes)
 

@@ -4,9 +4,13 @@ Everything is plain numpy with hand-written backward passes. Each layer
 keeps what its backward pass needs from the last forward call in ``_cache``
 (None when there is none), so a backward call is only valid after a forward
 call on the same batch. A forward pass that no backward pass follows
-(``Network.forward(x, keep_cache=False)``, as evaluation runs it) drops each
-layer's cache as soon as that layer has run, and a training epoch clears
-every cache when it ends, so a trained network holds no activations.
+(``Network.forward(x, keep_cache=False)``, as evaluation runs it) stores no
+cache in any layer, and a training epoch clears every cache when it ends,
+so a trained network holds no activations.
+Without a cache to keep, ``Conv2d`` lays out its columns and its output
+batch-last, so its copies run over the batch (class docstring); an
+activation may then be a strided view, and ``Flatten`` copies it into the
+C-contiguous rows the Dense head gets in training too.
 The constructors default to double precision, which the finite-difference
 gradient checks need; a run builds its networks in the config's ``dtype``,
 float32 unless it asks for float64.
@@ -73,8 +77,8 @@ class Dense:
         """Elements per example of the largest array ``forward`` allocates."""
         return self.out_features
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
+        self._cache = x if keep_cache else None
         y = x @ self.w
         if self.b is not None:
             y = y + self.b
@@ -97,10 +101,22 @@ class Dense:
 class Conv2d:
     """2D convolution on NCHW input as one im2col matrix and one GEMM.
 
-    Forward builds ``cols``, shape (C·k·k, N·H'·W'): row (c, i, j) holds
-    input channel c at kernel offset (i, j) for every output position of
-    every example. The output is ``w.reshape(O, -1) @ cols``, and backward
-    is two more GEMMs against the same matrix plus a k² scatter-add.
+    Forward builds ``cols``: row (c, i, j) holds input channel c at kernel
+    offset (i, j) for every output position of every example, and the
+    output is ``w.reshape(O, -1) @ cols``. Its columns come in one of two
+    orders, and every output value is the same sum of the same products in
+    either:
+
+    * (N·H'·W') in training (``keep_cache``), the order ``grad_w`` sums
+      over. The output is contiguous NCHW, and backward is two more GEMMs
+      plus a k² scatter-add. The input-gradient GEMM and scatter-add run
+      batch-last, into a (C, H+2p, W+2p, N) buffer whose unpadded part is
+      returned as an NCHW view.
+    * (H'·W'·N) in evaluation, from a batch-last padded copy of the input.
+      The output is an NCHW view of (O, H', W', N) memory, which the next
+      conv reads batch-last too.
+
+    Batch-last, the copies and adds run over N elements, not rows of W'.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -151,27 +167,34 @@ class Conv2d:
         return max(self.in_channels * self.kernel_size ** 2,
                    self.out_channels) * oh * ow
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
         n, c, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
         oh, ow = self._out_hw(h, w)
-        if p:
-            xp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
-            xp[:, :, p:p + h, p:p + w] = x
+        # xc: a (C, H+2p, W+2p, N) view of the padded input, whose memory is
+        # NCHW for training and batch-last when no backward follows
+        if p or not keep_cache:
+            xp = np.zeros((n, c, h + 2 * p, w + 2 * p) if keep_cache
+                          else (c, h + 2 * p, w + 2 * p, n), dtype=x.dtype)
+            xc = xp.transpose(1, 2, 3, 0) if keep_cache else xp
+            xc[:, p:p + h, p:p + w] = x.transpose(1, 2, 3, 0)
         else:
-            xp = x
-        # an (n, c, oh, ow, k, k) view of the windows, copied once into
-        # (c, k, k, n, oh, ow) order
-        windows = sliding_window_view(xp, (k, k), axis=(2, 3))
-        windows = windows[:, :, :s * oh:s, :s * ow:s]
-        cols = np.empty((c, k, k, n, oh, ow), dtype=x.dtype)
-        cols[...] = windows.transpose(1, 4, 5, 0, 2, 3)
-        cols = cols.reshape(c * k * k, n * oh * ow)
-        self._cache = (cols, x.shape)
+            xc = x.transpose(1, 2, 3, 0)
+        # a (C, H', W', N, k, k) view of the windows, copied once into
+        # (C, k, k, N, H', W') order for training, (C, k, k, H', W', N) else
+        windows = sliding_window_view(xc, (k, k), axis=(1, 2))
+        windows = windows[:, :s * oh:s, :s * ow:s]
+        order = (0, 4, 5, 3, 1, 2) if keep_cache else (0, 4, 5, 1, 2, 3)
+        cols = windows.transpose(order).reshape(c * k * k, -1)
         y = self.w.reshape(self.out_channels, -1) @ cols
         if self.b is not None:
             y += self.b[:, None]
-        y = y.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
+        if not keep_cache:
+            self._cache = None
+            # an NCHW view of (O, H', W', N) memory; Flatten makes rows of it
+            return y.reshape(-1, oh, ow, n).transpose(3, 0, 1, 2)
+        self._cache = (cols, x.shape)
+        y = y.reshape(-1, n, oh, ow).transpose(1, 0, 2, 3)
         return np.ascontiguousarray(y)
 
     def backward(self, grad_out: np.ndarray,
@@ -184,20 +207,23 @@ class Conv2d:
         k, s, p = self.kernel_size, self.stride, self.padding
         _, o, oh, ow = grad_out.shape
         g = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)  # (O, N·H'·W')
-        out = None if self.grad_w is None else self.grad_w.reshape(o, -1)
-        self.grad_w = np.matmul(g, cols.T, out=out).reshape(self.w.shape)
+        if self.grad_w is None:
+            self.grad_w = np.empty_like(self.w)
+        # (C·k·k, O) = cols @ g.T: the sums of g @ cols.T, which BLAS runs
+        # more slowly
+        self.grad_w.reshape(o, -1)[...] = (cols @ g.T).T
         if self.b is not None:
             self.grad_b = np.add.reduce(grad_out, axis=(0, 2, 3),
                                         out=self.grad_b)
         if not input_grad:
             return None
-        gcols = (self.w.reshape(o, -1).T @ g).reshape(c, k, k, n, oh, ow)
-        gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+        g = grad_out.transpose(1, 2, 3, 0).reshape(o, -1)  # (O, H'·W'·N)
+        gcols = (self.w.reshape(o, -1).T @ g).reshape(c, k, k, oh, ow, n)
+        gxp = np.zeros((c, h + 2 * p, w + 2 * p, n), dtype=grad_out.dtype)
         for i in range(k):
             for j in range(k):
-                gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
-                    gcols[:, i, j].transpose(1, 0, 2, 3))
-        return gxp[:, :, p:p + h, p:p + w] if p else gxp
+                gxp[:, i:i + s * oh:s, j:j + s * ow:s] += gcols[:, i, j]
+        return gxp[:, p:p + h, p:p + w].transpose(3, 0, 1, 2)
 
 
 class ReLU:
@@ -210,9 +236,10 @@ class ReLU:
     def forward_floats(self, in_shape) -> int:
         return int(np.prod(in_shape))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x > 0
-        return x * self._cache
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
+        keep = x > 0
+        self._cache = keep if keep_cache else None
+        return x * keep
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -228,11 +255,13 @@ class Flatten:
         return (int(np.prod(in_shape)),)
 
     def forward_floats(self, in_shape) -> int:
-        return 0  # forward returns a view
+        return 0  # a view, or a copy the size of the layer before's output
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
+    def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
+        self._cache = x.shape if keep_cache else None
+        # C-contiguous rows whatever x's layout: the head's GEMM then sees
+        # the same operand, and rounds the same, in training and evaluation
+        return np.ascontiguousarray(x.reshape(len(x), -1))
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -299,9 +328,7 @@ class Network:
             raise ShapeError(
                 f"batch shape {tuple(x.shape[1:])} != input shape {self.input_shape}")
         for layer in self.layers:
-            x = layer.forward(x)
-            if not keep_cache:
-                layer._cache = None
+            x = layer.forward(x, keep_cache)
         return x
 
     def clear_cache(self) -> None:

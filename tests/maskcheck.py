@@ -1,0 +1,14 @@
+"""Mask comparisons shared by the tests."""
+
+import numpy as np
+
+
+def same_mask(a, b) -> bool:
+    """Equal layouts (names and shapes) and equal entries under each name."""
+    return a.shapes == b.shapes and all(
+        np.array_equal(m, b.masks[name]) for name, m in a.masks.items())
+
+
+def overlap(a, b) -> int:
+    """Number of positions active in both masks."""
+    return int((a.flat & b.flat).sum())

@@ -57,6 +57,7 @@ from subanneal.runner import read_metrics_csv, run, summarize_manifests
 from subanneal.training import predict_logits
 
 from fd import max_rel_error, named_grads, numerical_grad
+from maskcheck import overlap, same_mask
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -111,7 +112,7 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         level = make_iterative_schedule(rho, 1)[0]
         iter_one = prune_increment(full_mask(shapes), level, spec,
                                    rng=substream(3000 + i, "one"))
-        assert one_shot.equals(iter_one)
+        assert same_mask(one_shot, iter_one)
 
         # pruning: magnitude agrees with an independent per-layer sort oracle
         params = {n: rng.normal(size=s) for n, s in shapes.items()}
@@ -141,7 +142,7 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
             prev = cur
         final = probs_at_epoch(init, tau_cfg.decay, tau_cfg.anneal_epochs,
                                tau_cfg.anneal_epochs)
-        assert final.is_binary() and final.terminal.equals(target)
+        assert final.is_binary() and same_mask(final.terminal, target)
 
         # annealing: anti-probability mirror is exact at every epoch
         anti = anti_probability(init)
@@ -300,7 +301,7 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
     iter_mask = prune_increment(full_mask(shapes), level,
                                 PruneSpec("random", 0.7),
                                 rng=substream(5, "m"))
-    assert one_shot.equals(iter_mask)
+    assert same_mask(one_shot, iter_mask)
     net_c = run_with(FixedMaskController(one_shot), seed=4)
     net_e = Network([Dense(8, 12), ReLU(), Dense(12, 3)], input_shape=(8,))
     net_e.init_params(substream(4, "init"))
@@ -325,7 +326,7 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
         twice = anti_probability(anti_probability(ps))
         for name in ps.probs:
             assert np.array_equal(twice[name], ps[name])
-        assert twice.terminal.equals(ps.terminal)
+        assert same_mask(twice.terminal, ps.terminal)
     print("\n[criterion 03] PASS degeneracy equivalences bit-exact "
           "(tau0=0, phi=1, anti-involution)")
 
@@ -350,7 +351,7 @@ def test_criterion_04_schedule_endpoints_exact():
             last = probs_at_epoch(init, kind, total, total)
             assert first["w"].tobytes() == init["w"].tobytes()
             assert last["w"].tobytes() == np.array([0.0, 0.0, 1.0, 1.0]).tobytes()
-            assert last.terminal.equals(terminal)
+            assert same_mask(last.terminal, terminal)
             checked += 1
     print(f"\n[criterion 04] PASS schedule endpoints exact in double "
           f"precision ({checked} schedules)")
@@ -564,8 +565,8 @@ def test_criterion_07_ensemble_recipe_mnist(mnist_ensembles):
         seed_dir = spath.parent
         masks = [load_mask_set(seed_dir / f"member-{i}.mask.ssam")
                  for i in range(4)]
-        assert masks[0].overlap(masks[1]) == 0
-        assert masks[2].overlap(masks[3]) == 0
+        assert overlap(masks[0], masks[1]) == 0
+        assert overlap(masks[2], masks[3]) == 0
         for m in masks:
             assert m.sparsity() == pytest.approx(0.5, abs=0.01)
     assert elapsed < 30 * 60 * len(summaries), "ensemble runs over budget"

@@ -36,6 +36,8 @@ from subanneal.pruning import PruneSpec, random_mask
 from subanneal.rng import substream
 from subanneal.training import predict_logits
 
+from maskcheck import overlap
+
 BATCH = 32
 RHO = 0.95
 SEEDS = range(5)
@@ -169,8 +171,8 @@ def test_ensemble_beats_weakest_member_and_calibrates(ensemble_results):
 def test_partitioned_siblings_have_zero_overlap(ensemble_results):
     for result in ensemble_results:
         masks = [mask for _, mask in result.members]
-        assert masks[0].overlap(masks[1]) == 0
-        assert masks[2].overlap(masks[3]) == 0
+        assert overlap(masks[0], masks[1]) == 0
+        assert overlap(masks[2], masks[3]) == 0
         for mask in masks:
             assert mask.sparsity() == pytest.approx(0.5, abs=0.01)
 

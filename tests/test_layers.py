@@ -90,6 +90,10 @@ def _loss_of(net, x, labels):
     ([Conv2d(1, 2, 3, stride=2, padding=1), ReLU(), Flatten(), Dense(18, 3)],
      (1, 5, 5)),
     ([Flatten(), Dense(12, 3)], (3, 2, 2)),
+    # a conv that is not the first weight layer: its input gradient is used
+    ([Conv2d(2, 3, 3, stride=2, padding=1), ReLU(),
+      Conv2d(3, 4, 3, stride=2, padding=1), ReLU(), Flatten(), Dense(16, 3)],
+     (2, 7, 7)),
 ])
 def test_gradcheck_all_layer_types(layers, in_shape):
     rng = np.random.default_rng(42)
@@ -235,6 +239,70 @@ def test_conv_smallconv_shapes_bit_identical_to_reference(c, o, h, w, n):
     assert np.array_equal(gx, gx_ref)
     assert np.array_equal(layer.grad_b, gb_ref)
     assert max_rel_error(layer.grad_w, gw_ref) < 1e-12
+
+
+def _nchw_backward(layer, grad_out):
+    """The NCHW form of Conv2d's backward, the reference for its batch-last
+    one: ``grad_w`` as ``g @ cols.T`` and the k² scatter-add into an
+    (N, C, H, W) buffer. Returns (grad_w, grad_b, grad_x)."""
+    cols, (n, c, h, w) = layer._cache
+    k, s, p = layer.kernel_size, layer.stride, layer.padding
+    _, o, oh, ow = grad_out.shape
+    g = grad_out.transpose(1, 0, 2, 3).reshape(o, -1)
+    grad_w = (g @ cols.T).reshape(layer.w.shape)
+    grad_b = np.add.reduce(grad_out, axis=(0, 2, 3))
+    gcols = (layer.w.reshape(o, -1).T @ g).reshape(c, k, k, n, oh, ow)
+    gxp = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=grad_out.dtype)
+    for i in range(k):
+        for j in range(k):
+            gxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
+                gcols[:, i, j].transpose(1, 0, 2, 3))
+    return grad_w, grad_b, gxp[:, :, p:p + h, p:p + w]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 5, 92, 128, 800])
+def test_conv_batch_last_paths_bit_identical_to_nchw(dtype, n):
+    # 92 is the ragged last batch of the CIFAR-shaped benchmark workload
+    from subanneal.models import build_small_conv
+
+    for c, o, h, w in ((3, 8, 32, 32), (8, 16, 16, 16)):
+        layer, x, grad_out = _conv_case(c, o, 3, 2, 1, n, h, w, dtype=dtype)
+        layer.forward(x)
+        gw_ref, gb_ref, gx_ref = _nchw_backward(layer, grad_out)
+        gx = layer.backward(grad_out)
+        assert np.array_equal(layer.grad_w, gw_ref)
+        assert np.array_equal(layer.grad_b, gb_ref)
+        assert np.array_equal(gx, gx_ref)
+    # the evaluation forward (batch-last columns) gives the training logits
+    net = build_small_conv((3, 32, 32), 10, dtype=dtype)
+    net.init_params(np.random.default_rng(n))
+    x = np.random.default_rng(n + 1).normal(size=(n, 3, 32, 32)).astype(dtype)
+    assert np.array_equal(net.forward(x, keep_cache=False), net.forward(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_first_conv_grads_do_not_depend_on_the_layout_reaching_it(dtype):
+    # np.add.reduce sums grad_b in memory order, so a gradient that reached
+    # conv1 in another layout would round differently
+    from subanneal.models import build_small_conv
+
+    rng = np.random.default_rng(12)
+    net = build_small_conv((3, 32, 32), 10, dtype=dtype)
+    net.init_params(rng)
+    conv1 = net.layers[0]
+    backward, seen = conv1.backward, []
+    conv1.backward = lambda g, input_grad=True: (
+        seen.append(g), backward(g, input_grad))[1]
+    x = rng.normal(size=(92, 3, 32, 32)).astype(dtype)
+    _, grad_logits = cross_entropy_softmax(net.forward(x),
+                                           rng.integers(0, 10, 92))
+    net.backward(grad_logits)
+    grad_w, grad_b = conv1.grad_w.copy(), conv1.grad_b.copy()
+    conv1.grad_w = conv1.grad_b = None
+    backward(np.ascontiguousarray(seen[0]), input_grad=False)
+    assert np.array_equal(conv1.grad_w, grad_w)
+    assert np.array_equal(conv1.grad_b, grad_b)
 
 
 @pytest.mark.parametrize("k,s,p,h,w", [
