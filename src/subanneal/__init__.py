@@ -27,7 +27,6 @@ from .ensemble import (
     member_controller,
     score_ensemble,
     train_parent,
-    tune_member,
 )
 from .masks import (
     MaskSet,
@@ -94,5 +93,4 @@ __all__ = [
     "temperature_controller",
     "train_parent",
     "tune",
-    "tune_member",
 ]

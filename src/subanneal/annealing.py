@@ -10,11 +10,12 @@ Two constructions are provided:
 * random annealing: draw initial probabilities from a uniform or bimodal
   Gaussian distribution and anneal each entry toward 0 or 1.
 
-``tune`` drives a network through the stochastic fine-tuning loop: update the
-probabilities once per epoch, draw one Bernoulli mask per mini-batch, and
-finally burn the terminal mask into the weights. From epoch phi on the
-probabilities are the terminal mask itself, so the mask is burned in as
-those epochs start and they train the plain weights.
+``tune`` drives a network through the stochastic fine-tuning loop
+(``training.fit``): update the probabilities once per epoch, draw one
+Bernoulli mask per mini-batch, and finally burn the terminal mask into the
+weights. From epoch phi on the probabilities are the terminal mask itself,
+so the mask is burned in as those epochs start and they train the plain
+weights.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .masks import MaskSet, ProbabilitySet, full_mask, realize
-from .metrics import evaluate
 from .pruning import PruneSpec, make_iterative_schedule, prune_increment
-from .training import finalize, predict_logits, run_epoch
+from .training import finalize, fit
 
 log = logging.getLogger(__name__)
 
@@ -288,57 +288,18 @@ def tune(net, controller, train_data, epochs: int, schedule, optimizer,
          batch_size: int, rng_shuffle: np.random.Generator,
          rng_mask: np.random.Generator | None = None, eval_data=None,
          eval_mode: str = "terminal"):
-    """Fine-tune ``net`` under a subnetwork controller.
-
-    Per epoch the controller updates its probabilities/mask, then every
-    mini-batch samples a mask, trains with masked weights and masked
-    gradients, and steps the optimizer (``run_epoch``; an epoch whose mask
-    is permanent burns it into the weights and optimizer state first and
-    trains the plain weights). After the last epoch the terminal mask is
-    burned into the weights, and the network is left holding only its
-    parameters (``clear_cache``). Returns per-epoch metric rows.
+    """Fine-tune ``net`` under a subnetwork controller (``training.fit``),
+    then burn the terminal mask into the weights and leave the network
+    holding only its parameters (``clear_cache``). Returns per-epoch
+    metric rows.
 
     ``eval_mode`` selects how test metrics are computed during the stochastic
     phase: "terminal" evaluates the revealed subnetwork, "expected" scales
     weights by the current probabilities instead. After a permanent epoch
     the weights already carry the mask, and both evaluate them unmasked.
     """
-    if eval_mode not in ("terminal", "expected"):
-        raise ValueError(f"unknown eval_mode {eval_mode!r}")
-    x, y = train_data
-    rows = []
-    step = 0
-    for epoch in range(epochs):
-        controller.begin_epoch(epoch)
-        mean_loss, steps, first_lr = run_epoch(
-            net, x, y, optimizer, schedule, epoch, step, batch_size,
-            rng_shuffle, controller=controller, rng_mask=rng_mask)
-        step += steps
-        sparsity = controller.mask.sparsity()
-        row = {
-            "epoch": epoch,
-            "train_loss": mean_loss,
-            "lr": first_lr,
-            "realized_sparsity": sparsity,
-            "mean_active_fraction": (1.0 - sparsity if controller.probs is None
-                                     else controller.probs.mean()),
-            "test_acc": None, "test_nll": None, "test_ece": None,
-        }
-        if eval_data is not None:
-            row.update(_test_metrics(net, controller, eval_data, eval_mode))
-        rows.append(row)
+    rows = fit(net, controller, train_data, epochs, schedule, optimizer,
+               batch_size, rng_shuffle, rng_mask, eval_data, eval_mode)
     finalize(net, controller.mask)
     net.clear_cache()  # a masked evaluation refilled the masked-weight buffers
     return rows
-
-
-def _test_metrics(net, controller, eval_data, eval_mode: str) -> dict:
-    xt, yt = eval_data
-    if controller.permanent:
-        mask = None  # run_epoch burned controller.mask into the weights
-    elif eval_mode == "expected" and controller.probs is not None:
-        mask = controller.probs
-    else:
-        mask = controller.mask
-    rec = evaluate(predict_logits(net, xt, mask=mask), yt)
-    return {"test_acc": rec.accuracy, "test_nll": rec.nll, "test_ece": rec.ece}

@@ -35,7 +35,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
 
     # imports deferred so --help stays fast and thread caps apply early
-    from .config import ConfigError, ExperimentConfig
+    from .config import ConfigError, ExperimentConfig, read_json
     from .runner import error_text, limit_blas_threads, run, summarize_dir
 
     if args.command == "summarize":
@@ -48,17 +48,18 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = ExperimentConfig.from_file(args.config)
+        raw = read_json(args.config)
+        if isinstance(raw, dict):  # flags override it, then both are checked
+            if args.seed is not None:
+                raw.update(seed=args.seed, seeds=None)
+            if args.out is not None:
+                raw["out_dir"] = args.out
+            if args.deterministic:
+                raw["deterministic"] = True
+        cfg = ExperimentConfig.from_dict(raw)
     except (ConfigError, FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
-        cfg.seeds = None
-    if args.out is not None:
-        cfg.out_dir = args.out
-    if args.deterministic:
-        cfg.deterministic = True
     if args.threads is not None:
         limit_blas_threads(max(1, args.threads))
     try:

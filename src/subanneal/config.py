@@ -170,6 +170,7 @@ def _check_blobs(b: dict) -> dict:
     _require(out["n"] > 0 and out["d"] > 0 and out["k"] > 1,
              "blobs need n > 0, d > 0, k > 1")
     _require(out["separation"] > 0, "blobs.separation must be positive")
+    _require(out["data_seed"] >= 0, "blobs.data_seed must be non-negative")
     return out
 
 
@@ -202,6 +203,15 @@ def _check_phi_within_epochs(cfg: "ExperimentConfig") -> None:
             _require(phi <= cfg.epochs,
                      f"{cfg.task} task needs phi <= epochs for method "
                      f"{method} (phi {phi}, epochs {cfg.epochs})")
+
+
+def read_json(path):
+    """The JSON value in the file ``path``, unchecked."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
 
 @dataclass
@@ -296,7 +306,7 @@ class ExperimentConfig:
                 ("parent_epochs", lambda v: v >= 0),
                 ("epochs", lambda v: v >= 0),
                 ("batch_size", lambda v: v >= 1),
-                ("seed", lambda v: True),
+                ("seed", lambda v: v >= 0),  # SeedSequence needs v >= 0
                 ("repeats", lambda v: v >= 1),
                 ("train_subset", lambda v: v >= 0),
                 ("test_subset", lambda v: v >= 0)):
@@ -310,6 +320,8 @@ class ExperimentConfig:
             if seeds is not None:
                 seeds = [_as_int(s, "seeds") for s in _as_list(seeds)]
                 _require(len(seeds) >= 1, "seeds must be nonempty when given")
+                _require(min(seeds) >= 0,
+                         f"seeds must be non-negative, got {seeds}")
                 # a seed names its files and parent cache entry: twice would
                 # write them twice, and average a seed with itself
                 _require(len(set(seeds)) == len(seeds),
@@ -379,12 +391,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}: invalid JSON ({err})") from err
-        return cls.from_dict(raw)
+        return cls.from_dict(read_json(path))
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2,

@@ -1,8 +1,8 @@
 """Stochastic prune-and-tune ensembles.
 
-Train one parent; make each member by cloning it under a sparse target
-mask (optionally in complementary pairs, so siblings inherit opposite
-parameter sets) and tuning the clone with temperature annealing; then
+Train one parent; make each member by tuning a copy of it under a sparse
+target mask with temperature annealing (``member_controller``, optionally
+in complementary pairs, so siblings inherit opposite parameter sets); then
 aggregate by averaging member logits before the softmax. Members depend on
 the parent alone, not on each other.
 """
@@ -19,14 +19,12 @@ from .annealing import (
     TemperatureConfig,
     anti_controller,
     temperature_controller,
-    tune,
 )
 from .data import to_float
 from .metrics import evaluate
 from .nn.layers import Network
 from .pruning import PruneSpec, random_mask
-from .rng import substream
-from .training import predict_logits, run_epoch
+from .training import fit, predict_logits
 
 log = logging.getLogger(__name__)
 
@@ -38,24 +36,10 @@ CORRUPT_BLOCK_BYTES = 1 << 20
 def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
                  batch_size: int, rng_shuffle: np.random.Generator,
                  eval_data=None) -> list:
-    """Plain dense training; returns per-epoch rows. epochs=0 is a no-op."""
-    x, y = train_data
-    rows = []
-    step = 0
-    for epoch in range(epochs):
-        mean_loss, steps, first_lr = run_epoch(
-            net, x, y, optimizer, schedule, epoch, step, batch_size, rng_shuffle)
-        step += steps
-        row = {"epoch": epoch, "train_loss": mean_loss, "lr": first_lr,
-               "realized_sparsity": 0.0, "mean_active_fraction": 1.0,
-               "test_acc": None, "test_nll": None, "test_ece": None}
-        if eval_data is not None:
-            xt, yt = eval_data
-            rec = evaluate(predict_logits(net, xt), yt)
-            row.update({"test_acc": rec.accuracy, "test_nll": rec.nll,
-                        "test_ece": rec.ece})
-        rows.append(row)
-    return rows
+    """Plain dense training (``training.fit`` with no controller); returns
+    per-epoch rows. epochs=0 is a no-op."""
+    return fit(net, None, train_data, epochs, schedule, optimizer,
+               batch_size, rng_shuffle, eval_data=eval_data)
 
 
 def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
@@ -83,27 +67,6 @@ def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
         log.warning("partitioning with rho=%s: complement member %d has "
                     "sparsity %s", rho, i, 1.0 - rho)
     return anti_controller(controller)
-
-
-def tune_member(parent: Network, i: int, controller, train_data, epochs: int,
-                schedule, optimizer, batch_size: int, seed: int,
-                eval_data=None):
-    """Anneal-tune a clone of the parent as member i of ``seed``'s
-    ensemble; returns (net, per-epoch rows).
-
-    Each member has its own ``controller`` (``member_controller``), its own
-    (schedule, optimizer) pair and its own shuffle and Bernoulli streams,
-    so members can be tuned in any order or process. A member that
-    diverges raises ``DivergenceError``; the ensemble leaves it out and
-    reports it.
-    """
-    net = parent.clone()
-    rows = tune(net, controller, train_data, epochs, schedule, optimizer,
-                batch_size,
-                rng_shuffle=substream(seed, "shuffle", "member", i),
-                rng_mask=substream(seed, "bernoulli", "member", i),
-                eval_data=eval_data)
-    return net, rows
 
 
 def _mean_logits(logits: list) -> np.ndarray:

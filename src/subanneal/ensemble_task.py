@@ -29,8 +29,8 @@ import logging
 
 import numpy as np
 
-from .annealing import TemperatureConfig
-from .ensemble import member_controller, score_ensemble, tune_member
+from .annealing import TemperatureConfig, tune
+from .ensemble import member_controller, score_ensemble
 from .masks import load_mask_set, save_mask_set, save_weights
 from .rng import substream
 from .runner import (
@@ -49,22 +49,27 @@ def tune_one_member(cfg, data, out_dir, done, unit):
     """Stage "members": tune member i of the seed's ensemble from the
     cached parent and write its weights, mask and metric CSV. Returns None,
     or the member's ``failures`` record when it diverged: it then writes
-    nothing and is left out of the ensemble."""
+    nothing and is left out of the ensemble.
+
+    Each member has its own controller (``member_controller``), its own
+    (schedule, optimizer) pair and its own shuffle and Bernoulli streams,
+    so members can be tuned in any order or process."""
     seed, i = unit
-    parent = load_net(cfg, data, seed, out_dir / done["parents"][seed])
+    net = load_net(cfg, data, seed, out_dir / done["parents"][seed])
     tau_cfg = TemperatureConfig(tau0=cfg.tau0[0], variant=cfg.variant,
                                 decay=cfg.decay_for("temperature-anneal"),
                                 anneal_epochs=cfg.phi[0])
     controller = member_controller(
-        parent.weight_shapes(), i, cfg.rho[0],
+        net.weight_shapes(), i, cfg.rho[0],
         cfg.ensemble["partitioning"], tau_cfg, substream(seed, "mask"),
         cfg.granularity)
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
     try:
-        net, rows = tune_member(parent, i, controller,
-                                (data.x_train, data.y_train), cfg.epochs,
-                                schedule, optimizer, cfg.batch_size, seed)
+        rows = tune(net, controller, (data.x_train, data.y_train),
+                    cfg.epochs, schedule, optimizer, cfg.batch_size,
+                    rng_shuffle=substream(seed, "shuffle", "member", i),
+                    rng_mask=substream(seed, "bernoulli", "member", i))
     except DivergenceError as err:
         log.error("member %d of seed %d diverged: %s", i, seed, err)
         return {"member": i, "error": str(err), **err.record}

@@ -377,9 +377,9 @@ def load_net(cfg: ExperimentConfig, data: RunData, seed: int, path):
 
 
 def trained_parent(cfg: ExperimentConfig, data: RunData, seed: int, path,
-                   eval_data=None):
+                   eval_data=None) -> list:
     """``seed``'s parent, trained and its weights written to ``path``;
-    returns (net, per-epoch rows), each scored on ``eval_data`` if given."""
+    returns its per-epoch rows, each scored on ``eval_data`` if given."""
     net = build_net(cfg, data, seed)
     schedule, optimizer = build_training(cfg, cfg.parent_lr,
                                          cfg.parent_epochs, len(data.y_train))
@@ -389,66 +389,68 @@ def trained_parent(cfg: ExperimentConfig, data: RunData, seed: int, path,
                         eval_data=eval_data)
     # two workers that share a seed can write its cache entry at once
     write_atomic(path, functools.partial(save_weights, net.params()))
-    return net, rows
+    return rows
 
 
-def get_parent(cfg: ExperimentConfig, data: RunData, seed: int, out_dir: Path):
-    """Train the parent for this seed, or reload it from the run cache."""
+def get_parent(cfg, data, out_dir, done, seed) -> str:
+    """Stage "parents" of a sweep or an ensemble: the seed's parent in the
+    run's parent cache, trained into it unless it is there already;
+    returns its path relative to ``out_dir``."""
     key = parent_cache_key(cfg, seed)
     path = out_dir / "parents" / f"parent-{key}-s{seed}.ssam"
-    if path.exists():
-        return load_net(cfg, data, seed, path), path
-    return trained_parent(cfg, data, seed, path)[0], path
+    if not path.exists():
+        trained_parent(cfg, data, seed, path)
+    return str(path.relative_to(out_dir))
 
 
 # --- single method cell --------------------------------------------------------
 
-def make_controller(method: str, cfg: ExperimentConfig, parent, seed: int,
+def make_controller(method: str, cfg: ExperimentConfig, net, seed: int,
                     rho: float, phi: int, tau0: float):
-    """The subnetwork controller for one (method, rho, phi, tau0) cell.
+    """The subnetwork controller that tunes ``net`` in one (method, rho,
+    phi, tau0) cell. Magnitude selection and iterative pruning read
+    ``net``'s weights.
 
     One-shot and temperature annealing draw the target mask from the same
     named stream, so paired-seed comparisons share identical targets.
     """
-    child = parent.clone()
-    weights = child.weights()
+    weights = net.weights()
     spec = PruneSpec(cfg.selector, rho, cfg.granularity)
     mask_rng = substream(seed, "mask")
     if method in ("oneshot", "temperature-anneal"):
-        target = (random_mask(child.weight_shapes(), spec, mask_rng)
+        target = (random_mask(net.weight_shapes(), spec, mask_rng)
                   if cfg.selector == "random" else magnitude_mask(weights, spec))
         if method == "oneshot":
-            return child, FixedMaskController(target)
+            return FixedMaskController(target)
         tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
                                     decay=cfg.decay_for(method),
                                     anneal_epochs=phi)
-        return child, temperature_controller(target, tau_cfg)
+        return temperature_controller(target, tau_cfg)
     if method == "iterative":
-        return child, IterativeController(spec, max(phi, 1), weights, mask_rng)
+        return IterativeController(spec, max(phi, 1), weights, mask_rng)
     if method == "random-anneal":
         rand_cfg = RandomAnnealConfig(
             rho=rho, anneal_epochs=phi, distribution=cfg.distribution,
             decay=cfg.decay_for(method), mu1=cfg.bimodal_mu1,
             sigma1=cfg.bimodal_sigma1, mu2=cfg.bimodal_mu2,
             sigma2=cfg.bimodal_sigma2)
-        return child, random_anneal_controller(child.weight_shapes(), rand_cfg,
-                                               mask_rng)
+        return random_anneal_controller(net.weight_shapes(), rand_cfg,
+                                        mask_rng)
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_cell(cfg: ExperimentConfig, data: RunData, parent, seed: int,
-             method: str, rho: float, phi: int, tau0: float):
-    """Tune one child network; returns its per-epoch rows."""
-    child, controller = make_controller(method, cfg, parent, seed, rho, phi,
-                                        tau0)
+def run_cell(cfg: ExperimentConfig, data: RunData, net, seed: int,
+             method: str, rho: float, phi: int, tau0: float) -> list:
+    """Tune ``net``, the seed's parent, in place as one cell's child;
+    returns its per-epoch rows."""
+    controller = make_controller(method, cfg, net, seed, rho, phi, tau0)
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
-    rows = tune(child, controller, (data.x_train, data.y_train), cfg.epochs,
+    return tune(net, controller, (data.x_train, data.y_train), cfg.epochs,
                 schedule, optimizer, cfg.batch_size,
                 rng_shuffle=substream(seed, "shuffle", "child"),
                 rng_mask=substream(seed, "bernoulli"),
                 eval_data=(data.x_test, data.y_test), eval_mode=cfg.eval_mask)
-    return child, rows
 
 
 def _cell_slug(method: str, rho: float, phi: int, tau0: float) -> str:
@@ -627,7 +629,7 @@ def run_stages(cfg: ExperimentConfig) -> list:
     ``run`` keeps it) and returns its result.
 
     - ``prune-tune``/``ablate``: "parents", one unit per seed
-      (``_cache_parent``); "cells", a ``(seed, method, rho, phi, tau0)``
+      (``get_parent``); "cells", a ``(seed, method, rho, phi, tau0)``
       unit for every seed and, within it, every cell in ``_cell_grid``
       order (``_sweep_cell``);
     - ``train-parent``: "parents", one unit per seed (``_seed_parent``);
@@ -644,7 +646,7 @@ def run_stages(cfg: ExperimentConfig) -> list:
         return [("scores", sets, _score_weights)]
     if cfg.task == "train-parent":
         return [("parents", seeds, _seed_parent)]
-    parents = ("parents", seeds, _cache_parent)
+    parents = ("parents", seeds, get_parent)
     if cfg.task != "ensemble":
         return [parents, ("cells", [(seed, *cell) for seed in seeds
                                     for cell in _cell_grid(cfg)],
@@ -666,8 +668,8 @@ def _unit_seed(unit) -> int:
 def _seed_parent(cfg, data, out_dir, done, seed) -> dict:
     """``train-parent`` for one seed: its metric CSV and weights."""
     weights_path = out_dir / f"parent-s{seed}.weights.ssam"
-    _, rows = trained_parent(cfg, data, seed, weights_path,
-                             (data.x_test, data.y_test))
+    rows = trained_parent(cfg, data, seed, weights_path,
+                          (data.x_test, data.y_test))
     csv_path = out_dir / "metrics" / f"parent-s{seed}.csv"
     write_metrics_csv(csv_path, rows)
     return {
@@ -679,20 +681,12 @@ def _seed_parent(cfg, data, out_dir, done, seed) -> dict:
     }
 
 
-def _cache_parent(cfg, data, out_dir, done, seed) -> str:
-    """Stage "parents" of a sweep or an ensemble: the seed's parent into
-    the run's parent cache (``get_parent``); returns its path relative to
-    ``out_dir``."""
-    _, path = get_parent(cfg, data, seed, out_dir)
-    return str(path.relative_to(out_dir))
-
-
 def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
     """Stage "cells": one ``(seed, method, rho, phi, tau0)`` cell tuned
     from the seed's cached parent; returns its manifest cell."""
     seed, method, rho, phi, tau0 = unit
-    parent = load_net(cfg, data, seed, out_dir / done["parents"][seed])
-    _, rows = run_cell(cfg, data, parent, seed, method, rho, phi, tau0)
+    net = load_net(cfg, data, seed, out_dir / done["parents"][seed])
+    rows = run_cell(cfg, data, net, seed, method, rho, phi, tau0)
     slug = _cell_slug(method, rho, phi, tau0)
     csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
     write_metrics_csv(csv_path, rows)

@@ -1,9 +1,12 @@
-"""The shared training loop: masked batches, schedules, and evaluation.
+"""The one training loop: masked batches, schedules, and evaluation.
 
-One epoch shuffles the training set from a dedicated shuffle stream, then for
-every mini-batch draws/looks up the subnetwork mask, runs the forward and
-backward passes, zeroes the gradients of masked-off parameters, and applies
-one optimizer step to the stored weights.
+``fit`` trains a network for some epochs, under a subnetwork controller or
+none, and returns one metric row per epoch; dense training is ``fit`` with
+no controller. One epoch (``run_epoch``) shuffles the training set from a
+dedicated shuffle stream, then for every mini-batch draws/looks up the
+subnetwork mask, runs the forward and backward passes, zeroes the gradients
+of masked-off parameters, and applies one optimizer step to the stored
+weights.
 
 How the forward pass sees the mask depends on whether the controller's mask
 is permanent for the epoch (``controller.permanent``): binary, and never
@@ -32,6 +35,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from .masks import MaskSet, ProbabilitySet, apply_mask, masked_grad
+from .metrics import evaluate
 from .nn.layers import Network, views
 from .nn.losses import cross_entropy_softmax
 from .nn.schedules import OneCycle, lr_at
@@ -40,6 +44,10 @@ from .nn.schedules import OneCycle, lr_at
 # larger than EVAL_BYTES. Both are fixed, so a network's chunks and hence its
 # logits are bit-reproducible. The budget lets an MNIST MLP 300-100 (300
 # floats per row) keep full 4096-row chunks, so its logits do not move.
+# Both are part of the output contract: BLAS may round a GEMM over a few
+# rows differently from the same rows inside a larger one, so changing
+# either moves logged metrics. tests/test_training.py pins the chunk rows
+# of the benchmark shapes.
 EVAL_CHUNK = 4096
 EVAL_BYTES = 10 << 20
 
@@ -151,6 +159,60 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
     finally:
         net.clear_cache()
     return float(np.mean(losses)), step - step0, first_lr
+
+
+def fit(net: Network, controller, train_data, epochs: int, schedule,
+        optimizer, batch_size: int, rng_shuffle: np.random.Generator,
+        rng_mask: np.random.Generator | None = None, eval_data=None,
+        eval_mode: str = "terminal") -> list:
+    """Train ``net`` for ``epochs`` epochs under ``controller``, or dense
+    when it is None; returns one metric row per epoch.
+
+    Each epoch first moves the controller to it (``begin_epoch``), then
+    runs ``run_epoch``. A row records the controller's binary mask sparsity
+    and the mean of its probabilities (one minus the sparsity when it has
+    none); dense training reads 0.0 and 1.0. With ``eval_data`` the row
+    also scores the network: unmasked when dense or after a permanent
+    epoch (the weights already carry the mask), else under the current
+    probabilities for ``eval_mode="expected"`` and under the binary mask
+    for "terminal".
+    """
+    if eval_mode not in ("terminal", "expected"):
+        raise ValueError(f"unknown eval_mode {eval_mode!r}")
+    x, y = train_data
+    rows = []
+    step = 0
+    for epoch in range(epochs):
+        if controller is not None:
+            controller.begin_epoch(epoch)
+        mean_loss, steps, first_lr = run_epoch(
+            net, x, y, optimizer, schedule, epoch, step, batch_size,
+            rng_shuffle, controller=controller, rng_mask=rng_mask)
+        step += steps
+        probs = None if controller is None else controller.probs
+        sparsity = 0.0 if controller is None else controller.mask.sparsity()
+        row = {
+            "epoch": epoch,
+            "train_loss": mean_loss,
+            "lr": first_lr,
+            "realized_sparsity": sparsity,
+            "mean_active_fraction": (1.0 - sparsity if probs is None
+                                     else probs.mean()),
+            "test_acc": None, "test_nll": None, "test_ece": None,
+        }
+        if eval_data is not None:
+            if controller is None or controller.permanent:
+                mask = None
+            elif eval_mode == "expected" and probs is not None:
+                mask = probs
+            else:
+                mask = controller.mask
+            rec = evaluate(predict_logits(net, eval_data[0], mask=mask),
+                           eval_data[1])
+            row.update({"test_acc": rec.accuracy, "test_nll": rec.nll,
+                        "test_ece": rec.ece})
+        rows.append(row)
+    return rows
 
 
 def predict_logits(net: Network, x,

@@ -63,6 +63,15 @@ def test_threads_flag_sets_and_records_the_blas_pool(tmp_path,
     assert manifest["blas_threads"] == 3
 
 
+def test_a_negative_seed_flag_is_rejected_before_the_run(tmp_path, capsys):
+    # the flags go through the validator with the file's values
+    config = _write_config(tmp_path)
+    assert main(["run", str(config), "--out", str(tmp_path / "out"),
+                 "--seed", "-4"]) == 1
+    assert "invalid seed: -4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_invalid_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"task": "prune-tune", "bogus": 1}))

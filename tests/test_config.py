@@ -252,6 +252,10 @@ VALIDATOR_HOLES = [
      r"eval task takes one seed, got \[3, 4\]"),
     (dict(task="eval", weights="w.ssam", seed=5, repeats=2),
      r"eval task takes one seed, got \[5, 6\]"),
+    # np.random.SeedSequence raised ValueError once the run had started
+    (dict(seed=-1), "invalid seed: -1"),
+    (dict(seeds=[0, -1]), r"seeds must be non-negative, got \[0, -1\]"),
+    (dict(blobs={"data_seed": -3}), "blobs.data_seed must be non-negative"),
 ]
 
 

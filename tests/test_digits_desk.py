@@ -27,7 +27,6 @@ from subanneal.ensemble import (
     member_controller,
     score_ensemble,
     train_parent,
-    tune_member,
 )
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
@@ -37,6 +36,7 @@ from subanneal.rng import substream
 from subanneal.training import predict_logits
 
 from maskcheck import overlap
+from members import tune_member
 
 BATCH = 32
 RHO = 0.95

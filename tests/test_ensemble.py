@@ -10,7 +10,6 @@ from subanneal.ensemble import (
     member_controller,
     score_ensemble,
     train_parent,
-    tune_member,
 )
 from subanneal.annealing import FixedMaskController, TemperatureConfig, tune
 from subanneal.metrics import evaluate, softmax
@@ -22,6 +21,7 @@ from subanneal.rng import substream
 from subanneal.training import DivergenceError, predict_logits
 
 from maskcheck import overlap, same_mask
+from members import members_through, tune_member
 
 
 def _net(seed=0, d=8, k=3, hidden=(16, 12)):
@@ -414,16 +414,14 @@ class TestRunEnsemble:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_member_leaves_strict_json(self, tmp_path, monkeypatch):
-        import subanneal.ensemble_task as ensemble_task
         from subanneal.runner import run
 
-        def member_0_diverges(parent, i, *args, **kwargs):
+        def member_0_diverges(net, seed, i):
             if i == 0:
-                parent = parent.clone()
-                parent.layers[1].w[...] = 1e200
-            return tune_member(parent, i, *args, **kwargs)
+                net.layers[1].w[...] = 1e200
+            return net
 
-        monkeypatch.setattr(ensemble_task, "tune_member", member_0_diverges)
+        members_through(monkeypatch, member_0_diverges)
         cfg = _ensemble_config(tmp_path, ensemble={"n_members": 2})
         manifest = _strict_json(run(cfg).read_text())
         summary = _strict_json((tmp_path / manifest["metrics_files"][0])

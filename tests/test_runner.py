@@ -489,8 +489,10 @@ def test_last_row_describes_the_network_the_cell_ends_with(tmp_path, method,
     cfg = _cfg(tmp_path, method=method, rho=0.9, phi=2, epochs=3,
                eval_mask=eval_mask)
     data = runner.RunData(cfg)
-    parent, _ = runner.get_parent(cfg, data, 1, tmp_path / "out")
-    child, rows = runner.run_cell(cfg, data, parent, 1, method, 0.9, 2, 0.5)
+    out = tmp_path / "out"
+    child = runner.load_net(cfg, data, 1,
+                            out / runner.get_parent(cfg, data, out, {}, 1))
+    rows = runner.run_cell(cfg, data, child, 1, method, 0.9, 2, 0.5)
     last = rows[-1]
     rec = evaluate(predict_logits(child, data.x_test), data.y_test)
     assert (last["test_acc"], last["test_nll"], last["test_ece"]) == (
@@ -550,7 +552,7 @@ def test_float32_mode_runs(tmp_path):
 def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
     import numpy as np
 
-    from subanneal import annealing, data, training
+    from subanneal import data, training
     from subanneal.nn.optim import SGD, Adam
 
     seen = set()
@@ -587,7 +589,7 @@ def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
     monkeypatch.setattr(training, "cross_entropy_softmax", loss)
     monkeypatch.setattr(SGD, "step", step)
     monkeypatch.setattr(Adam, "step", adam_step)
-    monkeypatch.setattr(annealing, "predict_logits", predict)
+    monkeypatch.setattr(training, "predict_logits", predict)
     monkeypatch.setattr(data.NormalizedRows, "__getitem__", rows)
     monkeypatch.setattr(training, "apply_mask", apply)
     for name, optimizer in (
@@ -643,6 +645,23 @@ def test_parent_cache_key_follows_the_library_version(tmp_path, monkeypatch):
     assert runner.parent_cache_key(cfg, 1) == key
     monkeypatch.setattr(runner, "__version__", "0.0.0-other")
     assert runner.parent_cache_key(cfg, 1) != key
+
+
+def test_a_cached_parent_is_neither_trained_nor_loaded_again(tmp_path,
+                                                             monkeypatch):
+    from subanneal import runner
+
+    cfg = _cfg(tmp_path)
+    data = runner.RunData(cfg)
+    out = tmp_path / "out"
+    path = runner.get_parent(cfg, data, out, {}, 1)
+    assert (out / path).is_file()
+
+    def no_network(*args):
+        raise AssertionError("built a network on a cache hit")
+
+    monkeypatch.setattr(runner, "build_net", no_network)
+    assert runner.get_parent(cfg, data, out, {}, 1) == path
 
 
 class TestTrainParentAndEval:

@@ -38,7 +38,10 @@ runner.run(cfg)
 layers = spans.layer_metrics(tracer.spans)
 needed = [m for m, (_, where) in workloads.EXPECTED.items()
           if workloads.SWEEP in where or workloads.MNIST in where]
-print(json.dumps({m: layers.get(spans.count_behind(m), 0) for m in needed}))
+counts = {m: layers.get(spans.count_behind(m), 0) for m in needed}
+print(json.dumps({"counts": counts, "steps": {
+    key: layers[key] for key in ("step.dense_steps", "step.fixed_steps",
+                                 "step.anneal_steps", "optim.step_calls")}}))
 """
 
 
@@ -47,10 +50,16 @@ def test_a_traced_blobs_sweep_calls_every_span_the_benchmark_needs(tmp_path):
         [sys.executable, "-c", CHILD, str(ROOT / "perfbench"),
          str(tmp_path / "out")],
         capture_output=True, text=True, check=True)
-    counts = json.loads(done.stdout.strip().splitlines()[-1])
+    out = json.loads(done.stdout.strip().splitlines()[-1])
+    counts = out["counts"]
     # the sweep and MNIST workloads' metrics, the three step kinds included
     for metric in ("optim.step_s", "masks.grad_mask_s", "masks.apply_s",
                    "masks.realize_s", "masks.maskset_builds", "nn.loss_s",
                    "step.dense_ms", "step.fixed_ms", "step.anneal_ms"):
         assert metric in counts, metric
     assert {m: c for m, c in counts.items() if not c > 0} == {}
+    # each step is filed under its kind: 8 steps an epoch, one dense
+    # parent epoch, then three epochs each of one-shot and iterative
+    # (fixed) and of temperature annealing
+    assert out["steps"] == {"step.dense_steps": 8, "step.fixed_steps": 48,
+                            "step.anneal_steps": 24, "optim.step_calls": 80}

@@ -6,6 +6,11 @@ decay shrinks masked-off weights on every step, and momentum keeps moving a
 weight that was active and then dropped out, until its velocity decays.
 From the epoch a mask becomes permanent, its masked-off weights and their
 optimizer state are zero, and stay zero. These tests pin that behaviour.
+
+They also pin two things the logged metrics depend on: dense training
+(``fit`` with no controller) gives the bits of tuning under the all-ones
+fixed mask, and evaluation splits the benchmark shapes into the same
+chunks of rows.
 """
 
 import numpy as np
@@ -16,14 +21,17 @@ from subanneal.annealing import (
     FixedMaskController,
     TemperatureConfig,
     temperature_controller,
+    tune,
 )
 from subanneal.data import make_blobs
+from subanneal.ensemble import train_parent
 from subanneal.masks import MaskSet, ProbabilitySet, full_mask
+from subanneal.models import build_mlp, build_model
 from subanneal.nn.layers import Dense, Network, ReLU, views
 from subanneal.nn.optim import SGD, Adam
 from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
-from subanneal.training import masked_weights, run_epoch
+from subanneal.training import masked_weights, predict_logits, run_epoch
 
 LR = 0.05
 BATCH = 16
@@ -242,3 +250,54 @@ def test_masked_weights_float32_scale_rounds_like_astype():
             for name, w in net.weights().items():
                 assert w.dtype == np.float32
                 assert np.array_equal(w, want[name])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("make_opt", [
+    lambda wd: SGD(LR, momentum=0.9, nesterov=True, weight_decay=wd),
+    lambda wd: Adam(0.01, weight_decay=wd)], ids=["sgd", "adam"])
+@pytest.mark.parametrize("wd", [0.0, 5e-4])
+def test_dense_training_is_tuning_under_the_all_ones_mask(dtype, make_opt,
+                                                           wd):
+    train = make_blobs("train", n=240, d=8, k=3, data_seed=0)
+    test = make_blobs("test", n=120, d=8, k=3, data_seed=0)
+    data = (train.x.astype(dtype), train.y)
+    eval_data = (test.x.astype(dtype), test.y)
+    nets = []
+    for _ in range(2):
+        net = build_mlp((8,), 3, hidden=(16, 12), dtype=dtype)
+        net.init_params(substream(0, "init"))
+        nets.append(net)
+    dense = train_parent(nets[0], data, 3, make_opt(wd), Constant(LR), 32,
+                         substream(0, "shuffle"), eval_data=eval_data)
+    masked = tune(nets[1], FixedMaskController(full_mask(
+        nets[1].weight_shapes())), data, 3, Constant(LR), make_opt(wd), 32,
+        substream(0, "shuffle"), eval_data=eval_data)
+    assert dense == masked
+    assert nets[0].flat.dtype == nets[1].flat.dtype == dtype
+    assert nets[0].flat.tobytes() == nets[1].flat.tobytes()
+
+
+@pytest.mark.parametrize("model,shape,classes,dtype,rows", [
+    ("mlp", (16,), 4, np.float32, 4096),  # sweep-blobs
+    ("mlp", (1, 28, 28), 10, np.float32, 4096),  # prune-mnist-mlp
+    ("smallconv", (3, 32, 32), 10, np.float32, 379),  # ensemble-cifar-conv
+    ("smallconv", (3, 32, 32), 10, np.float64, 189),
+])
+def test_evaluation_chunks_of_the_benchmark_shapes(model, shape, classes,
+                                                   dtype, rows):
+    """A GEMM over a few rows may round differently from the same rows
+    inside a larger one, so logits depend on how ``predict_logits`` chunks
+    its input: a change to ``EVAL_CHUNK`` or ``EVAL_BYTES`` that moves
+    these chunks moves logged metrics, and has to be declared."""
+    net = build_model(model, shape, classes, substream(0, "init"),
+                      dtype=dtype)
+    forward, seen = net.forward, []
+
+    def spy(x, **kwargs):
+        seen.append(len(x))
+        return forward(x, **kwargs)
+
+    net.forward = spy
+    predict_logits(net, np.zeros((rows + 1, *shape), dtype))
+    assert seen == [rows, 1]

@@ -33,6 +33,8 @@ from subanneal.runner import (
 )
 from subanneal.workers import unit_blocks
 
+from members import members_through
+
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="helpers are forked")
 
@@ -295,10 +297,10 @@ def test_a_cell_failing_in_a_helper_fails_the_run_as_a_serial_run_does(
     run's."""
     real = runner.run_cell
 
-    def fails_one_cell(cfg, data, parent, seed, method, rho, phi, tau0):
+    def fails_one_cell(cfg, data, net, seed, method, rho, phi, tau0):
         if (seed, rho) == (2, 0.5):
             raise ValueError(f"cell rho {rho} of seed {seed} failed")
-        return real(cfg, data, parent, seed, method, rho, phi, tau0)
+        return real(cfg, data, net, seed, method, rho, phi, tau0)
 
     monkeypatch.setattr(runner, "run_cell", fails_one_cell)
     errors, manifests = {}, {}
@@ -342,27 +344,14 @@ def _ensemble_runs(tmp_path, monkeypatch, raw, name) -> tuple:
     return errors, outputs
 
 
-def _tune_member_through(hook):
-    """``tune_member``, but each member is tuned from the parent
-    ``hook(parent, seed, member)`` returns (it may raise instead)."""
-    real = ensemble_task.tune_member
-
-    def tune_member(parent, i, controller, train_data, epochs, schedule,
-                    optimizer, batch_size, seed, **kwargs):
-        return real(hook(parent, seed, i), i, controller, train_data,
-                    epochs, schedule, optimizer, batch_size, seed, **kwargs)
-    return tune_member
-
-
-def _diverges(when):
-    """Members ``when(seed, i)`` picks are tuned from a poisoned copy of
-    the parent, so they diverge."""
-    def hook(parent, seed, i):
+def _diverges(monkeypatch, when):
+    """Members ``when(seed, i)`` picks are tuned from a poisoned parent,
+    so they diverge."""
+    def hook(net, seed, i):
         if when(seed, i):
-            parent = parent.clone()
-            parent.layers[1].w[...] = 1e200
-        return parent
-    return _tune_member_through(hook)
+            net.layers[1].w[...] = 1e200
+        return net
+    members_through(monkeypatch, hook)
 
 
 ONE_SEED = {"task": "ensemble", "seed": 5,
@@ -373,8 +362,7 @@ ONE_SEED = {"task": "ensemble", "seed": 5,
 def test_a_member_diverging_in_a_helper_is_reported_as_in_a_serial_run(
         tmp_path, monkeypatch):
     # member 3 is a helper's at 2 and 3 CPUs
-    monkeypatch.setattr(ensemble_task, "tune_member",
-                        _diverges(lambda seed, i: i == 3))
+    _diverges(monkeypatch, lambda seed, i: i == 3)
     errors, outputs = _ensemble_runs(tmp_path, monkeypatch, ONE_SEED, "m3")
     assert errors == {1: None, 2: None, 3: None}
     assert outputs[2] == outputs[1] and outputs[3] == outputs[1]
@@ -388,7 +376,7 @@ def test_a_member_diverging_in_a_helper_is_reported_as_in_a_serial_run(
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_every_member_diverging_fails_the_run_as_a_serial_run_does(
         tmp_path, monkeypatch):
-    monkeypatch.setattr(ensemble_task, "tune_member", _diverges(lambda *_: True))
+    _diverges(monkeypatch, lambda *_: True)
     errors, outputs = _ensemble_runs(tmp_path, monkeypatch, ONE_SEED, "all")
     assert errors[1] == "DivergenceError: every ensemble member diverged"
     assert errors[2] == errors[3] == errors[1]
@@ -397,10 +385,10 @@ def test_every_member_diverging_fails_the_run_as_a_serial_run_does(
     assert (status, error, cells) == ("failed", errors[1], [])
 
 
-def _member_1_of_seed_1_raises(parent, seed, i):
+def _member_1_of_seed_1_raises(net, seed, i):
     if (seed, i) == (1, 1):
         raise ValueError(f"member {i} of seed {seed} failed")
-    return parent
+    return net
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -411,12 +399,10 @@ def test_an_ensemble_seed_failing_in_any_stage_fails_as_in_a_serial_run(
     in scoring. As in a seed-by-seed serial run, the run fails with that
     seed's error, and seed 0 is finished: summary and manifest cell."""
     if stage == "members":
-        monkeypatch.setattr(ensemble_task, "tune_member",
-                            _tune_member_through(_member_1_of_seed_1_raises))
+        members_through(monkeypatch, _member_1_of_seed_1_raises)
         want = "ValueError: member 1 of seed 1 failed"
     elif stage == "every-member":
-        monkeypatch.setattr(ensemble_task, "tune_member",
-                            _diverges(lambda seed, i: seed == 1))
+        _diverges(monkeypatch, lambda seed, i: seed == 1)
         want = "DivergenceError: every ensemble member diverged"
     else:
         real = ensemble_task.score_one_set
@@ -457,20 +443,22 @@ def test_two_writers_of_one_parent_leave_a_complete_cache_entry(
             if pid == 0:  # the second writer trains and writes the entry
                 code = 1
                 try:
-                    runner.get_parent(cfg, data, 5, tmp_path)
+                    runner.get_parent(cfg, data, tmp_path, {}, 5)
                     code = 0
                 finally:
                     os._exit(code)
             assert os.waitpid(pid, 0)[1] == 0
 
     monkeypatch.setattr(runner, "save_weights", another_writer_meanwhile)
-    net, path = runner.get_parent(cfg, data, 5, tmp_path)
+    path = tmp_path / runner.get_parent(cfg, data, tmp_path, {}, 5)
     assert path.is_file()
     assert [p.name for p in path.parent.iterdir()] == [path.name]
-    again = runner.build_net(cfg, data, 5)
-    runner.load_params(again, path)
-    for name, value in net.params().items():
-        assert np.array_equal(again.params()[name], value)
+    monkeypatch.setattr(runner, "save_weights", real)
+    runner.trained_parent(cfg, data, 5, tmp_path / "again.ssam")
+    want, got = load_weights(tmp_path / "again.ssam"), load_weights(path)
+    assert list(got) == list(want)
+    for name, value in want.items():
+        assert np.array_equal(got[name], value)
 
 
 def _alive_in_group(pgid: int) -> list:
@@ -575,17 +563,17 @@ def test_each_parent_is_trained_once_in_the_parents_stage(tmp_path,
         with open(calls, "a") as fh:
             fh.write(f"{line}\n")
 
-    def get_parent(cfg, data, seed, out_dir):
+    def get_parent(cfg, data, out_dir, done, seed):
         getting[:] = [seed]
-        return real_get(cfg, data, seed, out_dir)
+        return real_get(cfg, data, out_dir, done, seed)
 
     def train_parent(*args, **kwargs):
         note(f"parent {getting[0]}")
         return real_train(*args, **kwargs)
 
-    def run_cell(cfg, data, parent, seed, *cell):
+    def run_cell(cfg, data, net, seed, *cell):
         note(f"cell {seed}")
-        return real_cell(cfg, data, parent, seed, *cell)
+        return real_cell(cfg, data, net, seed, *cell)
 
     monkeypatch.setattr(runner, "get_parent", get_parent)
     monkeypatch.setattr(runner, "train_parent", train_parent)

@@ -34,7 +34,6 @@ from subanneal.ensemble import (
     corrupt,
     member_controller,
     train_parent,
-    tune_member,
 )
 from subanneal.models import build_mlp, build_small_conv
 from subanneal.nn.layers import Conv2d, Network
@@ -49,6 +48,7 @@ from subanneal.training import (
     predict_logits,
     run_epoch,
 )
+from members import tune_member
 from test_data import make_mnist_dir
 
 KIB = 1024
