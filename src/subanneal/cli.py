@@ -18,13 +18,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
     run_p.add_argument("--out", default=None, help="override the output dir")
-    run_p.add_argument("--deterministic", action="store_true",
-                       help="one BLAS thread in every process "
-                            "(bit-reproducible)")
-    run_p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap for linear algebra (one "
-                            "thread whenever seeds run in several "
-                            "processes)")
 
     sum_p = sub.add_parser("summarize",
                            help="aggregate manifests under a directory")
@@ -34,14 +27,14 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
 
-    # imports deferred so --help stays fast and thread caps apply early
+    # imports deferred so --help stays fast
     from .config import ConfigError, ExperimentConfig, read_json
-    from .runner import error_text, limit_blas_threads, run, summarize_dir
+    from .runner import error_text, run, summarize_dir
 
     if args.command == "summarize":
         try:
             out = summarize_dir(args.directory)
-        except (FileNotFoundError, ValueError) as err:
+        except (OSError, ValueError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
         print(out)
@@ -54,14 +47,10 @@ def main(argv=None) -> int:
                 raw.update(seed=args.seed, seeds=None)
             if args.out is not None:
                 raw["out_dir"] = args.out
-            if args.deterministic:
-                raw["deterministic"] = True
         cfg = ExperimentConfig.from_dict(raw)
-    except (ConfigError, FileNotFoundError) as err:
+    except (ConfigError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if args.threads is not None:
-        limit_blas_threads(max(1, args.threads))
     try:
         manifest = run(cfg)
     except Exception as err:  # manifest already records the failure

@@ -65,6 +65,11 @@ def _as_float(value, where: str) -> float:
     return float(value)
 
 
+def _require_distinct(values: list, where: str) -> None:
+    _require(len(set(values)) == len(values),
+             f"{where} must be distinct, got {values}")
+
+
 def _as_bool(value, where: str) -> bool:
     _require(isinstance(value, bool), f"{where} must be true or false, "
              f"got {value!r}")
@@ -155,8 +160,7 @@ def _check_ensemble(e: dict) -> dict:
              "corruption severities must lie in 1..5")
     # a severity names its results: twice would score it twice and keep
     # only the second
-    _require(len(set(severities)) == len(severities),
-             f"corruption severities must be distinct, got {severities}")
+    _require_distinct(severities, "corruption severities")
     return out
 
 
@@ -206,11 +210,11 @@ def _check_phi_within_epochs(cfg: "ExperimentConfig") -> None:
 
 
 def read_json(path):
-    """The JSON value in the file ``path``, unchecked."""
-    with open(path) as fh:
+    """The JSON value in the UTF-8 file ``path``, unchecked."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # not UTF-8, or not JSON
             raise ConfigError(f"{path}: invalid JSON ({err})") from err
 
 
@@ -250,7 +254,6 @@ class ExperimentConfig:
     blobs: dict = field(default_factory=lambda: _check_blobs({}))
     weights: str | None = None  # eval task: container to load
     mask: str | None = None  # eval task: optional mask container
-    deterministic: bool = False
     dtype: str = "float32"
 
     @classmethod
@@ -301,6 +304,9 @@ class ExperimentConfig:
                         for t in _as_list(raw.pop("tau0"))]
             _require(cfg.tau0 and all(0.0 <= t <= 1.0 for t in cfg.tau0),
                      "tau0 needs at least one value, each in [0, 1]")
+        # a value names cells: twice would tune and write each of them twice
+        for key in ("method", "rho", "phi", "tau0"):
+            _require_distinct(getattr(cfg, key), key)
 
         for key, check in (
                 ("parent_epochs", lambda v: v >= 0),
@@ -324,8 +330,7 @@ class ExperimentConfig:
                          f"seeds must be non-negative, got {seeds}")
                 # a seed names its files and parent cache entry: twice would
                 # write them twice, and average a seed with itself
-                _require(len(set(seeds)) == len(seeds),
-                         f"seeds must be distinct, got {seeds}")
+                _require_distinct(seeds, "seeds")
             cfg.seeds = seeds
         for key in ("bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
                     "bimodal_sigma2"):
@@ -347,12 +352,10 @@ class ExperimentConfig:
         for key in ("out_dir", "weights", "mask"):
             if key in raw:
                 value = raw.pop(key)
-                _require(value is None or isinstance(value, str),
+                _require(isinstance(value, str)
+                         or value is None and key != "out_dir",
                          f"{key} must be a string path")
                 setattr(cfg, key, value)
-        if "deterministic" in raw:
-            cfg.deterministic = _as_bool(raw.pop("deterministic"),
-                                         "deterministic")
 
         # desk-scale default: a 10k training subset keeps CIFAR runs inside
         # the acceptance runtime budget; pass train_subset: 0 for the full set

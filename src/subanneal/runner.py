@@ -8,10 +8,10 @@ wall-clock time in all and per stage, peak resident memory
 (``peak_rss_mb``) and CPU time, the number of worker processes and each
 helper's own memory and CPU time, the BLAS thread count, the malloc
 settings ``run`` applied to the process, and the library version.
-Re-running the same config in deterministic mode reproduces the metric files
-and ensemble summaries byte for byte, whatever the number of workers; wall
-clock and memory live only in the manifest so they never break that
-contract.
+Every run pins the BLAS pool to one thread, so re-running the same config
+reproduces the metric files and ensemble summaries byte for byte, whatever
+the number of CPUs or workers; wall clock and memory live only in the
+manifest so they never break that contract.
 
 Every task runs as a list of stages (``run_stages``), each a list of units
 of work, and ``run`` drives them all through one loop: ``train-parent`` is
@@ -195,22 +195,19 @@ def _blas_thread_functions():
     return None
 
 
-def limit_blas_threads(n: int) -> None:
-    """Cap the BLAS pool at ``n`` threads through OpenBLAS's own setter; one
-    thread makes trajectories bit-reproducible. Without a setter this logs
-    an error and leaves the count unchanged."""
+def limit_blas_threads() -> int | None:
+    """Pin the BLAS pool to one thread through OpenBLAS's own setter: a GEMM
+    may round differently on another thread count, so outputs would depend
+    on the CPUs. Returns the count the pool then reports; without a setter
+    this logs a warning and returns None, the count left as it was."""
     functions = _blas_thread_functions()
     if functions is None:
-        log.error("no OpenBLAS thread setter found: BLAS thread count "
-                  "unchanged, so results may not be bit-reproducible")
-        return
-    functions[0](n)
-
-
-def blas_threads() -> int | None:
-    """The BLAS pool's thread count, or None when no OpenBLAS is found."""
-    functions = _blas_thread_functions()
-    return None if functions is None else int(functions[1]())
+        log.warning("no OpenBLAS thread setter found: BLAS thread count "
+                    "unchanged; set OPENBLAS_NUM_THREADS=1 before the run "
+                    "for bit-reproducible results")
+        return None
+    functions[0](1)
+    return int(functions[1]())
 
 
 def tune_allocator() -> dict | None:
@@ -533,17 +530,13 @@ def run(cfg: ExperimentConfig) -> Path:
     helpers inherit. The manifest's cells and metric files are then
     written from them (``_write_results``).
 
-    The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc);
-    with ``cfg.deterministic`` or more than one worker in any stage its BLAS
-    pool keeps one thread, as every helper's does. Failures are recorded in
-    the manifest (status: failed, ``error`` as ``error_text`` gives it) and
-    re-raised so callers can exit nonzero.
+    The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc),
+    and its BLAS pool one thread (``limit_blas_threads``), as every helper's
+    does. Failures are recorded in the manifest (status: failed, ``error``
+    as ``error_text`` gives it) and re-raised so callers can exit nonzero.
     """
     allocator = tune_allocator()
-    workers = max(worker_count(cfg, len(units))
-                  for _, units, _ in run_stages(cfg))
-    if cfg.deterministic or workers > 1:
-        limit_blas_threads(1)
+    threads = limit_blas_threads()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.json"
@@ -555,8 +548,7 @@ def run(cfg: ExperimentConfig) -> Path:
         "seeds": cfg.run_seeds(),
         "status": "running",
         "allocator": allocator,
-        "blas_threads": blas_threads(),
-        "workers": workers,
+        "blas_threads": threads,
         "stages": [],
         "helpers": [],
         "cells": [],
@@ -611,11 +603,14 @@ def run(cfg: ExperimentConfig) -> Path:
 
 
 def _finish_manifest(manifest: dict, started: float) -> None:
-    """Wall clock and, where the platform reports them, this process's peak
-    resident memory and CPU time so far, plus ``peak_rss_mb_sum``: its peak
+    """Wall clock, ``workers`` (the most processes any stage ran on) and,
+    where the platform reports them, this process's peak resident memory
+    and CPU time so far, plus ``peak_rss_mb_sum``: its peak
     plus every helper's, an upper bound on the run's resident memory at any
     moment (pages a helper shares with this process count twice)."""
     manifest["wall_clock_s"] = time.perf_counter() - started
+    manifest["workers"] = max(
+        (stage["workers"] for stage in manifest["stages"]), default=1)
     manifest.update(process_usage())
     if "peak_rss_mb" in manifest:
         manifest["peak_rss_mb_sum"] = manifest["peak_rss_mb"] + sum(
@@ -747,12 +742,8 @@ def summarize_manifests(manifest_paths, manifest_payloads=None,
     hyperparameters reading of the table stays recoverable.
     """
     if manifest_payloads is None:
-        manifest_payloads = []
-        base_dirs = []
-        for path in manifest_paths:
-            path = Path(path)
-            manifest_payloads.append(json.loads(path.read_text()))
-            base_dirs.append(path.parent)
+        manifest_payloads = [_read_manifest(path) for path in manifest_paths]
+        base_dirs = [Path(path).parent for path in manifest_paths]
 
     datasets = {m["config"]["dataset"] for m in manifest_payloads}
     if len(datasets) > 1:
@@ -793,6 +784,17 @@ def summarize_manifests(manifest_paths, manifest_payloads=None,
     for i in best.values():
         out[i]["best_in_method"] = 1
     return out
+
+
+def _read_manifest(path) -> dict:
+    """The manifest in the file ``path``; a ValueError naming the file when
+    it is not JSON or lacks what a summary reads."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+        manifest["config"]["dataset"], iter(manifest["cells"])
+    except (ValueError, LookupError, TypeError) as err:
+        raise ValueError(f"cannot summarize {path}: {error_text(err)}") from err
+    return manifest
 
 
 def write_summary_csv(path, rows) -> None:

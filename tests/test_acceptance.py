@@ -414,7 +414,6 @@ def test_criterion_10_reproducibility_bit_identical_csvs(tmp_path):
         "optimizer": {"kind": "sgd", "momentum": 0.9, "nesterov": True,
                       "weight_decay": 0.0},
         "seed": 2,
-        "deterministic": True,
     }
     outs = []
     for tag in ("first", "second"):
@@ -425,7 +424,7 @@ def test_criterion_10_reproducibility_bit_identical_csvs(tmp_path):
         outs.append([(f, (tmp_path / tag / f).read_bytes()) for f in files])
     assert outs[0] == outs[1]
     n_files = len(outs[0])
-    print(f"\n[criterion 10] PASS deterministic rerun: {n_files} metric CSVs "
+    print(f"\n[criterion 10] PASS rerun: {n_files} metric CSVs "
           "bit-identical across runs")
 
 

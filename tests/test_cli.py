@@ -1,5 +1,4 @@
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -39,28 +38,25 @@ def test_run_subcommand_end_to_end(tmp_path, capsys):
 
 
 def test_run_flag_overrides_beat_file_values(tmp_path):
-    config = _write_config(tmp_path, seed=1, out_dir=str(tmp_path / "ignored"),
-                           deterministic=False)
+    config = _write_config(tmp_path, seed=1, out_dir=str(tmp_path / "ignored"))
     code = main(["run", str(config), "--out", str(tmp_path / "flag"),
-                 "--seed", "9", "--deterministic"])
+                 "--seed", "9"])
     assert code == 0
     manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
     assert manifest["seeds"] == [9]
-    assert manifest["config"]["deterministic"] is True
     assert not (tmp_path / "ignored").exists()
 
 
-def test_threads_flag_sets_and_records_the_blas_pool(tmp_path,
-                                                      monkeypatch):
-    from test_runner import fake_blas
-
-    calls = fake_blas(monkeypatch)
+@pytest.mark.parametrize("flag", [["--deterministic"], ["--threads", "2"]],
+                         ids=["deterministic", "threads"])
+def test_removed_run_flags_are_usage_errors(tmp_path, capsys, flag):
+    # every run pins one BLAS thread, so there is no mode to choose
     config = _write_config(tmp_path)
-    assert main(["run", str(config), "--out", str(tmp_path / "out"),
-                 "--threads", "3"]) == 0
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert calls == [3]
-    assert manifest["blas_threads"] == 3
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", str(config), "--out", str(tmp_path / "out"), *flag])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_a_negative_seed_flag_is_rejected_before_the_run(tmp_path, capsys):
@@ -116,20 +112,40 @@ def test_run_rejected_config_prints_one_error_line(tmp_path, capsys, extra):
     assert not (tmp_path / "out").exists()  # rejected before any compute
 
 
-def test_threads_flag_without_a_blas_setter_logs_an_error(
-        tmp_path, caplog, monkeypatch):
-    from subanneal import runner
+def _one_error_line(capsys, *names) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
 
-    monkeypatch.setattr(runner, "_blas_thread_functions", lambda: None)
+
+def test_run_on_a_directory_prints_one_error_line(tmp_path, capsys):
+    assert main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 1
+    _one_error_line(capsys, str(tmp_path), "Is a directory")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_on_a_config_that_is_not_utf8_prints_one_error_line(
+        tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps({**BASE, "out_dir": "caf\u00e9"},
+                                ensure_ascii=False).encode("latin-1"))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    _one_error_line(capsys, str(path), "invalid JSON", "utf-8")
+    assert not (tmp_path / "out").exists()
+
+
+def test_summarize_names_a_manifest_it_cannot_read(tmp_path, capsys):
     config = _write_config(tmp_path)
-    with caplog.at_level(logging.ERROR, logger="subanneal.runner"):
-        code = main(["run", str(config), "--out", str(tmp_path / "out"),
-                     "--threads", "2"])
-    assert code == 0
-    assert "no OpenBLAS thread setter found" in caplog.text
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert "threads" not in manifest["config"]
-    assert manifest["blas_threads"] is None
+    assert main(["run", str(config), "--out", str(tmp_path / "good")]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad" / "manifest.json"
+    bad.parent.mkdir()
+    bad.write_text(json.dumps({"config": {"dataset": "synthetic-blobs"}}))
+    assert main(["summarize", str(tmp_path)]) == 1
+    _one_error_line(capsys, str(bad), "KeyError: 'cells'")
+    assert not (tmp_path / "summary.csv").exists()
 
 
 def test_run_null_float_prints_one_error_line(tmp_path, capsys):

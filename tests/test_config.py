@@ -202,7 +202,7 @@ def test_shipped_configs_validate(path):
 
 
 def test_threads_is_not_a_config_key():
-    # the thread cap is a property of the process (--threads), not a config
+    # every run pins one BLAS thread; no config chooses the count
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict(_minimal(threads=2))
 
@@ -225,7 +225,8 @@ VALIDATOR_HOLES = [
     (dict(optimizer={"nesterov": "false"}), "optimizer.nesterov must be true"),
     (dict(ensemble={"partitioning": "no"}), "ensemble.partitioning must be"),
     (dict(ensemble={"include_parent": 1}), "ensemble.include_parent must be"),
-    (dict(deterministic="false"), "deterministic must be true or false"),
+    # every run pins one BLAS thread: there is no run mode to choose
+    (dict(deterministic="false"), r"unknown config keys: \['deterministic'\]"),
     (dict(epochs=20.7), "epochs must be an integer"),
     (dict(batch_size=True), "batch_size must be an integer"),
     (dict(phi=[2.5]), "phi must be an integer"),
@@ -256,6 +257,15 @@ VALIDATOR_HOLES = [
     (dict(seed=-1), "invalid seed: -1"),
     (dict(seeds=[0, -1]), r"seeds must be non-negative, got \[0, -1\]"),
     (dict(blobs={"data_seed": -3}), "blobs.data_seed must be non-negative"),
+    # a repeated value listed one cell several times: it was tuned and its
+    # CSV written once per listing, under one manifest cell
+    (dict(method=["oneshot", "oneshot"], rho=[0.9, 0.9]),
+     r"method must be distinct, got \['oneshot', 'oneshot'\]"),
+    (dict(rho=[0.5, 0.9, 0.5]), r"rho must be distinct, got \[0.5, 0.9, 0.5\]"),
+    (dict(phi=[2, 2.0]), r"phi must be distinct, got \[2, 2\]"),
+    (dict(tau0=[0.5, 0.5]), r"tau0 must be distinct, got \[0.5, 0.5\]"),
+    # the run failed on a TypeError and wrote no manifest
+    (dict(out_dir=None), "out_dir must be a string path"),
 ]
 
 
@@ -268,12 +278,11 @@ def test_validator_rejects(extra, message):
 
 def test_integral_numbers_and_json_booleans_still_accepted():
     cfg = ExperimentConfig.from_dict(_minimal(
-        epochs=20.0, phi=[2.0, 3], deterministic=True,
+        epochs=20.0, phi=[2.0, 3],
         optimizer={"nesterov": False}, ensemble={"partitioning": False},
         lr={"kind": "step", "breakpoints": [[0, 0.1], [2, 0.01]]}))
     assert cfg.epochs == 20 and isinstance(cfg.epochs, int)
     assert cfg.phi == [2, 3]
-    assert cfg.deterministic is True
     assert cfg.optimizer["nesterov"] is False
     assert cfg.ensemble["partitioning"] is False
     assert cfg.lr["breakpoints"] == [[0.0, 0.1], [2.0, 0.01]]

@@ -71,7 +71,6 @@ def _draw(draw: int) -> dict:
         "eval_mask": r.choice(["terminal", "expected"]),
         "dtype": r.choice(["float32", "float64"]),
         "train_subset": r.choice([0, 30]),
-        "deterministic": True,
         "out_dir": "out",
     }
     rhos = [0.0, 0.3, 0.5, 0.8, 0.99]

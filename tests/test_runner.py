@@ -1,6 +1,7 @@
 import importlib
 import json
 import logging
+import os
 import platform
 
 import pytest
@@ -103,8 +104,8 @@ def fake_blas(monkeypatch, threads=4):
 
 
 class TestProcessSettings:
-    """``run`` records the BLAS thread count and the malloc settings it
-    applied in the manifest, never in a CSV."""
+    """``run`` pins the BLAS pool to one thread and records the count and
+    the malloc settings it applied in the manifest, never in a CSV."""
 
     def _manifest(self, cfg):
         path = run(cfg)
@@ -116,36 +117,86 @@ class TestProcessSettings:
         return manifest
 
     def test_deterministic_sets_one_blas_thread(self, tmp_path, monkeypatch):
-        calls = fake_blas(monkeypatch)
-        manifest = self._manifest(_cfg(tmp_path, deterministic=True))
+        """Every run is deterministic: a default run from a four-thread
+        pool sets it to one thread."""
+        calls = fake_blas(monkeypatch, threads=4)
+        manifest = self._manifest(_cfg(tmp_path))
         assert calls == [1]
         assert manifest["blas_threads"] == 1
 
     def test_the_thread_count_is_recorded_as_found(self, tmp_path,
                                                    monkeypatch):
-        calls = fake_blas(monkeypatch, threads=4)
+        """The manifest records the count the pool reports after the
+        setter, not the one asked for: a pool that keeps four threads is
+        recorded as four."""
+        calls = []
+        monkeypatch.setattr(runner, "_blas_thread_functions",
+                            lambda: (calls.append, lambda: 4))
         manifest = self._manifest(_cfg(tmp_path))
-        assert calls == []
+        assert calls == [1]
         assert manifest["blas_threads"] == 4
 
-    def test_no_setter_logs_an_error(self, tmp_path, monkeypatch, caplog):
+    def test_no_setter_logs_one_warning(self, tmp_path, monkeypatch, caplog):
         monkeypatch.setattr(runner, "_blas_thread_functions", lambda: None)
-        with caplog.at_level(logging.ERROR, logger="subanneal.runner"):
-            manifest = self._manifest(_cfg(tmp_path, deterministic=True))
+        with caplog.at_level(logging.WARNING, logger="subanneal.runner"):
+            manifest = self._manifest(_cfg(tmp_path))
         assert manifest["blas_threads"] is None
-        assert [r for r in caplog.records if r.levelno == logging.ERROR
-                and "thread setter" in r.getMessage()]
+        warnings = [r.getMessage() for r in caplog.records
+                    if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert "OPENBLAS_NUM_THREADS=1" in warnings[0]
 
     def test_numpys_openblas_is_found_and_limited(self):
         functions = runner._blas_thread_functions()
         if functions is None:
             pytest.skip("numpy is not linked against OpenBLAS here")
-        before = runner.blas_threads()
+        setter, getter = functions
+        before = getter()
         try:
-            runner.limit_blas_threads(1)
-            assert runner.blas_threads() == 1
+            assert runner.limit_blas_threads() == 1
+            assert getter() == 1
         finally:
-            runner.limit_blas_threads(before)
+            setter(before)
+
+    def test_one_seed_gets_the_bytes_of_two_on_a_two_thread_pool(
+            self, tmp_path):
+        """A one-seed run forks nothing, a two-seed run at two CPUs forks a
+        helper; from a two-thread pool both must train seed 0 on one
+        thread, since a float32 128x784 @ 784x300 GEMM rounds differently
+        on two OpenBLAS threads."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from test_data import make_mnist_dir
+
+        if runner._blas_thread_functions() is None:
+            pytest.skip("numpy is not linked against OpenBLAS here")
+        make_mnist_dir(tmp_path, n_train=256, n_test=128)
+        raw = {"task": "prune-tune", "dataset": "mnist", "model": "mlp",
+               "method": "temperature-anneal", "rho": 0.9, "phi": 1,
+               "parent_epochs": 1, "epochs": 2, "batch_size": 128,
+               "lr": {"kind": "constant", "value": 0.05}}
+        script = (
+            "import json, sys\n"
+            "from subanneal import runner\n"
+            "from subanneal.config import ExperimentConfig\n"
+            "raw = json.loads(sys.argv[1])\n"
+            "for out, seeds in (('one', [0]), ('two', [0, 1])):\n"
+            "    runner._blas_thread_functions()[0](2)\n"
+            "    runner.run(ExperimentConfig.from_dict(\n"
+            "        {**raw, 'seeds': seeds, 'out_dir': out}))\n")
+        src = str(Path(runner.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", script, json.dumps(raw)],
+                       cwd=tmp_path, check=True,
+                       env=dict(os.environ, PYTHONPATH=src,
+                                SUBANNEAL_DATA=str(tmp_path)))
+        files = json.loads((tmp_path / "one" / "manifest.json").read_text()
+                           )["metrics_files"]
+        assert files
+        for rel in files:
+            assert ((tmp_path / "one" / rel).read_bytes()
+                    == (tmp_path / "two" / rel).read_bytes())
 
     @pytest.mark.parametrize("libc", [("glibc", "2.36"), ("", "")],
                              ids=["glibc", "other"])
@@ -192,10 +243,8 @@ class TestPruneTuneTask:
         assert file_a == file_b
 
     def test_deterministic_rerun_bit_identical(self, tmp_path):
-        cfg_a = _cfg(tmp_path, deterministic=True,
-                     out_dir=str(tmp_path / "r1"))
-        cfg_b = _cfg(tmp_path, deterministic=True,
-                     out_dir=str(tmp_path / "r2"))
+        cfg_a = _cfg(tmp_path, out_dir=str(tmp_path / "r1"))
+        cfg_b = _cfg(tmp_path, out_dir=str(tmp_path / "r2"))
         man_a = json.loads(run(cfg_a).read_text())
         man_b = json.loads(run(cfg_b).read_text())
         bytes_a = (tmp_path / "r1" / man_a["metrics_files"][0]).read_bytes()
@@ -397,8 +446,7 @@ class TestEnsembleTask:
         for name in ("r1", "r2"):
             (tmp_path / name).mkdir()
             monkeypatch.chdir(tmp_path / name)  # same relative out_dir
-            cfg = self._ensemble_cfg(tmp_path, deterministic=True,
-                                     out_dir="out")
+            cfg = self._ensemble_cfg(tmp_path, out_dir="out")
             outs.append(run(cfg).parent)
         files = sorted(p.relative_to(outs[0]) for p in outs[0].rglob("*")
                        if p.suffix in (".csv", ".ssam"))

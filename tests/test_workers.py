@@ -49,7 +49,6 @@ BASE = {
     "parent_epochs": 2, "epochs": 3,
     "batch_size": 32,
     "lr": {"kind": "constant", "value": 0.05},
-    "deterministic": True,
     "out_dir": "out",
 }
 
@@ -688,8 +687,7 @@ def test_several_workers_run_one_blas_thread_each(tmp_path, monkeypatch):
     from test_runner import fake_blas
 
     calls = fake_blas(monkeypatch, threads=4)
-    cfg = _cfg(task="ablate", seeds=[0, 1], deterministic=False,
-               out_dir=str(tmp_path / "out"))
+    cfg = _cfg(task="ablate", seeds=[0, 1], out_dir=str(tmp_path / "out"))
     _cpus(monkeypatch, 2)
     manifest = json.loads(run(cfg).read_text())
     assert manifest["workers"] == 2
