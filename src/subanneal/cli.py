@@ -29,7 +29,8 @@ def main(argv=None) -> int:
 
     # imports deferred so --help stays fast
     from .config import ConfigError, ExperimentConfig, read_json
-    from .runner import error_text, run, summarize_dir
+    from .runner import run, summarize_dir
+    from .workers import error_text
 
     if args.command == "summarize":
         try:

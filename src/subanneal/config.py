@@ -12,7 +12,6 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 
 TASKS = ("ablate", "train-parent", "prune-tune", "ensemble", "eval")
 DATASETS = ("synthetic-blobs", "mnist", "cifar10-subset")
@@ -395,7 +394,3 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         return cls.from_dict(read_json(path))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2,
-                                         sort_keys=True) + "\n")

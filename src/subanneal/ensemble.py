@@ -23,7 +23,7 @@ from .annealing import (
 from .data import to_float
 from .metrics import evaluate
 from .nn.layers import Network
-from .pruning import PruneSpec, random_mask
+from .pruning import PruneSpec, check_no_severed_layer, random_mask
 from .training import fit, predict_logits
 
 log = logging.getLogger(__name__)
@@ -55,7 +55,8 @@ def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
     probabilities mirror 1 - P every epoch and whose terminal mask is the
     pair's complement; an odd final member gets its own fresh mask. A
     complement at rho != 0.5 has sparsity 1-rho, which is allowed but worth
-    noticing in the logs.
+    noticing in the logs; a complement that keeps no entry of a layer
+    raises ``SeveredLayerError``.
     """
     spec = PruneSpec("random", rho, granularity)
     for _ in range(i // 2 + 1 if partitioning else i + 1):
@@ -63,6 +64,8 @@ def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
     controller = temperature_controller(mask, tau_cfg)
     if not (partitioning and i % 2 == 1):
         return controller
+    check_no_severed_layer(mask.complement(),
+                           f"the complement mask of member {i}")
     if rho != 0.5:
         log.warning("partitioning with rho=%s: complement member %d has "
                     "sparsity %s", rho, i, 1.0 - rho)

@@ -6,8 +6,10 @@ import numpy as np
 
 from .nn.layers import Conv2d, Dense, Flatten, Network, ReLU
 
+HIDDEN = (300, 100)  # the MLP's hidden widths
 
-def build_mlp(input_shape, num_classes: int, hidden=(300, 100),
+
+def build_mlp(input_shape, num_classes: int, hidden=HIDDEN,
               dtype=np.float64) -> Network:
     """Flatten -> Dense/ReLU stack -> Dense logits."""
     in_features = int(np.prod(input_shape))
@@ -37,16 +39,29 @@ def build_small_conv(input_shape, num_classes: int, dtype=np.float64) -> Network
     return Network(layers, input_shape)
 
 
-def build_model(name: str, input_shape, num_classes: int,
-                rng: np.random.Generator, dtype=np.float64,
-                hidden=(300, 100)) -> Network:
+def _architecture(name: str, input_shape, num_classes: int, dtype,
+                  hidden) -> Network:
+    """Model ``name`` with every parameter zero."""
     if name == "mlp":
-        net = build_mlp(input_shape, num_classes, hidden=hidden, dtype=dtype)
-    elif name == "smallconv":
+        return build_mlp(input_shape, num_classes, hidden=hidden, dtype=dtype)
+    if name == "smallconv":
         if len(input_shape) != 3:
             raise ValueError("smallconv needs (C, H, W) inputs")
-        net = build_small_conv(input_shape, num_classes, dtype=dtype)
-    else:
-        raise ValueError(f"unknown model {name!r}")
+        return build_small_conv(input_shape, num_classes, dtype=dtype)
+    raise ValueError(f"unknown model {name!r}")
+
+
+def build_model(name: str, input_shape, num_classes: int,
+                rng: np.random.Generator, dtype=np.float64,
+                hidden=HIDDEN) -> Network:
+    net = _architecture(name, input_shape, num_classes, dtype, hidden)
     net.init_params(rng)
     return net
+
+
+def weight_shapes(name: str, input_shape, num_classes: int) -> dict:
+    """Each weight layer's shape in ``build_model``'s model ``name``, by
+    parameter name, with no parameter drawn (a run checks its masks'
+    quotas from these before it trains anything)."""
+    return _architecture(name, input_shape, num_classes, np.float32,
+                         HIDDEN).weight_shapes()

@@ -8,6 +8,7 @@ under the same seed, not merely equal in distribution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,29 @@ def _quota(n: int, level: float) -> int:
         raise SeveredLayerError(
             f"sparsity {level} would remove all {n} weights of a layer")
     return q
+
+
+def check_no_severed_layer(mask: MaskSet, what: str) -> None:
+    """Raise ``SeveredLayerError`` if ``mask`` keeps no entry of a layer;
+    ``what`` names the mask in the message."""
+    for name, m in mask.items():
+        if not m.any():
+            raise SeveredLayerError(f"{what} fully severed layer {name!r}")
+
+
+def check_layer_quotas(shapes: dict, levels, complement: bool = False) -> None:
+    """Raise ``SeveredLayerError`` where a layerwise quota at one of
+    ``levels`` would remove every weight of a layer of ``shapes`` (name ->
+    shape), or with ``complement`` remove none, so that the mask's
+    complement keeps none. Shapes alone decide it, so a run can check
+    before any compute."""
+    for level in levels:
+        for name, shape in shapes.items():
+            pruned = _quota(math.prod(shape), level)  # raises if all
+            if complement and pruned == 0:
+                raise SeveredLayerError(
+                    f"sparsity {level} prunes no weight of layer {name!r}, "
+                    f"so the complement mask keeps none")
 
 
 def _active_order(active_idx: np.ndarray, values: np.ndarray | None,
@@ -105,10 +129,7 @@ def prune_increment(current: MaskSet, next_level: float, spec: PruneSpec,
                 [np.asarray(params[name]).reshape(-1) for name in new])
         chosen = _active_order(active, vals, spec.selector, rng, target - have)
         new.flat[chosen] = 0
-        for name, m in new.items():
-            if m.sum() == 0:
-                raise SeveredLayerError(
-                    f"global quota fully severed layer {name!r}")
+        check_no_severed_layer(new, "global quota")
     return new
 
 

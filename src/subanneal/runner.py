@@ -14,16 +14,11 @@ the number of CPUs or workers; wall clock and memory live only in the
 manifest so they never break that contract.
 
 Every task runs as a list of stages (``run_stages``), each a list of units
-of work, and ``run`` drives them all through one loop: ``train-parent`` is
-one stage, "parents"; ``prune-tune``/``ablate`` train each seed's parent
-into the run's parent cache in "parents", then tune one ``(seed, cell)``
-unit each in "cells"; ``ensemble`` runs "parents", "members" and "scores"
-(``ensemble_task``), ``eval`` only "scores". A unit's outputs depend on
-that unit alone and on files earlier stages wrote: a later unit loads its
-seed's parent from the cache file its "parents" unit reported, and draws
-from its own ``substream(seed, ...)`` streams. So ``run`` can hand
-contiguous blocks of a stage's units to forked helper processes
-(``workers.map_units``) and keep what they report in unit order.
+of work, and ``run`` drives them all through one loop. A unit's outputs
+depend on that unit alone and on files earlier stages wrote: a later unit
+loads its seed's parent from the cache file its "parents" unit reported,
+and draws from its own ``substream(seed, ...)`` streams. So any number of
+processes can share a stage's units (``workers.run_stage``).
 """
 
 from __future__ import annotations
@@ -35,14 +30,8 @@ import json
 import logging
 import os
 import platform
-import sys
 import time
 from pathlib import Path
-
-try:
-    import resource
-except ImportError:  # pragma: no cover - not available on Windows
-    resource = None
 
 import numpy as np
 
@@ -65,7 +54,7 @@ from .data import (
 from .ensemble import corrupt, train_parent
 from .masks import MaskSet, load_mask_set, load_weights, save_weights
 from .metrics import evaluate
-from .models import build_model
+from .models import build_model, weight_shapes
 from .nn.optim import make_optimizer
 from .nn.schedules import (
     Constant,
@@ -74,14 +63,24 @@ from .nn.schedules import (
     lr_at,
     parent_stepwise,
 )
-from .pruning import PruneSpec, magnitude_mask, random_mask
+from .pruning import (
+    PruneSpec,
+    check_layer_quotas,
+    magnitude_mask,
+    random_mask,
+)
 from .rng import substream
 from .training import predict_logits
+from .workers import error_text, process_usage, run_stage
 
 log = logging.getLogger(__name__)
 
 METRICS_COLUMNS = ("epoch", "train_loss", "test_acc", "test_nll", "test_ece",
                    "realized_sparsity", "lr", "mean_active_fraction")
+
+# what a manifest cell's metrics are grouped by in a summary
+CELL_KEY = ("method", "selector", "lr_schedule", "rho", "phi", "tau0",
+            "epochs")
 
 SUMMARY_COLUMNS = ("method", "selector", "lr_schedule", "rho", "mean_acc",
                    "std_acc", "mean_nll", "mean_ece", "epochs", "seed_count",
@@ -469,66 +468,20 @@ def _cell_grid(cfg: ExperimentConfig):
     return cells
 
 
-# --- worker processes ------------------------------------------------------------
-
-class WorkerError(RuntimeError):
-    """A unit of work failed in a helper process. The message is the failure
-    as the helper reported it, ``"<type>: <message>"``: what a serial run
-    reports for the same failure (see ``error_text``)."""
-
-
-def error_text(err: BaseException) -> str:
-    """How a run reports ``err``: its type name and message."""
-    if isinstance(err, WorkerError):
-        return str(err)
-    return f"{type(err).__name__}: {err}"
-
-
-def worker_count(cfg: ExperimentConfig, units: int) -> int:
-    """The processes a stage of ``units`` units of work of a run of ``cfg``
-    is shared among: the CPUs this process may run on, at most one per
-    unit and, for ``prune-tune``/``ablate``, at most one per seed (so a
-    one-seed sweep forks nothing); 1 where the platform cannot fork or
-    report its CPUs."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if cfg.task in ("prune-tune", "ablate"):
-        units = min(units, len(cfg.run_seeds()))
-    return min(len(os.sched_getaffinity(0)), units)
-
-
-def process_usage() -> dict:
-    """This process's peak resident memory and CPU time so far, where the
-    platform reports them. The peak is ``VmHWM`` where /proc/self/status
-    has it (Linux carries ``ru_maxrss`` across ``exec``, from the launching
-    process), else ``ru_maxrss`` (KiB on Linux, bytes on macOS)."""
-    if resource is None:
-        return {}
-    usage = resource.getrusage(resource.RUSAGE_SELF)
-    peak = usage.ru_maxrss / (1024.0 if sys.platform == "darwin" else 1.0)
-    try:
-        with open("/proc/self/status") as fh:
-            peak = next(int(line.split()[1]) for line in fh
-                        if line.startswith("VmHWM:"))
-    except (OSError, StopIteration):
-        pass
-    return {"peak_rss_mb": peak / 1024.0,
-            "cpu_s": usage.ru_utime + usage.ru_stime}
-
-
 # --- tasks ---------------------------------------------------------------------
 
 def run(cfg: ExperimentConfig) -> Path:
     """Execute the config; returns the manifest path.
 
-    Every task runs its stages (``run_stages``) in turn, each stage's
-    units shared among ``worker_count(cfg, units)`` processes; the outputs
-    do not depend on how many. As in a serial run, seed by seed, the first
-    seed that fails in any stage fails the run: later stages run only the
-    seeds before it, which finish every stage. A stage's results are kept
-    by unit in ``done[stage][unit]``, which later units read and forked
-    helpers inherit. The manifest's cells and metric files are then
-    written from them (``_write_results``).
+    Every task runs its stages (``run_stages``) in turn, each through
+    ``workers.run_stage``, which shares its units among processes; the
+    outputs do not depend on how many. As in a serial run, seed by seed,
+    the first seed that fails in any stage fails the run: later stages run
+    only the seeds before it, which finish every stage. A stage's results
+    are kept by unit in ``done[stage][unit]``, which later units read and
+    forked helpers inherit. The manifest's cells and metric files are then
+    written from them (``_write_results``). A layerwise quota that severs
+    a layer fails the run before its first stage (``check_quotas``).
 
     The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc),
     and its BLAS pool one thread (``limit_blas_threads``), as every helper's
@@ -546,7 +499,6 @@ def run(cfg: ExperimentConfig) -> Path:
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
         "seeds": cfg.run_seeds(),
-        "status": "running",
         "allocator": allocator,
         "blas_threads": threads,
         "stages": [],
@@ -554,67 +506,61 @@ def run(cfg: ExperimentConfig) -> Path:
         "cells": [],
         "metrics_files": [],
     }
+    seeds, done, error = cfg.run_seeds(), {}, None
     try:
         data = RunData(cfg)
-        seeds, done, error = cfg.run_seeds(), {}, None
+        check_quotas(cfg, data)
         for name, units, work in run_stages(cfg):
             units = [unit for unit in units if _unit_seed(unit) in seeds]
-            done[name], results = {}, []
+            done[name] = {}
             if not units:  # every seed failed in an earlier stage
                 continue
-            count = worker_count(cfg, len(units))
             stage_started = time.perf_counter()
-            work = functools.partial(work, cfg, data, out_dir, done)
-            try:
-                if count == 1:
-                    for unit in units:
-                        results.append(work(unit))
-                else:  # compiled and imported only by a run that forks
-                    from .workers import map_units
-                    map_units(units, work, count, results.append,
-                              manifest["helpers"])
-            except Exception as err:  # before any earlier failed seed
-                error = err
-                failed = _unit_seed(units[len(results)])
-                seeds = seeds[:seeds.index(failed)]
+            results, failure, count = run_stage(
+                cfg, units, functools.partial(work, cfg, data, out_dir, done),
+                manifest["helpers"])
             manifest["stages"].append({
                 "name": name, "workers": count,
                 "wall_s": time.perf_counter() - stage_started})
             done[name] = dict(zip(units, results))
+            if failure is not None:  # keep the seeds before the failed one
+                error, failed = failure, _unit_seed(units[len(results)])
+                seeds = seeds[:seeds.index(failed)]
         manifest["cells"], manifest["metrics_files"] = _write_results(
             cfg, out_dir, done, seeds)
-        if error is not None:
-            raise error
-        if cfg.task == "ablate":
+        if error is None and cfg.task == "ablate":
             rows = summarize_manifests([manifest_path],
                                        manifest_payloads=[manifest],
                                        base_dirs=[out_dir])
             write_summary_csv(out_dir / "summary.csv", rows)
-        manifest["status"] = "ok"
     except Exception as err:
-        manifest["status"] = "failed"
-        manifest["error"] = error_text(err)
-        _finish_manifest(manifest, started)
-        write_json_atomic(manifest_path, manifest)
-        raise
-    _finish_manifest(manifest, started)
-    write_json_atomic(manifest_path, manifest)
-    return manifest_path
-
-
-def _finish_manifest(manifest: dict, started: float) -> None:
-    """Wall clock, ``workers`` (the most processes any stage ran on) and,
-    where the platform reports them, this process's peak resident memory
-    and CPU time so far, plus ``peak_rss_mb_sum``: its peak
-    plus every helper's, an upper bound on the run's resident memory at any
-    moment (pages a helper shares with this process count twice)."""
+        error = err
+    manifest["status"] = "ok" if error is None else "failed"
+    if error is not None:
+        manifest["error"] = error_text(error)
     manifest["wall_clock_s"] = time.perf_counter() - started
     manifest["workers"] = max(
         (stage["workers"] for stage in manifest["stages"]), default=1)
     manifest.update(process_usage())
-    if "peak_rss_mb" in manifest:
+    if "peak_rss_mb" in manifest:  # a bound: shared pages count twice
         manifest["peak_rss_mb_sum"] = manifest["peak_rss_mb"] + sum(
             helper.get("peak_rss_mb", 0.0) for helper in manifest["helpers"])
+    write_json_atomic(manifest_path, manifest)
+    if error is not None:
+        raise error
+    return manifest_path
+
+
+def check_quotas(cfg: ExperimentConfig, data: RunData) -> None:
+    """``check_layer_quotas`` at every rho of a run whose masks are cut to
+    a layerwise quota (random annealing draws none), with a partitioned
+    ensemble's complement masks."""
+    if (cfg.granularity == "layerwise" and cfg.method != ["random-anneal"]
+            and cfg.task not in ("train-parent", "eval")):
+        shapes = weight_shapes(cfg.model, data.input_shape, data.num_classes)
+        ens = cfg.ensemble
+        check_layer_quotas(shapes, cfg.rho, cfg.task == "ensemble"
+                           and ens["partitioning"] and ens["n_members"] > 1)
 
 
 def run_stages(cfg: ExperimentConfig) -> list:
@@ -754,18 +700,14 @@ def summarize_manifests(manifest_paths, manifest_payloads=None,
         for cell in payload["cells"]:
             if cell["method"] in ("parent", "ensemble"):
                 continue
-            key = (cell["method"], cell["selector"], cell["lr_schedule"],
-                   cell["rho"], cell["phi"], cell["tau0"], cell["epochs"])
-            rows = read_metrics_csv(Path(base) / cell["metrics"])
-            final = rows[-1]
-            groups.setdefault(key, []).append(final)
+            key = tuple(cell[name] for name in CELL_KEY)
+            groups.setdefault(key, []).append(
+                _final_metrics(Path(base) / cell["metrics"]))
 
     out = []
     for key, finals in sorted(groups.items()):
         method, selector, lr_schedule, rho, phi, tau0, epochs = key
-        accs = [f["test_acc"] for f in finals]
-        nlls = [f["test_nll"] for f in finals]
-        eces = [f["test_ece"] for f in finals]
+        accs, nlls, eces = zip(*finals)
         out.append({
             "method": method, "selector": selector,
             "lr_schedule": lr_schedule, "rho": rho,
@@ -791,10 +733,22 @@ def _read_manifest(path) -> dict:
     it is not JSON or lacks what a summary reads."""
     try:
         manifest = json.loads(Path(path).read_text())
-        manifest["config"]["dataset"], iter(manifest["cells"])
+        manifest["config"]["dataset"]
+        for cell in manifest["cells"]:
+            [cell[name] for name in (*CELL_KEY, "metrics")]
     except (ValueError, LookupError, TypeError) as err:
         raise ValueError(f"cannot summarize {path}: {error_text(err)}") from err
     return manifest
+
+
+def _final_metrics(path) -> tuple:
+    """(test_acc, test_nll, test_ece) of the metric CSV's last row."""
+    try:
+        final = read_metrics_csv(path)[-1]
+        return tuple(float(final[key])
+                     for key in ("test_acc", "test_nll", "test_ece"))
+    except (ValueError, LookupError, TypeError) as err:
+        raise ValueError(f"cannot summarize {path}: {error_text(err)}") from err
 
 
 def write_summary_csv(path, rows) -> None:

@@ -148,6 +148,28 @@ def test_summarize_names_a_manifest_it_cannot_read(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+@pytest.mark.parametrize("broken", ["cell-without-selector", "empty-csv"])
+def test_summarize_names_a_cell_or_csv_it_cannot_read(tmp_path, capsys,
+                                                      broken):
+    config = _write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(config), "--out", str(out)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out / "manifest.json").read_text())
+    cell = manifest["cells"][0]
+    if broken == "empty-csv":  # a header, no row
+        csv = out / cell["metrics"]
+        csv.write_text(csv.read_text().splitlines()[0] + "\n")
+        names = (str(csv), "IndexError")
+    else:
+        del cell["selector"]
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        names = (str(out / "manifest.json"), "KeyError: 'selector'")
+    assert main(["summarize", str(tmp_path)]) == 1
+    _one_error_line(capsys, *names)
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_run_null_float_prints_one_error_line(tmp_path, capsys):
     config = _write_config(tmp_path, rho=None)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1

@@ -100,7 +100,7 @@ def test_eval_task_requires_weights():
 def test_file_roundtrip(tmp_path):
     cfg = ExperimentConfig.from_dict(_minimal(seed=3))
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     again = ExperimentConfig.from_file(path)
     assert again.to_dict() == cfg.to_dict()
 

@@ -14,7 +14,7 @@ from subanneal.ensemble import (
 from subanneal.annealing import FixedMaskController, TemperatureConfig, tune
 from subanneal.metrics import evaluate, softmax
 from subanneal.models import build_mlp
-from subanneal.pruning import PruneSpec, random_mask
+from subanneal.pruning import PruneSpec, SeveredLayerError, random_mask
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant, OneCycle
 from subanneal.rng import substream
@@ -115,6 +115,21 @@ class TestSpawnChildren:
         assert m1.sparsity() == pytest.approx(0.7, abs=0.02)
         assert m2.sparsity() == pytest.approx(0.3, abs=0.02)
         assert any("complement" in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("granularity", ["layerwise", "global"])
+    def test_a_complement_that_keeps_no_weight_of_a_layer_raises(
+            self, granularity):
+        # rho 0.004 prunes at most one of the 36 head weights: layerwise
+        # none, so the complement keeps no head weight; globally one of
+        # 356, so the complement keeps one weight of one layer
+        shapes = _net().weight_shapes()
+        assert shapes["layer5.w"] == (12, 3)
+        first = member_controller(shapes, 0, 0.004, True, _tau(),
+                                  substream(3, "m"), granularity)
+        assert first.mask["layer5.w"].any()
+        with pytest.raises(SeveredLayerError, match="complement"):
+            member_controller(shapes, 1, 0.004, True, _tau(),
+                              substream(3, "m"), granularity)
 
     def test_each_member_replays_the_draws_of_the_members_before_it(self):
         # member i alone gets the mask a single stream gives it in turn

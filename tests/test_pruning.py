@@ -5,6 +5,7 @@ from subanneal.masks import full_mask
 from subanneal.pruning import (
     PruneSpec,
     SeveredLayerError,
+    check_layer_quotas,
     magnitude_mask,
     make_iterative_schedule,
     prune_increment,
@@ -70,6 +71,13 @@ class TestMagnitudeMask:
         ms = magnitude_mask(params, spec)
         np.testing.assert_array_equal(ms["a"], [1, 1])
         np.testing.assert_array_equal(ms["b"], [0, 0, 0, 1])
+
+    def test_a_global_quota_that_severs_a_layer_raises(self):
+        params = {"a": np.array([0.0]), "b": np.arange(1.0, 101.0)}
+        spec = PruneSpec("magnitude", 0.01, granularity="global")
+        with pytest.raises(SeveredLayerError,
+                           match="global quota fully severed layer 'a'"):
+            magnitude_mask(params, spec)
 
     def test_random_sized_instances_match_sort_oracle(self):
         rng = substream(4, "mm")
@@ -179,3 +187,28 @@ def test_spec_validation():
         PruneSpec("random", 0.5, granularity="rowwise")
     with pytest.raises(ValueError):
         make_iterative_schedule(0.5, 0)
+
+
+class TestLayerQuotas:
+    """``check_layer_quotas`` decides from shapes what the masks raise."""
+
+    SHAPES = {"a": (10, 100), "b": (100, 3)}
+
+    def test_quotas_that_keep_every_layer_pass(self):
+        check_layer_quotas(self.SHAPES, [0.0, 0.5, 0.99])
+        check_layer_quotas(self.SHAPES, [0.5, 0.9], complement=True)
+
+    def test_a_quota_that_removes_a_whole_layer_raises(self):
+        with pytest.raises(SeveredLayerError):
+            check_layer_quotas(self.SHAPES, [0.5, 0.999])
+        with pytest.raises(SeveredLayerError):
+            random_mask(self.SHAPES, PruneSpec("random", 0.999),
+                        substream(0, "m"))
+
+    def test_a_quota_that_removes_nothing_severs_the_complement(self):
+        check_layer_quotas(self.SHAPES, [0.001])
+        with pytest.raises(SeveredLayerError, match="'b'.*complement"):
+            check_layer_quotas(self.SHAPES, [0.001], complement=True)
+        mask = random_mask(self.SHAPES, PruneSpec("random", 0.001),
+                           substream(0, "m"))
+        assert not mask.complement()["b"].any()

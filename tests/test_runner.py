@@ -8,6 +8,7 @@ import pytest
 
 from subanneal import runner
 from subanneal.config import ExperimentConfig
+from subanneal.pruning import SeveredLayerError
 from subanneal.runner import (
     read_metrics_csv,
     run,
@@ -296,6 +297,36 @@ class TestPruneTuneTask:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert "error" in manifest
+
+    @pytest.mark.parametrize("extra", [
+        # the 300-weight head at rho 0.999 keeps none
+        {"task": "ablate", "seeds": [0, 1], "rho": [0.5, 0.999],
+         "method": ["oneshot", "random-anneal"]},
+        # rho 0.001 prunes none of the head, so member 1 keeps none of it
+        {"task": "ensemble", "rho": 0.001,
+         "ensemble": {"n_members": 2, "partitioning": True,
+                      "corruption_severities": [1]}},
+    ], ids=["ablate", "partitioned-ensemble"])
+    def test_a_quota_that_severs_a_layer_fails_before_any_compute(
+            self, tmp_path, extra):
+        with pytest.raises(SeveredLayerError):
+            run(_cfg(tmp_path, **extra))
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("SeveredLayerError: ")
+        assert manifest["stages"] == [] and manifest["cells"] == []
+        assert not (out / "parents").exists()
+
+
+@pytest.mark.parametrize("model,shape", [("mlp", (8,)),
+                                         ("smallconv", (3, 8, 8))])
+def test_the_shapes_the_quotas_are_checked_on_are_the_models(model, shape):
+    from subanneal.models import build_model, weight_shapes
+    from subanneal.rng import substream
+
+    net = build_model(model, shape, 3, substream(0, "init"))
+    assert weight_shapes(model, shape, 3) == net.weight_shapes()
 
 
 class TestAblateTask:

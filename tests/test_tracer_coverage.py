@@ -9,6 +9,7 @@ them, in a fresh process with the tracer installed as the benchmark does.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,7 @@ def test_a_traced_blobs_sweep_calls_every_span_the_benchmark_needs(tmp_path):
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(ROOT / "perfbench"),
          str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True, text=True, check=True)
     out = json.loads(done.stdout.strip().splitlines()[-1])
     counts = out["counts"]

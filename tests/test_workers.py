@@ -24,14 +24,8 @@ from subanneal import ensemble_task, runner
 from subanneal.cli import main
 from subanneal.config import ExperimentConfig
 from subanneal.masks import MaskSet, load_weights, save_mask_set
-from subanneal.runner import (
-    WorkerError,
-    error_text,
-    run,
-    run_stages,
-    worker_count,
-)
-from subanneal.workers import unit_blocks
+from subanneal.runner import run, run_stages
+from subanneal.workers import WorkerError, error_text, unit_blocks, worker_count
 
 from members import members_through
 
@@ -534,8 +528,7 @@ run(ExperimentConfig.from_dict({{**base, "out_dir": "b", "task": "ablate",
                                  "seeds": [0, 1, 2]}}))
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[0] == "multiprocessing"
-                        or m in ("subanneal.workers",
-                                 "subanneal.ensemble_task"))))
+                        or m == "subanneal.ensemble_task")))
 """
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=str(SRC)),
