@@ -16,7 +16,7 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="execute one experiment config")
     run_p.add_argument("config", help="path to the experiment JSON")
     run_p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="run the one seed N instead of the config's seeds")
     run_p.add_argument("--out", default=None, help="override the output dir")
 
     sum_p = sub.add_parser("summarize",
@@ -45,7 +45,8 @@ def main(argv=None) -> int:
         raw = read_json(args.config)
         if isinstance(raw, dict):  # flags override it, then both are checked
             if args.seed is not None:
-                raw.update(seed=args.seed, seeds=None)
+                raw.pop("seed", None)
+                raw["seeds"] = [args.seed]
             if args.out is not None:
                 raw["out_dir"] = args.out
         cfg = ExperimentConfig.from_dict(raw)

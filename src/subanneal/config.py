@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field, fields
 
-TASKS = ("ablate", "train-parent", "prune-tune", "ensemble", "eval")
+TASKS = ("ablate", "train-parent", "ensemble", "eval")
 DATASETS = ("synthetic-blobs", "mnist", "cifar10-subset")
 MODELS = ("mlp", "smallconv")
 METHODS = ("oneshot", "iterative", "random-anneal", "temperature-anneal")
@@ -242,9 +242,7 @@ class ExperimentConfig:
         "kind": "parent-stepwise", "hi": 0.1, "lo": 0.001})
     optimizer: dict = field(default_factory=lambda: _check_optimizer({}))
     batch_size: int = 128
-    seed: int = 0
-    seeds: list | None = None
-    repeats: int = 1
+    seeds: list = field(default_factory=lambda: [0])
     out_dir: str = "runs"
     train_subset: int = 0
     test_subset: int = 0
@@ -257,12 +255,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """The config ``raw`` describes. Two input spellings are read into
+        the one form: task ``prune-tune`` is ``ablate``, and ``seed: s``
+        is ``seeds: [s]``."""
         _require(isinstance(raw, dict), "config must be a JSON object")
-        _check_keys(raw, [f.name for f in fields(cls)], "config")
+        _check_keys(raw, ["seed", *(f.name for f in fields(cls))], "config")
         _require("task" in raw, "config requires a 'task'")
         raw = dict(raw)
+        if "seed" in raw:
+            _require("seeds" not in raw, "give seed or seeds, not both")
+            raw["seeds"] = [raw.pop("seed")]
 
         task = raw.pop("task")
+        if task == "prune-tune":
+            task = "ablate"
         _require(task in TASKS, f"task must be one of {TASKS}")
         cfg = cls(task=task)
         had_train_subset = "train_subset" in raw
@@ -285,34 +291,29 @@ class ExperimentConfig:
                      f"anneal_decay must be one of {DECAYS} or null")
             cfg.anneal_decay = value
 
-        if "method" in raw:
-            methods = _as_list(raw.pop("method"))
-            _require(methods and all(m in METHODS for m in methods),
-                     f"method values must come from {METHODS}")
-            cfg.method = methods
-        if "rho" in raw:
-            cfg.rho = [_as_float(r, "rho") for r in _as_list(raw.pop("rho"))]
-            _require(cfg.rho and all(0.0 <= r < 1.0 for r in cfg.rho),
-                     "rho needs at least one value, each in [0, 1)")
-        if "phi" in raw:
-            cfg.phi = [_as_int(p, "phi") for p in _as_list(raw.pop("phi"))]
-            _require(cfg.phi and all(p >= 0 for p in cfg.phi),
-                     "phi needs at least one value, each >= 0")
-        if "tau0" in raw:
-            cfg.tau0 = [_as_float(t, "tau0")
-                        for t in _as_list(raw.pop("tau0"))]
-            _require(cfg.tau0 and all(0.0 <= t <= 1.0 for t in cfg.tau0),
-                     "tau0 needs at least one value, each in [0, 1]")
-        # a value names cells: twice would tune and write each of them twice
-        for key in ("method", "rho", "phi", "tau0"):
+        # list fields: each value's parser, its check, and what that asks
+        for key, parse, check, rule in (
+                ("method", lambda v, _: v, METHODS.__contains__,
+                 f"one of {METHODS}"),
+                ("rho", _as_float, lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                ("phi", _as_int, lambda v: v >= 0, ">= 0"),
+                ("tau0", _as_float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+                # np.random.SeedSequence needs v >= 0
+                ("seeds", _as_int, lambda v: v >= 0, ">= 0")):
+            if key in raw:
+                values = [parse(v, key) for v in _as_list(raw.pop(key))]
+                _require(values and all(map(check, values)),
+                         f"{key} needs at least one value, each {rule}, "
+                         f"got {values}")
+                setattr(cfg, key, values)
+            # a value names cells, a seed its files and parent: twice would
+            # tune and write them twice, and average a seed with itself
             _require_distinct(getattr(cfg, key), key)
 
         for key, check in (
                 ("parent_epochs", lambda v: v >= 0),
                 ("epochs", lambda v: v >= 0),
                 ("batch_size", lambda v: v >= 1),
-                ("seed", lambda v: v >= 0),  # SeedSequence needs v >= 0
-                ("repeats", lambda v: v >= 1),
                 ("train_subset", lambda v: v >= 0),
                 ("test_subset", lambda v: v >= 0)):
             if key in raw:
@@ -320,17 +321,6 @@ class ExperimentConfig:
                 _require(check(value), f"invalid {key}: {value}")
                 setattr(cfg, key, value)
 
-        if "seeds" in raw:
-            seeds = raw.pop("seeds")
-            if seeds is not None:
-                seeds = [_as_int(s, "seeds") for s in _as_list(seeds)]
-                _require(len(seeds) >= 1, "seeds must be nonempty when given")
-                _require(min(seeds) >= 0,
-                         f"seeds must be non-negative, got {seeds}")
-                # a seed names its files and parent cache entry: twice would
-                # write them twice, and average a seed with itself
-                _require_distinct(seeds, "seeds")
-            cfg.seeds = seeds
         for key in ("bimodal_mu1", "bimodal_sigma1", "bimodal_mu2",
                     "bimodal_sigma2"):
             if key in raw:
@@ -363,20 +353,19 @@ class ExperimentConfig:
         _require(not raw, f"unconsumed config keys: {sorted(raw)}")
         if cfg.task == "eval":
             _require(cfg.weights is not None, "eval task requires 'weights'")
-            _require(len(cfg.run_seeds()) == 1,
-                     f"eval task takes one seed, got {cfg.run_seeds()}")
+            _require(len(cfg.seeds) == 1,
+                     f"eval task takes one seed, got {cfg.seeds}")
+        else:  # no other task reads them
+            for key in ("weights", "mask"):
+                _require(getattr(cfg, key) is None,
+                         f"{key} is read only by the eval task")
         if cfg.task == "ensemble":
             _check_ensemble_task(cfg)
-        if cfg.task in ("prune-tune", "ablate", "ensemble"):
+        if cfg.task in ("ablate", "ensemble"):
             _require(cfg.epochs >= 1,  # results are the last epoch's rows
                      f"{cfg.task} task needs epochs >= 1, got {cfg.epochs}")
             _check_phi_within_epochs(cfg)
         return cfg
-
-    def run_seeds(self) -> list:
-        if self.seeds is not None:
-            return list(self.seeds)
-        return [self.seed + i for i in range(self.repeats)]
 
     def decay_for(self, method: str) -> str:
         if self.anneal_decay is not None:

@@ -55,7 +55,7 @@ def tune_one_member(cfg, data, out_dir, done, unit):
     (schedule, optimizer) pair and its own shuffle and Bernoulli streams,
     so members can be tuned in any order or process."""
     seed, i = unit
-    net = load_net(cfg, data, seed, out_dir / done["parents"][seed])
+    net = load_net(cfg, data, out_dir / done["parents"][seed])
     tau_cfg = TemperatureConfig(tau0=cfg.tau0[0], variant=cfg.variant,
                                 decay=cfg.decay_for("temperature-anneal"),
                                 anneal_epochs=cfg.phi[0])
@@ -93,7 +93,7 @@ def score_one_set(cfg, data, out_dir, done, unit):
     their weights files, and their ensemble on one set: the clean test
     set, or the test set corrupted at one severity. The cached parent
     joins the average under ``include_parent``. Returns (member records,
-    ensemble record) as dicts; clean member records carry their mask's
+    ensemble record) as dicts; every member record carries its mask's
     sparsity. Raises ``DivergenceError`` when every member diverged."""
     seed, which = unit
     survivors = [i for i, failure in enumerate(_outcomes(cfg, done, seed))
@@ -101,16 +101,15 @@ def score_one_set(cfg, data, out_dir, done, unit):
     if not survivors:
         raise DivergenceError("every ensemble member diverged")
     seed_dir = out_dir / f"seed-{seed}"
-    nets = [load_net(cfg, data, seed, seed_dir / f"member-{i}.weights.ssam")
+    nets = [load_net(cfg, data, seed_dir / f"member-{i}.weights.ssam")
             for i in survivors]
-    extra = (load_net(cfg, data, seed, out_dir / done["parents"][seed])
+    extra = (load_net(cfg, data, out_dir / done["parents"][seed])
              if cfg.ensemble["include_parent"] else None)
     records, ensemble_record = score_ensemble(
         nets, extra, data.test_inputs(which, seed), data.y_test)
-    if which == "clean":
-        for rec, i in zip(records, survivors):
-            rec.realized_sparsity = load_mask_set(
-                seed_dir / f"member-{i}.mask.ssam").sparsity()
+    for rec, i in zip(records, survivors):
+        rec.realized_sparsity = load_mask_set(
+            seed_dir / f"member-{i}.mask.ssam").sparsity()
     return [rec.to_dict() for rec in records], ensemble_record.to_dict()
 
 

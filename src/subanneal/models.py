@@ -39,9 +39,10 @@ def build_small_conv(input_shape, num_classes: int, dtype=np.float64) -> Network
     return Network(layers, input_shape)
 
 
-def _architecture(name: str, input_shape, num_classes: int, dtype,
-                  hidden) -> Network:
-    """Model ``name`` with every parameter zero."""
+def architecture(name: str, input_shape, num_classes: int,
+                 dtype=np.float64, hidden=HIDDEN) -> Network:
+    """Model ``name`` with every parameter zero: no random draw, for a
+    network whose parameters are all set afterwards."""
     if name == "mlp":
         return build_mlp(input_shape, num_classes, hidden=hidden, dtype=dtype)
     if name == "smallconv":
@@ -54,14 +55,7 @@ def _architecture(name: str, input_shape, num_classes: int, dtype,
 def build_model(name: str, input_shape, num_classes: int,
                 rng: np.random.Generator, dtype=np.float64,
                 hidden=HIDDEN) -> Network:
-    net = _architecture(name, input_shape, num_classes, dtype, hidden)
+    net = architecture(name, input_shape, num_classes, dtype, hidden)
     net.init_params(rng)
     return net
 
-
-def weight_shapes(name: str, input_shape, num_classes: int) -> dict:
-    """Each weight layer's shape in ``build_model``'s model ``name``, by
-    parameter name, with no parameter drawn (a run checks its masks'
-    quotas from these before it trains anything)."""
-    return _architecture(name, input_shape, num_classes, np.float32,
-                         HIDDEN).weight_shapes()

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import itertools
 import json
 import logging
 import os
@@ -54,7 +55,7 @@ from .data import (
 from .ensemble import corrupt, train_parent
 from .masks import MaskSet, load_mask_set, load_weights, save_weights
 from .metrics import evaluate
-from .models import build_model, weight_shapes
+from .models import architecture, build_model
 from .nn.optim import make_optimizer
 from .nn.schedules import (
     Constant,
@@ -66,6 +67,7 @@ from .nn.schedules import (
 from .pruning import (
     PruneSpec,
     check_layer_quotas,
+    check_no_severed_layer,
     magnitude_mask,
     random_mask,
 )
@@ -286,11 +288,6 @@ def _dtype(cfg: ExperimentConfig):
     return np.float64 if cfg.dtype == "float64" else np.float32
 
 
-def build_net(cfg: ExperimentConfig, data: RunData, seed: int):
-    return build_model(cfg.model, data.input_shape, data.num_classes,
-                       substream(seed, "init"), dtype=_dtype(cfg))
-
-
 def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
                    n_train: int):
     """The schedule an ``lr``/``parent_lr`` entry describes for ``epochs`` of
@@ -365,9 +362,11 @@ def load_params(net, path) -> None:
         net.set_param(name, value)
 
 
-def load_net(cfg: ExperimentConfig, data: RunData, seed: int, path):
-    """``cfg``'s network with the parameters of the weights file ``path``."""
-    net = build_net(cfg, data, seed)
+def load_net(cfg: ExperimentConfig, data: RunData, path):
+    """``cfg``'s network with the parameters of the weights file ``path``,
+    built with no initial draw, since every parameter is then set."""
+    net = architecture(cfg.model, data.input_shape, data.num_classes,
+                       _dtype(cfg))
     load_params(net, path)
     return net
 
@@ -376,7 +375,8 @@ def trained_parent(cfg: ExperimentConfig, data: RunData, seed: int, path,
                    eval_data=None) -> list:
     """``seed``'s parent, trained and its weights written to ``path``;
     returns its per-epoch rows, each scored on ``eval_data`` if given."""
-    net = build_net(cfg, data, seed)
+    net = build_model(cfg.model, data.input_shape, data.num_classes,
+                      substream(seed, "init"), dtype=_dtype(cfg))
     schedule, optimizer = build_training(cfg, cfg.parent_lr,
                                          cfg.parent_epochs, len(data.y_train))
     rows = train_parent(net, (data.x_train, data.y_train),
@@ -480,7 +480,8 @@ def run(cfg: ExperimentConfig) -> Path:
     only the seeds before it, which finish every stage. A stage's results
     are kept by unit in ``done[stage][unit]``, which later units read and
     forked helpers inherit. The manifest's cells and metric files are then
-    written from them (``_write_results``). A layerwise quota that severs
+    written from them (``_write_results``), and every sweep's
+    ``summary.csv``. A mask that the shapes and seeds alone show to sever
     a layer fails the run before its first stage (``check_quotas``).
 
     The process's malloc keeps ``MALLOC_SETTINGS`` afterwards (on glibc),
@@ -498,7 +499,7 @@ def run(cfg: ExperimentConfig) -> Path:
         "version": __version__,
         "config": cfg.to_dict(),
         "config_hash": cfg.config_hash(),
-        "seeds": cfg.run_seeds(),
+        "seeds": cfg.seeds,
         "allocator": allocator,
         "blas_threads": threads,
         "stages": [],
@@ -506,7 +507,7 @@ def run(cfg: ExperimentConfig) -> Path:
         "cells": [],
         "metrics_files": [],
     }
-    seeds, done, error = cfg.run_seeds(), {}, None
+    seeds, done, error = cfg.seeds, {}, None
     try:
         data = RunData(cfg)
         check_quotas(cfg, data)
@@ -552,15 +553,26 @@ def run(cfg: ExperimentConfig) -> Path:
 
 
 def check_quotas(cfg: ExperimentConfig, data: RunData) -> None:
-    """``check_layer_quotas`` at every rho of a run whose masks are cut to
-    a layerwise quota (random annealing draws none), with a partitioned
-    ensemble's complement masks."""
-    if (cfg.granularity == "layerwise" and cfg.method != ["random-anneal"]
-            and cfg.task not in ("train-parent", "eval")):
-        shapes = weight_shapes(cfg.model, data.input_shape, data.num_classes)
+    """Raise ``SeveredLayerError`` before any compute where a mask of the
+    run would keep no weight of a layer: ``check_layer_quotas`` at every
+    rho of a run whose masks are cut to a layerwise quota, with a
+    partitioned ensemble's complement masks, and random annealing's
+    terminal mask, which needs no weight: each seed's and rho's is drawn
+    as its cell draws it (``make_controller``), here on a zero network."""
+    if cfg.task in ("train-parent", "eval"):
+        return
+    net = architecture(cfg.model, data.input_shape, data.num_classes,
+                       np.float32)
+    if cfg.granularity == "layerwise" and cfg.method != ["random-anneal"]:
         ens = cfg.ensemble
-        check_layer_quotas(shapes, cfg.rho, cfg.task == "ensemble"
-                           and ens["partitioning"] and ens["n_members"] > 1)
+        complement = (cfg.task == "ensemble" and ens["partitioning"]
+                      and ens["n_members"] > 1)
+        check_layer_quotas(net.weight_shapes(), cfg.rho, complement)
+    if "random-anneal" in cfg.method:
+        for seed, rho in itertools.product(cfg.seeds, cfg.rho):
+            check_no_severed_layer(make_controller(
+                "random-anneal", cfg, net, seed, rho, cfg.phi[0], 0.0).mask,
+                f"random-anneal's terminal mask at rho {rho}, seed {seed},")
 
 
 def run_stages(cfg: ExperimentConfig) -> list:
@@ -569,7 +581,7 @@ def run_stages(cfg: ExperimentConfig) -> list:
     ``work(cfg, data, out_dir, done, unit)`` does one unit (``done`` as
     ``run`` keeps it) and returns its result.
 
-    - ``prune-tune``/``ablate``: "parents", one unit per seed
+    - ``ablate``: "parents", one unit per seed
       (``get_parent``); "cells", a ``(seed, method, rho, phi, tau0)``
       unit for every seed and, within it, every cell in ``_cell_grid``
       order (``_sweep_cell``);
@@ -580,7 +592,7 @@ def run_stages(cfg: ExperimentConfig) -> list:
       each corruption severity (``ensemble_task``);
     - ``eval``: "scores", as for ``ensemble`` (``_score_weights``).
     """
-    seeds = cfg.run_seeds()
+    seeds = cfg.seeds
     sets = [(seed, which) for seed in seeds
             for which in ("clean", *cfg.ensemble["corruption_severities"])]
     if cfg.task == "eval":
@@ -626,7 +638,7 @@ def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
     """Stage "cells": one ``(seed, method, rho, phi, tau0)`` cell tuned
     from the seed's cached parent; returns its manifest cell."""
     seed, method, rho, phi, tau0 = unit
-    net = load_net(cfg, data, seed, out_dir / done["parents"][seed])
+    net = load_net(cfg, data, out_dir / done["parents"][seed])
     rows = run_cell(cfg, data, net, seed, method, rho, phi, tau0)
     slug = _cell_slug(method, rho, phi, tau0)
     csv_path = out_dir / "metrics" / f"{slug}-s{seed}.csv"
@@ -645,7 +657,7 @@ def _score_weights(cfg, data, out_dir, done, unit) -> dict:
     given, scored on one ``(seed, set)`` set (``RunData.test_inputs``);
     the record reports the mask's sparsity."""
     seed, which = unit
-    net = load_net(cfg, data, seed, cfg.weights)
+    net = load_net(cfg, data, cfg.weights)
     mask = None
     if cfg.mask:
         mask = load_mask_set(cfg.mask)
@@ -680,10 +692,10 @@ def _write_results(cfg, out_dir, done, seeds) -> tuple:
 
 def summarize_manifests(manifest_paths, manifest_payloads=None,
                         base_dirs=None) -> list:
-    """Aggregate final-epoch metrics per cell across repeats.
+    """Aggregate final-epoch metrics per cell across seeds.
 
     Accuracy std is the sample standard deviation (n-1), zero for a single
-    repeat. The best mean accuracy within each (method, selector,
+    seed. The best mean accuracy within each (method, selector,
     lr_schedule, rho) group gets best_in_method = 1, so the best-over-
     hyperparameters reading of the table stays recoverable.
     """

@@ -60,13 +60,13 @@ def process_usage() -> dict:
 def worker_count(cfg, units: int) -> int:
     """The processes a stage of ``units`` units of work of a run of ``cfg``
     is shared among: the CPUs this process may run on, at most one per
-    unit and, for ``prune-tune``/``ablate``, at most one per seed (so a
-    one-seed sweep forks nothing); 1 where the platform cannot fork or
-    report its CPUs."""
+    unit and, for an ``ablate`` sweep, at most one per seed (so a one-seed
+    sweep forks nothing); 1 where the platform cannot fork or report its
+    CPUs."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
-    if cfg.task in ("prune-tune", "ablate"):
-        units = min(units, len(cfg.run_seeds()))
+    if cfg.task == "ablate":
+        units = min(units, len(cfg.seeds))
     return min(len(os.sched_getaffinity(0)), units)
 
 

@@ -6,7 +6,7 @@ import pytest
 from subanneal.cli import main
 
 BASE = {
-    "task": "prune-tune",
+    "task": "ablate",
     "dataset": "synthetic-blobs",
     "blobs": {"n": 120, "d": 8, "k": 3, "separation": 4.0, "data_seed": 0},
     "method": "oneshot",
@@ -38,12 +38,15 @@ def test_run_subcommand_end_to_end(tmp_path, capsys):
 
 
 def test_run_flag_overrides_beat_file_values(tmp_path):
-    config = _write_config(tmp_path, seed=1, out_dir=str(tmp_path / "ignored"))
-    code = main(["run", str(config), "--out", str(tmp_path / "flag"),
-                 "--seed", "9"])
-    assert code == 0
-    manifest = json.loads((tmp_path / "flag" / "manifest.json").read_text())
-    assert manifest["seeds"] == [9]
+    # --seed N runs the one seed N, whichever spelling the file uses
+    for i, seeds in enumerate(({"seeds": [1, 2]}, {"seed": 1})):
+        config = _write_config(tmp_path, **seeds,
+                               out_dir=str(tmp_path / "ignored"))
+        out = tmp_path / f"flag{i}"
+        assert main(["run", str(config), "--out", str(out),
+                     "--seed", "9"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seeds"] == manifest["config"]["seeds"] == [9]
     assert not (tmp_path / "ignored").exists()
 
 
@@ -64,13 +67,14 @@ def test_a_negative_seed_flag_is_rejected_before_the_run(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", str(config), "--out", str(tmp_path / "out"),
                  "--seed", "-4"]) == 1
-    assert "invalid seed: -4" in capsys.readouterr().err
+    assert "seeds needs at least one value, each >= 0, got [-4]" in (
+        capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
 def test_run_invalid_config_exits_nonzero(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"task": "prune-tune", "bogus": 1}))
+    path.write_text(json.dumps({"task": "ablate", "bogus": 1}))
     assert main(["run", str(path)]) == 1
     assert "error" in capsys.readouterr().err
 
@@ -102,13 +106,19 @@ def test_summarize_missing_dir_exits_nonzero(tmp_path, capsys):
     {"blobs": []},
     {"optimizer": {"nesterov": "false"}},
     {"epochs": 20.7},
+    # a run names its seeds in one list; `seed: s` is read as `seeds: [s]`
+    {"seed": 1, "seeds": [1, 2]},
+    {"repeats": 3},
+    {"seeds": None},
 ], ids=["empty-rho", "empty-phi", "unsorted-steps", "not-a-pair",
-        "blobs-not-object", "string-bool", "fractional-int"])
+        "blobs-not-object", "string-bool", "fractional-int",
+        "seed-and-seeds", "repeats", "null-seeds"])
 def test_run_rejected_config_prints_one_error_line(tmp_path, capsys, extra):
     config = _write_config(tmp_path, **extra)
     assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
     assert not (tmp_path / "out").exists()  # rejected before any compute
 
 
@@ -185,7 +195,9 @@ def test_zero_parent_epochs_keep_the_initial_parent(tmp_path, task):
     parent it writes is its initialisation."""
     from subanneal.config import ExperimentConfig
     from subanneal.masks import load_weights
-    from subanneal.runner import RunData, build_net
+    from subanneal.models import build_model
+    from subanneal.rng import substream
+    from subanneal.runner import RunData
 
     out = tmp_path / "out"
     config = _write_config(tmp_path, task=task, parent_epochs=0, seed=3)
@@ -195,7 +207,9 @@ def test_zero_parent_epochs_keep_the_initial_parent(tmp_path, task):
     else:
         (path,) = out.glob("parents/*.ssam")
     cfg = ExperimentConfig.from_dict(json.loads(config.read_text()))
-    init = build_net(cfg, RunData(cfg), 3).params()
+    data = RunData(cfg)
+    init = build_model(cfg.model, data.input_shape, data.num_classes,
+                       substream(3, "init"), dtype=data.dtype).params()
     saved = load_weights(path)
     assert sorted(saved) == sorted(init)
     for name, value in init.items():

@@ -3,11 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from subanneal.config import ConfigError, ExperimentConfig
+from subanneal.config import ConfigError, ExperimentConfig, read_json
 
 
 def _minimal(**extra):
-    raw = {"task": "prune-tune"}
+    raw = {"task": "ablate"}
     raw.update(extra)
     return raw
 
@@ -15,7 +15,7 @@ def _minimal(**extra):
 def test_roundtrip_is_identity():
     cfg = ExperimentConfig.from_dict(_minimal(
         dataset="synthetic-blobs", method=["oneshot", "temperature-anneal"],
-        rho=[0.5, 0.9], phi=3, tau0=0.5, epochs=4, seed=7, repeats=2))
+        rho=[0.5, 0.9], phi=3, tau0=0.5, epochs=4, seeds=[7, 8]))
     again = ExperimentConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert again.config_hash() == cfg.config_hash()
@@ -40,7 +40,7 @@ def test_enums_validated():
     for bad in (dict(task="explode"), dict(dataset="imagenet"),
                 dict(model="resnet"), dict(method="grasp"),
                 dict(selector="fisher"), dict(eval_mask="bernoulli")):
-        raw = {"task": "prune-tune"}
+        raw = {"task": "ablate"}
         raw.update(bad)
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(raw)
@@ -67,11 +67,23 @@ def test_scalars_promote_to_lists():
     assert cfg.tau0 == [0.4]
 
 
-def test_run_seeds_explicit_list_beats_repeats():
-    cfg = ExperimentConfig.from_dict(_minimal(seeds=[1, 2, 3], repeats=7))
-    assert cfg.run_seeds() == [1, 2, 3]
-    cfg2 = ExperimentConfig.from_dict(_minimal(seed=10, repeats=3))
-    assert cfg2.run_seeds() == [10, 11, 12]
+def test_a_run_has_one_seed_list():
+    assert ExperimentConfig.from_dict(_minimal()).seeds == [0]
+    cfg = ExperimentConfig.from_dict(_minimal(seeds=[1, 2, 3]))
+    assert cfg.seeds == [1, 2, 3]
+    assert "seed" not in cfg.to_dict() and "repeats" not in cfg.to_dict()
+    with pytest.raises(ConfigError, match="seeds needs at least one value"):
+        ExperimentConfig.from_dict(_minimal(seeds=[]))
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_the_input_spellings_are_read_into_the_one_form(seed):
+    # `prune-tune` is the sweep task `ablate`, and `seed: s` is `seeds: [s]`
+    old = ExperimentConfig.from_dict({"task": "prune-tune", "seed": seed})
+    new = ExperimentConfig.from_dict({"task": "ablate", "seeds": [seed]})
+    assert (old.task, old.seeds) == ("ablate", [seed])
+    assert old.to_dict() == new.to_dict()
+    assert old.config_hash() == new.config_hash()
 
 
 def test_decay_defaults_follow_method():
@@ -197,8 +209,13 @@ def test_sweep_phi_bound_spares_oneshot():
     (Path(__file__).resolve().parents[1] / "configs").glob("*.json")),
     ids=lambda p: p.name)
 def test_shipped_configs_validate(path):
-    cfg = ExperimentConfig.from_file(path)
-    assert cfg.task
+    raw = read_json(path)
+    cfg = ExperimentConfig.from_dict(raw)
+    # the examples use the one form: no input-only spelling (`seed`,
+    # task `prune-tune`), every key one that `to_dict` writes back
+    extra = set(raw) - set(cfg.to_dict())
+    assert not extra, sorted(extra)
+    assert raw["task"] == cfg.task
 
 
 def test_threads_is_not_a_config_key():
@@ -238,7 +255,8 @@ VALIDATOR_HOLES = [
     # header-only metric CSVs, then an IndexError in summarize_manifests
     (dict(task="ablate", method="oneshot", epochs=0),
      "ablate task needs epochs >= 1"),
-    (dict(method="oneshot", epochs=0), "prune-tune task needs epochs >= 1"),
+    (dict(task="prune-tune", method="oneshot", epochs=0),
+     "ablate task needs epochs >= 1"),
     (dict(task="ensemble", epochs=0, phi=0),
      "ensemble task needs epochs >= 1"),
     # a repeated severity was scored twice, the second result overwriting
@@ -251,11 +269,12 @@ VALIDATOR_HOLES = [
     # eval scored once, with seed 0's corruption noise, whatever the seeds
     (dict(task="eval", weights="w.ssam", seeds=[3, 4]),
      r"eval task takes one seed, got \[3, 4\]"),
+    # `repeats` no longer names seeds: a run has one seed list
     (dict(task="eval", weights="w.ssam", seed=5, repeats=2),
-     r"eval task takes one seed, got \[5, 6\]"),
+     r"unknown config keys: \['repeats'\]"),
     # np.random.SeedSequence raised ValueError once the run had started
-    (dict(seed=-1), "invalid seed: -1"),
-    (dict(seeds=[0, -1]), r"seeds must be non-negative, got \[0, -1\]"),
+    (dict(seed=-1), r"seeds needs at least one value, each >= 0, got \[-1\]"),
+    (dict(seeds=[0, -1]), r"each >= 0, got \[0, -1\]"),
     (dict(blobs={"data_seed": -3}), "blobs.data_seed must be non-negative"),
     # a repeated value listed one cell several times: it was tuned and its
     # CSV written once per listing, under one manifest cell
@@ -266,6 +285,15 @@ VALIDATOR_HOLES = [
     (dict(tau0=[0.5, 0.5]), r"tau0 must be distinct, got \[0.5, 0.5\]"),
     # the run failed on a TypeError and wrote no manifest
     (dict(out_dir=None), "out_dir must be a string path"),
+    # `seeds` silently overrode `seed`, and null fell back to `seed`
+    (dict(seed=5, seeds=[0, 1]), "give seed or seeds, not both"),
+    (dict(seeds=None), "seeds must be an integer, got None"),
+    # only eval loads weights and a mask; every other task ignored them
+    (dict(weights="nope.ssam"), "weights is read only by the eval task"),
+    (dict(task="train-parent", mask="m.ssam"),
+     "mask is read only by the eval task"),
+    (dict(task="ensemble", weights="w.ssam"),
+     "weights is read only by the eval task"),
 ]
 
 

@@ -10,8 +10,8 @@ manifest's status, error, cells and metric files are the same at both CPU
 counts, and so are the bytes of every output of a run that succeeds and
 of every metric file a failed run's manifest lists (with more than one
 process, a failed run can leave files of units after the failing one);
-and an ``ablate`` run's ``summary.csv`` means are the means of its cells'
-last rows.
+and a sweep's ``summary.csv`` means are the means of its cells' last
+rows.
 """
 
 import csv
@@ -141,5 +141,5 @@ def test_a_generated_config_runs_alike_at_one_and_two_cpus(tmp_path,
                 listed += files["manifest.json"][3]
             outputs[cpus] = {rel: files[rel] for rel in listed if rel in files}
     assert outputs[2] == outputs[1]
-    if errors[1] is None and raw["task"] == "ablate":
+    if errors[1] is None and ExperimentConfig.from_dict(raw).task == "ablate":
         _check_summary(tmp_path / "w1" / "out")

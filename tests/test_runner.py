@@ -35,8 +35,10 @@ def _cfg(tmp_path, **extra):
         "optimizer": {"kind": "sgd", "momentum": 0.9, "nesterov": True,
                       "weight_decay": 0.0},
         "out_dir": str(tmp_path / "out"),
-        "seed": 1,
+        "seeds": [1],
     }
+    if "seed" in extra:  # the input spelling of a one-seed list
+        del raw["seeds"]
     raw.update(extra)
     return ExperimentConfig.from_dict(raw)
 
@@ -306,7 +308,11 @@ class TestPruneTuneTask:
         {"task": "ensemble", "rho": 0.001,
          "ensemble": {"n_members": 2, "partitioning": True,
                       "corruption_severities": [1]}},
-    ], ids=["ablate", "partitioned-ensemble"])
+        # random annealing draws its terminal mask, and at rho 0.999 it
+        # keeps none of the head's 300 weights for these seeds
+        {"task": "ablate", "seeds": [0, 1], "rho": 0.999,
+         "method": "random-anneal"},
+    ], ids=["ablate", "partitioned-ensemble", "random-anneal"])
     def test_a_quota_that_severs_a_layer_fails_before_any_compute(
             self, tmp_path, extra):
         with pytest.raises(SeveredLayerError):
@@ -322,18 +328,24 @@ class TestPruneTuneTask:
 @pytest.mark.parametrize("model,shape", [("mlp", (8,)),
                                          ("smallconv", (3, 8, 8))])
 def test_the_shapes_the_quotas_are_checked_on_are_the_models(model, shape):
-    from subanneal.models import build_model, weight_shapes
+    # the quota check draws its masks on a network built with no draw
+    import numpy as np
+
+    from subanneal.models import architecture, build_model
     from subanneal.rng import substream
 
     net = build_model(model, shape, 3, substream(0, "init"))
-    assert weight_shapes(model, shape, 3) == net.weight_shapes()
+    zero = architecture(model, shape, 3, np.float32)
+    assert (list(zero.weight_shapes().items())
+            == list(net.weight_shapes().items()))
+    assert not zero.flat.any()
 
 
 class TestAblateTask:
     def test_sweep_grid_and_summary(self, tmp_path):
         cfg = _cfg(tmp_path, task="ablate",
                    method=["oneshot", "temperature-anneal"],
-                   rho=[0.5, 0.7], tau0=[0.4, 0.6], repeats=2, seed=3)
+                   rho=[0.5, 0.7], tau0=[0.4, 0.6], seeds=[3, 4])
         manifest = json.loads(run(cfg).read_text())
         # oneshot: 2 rho cells; temperature: 2 rho x 2 tau cells; x2 seeds
         assert len(manifest["cells"]) == (2 + 4) * 2
@@ -489,6 +501,35 @@ class TestEnsembleTask:
         assert summaries[0] == summaries[1]
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_eval_of_a_saved_member_reproduces_its_records(tmp_path, dtype):
+    """``eval`` of a member's weights and mask files, with the ensemble's
+    seed, gives the member's clean record and every corrupted record of
+    its ``ensemble-summary.json``, field for field."""
+    severities = [1, 2]
+    ensemble = _cfg(tmp_path, task="ensemble", dtype=dtype, seeds=[4],
+                    parent_epochs=1, epochs=2, phi=1,
+                    out_dir=str(tmp_path / "ens"),
+                    ensemble={"n_members": 2, "partitioning": True,
+                              "corruption_severities": severities})
+    run(ensemble)
+    seed_dir = tmp_path / "ens" / "seed-4"
+    summary = json.loads((seed_dir / "ensemble-summary.json").read_text())
+    for i in range(2):
+        eval_out = tmp_path / f"eval-{i}"
+        run(_cfg(tmp_path, task="eval", dtype=dtype, seeds=[4],
+                 weights=str(seed_dir / f"member-{i}.weights.ssam"),
+                 mask=str(seed_dir / f"member-{i}.mask.ssam"),
+                 out_dir=str(eval_out),
+                 ensemble={"corruption_severities": severities}))
+        payload = json.loads((eval_out / "eval.json").read_text())
+        assert payload["clean"] == summary["members"][i]
+        for severity in map(str, severities):
+            assert (payload["corrupted"][severity]
+                    == summary["corrupted"][severity]["members"][i])
+        assert payload["clean"]["realized_sparsity"] == 0.5
+
+
 def test_interrupted_parent_cache_write_is_retrained(tmp_path, monkeypatch):
     import subanneal.runner as runner
 
@@ -569,7 +610,7 @@ def test_last_row_describes_the_network_the_cell_ends_with(tmp_path, method,
                eval_mask=eval_mask)
     data = runner.RunData(cfg)
     out = tmp_path / "out"
-    child = runner.load_net(cfg, data, 1,
+    child = runner.load_net(cfg, data,
                             out / runner.get_parent(cfg, data, out, {}, 1))
     rows = runner.run_cell(cfg, data, child, 1, method, 0.9, 2, 0.5)
     last = rows[-1]
@@ -739,7 +780,7 @@ def test_a_cached_parent_is_neither_trained_nor_loaded_again(tmp_path,
     def no_network(*args):
         raise AssertionError("built a network on a cache hit")
 
-    monkeypatch.setattr(runner, "build_net", no_network)
+    monkeypatch.setattr(runner, "build_model", no_network)
     assert runner.get_parent(cfg, data, out, {}, 1) == path
 
 

@@ -57,24 +57,24 @@ CONFIGS = {
                               "include_parent": False,
                               "corruption_severities": [1, 3]}},
     # one seed: the members and the scoring sets are shared out
-    "ensemble-4": {"task": "ensemble", "seed": 5,
+    "ensemble-4": {"task": "ensemble", "seeds": [5],
                    "ensemble": {"n_members": 4, "partitioning": True,
                                 "corruption_severities": [1, 2, 3, 4, 5]}},
-    "ensemble-3": {"task": "ensemble", "seed": 6,
+    "ensemble-3": {"task": "ensemble", "seeds": [6],
                    "ensemble": {"n_members": 3, "partitioning": True,
                                 "corruption_severities": [2, 4]}},
-    "ensemble-parent": {"task": "ensemble", "seed": 7,
+    "ensemble-parent": {"task": "ensemble", "seeds": [7],
                         "ensemble": {"n_members": 2, "include_parent": True,
                                      "corruption_severities": [3]}},
     "train-parent": {"task": "train-parent", "seeds": [4, 7]},
     # scored from a train-parent run's weights, under a mask when "mask"
-    "eval": {"task": "eval", "seed": 2,
+    "eval": {"task": "eval", "seeds": [2],
              "ensemble": {"corruption_severities": [1, 3, 5]}},
-    "eval-clean": {"task": "eval", "seed": 2,
+    "eval-clean": {"task": "eval", "seeds": [2],
                    "ensemble": {"corruption_severities": []}},
-    "eval-mask": {"task": "eval", "seed": 2, "mask": True,
+    "eval-mask": {"task": "eval", "seeds": [2], "mask": True,
                   "ensemble": {"corruption_severities": [2, 4]}},
-    "eval-mask-clean": {"task": "eval", "seed": 2, "mask": True,
+    "eval-mask-clean": {"task": "eval", "seeds": [2], "mask": True,
                         "ensemble": {"corruption_severities": []}},
 }
 
@@ -129,8 +129,7 @@ def _check_stages(cfg, manifest, cpus: int) -> None:
     stages = run_stages(cfg)
     assert [s["name"] for s in manifest["stages"]] == [n for n, _, _ in stages]
     for (_, units, _), stage in zip(stages, manifest["stages"]):
-        cap = len(manifest["seeds"] if cfg.task in ("prune-tune", "ablate")
-                  else units)
+        cap = len(manifest["seeds"] if cfg.task == "ablate" else units)
         assert stage["workers"] == min(cpus, cap, len(units))
         assert stage["wall_s"] > 0
         units = json.loads(json.dumps(units))
@@ -347,7 +346,7 @@ def _diverges(monkeypatch, when):
     members_through(monkeypatch, hook)
 
 
-ONE_SEED = {"task": "ensemble", "seed": 5,
+ONE_SEED = {"task": "ensemble", "seeds": [5],
             "ensemble": {"n_members": 4, "corruption_severities": [1, 3]}}
 
 
@@ -640,7 +639,7 @@ class TestWorkerCount:
         assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2]), 3) == 3
         assert worker_count(_cfg(task="ablate", seeds=[0, 1, 2, 3, 4]),
                             5) == 4
-        assert worker_count(_cfg(task="train-parent", repeats=2), 2) == 2
+        assert worker_count(_cfg(task="train-parent", seeds=[0, 1]), 2) == 2
         assert worker_count(_cfg(task="prune-tune", seed=1), 1) == 1
         # a one-seed sweep forks nothing, however many cells it has
         assert worker_count(_cfg(task="ablate", seed=1,
@@ -652,7 +651,7 @@ class TestWorkerCount:
                    ensemble={"n_members": 3, "corruption_severities": [1]})
         assert [worker_count(cfg, len(units))
                 for _, units, _ in run_stages(cfg)] == [1, 3, 2]
-        assert worker_count(_cfg(task="ensemble", repeats=2), 2) == 2
+        assert worker_count(_cfg(task="ensemble", seeds=[0, 1]), 2) == 2
 
     def test_an_eval_stage_one_per_set(self, monkeypatch):
         _cpus(monkeypatch, 4)

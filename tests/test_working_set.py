@@ -35,12 +35,12 @@ from subanneal.ensemble import (
     member_controller,
     train_parent,
 )
-from subanneal.models import build_mlp, build_small_conv
+from subanneal.models import build_mlp, build_model, build_small_conv
 from subanneal.nn.layers import Conv2d, Network
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
-from subanneal.runner import RunData, build_net
+from subanneal.runner import RunData
 from subanneal.training import (
     EVAL_BYTES,
     EVAL_CHUNK,
@@ -401,7 +401,8 @@ def test_run_data_matches_the_old_formulas(tmp_path, monkeypatch, dataset,
     assert rd.x_test.shape == want_test.shape
     assert rd.x_test.itemsize == want_test.itemsize
     _assert_same(rd.x_test[:], want_test)
-    net = build_net(cfg, rd, 0)
+    net = build_model(cfg.model, rd.input_shape, rd.num_classes,
+                      substream(0, "init"), dtype=rd.dtype)
     monkeypatch.setattr(training, "EVAL_BYTES",
                         5 * net.row_floats * want_test.itemsize)
     for start in range(0, len(want_test), 5):
