@@ -780,7 +780,9 @@ def test_a_cached_parent_is_neither_trained_nor_loaded_again(tmp_path,
     def no_network(*args):
         raise AssertionError("built a network on a cache hit")
 
+    # training builds through build_model, loading through architecture
     monkeypatch.setattr(runner, "build_model", no_network)
+    monkeypatch.setattr(runner, "architecture", no_network)
     assert runner.get_parent(cfg, data, out, {}, 1) == path
 
 
