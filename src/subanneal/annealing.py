@@ -20,7 +20,6 @@ weights.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -29,8 +28,6 @@ import numpy as np
 from .masks import MaskSet, ProbabilitySet, full_mask, realize
 from .pruning import PruneSpec, make_iterative_schedule, prune_increment
 from .training import finalize, fit
-
-log = logging.getLogger(__name__)
 
 LINEAR = "linear"
 COSINE = "cosine"
@@ -130,7 +127,6 @@ def init_random(shapes: dict, cfg: RandomAnnealConfig,
     """
     probs = {}
     terminal = {}
-    clamped = total = 0
     for name, shape in shapes.items():
         if cfg.distribution == UNIFORM:
             p = rng.random(shape)
@@ -139,16 +135,9 @@ def init_random(shapes: dict, cfg: RandomAnnealConfig,
             t = (rng.random(shape) < (1.0 - cfg.rho)).astype(np.uint8)
             draws0 = rng.normal(cfg.mu1, cfg.sigma1, shape)
             draws1 = rng.normal(cfg.mu2, cfg.sigma2, shape)
-            raw = np.where(t == 1, draws1, draws0)
-            p = np.clip(raw, 0.0, 1.0)
-            clamped += int(((raw < 0.0) | (raw > 1.0)).sum())
-            total += raw.size
+            p = np.clip(np.where(t == 1, draws1, draws0), 0.0, 1.0)
         probs[name] = p
         terminal[name] = t
-    if total:
-        # clamping (not resampling) biases the tails; worth seeing in logs
-        log.info("bimodal init: clamped %.2f%% of draws into [0, 1]",
-                 100.0 * clamped / total)
     return ProbabilitySet(probs, MaskSet(terminal))
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
+import hashlib
 import itertools
 import json
 import logging
@@ -270,6 +271,18 @@ class RunData:
         self.x_test = NormalizedRows(test.x, self.mean, self.std, self.dtype)
         self.y_test = test.y
 
+    @functools.cached_property
+    def train_digest(self) -> str:
+        """sha256 of the training inputs (pixels or features) and labels,
+        part of the parent cache key. Computed on first use, so building a
+        ``RunData`` does not pay for it; ``run`` reads it before any stage,
+        so forked helpers inherit it."""
+        digest = hashlib.sha256()
+        for array in (self.x_train.raw, self.y_train):
+            digest.update(f"{array.dtype.str}{array.shape}".encode())
+            digest.update(np.ascontiguousarray(array))
+        return digest.hexdigest()
+
     def corrupted(self, severity: int, seed: int) -> np.ndarray:
         """Normalized model inputs of the test set corrupted at
         ``severity``, built from the test pixels in the one array of the
@@ -318,15 +331,18 @@ def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
 
 # --- parents ------------------------------------------------------------------
 
-def parent_cache_key(cfg: ExperimentConfig, seed: int) -> str:
-    import hashlib
-
+def parent_cache_key(cfg: ExperimentConfig, seed: int,
+                     train_digest: str) -> str:
+    """The name of ``seed``'s parent in a run's parent cache: a hash of
+    what the parent depends on, the training data's ``train_digest``
+    among it."""
     relevant = {
         "dataset": cfg.dataset, "model": cfg.model,
         "parent_epochs": cfg.parent_epochs, "parent_lr": cfg.parent_lr,
         "optimizer": cfg.optimizer, "batch_size": cfg.batch_size,
         "train_subset": cfg.train_subset, "blobs": cfg.blobs,
         "dtype": cfg.dtype, "seed": seed, "version": __version__,
+        "train_data": train_digest,
     }
     canon = json.dumps(relevant, sort_keys=True)
     return hashlib.sha256(canon.encode()).hexdigest()[:12]
@@ -392,7 +408,7 @@ def get_parent(cfg, data, out_dir, done, seed) -> str:
     """Stage "parents" of a sweep or an ensemble: the seed's parent in the
     run's parent cache, trained into it unless it is there already;
     returns its path relative to ``out_dir``."""
-    key = parent_cache_key(cfg, seed)
+    key = parent_cache_key(cfg, seed, data.train_digest)
     path = out_dir / "parents" / f"parent-{key}-s{seed}.ssam"
     if not path.exists():
         trained_parent(cfg, data, seed, path)
@@ -440,6 +456,11 @@ def run_cell(cfg: ExperimentConfig, data: RunData, net, seed: int,
     """Tune ``net``, the seed's parent, in place as one cell's child;
     returns its per-epoch rows."""
     controller = make_controller(method, cfg, net, seed, rho, phi, tau0)
+    if method == "random-anneal" and cfg.distribution == "bimodal":
+        # clamping (not resampling) biases the tails; worth seeing in logs
+        clamped = np.isin(controller.init.flat, (0.0, 1.0)).mean()
+        log.info("bimodal init: clamped %.2f%% of draws into [0, 1]",
+                 100.0 * clamped)
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
     return tune(net, controller, (data.x_train, data.y_train), cfg.epochs,
@@ -510,6 +531,8 @@ def run(cfg: ExperimentConfig) -> Path:
     seeds, done, error = cfg.seeds, {}, None
     try:
         data = RunData(cfg)
+        if cfg.task in ("ablate", "ensemble"):  # the parent cache's key
+            data.train_digest  # hashed once, here: helpers inherit it
         check_quotas(cfg, data)
         for name, units, work in run_stages(cfg):
             units = [unit for unit in units if _unit_seed(unit) in seeds]

@@ -67,7 +67,7 @@ def test_a_negative_seed_flag_is_rejected_before_the_run(tmp_path, capsys):
     config = _write_config(tmp_path)
     assert main(["run", str(config), "--out", str(tmp_path / "out"),
                  "--seed", "-4"]) == 1
-    assert "seeds needs at least one value, each >= 0, got [-4]" in (
+    assert "seeds must be one or more values, each >= 0, got [-4]" in (
         capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 

@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -72,7 +73,7 @@ def test_a_run_has_one_seed_list():
     cfg = ExperimentConfig.from_dict(_minimal(seeds=[1, 2, 3]))
     assert cfg.seeds == [1, 2, 3]
     assert "seed" not in cfg.to_dict() and "repeats" not in cfg.to_dict()
-    with pytest.raises(ConfigError, match="seeds needs at least one value"):
+    with pytest.raises(ConfigError, match="seeds must be one or more values"):
         ExperimentConfig.from_dict(_minimal(seeds=[]))
 
 
@@ -227,9 +228,9 @@ def test_threads_is_not_a_config_key():
 # Configs the validator used to accept or crash on, each with the message
 # it now rejects them with. Every case raised no ConfigError before.
 VALIDATOR_HOLES = [
-    (dict(rho=[]), "rho needs at least one value"),
-    (dict(tau0=[]), "tau0 needs at least one value"),
-    (dict(phi=[]), "phi needs at least one value"),
+    (dict(rho=[]), "rho must be one or more values"),
+    (dict(tau0=[]), "tau0 must be one or more values"),
+    (dict(phi=[]), "phi must be one or more values"),
     (dict(lr={"kind": "step", "breakpoints": [[0, 0.1], [0, 0.01]]}),
      "strictly increasing"),
     (dict(parent_lr={"kind": "step", "breakpoints": [[5, 0.1], [2, 0.01]]}),
@@ -251,7 +252,7 @@ VALIDATOR_HOLES = [
     (dict(seeds=[0, 0]), r"seeds must be distinct, got \[0, 0\]"),
     (dict(blobs={"n": 100.5}), "blobs.n must be an integer"),
     (dict(ensemble={"n_members": 3.2}), "ensemble.n_members must be"),
-    (dict(ensemble={"corruption_severities": [1.5]}), "severity must be"),
+    (dict(ensemble={"corruption_severities": [1.5]}), "corruption_severities must be an integer"),
     # header-only metric CSVs, then an IndexError in summarize_manifests
     (dict(task="ablate", method="oneshot", epochs=0),
      "ablate task needs epochs >= 1"),
@@ -262,10 +263,10 @@ VALIDATOR_HOLES = [
     # a repeated severity was scored twice, the second result overwriting
     # the first under the same key
     (dict(task="ensemble", ensemble={"corruption_severities": [1, 1, 3]}),
-     r"corruption severities must be distinct, got \[1, 1, 3\]"),
+     r"ensemble.corruption_severities must be distinct, got \[1, 1, 3\]"),
     (dict(task="eval", weights="w.ssam",
           ensemble={"corruption_severities": [2, 2]}),
-     r"corruption severities must be distinct, got \[2, 2\]"),
+     r"ensemble.corruption_severities must be distinct, got \[2, 2\]"),
     # eval scored once, with seed 0's corruption noise, whatever the seeds
     (dict(task="eval", weights="w.ssam", seeds=[3, 4]),
      r"eval task takes one seed, got \[3, 4\]"),
@@ -273,9 +274,9 @@ VALIDATOR_HOLES = [
     (dict(task="eval", weights="w.ssam", seed=5, repeats=2),
      r"unknown config keys: \['repeats'\]"),
     # np.random.SeedSequence raised ValueError once the run had started
-    (dict(seed=-1), r"seeds needs at least one value, each >= 0, got \[-1\]"),
+    (dict(seed=-1), r"seeds must be one or more values, each >= 0, got \[-1\]"),
     (dict(seeds=[0, -1]), r"each >= 0, got \[0, -1\]"),
-    (dict(blobs={"data_seed": -3}), "blobs.data_seed must be non-negative"),
+    (dict(blobs={"data_seed": -3}), "blobs.data_seed must be >= 0, got -3"),
     # a repeated value listed one cell several times: it was tuned and its
     # CSV written once per listing, under one manifest cell
     (dict(method=["oneshot", "oneshot"], rho=[0.9, 0.9]),
@@ -294,6 +295,20 @@ VALIDATOR_HOLES = [
      "mask is read only by the eval task"),
     (dict(task="ensemble", weights="w.ssam"),
      "weights is read only by the eval task"),
+    # Adam's betas and eps had no rule: a beta of 1 or more failed in the
+    # parents stage, eps 0 diverged and a negative eps ran to status ok
+    (dict(optimizer={"kind": "adam", "beta1": 1.5}),
+     r"optimizer.beta1 must be in \[0, 1\), got 1.5"),
+    (dict(optimizer={"kind": "adam", "beta2": 1.0}),
+     r"optimizer.beta2 must be in \[0, 1\), got 1.0"),
+    (dict(optimizer={"kind": "adam", "eps": 0.0}),
+     "optimizer.eps must be > 0, got 0.0"),
+    (dict(optimizer={"kind": "adam", "eps": -1.0}),
+     "optimizer.eps must be > 0, got -1.0"),
+    # the network was built only after the manifest was opened, and failed
+    (dict(model="smallconv"), "model smallconv needs image inputs"),
+    (dict(task="train-parent", model="smallconv"),
+     "model smallconv needs image inputs"),
 ]
 
 
@@ -354,3 +369,107 @@ def test_integers_still_pass_as_floats():
     assert cfg.tau0 == [1.0] and cfg.lr["value"] == 1.0
     assert cfg.optimizer["momentum"] == 0.0
     assert cfg.blobs["separation"] == 3.0
+
+
+# A seeded fuzz of the validator: JSON-shaped dicts with random keys,
+# nested objects, and values of every JSON type, lists and objects included
+# where an enum or a ``kind`` is expected. Most values are valid, so a
+# fair share of the dicts is accepted.
+_JUNK = [None, True, False, 0, -1, 2.5, "x", "", [], {}, [0.5, 0.2],
+         [["oneshot"]], {"kind": "constant"}, float("nan"), float("inf"),
+         10 ** 400]
+_FUZZ_TOP = {
+    "task": ["ablate", "prune-tune", "train-parent", "ensemble", "eval"],
+    "dataset": ["synthetic-blobs", "mnist", "cifar10-subset"],
+    "model": ["mlp", "smallconv"],
+    "method": ["oneshot", "iterative", "random-anneal", "temperature-anneal",
+               ["oneshot", "temperature-anneal"], ["iterative", "iterative"]],
+    "rho": [0.0, 0.5, 0.9, 1.0, [0.5, 0.9], [], [0.5, 0.5]],
+    "phi": [0, 1, 2, 5, 2.0, [1, 2], [2, 2.0]],
+    "tau0": [0.0, 0.5, 1, 1.5, [0.3, 0.5]],
+    "selector": ["random", "magnitude"],
+    "granularity": ["layerwise", "global"],
+    "variant": ["reverse-dropout", "full-scaling"],
+    "anneal_decay": [None, "cosine", "linear"],
+    "distribution": ["uniform", "bimodal"],
+    "bimodal_mu1": [0.25, -1.0], "bimodal_mu2": [0.75, 2],
+    "bimodal_sigma1": [0.15, 0.0], "bimodal_sigma2": [0.15, -0.1],
+    "parent_epochs": [0, 2, -1], "epochs": [0, 1, 3, 20, 2.0],
+    "batch_size": [0, 1, 128], "seeds": [[0], [1, 2], 3, [0, 0], [-1]],
+    "seed": [0, 4, -2], "out_dir": ["runs"],
+    "train_subset": [0, 30, -5], "test_subset": [0, 30],
+    "eval_mask": ["terminal", "expected"], "weights": [None, "w.ssam"],
+    "mask": [None, "m.ssam"], "dtype": ["float32", "float64"],
+}
+_FUZZ_NESTED = {
+    "optimizer": {"kind": ["sgd", "adam"], "momentum": [0.0, 0.9, 1.0],
+                  "nesterov": [True, False], "weight_decay": [0.0, -1.0],
+                  "beta1": [0.9, 1.5, 0.0], "beta2": [0.999, 1.0],
+                  "eps": [1e-8, 0.0, -1.0]},
+    "ensemble": {"n_members": [1, 4, 0, 3.0], "partitioning": [True, False],
+                 "include_parent": [True, False],
+                 "corruption_severities": [[1, 2], [], 3, [0], [2, 2]]},
+    "blobs": {"n": [100, 0], "d": [8, 2.0], "k": [1, 3], "separation": [4, 0],
+              "data_seed": [0, 7, -3]},
+}
+_FUZZ_LR = {
+    "constant": {"value": [0.01, 1, -0.1]},
+    "onecycle": {"start": [0.001, 0.0], "max": [0.1], "end": [1e-7],
+                 "warmup_fraction": [0.1, 1.0]},
+    "step": {"breakpoints": [[[0, 0.1], [2, 0.01]], [[0, 0.1], [0, 0.1]],
+                             [[0, 0.1, 3]], [0.1], [], [[1, -0.1]]]},
+    "parent-stepwise": {"hi": [0.1, 0.0], "lo": [0.001]},
+}
+
+
+def _fuzz_value(r, pool):
+    return r.choice(_JUNK) if r.random() < 0.1 else r.choice(pool)
+
+
+def _fuzz_object(r, table, extra=()):
+    keys = list(table) + [*extra, "junk"]
+    return {key: _fuzz_value(r, table.get(key, _JUNK))
+            for key in r.sample(keys, r.randint(0, min(len(keys), 4)))}
+
+
+def _fuzz_config(r) -> dict:
+    if r.random() < 0.02:
+        return r.choice(_JUNK)
+    keys = list(_FUZZ_TOP) + list(_FUZZ_NESTED) + ["lr", "parent_lr"]
+    raw = {"task": _fuzz_value(r, _FUZZ_TOP["task"])}
+    for key in r.sample(keys, r.randint(0, 8)):
+        if key in _FUZZ_NESTED:
+            raw[key] = _fuzz_object(r, _FUZZ_NESTED[key])
+        elif key in ("lr", "parent_lr"):
+            kind = _fuzz_value(r, list(_FUZZ_LR))
+            table = _FUZZ_LR.get(kind) if isinstance(kind, str) else None
+            raw[key] = {"kind": kind, **_fuzz_object(
+                r, table or {}, extra=r.choice(list(_FUZZ_LR.values())))}
+            if r.random() < 0.05:
+                raw[key].pop("kind")
+        else:
+            raw[key] = _fuzz_value(r, _FUZZ_TOP[key])
+    if r.random() < 0.03:
+        raw[r.choice(["threads", "learning_rate", "repeats"])] = 1
+    if r.random() < 0.03:
+        raw.pop("task")
+    return raw
+
+
+def test_the_validator_raises_only_config_errors_and_round_trips():
+    r = random.Random(2027)
+    accepted = 0
+    for _ in range(5000):
+        raw = _fuzz_config(r)
+        before = repr(raw)
+        try:
+            cfg = ExperimentConfig.from_dict(raw)
+        except ConfigError:
+            continue
+        finally:
+            assert repr(raw) == before  # the input is left as it was
+        accepted += 1
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again.to_dict() == cfg.to_dict(), raw
+        assert again.config_hash() == cfg.config_hash(), raw
+    assert accepted > 500  # the draws reach past the first rules

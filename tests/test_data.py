@@ -36,8 +36,8 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
         fh.write(labels.astype(np.uint8).tobytes())
 
 
-def make_mnist_dir(root, n_train=32, n_test=16):
-    rng = np.random.default_rng(0)
+def make_mnist_dir(root, n_train=32, n_test=16, seed=0):
+    rng = np.random.default_rng(seed)
     d = root / "mnist"
     d.mkdir(parents=True)
     for prefix, n in (("train", n_train), ("t10k", n_test)):

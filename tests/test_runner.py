@@ -761,10 +761,43 @@ def test_parent_cache_key_follows_the_library_version(tmp_path, monkeypatch):
     from subanneal import runner
 
     cfg = _cfg(tmp_path)
-    key = runner.parent_cache_key(cfg, 1)
-    assert runner.parent_cache_key(cfg, 1) == key
+    digest = runner.RunData(cfg).train_digest
+    key = runner.parent_cache_key(cfg, 1, digest)
+    assert runner.parent_cache_key(cfg, 1, digest) == key
     monkeypatch.setattr(runner, "__version__", "0.0.0-other")
-    assert runner.parent_cache_key(cfg, 1) != key
+    assert runner.parent_cache_key(cfg, 1, digest) != key
+
+
+def test_a_parent_is_not_reused_for_other_training_data(tmp_path,
+                                                        monkeypatch):
+    # the parent cache key holds a digest of the training inputs and labels
+    from test_data import make_mnist_dir
+
+    def sweep(data_seed, out):
+        data = tmp_path / f"data{data_seed}"
+        if not data.exists():
+            make_mnist_dir(data, n_train=64, n_test=32, seed=data_seed)
+        monkeypatch.setenv("SUBANNEAL_DATA", str(data))
+        run(_cfg(tmp_path, dataset="mnist", method="oneshot", rho=0.5,
+                 parent_epochs=1, epochs=1, out_dir=str(tmp_path / out)))
+        out = tmp_path / out
+        return {path.relative_to(out): path.read_bytes() for path in
+                [out / "summary.csv", *(out / "metrics").iterdir()]}
+
+    sweep(0, "shared")
+    assert sweep(1, "shared") == sweep(1, "fresh")
+    assert len(list((tmp_path / "shared" / "parents").iterdir())) == 2
+
+
+def test_a_bimodal_cell_logs_its_clamp_share_once(tmp_path, caplog):
+    # check_quotas draws each terminal mask as the cell does; only the
+    # cell logs its clamp share
+    cfg = _cfg(tmp_path, method="random-anneal", distribution="bimodal")
+    with caplog.at_level(logging.INFO):
+        run(cfg)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("bimodal init: clamped")]
+    assert len(lines) == 1, lines
 
 
 def test_a_cached_parent_is_neither_trained_nor_loaded_again(tmp_path,

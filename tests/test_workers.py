@@ -185,8 +185,9 @@ def _corrupt_parents(cfg, seeds):
     """Place a broken parent cache entry for each of ``seeds``; each seed's
     breaks differently, so its error names it."""
     broken = {1: b"SSAM\x01", 2: b"XXXX"}
+    digest = runner.RunData(cfg).train_digest
     for seed in seeds:
-        key = runner.parent_cache_key(cfg, seed)
+        key = runner.parent_cache_key(cfg, seed, digest)
         path = Path(cfg.out_dir) / "parents" / f"parent-{key}-s{seed}.ssam"
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(broken[seed])
