@@ -70,7 +70,14 @@ def _open_maybe_gzip(path: Path):
 
 
 def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
-    data = fh.read(n)
+    """``n`` bytes of ``fh`` at ``offset``: a plain file is read only if it
+    holds that many, a gzip stream 1 MB at a time."""
+    if isinstance(fh, gzip.GzipFile):
+        data = bytearray()
+        while len(data) < n and (piece := fh.read(min(n - len(data), 1 << 20))):
+            data += piece
+    else:
+        data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - offset else b""
     if len(data) != n:
         raise DatasetError(
             f"truncated IDX file: wanted {n} bytes for {what} at offset {offset}")
@@ -95,10 +102,9 @@ def load_idx(path) -> np.ndarray:
             (d,) = struct.unpack(">I", _read_exact(fh, 4, offset, f"dim {i}"))
             dims.append(d)
         offset = 4 + 4 * ndim
-        count = int(np.prod(dims))
+        count = math.prod(dims)  # exact: may exceed any numpy integer
         raw = _read_exact(fh, count, offset, f"{count} data bytes")
-        extra = fh.read(1)
-        if extra:
+        if fh.read(1):
             raise DatasetError(
                 f"trailing bytes at offset {offset + count} in {path.name}")
     return np.frombuffer(raw, dtype=np.uint8).reshape(dims)

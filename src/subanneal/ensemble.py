@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 # ``corrupt`` works in row blocks whose float64 noise and unit-scaled input
 # take at most this many bytes together.
 CORRUPT_BLOCK_BYTES = 1 << 20
+CORRUPT_NOISE_SCALE = 0.04  # ``corrupt``'s noise sigma per unit of severity
 
 
 def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
@@ -96,9 +97,8 @@ def score_ensemble(member_nets, parent: Network | None, x: np.ndarray,
 
 
 def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
-            noise_scale: float = 0.04, stats=None,
-            dtype=np.float64) -> np.ndarray:
-    """Additive Gaussian pixel noise at sigma = noise_scale * severity.
+            stats=None, dtype=np.float64) -> np.ndarray:
+    """Additive Gaussian pixel noise, sigma = CORRUPT_NOISE_SCALE * severity.
 
     Input is uint8 pixels or unit-scaled pixels; the noisy pixels are on the
     unit scale (``data.to_float``) and clamped back to [0, 1], then, given
@@ -115,7 +115,7 @@ def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
     rows = max(1, CORRUPT_BLOCK_BYTES // (16 * math.prod(x.shape[1:])))
     for start in range(0, len(x), rows):
         block = x[start:start + rows]
-        noise = rng.normal(0.0, noise_scale * severity, block.shape)
+        noise = rng.normal(0.0, CORRUPT_NOISE_SCALE * severity, block.shape)
         noise += to_float(block)
         np.clip(noise, 0.0, 1.0, out=noise)
         if stats is not None:

@@ -17,6 +17,8 @@ to f64 exactly, so it loads back bit for bit).
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -167,16 +169,19 @@ class ContainerError(ValueError):
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
+    """``n`` bytes of ``fh``, read only if the file holds that many."""
     offset = fh.tell()
-    data = fh.read(n)
+    data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - offset else b""
     if len(data) != n:
         raise ContainerError(
             f"truncated container: expected {n} bytes for {what} at offset {offset}")
     return data
 
 
-def _read_entries(path, kind_for):
+def _read_entries(path, kind: str) -> dict:
+    """Every entry of the container ``path``, each of ``kind``."""
     entries = {}
+    dtype = "<u1" if kind == "u8" else "<f8"
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != MAGIC:
@@ -190,11 +195,9 @@ def _read_entries(path, kind_for):
             name = _read_exact(fh, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
-            kind = kind_for(name)
-            itemsize = 1 if kind == "u8" else 8
-            nbytes = itemsize * int(np.prod(dims, dtype=np.int64)) if rank else itemsize
+            # exact: a product of u64 dims may not fit any numpy integer
+            nbytes = np.dtype(dtype).itemsize * math.prod(dims)
             raw = _read_exact(fh, nbytes, f"values of {name!r}")
-            dtype = "<u1" if kind == "u8" else "<f8"
             entries[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
     return entries
 
@@ -204,7 +207,7 @@ def save_mask_set(ms: MaskSet, path) -> None:
 
 
 def load_mask_set(path) -> MaskSet:
-    return MaskSet(_read_entries(path, lambda name: "u8"))
+    return MaskSet(_read_entries(path, "u8"))
 
 
 def save_weights(params: dict, path) -> None:
@@ -214,4 +217,4 @@ def save_weights(params: dict, path) -> None:
 
 
 def load_weights(path) -> dict:
-    return _read_entries(path, lambda name: "f64")
+    return _read_entries(path, "f64")

@@ -7,7 +7,7 @@ class index; NLL reads the logits, so it stays finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,13 +31,7 @@ class MetricsRecord:
         if not 0.0 <= self.ece <= 1.0:
             raise ValueError("ece must lie in [0, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "nll": self.nll,
-            "ece": self.ece,
-            "realized_sparsity": self.realized_sparsity,
-        }
+    to_dict = asdict
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

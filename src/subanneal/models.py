@@ -25,17 +25,17 @@ def build_mlp(input_shape, num_classes: int, hidden=HIDDEN,
 
 def build_small_conv(input_shape, num_classes: int, dtype=np.float64) -> Network:
     """Two strided 3x3 conv blocks then a linear head; LeNet-scale."""
-    c, h, w = input_shape
     layers = [
-        Conv2d(c, 8, 3, stride=2, padding=1, dtype=dtype),
+        Conv2d(input_shape[0], 8, 3, stride=2, padding=1, dtype=dtype),
         ReLU(),
         Conv2d(8, 16, 3, stride=2, padding=1, dtype=dtype),
         ReLU(),
         Flatten(),
     ]
-    oh, ow = (h + 1) // 2, (w + 1) // 2
-    oh, ow = (oh + 1) // 2, (ow + 1) // 2
-    layers.append(Dense(16 * oh * ow, num_classes, dtype=dtype))
+    shape = tuple(input_shape)  # the head's width is Flatten's output
+    for layer in layers:
+        shape = layer.out_shape(shape)
+    layers.append(Dense(shape[0], num_classes, dtype=dtype))
     return Network(layers, input_shape)
 
 

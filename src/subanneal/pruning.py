@@ -75,60 +75,46 @@ def check_layer_quotas(shapes: dict, levels, complement: bool = False) -> None:
                     f"so the complement mask keeps none")
 
 
-def _active_order(active_idx: np.ndarray, values: np.ndarray | None,
-                  selector: str, rng: np.random.Generator | None,
-                  count: int) -> np.ndarray:
-    """Flat indices of the next ``count`` entries to prune among the active."""
-    if count == 0:
-        return np.empty(0, dtype=np.intp)
-    if selector == RANDOM:
-        if rng is None:
-            raise ValueError("random selection needs an rng")
-        return rng.choice(active_idx, size=count, replace=False)
-    if values is None:
-        raise ValueError("magnitude selection needs parameter values")
-    mags = np.abs(values.reshape(-1)[active_idx])
-    # stable sort: ties go to the lower flat index
-    order = np.argsort(mags, kind="stable")
-    return active_idx[order[:count]]
-
-
 def prune_increment(current: MaskSet, next_level: float, spec: PruneSpec,
                     params: dict | None = None,
                     rng: np.random.Generator | None = None) -> MaskSet:
     """Prune additional active entries until ``next_level`` sparsity is met.
 
-    Previously pruned entries stay pruned; raises if ``next_level`` is below
-    the current sparsity or if any layer would be fully severed.
+    The quota applies to each layer's entries under ``layerwise`` and to all
+    of them at once under ``global``. Previously pruned entries stay pruned;
+    raises if ``next_level`` is below the current sparsity or if any layer
+    would be fully severed.
     """
     if not 0.0 <= next_level < 1.0:
         raise ValueError("next_level must lie in [0, 1)")
     new = current.copy()
-
-    if spec.granularity == LAYERWISE:
-        for name, m in new.items():
-            flat = m.reshape(-1)
-            target = _quota(flat.size, next_level)
-            have = int(flat.size - flat.sum())
-            if target < have:
-                raise ValueError(
-                    f"{name}: next level {next_level} is below current sparsity")
-            active = np.flatnonzero(flat)
-            vals = params[name] if params is not None else None
-            chosen = _active_order(active, vals, spec.selector, rng, target - have)
-            flat[chosen] = 0
-    else:
-        target = _quota(new.total(), next_level)
-        have = new.zeros()
+    groups = ([(f"{name}: ", [name]) for name in new]
+              if spec.granularity == LAYERWISE else [("", list(new))])
+    start = 0
+    for prefix, names in groups:
+        flat = new.flat[start:start + sum(new[name].size for name in names)]
+        start += flat.size
+        target = _quota(flat.size, next_level)
+        have = flat.size - int(flat.sum())
         if target < have:
-            raise ValueError(f"next level {next_level} is below current sparsity")
-        active = np.flatnonzero(new.flat)
-        vals = None
-        if params is not None:
-            vals = np.concatenate(
-                [np.asarray(params[name]).reshape(-1) for name in new])
-        chosen = _active_order(active, vals, spec.selector, rng, target - have)
-        new.flat[chosen] = 0
+            raise ValueError(
+                f"{prefix}next level {next_level} is below current sparsity")
+        values = None if params is None else np.concatenate(
+            [np.asarray(params[name]).reshape(-1) for name in names])
+        if target == have:
+            continue
+        active = np.flatnonzero(flat)
+        if spec.selector == RANDOM:
+            if rng is None:
+                raise ValueError("random selection needs an rng")
+            chosen = rng.choice(active, size=target - have, replace=False)
+        elif values is None:
+            raise ValueError("magnitude selection needs parameter values")
+        else:  # stable sort: ties go to the lower index
+            order = np.argsort(np.abs(values[active]), kind="stable")
+            chosen = active[order[:target - have]]
+        flat[chosen] = 0
+    if spec.granularity == GLOBAL:
         check_no_severed_layer(new, "global quota")
     return new
 

@@ -48,11 +48,7 @@ from .annealing import (
     tune,
 )
 from .config import ConfigError, ExperimentConfig
-from .data import (
-    NormalizedRows,
-    load_dataset,
-    normalization_stats,
-)
+from .data import NormalizedRows, load_dataset, normalization_stats
 from .ensemble import corrupt, train_parent
 from .masks import MaskSet, load_mask_set, load_weights, save_weights
 from .metrics import evaluate
@@ -245,25 +241,14 @@ class RunData:
     """
 
     def __init__(self, cfg: ExperimentConfig):
-        blobs = cfg.blobs
-        if cfg.dataset == "synthetic-blobs":
-            train = load_dataset("synthetic-blobs", "train",
-                                 limit=cfg.train_subset, n=blobs["n"],
-                                 d=blobs["d"], k=blobs["k"],
-                                 separation=blobs["separation"],
-                                 data_seed=blobs["data_seed"])
-            test = load_dataset("synthetic-blobs", "test",
-                                limit=cfg.test_subset,
-                                n=max(blobs["n"] // 4, blobs["k"]),
-                                d=blobs["d"], k=blobs["k"],
-                                separation=blobs["separation"],
-                                data_seed=blobs["data_seed"])
-        else:
-            train = load_dataset(cfg.dataset, "train", limit=cfg.train_subset)
-            test = load_dataset(cfg.dataset, "test", limit=cfg.test_subset)
+        splits = _blob_splits(cfg.blobs)  # load_dataset uses them for blobs only
+        train = load_dataset(cfg.dataset, "train", limit=cfg.train_subset,
+                             **splits["train"])
+        test = load_dataset(cfg.dataset, "test", limit=cfg.test_subset,
+                            **splits["test"])
         self.num_classes = train.num_classes
         self.input_shape = tuple(train.x.shape[1:])
-        self.dtype = _dtype(cfg)
+        self.dtype = np.dtype(cfg.dtype)
         self.mean, self.std = normalization_stats(train.x)
         self.x_train = NormalizedRows(train.x, self.mean, self.std,
                                       self.dtype)
@@ -297,8 +282,11 @@ class RunData:
         return self.x_test if which == "clean" else self.corrupted(which, seed)
 
 
-def _dtype(cfg: ExperimentConfig):
-    return np.float64 if cfg.dtype == "float64" else np.float32
+def _blob_splits(blobs: dict) -> dict:
+    """``make_blobs``' arguments for each split of the ``blobs`` object:
+    the test split holds ``n // 4`` examples, at least ``k``."""
+    return {"train": blobs,
+            "test": {**blobs, "n": max(blobs["n"] // 4, blobs["k"])}}
 
 
 def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
@@ -321,12 +309,7 @@ def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
         schedule = StepDecay(tuple((e, v) for e, v in desc["breakpoints"]))
     else:
         schedule = parent_stepwise(max(epochs, 1), desc["hi"], desc["lo"])
-    opt = cfg.optimizer
-    optimizer = make_optimizer(
-        opt["kind"], lr_at(schedule, 0), momentum=opt["momentum"],
-        nesterov=opt["nesterov"], weight_decay=opt["weight_decay"],
-        beta1=opt["beta1"], beta2=opt["beta2"], eps=opt["eps"])
-    return schedule, optimizer
+    return schedule, make_optimizer(lr=lr_at(schedule, 0), **cfg.optimizer)
 
 
 # --- parents ------------------------------------------------------------------
@@ -381,8 +364,7 @@ def load_params(net, path) -> None:
 def load_net(cfg: ExperimentConfig, data: RunData, path):
     """``cfg``'s network with the parameters of the weights file ``path``,
     built with no initial draw, since every parameter is then set."""
-    net = architecture(cfg.model, data.input_shape, data.num_classes,
-                       _dtype(cfg))
+    net = architecture(cfg.model, data.input_shape, data.num_classes, data.dtype)
     load_params(net, path)
     return net
 
@@ -392,7 +374,7 @@ def trained_parent(cfg: ExperimentConfig, data: RunData, seed: int, path,
     """``seed``'s parent, trained and its weights written to ``path``;
     returns its per-epoch rows, each scored on ``eval_data`` if given."""
     net = build_model(cfg.model, data.input_shape, data.num_classes,
-                      substream(seed, "init"), dtype=_dtype(cfg))
+                      substream(seed, "init"), dtype=data.dtype)
     schedule, optimizer = build_training(cfg, cfg.parent_lr,
                                          cfg.parent_epochs, len(data.y_train))
     rows = train_parent(net, (data.x_train, data.y_train),

@@ -1,10 +1,19 @@
+import inspect
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from subanneal.config import ConfigError, ExperimentConfig, read_json
+from subanneal.config import (
+    BLOBS,
+    OPTIMIZER,
+    ConfigError,
+    ExperimentConfig,
+    read_json,
+)
+from subanneal.data import make_blobs
+from subanneal.nn.optim import make_optimizer
 
 
 def _minimal(**extra):
@@ -35,6 +44,19 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict(_minimal(ensemble={"members": 4}))
     with pytest.raises(ConfigError, match="unknown blobs keys"):
         ExperimentConfig.from_dict(_minimal(blobs={"count": 10}))
+
+
+def _parameters(fn, *besides) -> set:
+    return set(inspect.signature(fn).parameters) - set(besides)
+
+
+def test_optimizer_and_blobs_keys_are_the_parameters_they_are_passed_to():
+    # the runner passes both objects whole, as keyword arguments
+    assert set(OPTIMIZER) == _parameters(make_optimizer, "lr")
+    assert set(BLOBS) == _parameters(make_blobs, "split")
+    defaults = ExperimentConfig.from_dict(_minimal())
+    assert set(defaults.optimizer) == set(OPTIMIZER)
+    assert set(defaults.blobs) == set(BLOBS)
 
 
 def test_enums_validated():

@@ -5,7 +5,9 @@ from subanneal.masks import full_mask
 from subanneal.pruning import (
     PruneSpec,
     SeveredLayerError,
+    _quota,
     check_layer_quotas,
+    check_no_severed_layer,
     magnitude_mask,
     make_iterative_schedule,
     prune_increment,
@@ -157,6 +159,120 @@ class TestPruneIncrement:
                 expected = int(np.floor(level * m.size + 0.5))
                 assert int(m.size - m.sum()) == expected
             prev = mask
+
+
+
+# The two-branch ``prune_increment`` the package had before it cut both
+# granularities in one loop, kept as the reference that loop must match.
+def _reference_active_order(active_idx, values, selector, rng, count):
+    if count == 0:
+        return np.empty(0, dtype=np.intp)
+    if selector == "random":
+        if rng is None:
+            raise ValueError("random selection needs an rng")
+        return rng.choice(active_idx, size=count, replace=False)
+    if values is None:
+        raise ValueError("magnitude selection needs parameter values")
+    mags = np.abs(values.reshape(-1)[active_idx])
+    order = np.argsort(mags, kind="stable")
+    return active_idx[order[:count]]
+
+
+def _reference_increment(current, next_level, spec, params=None, rng=None):
+    if not 0.0 <= next_level < 1.0:
+        raise ValueError("next_level must lie in [0, 1)")
+    new = current.copy()
+    if spec.granularity == "layerwise":
+        for name, m in new.items():
+            flat = m.reshape(-1)
+            target = _quota(flat.size, next_level)
+            have = int(flat.size - flat.sum())
+            if target < have:
+                raise ValueError(
+                    f"{name}: next level {next_level} is below current sparsity")
+            active = np.flatnonzero(flat)
+            vals = params[name] if params is not None else None
+            flat[_reference_active_order(active, vals, spec.selector, rng,
+                                         target - have)] = 0
+    else:
+        target = _quota(new.total(), next_level)
+        have = new.zeros()
+        if target < have:
+            raise ValueError(f"next level {next_level} is below current sparsity")
+        active = np.flatnonzero(new.flat)
+        vals = None
+        if params is not None:
+            vals = np.concatenate(
+                [np.asarray(params[name]).reshape(-1) for name in new])
+        new.flat[_reference_active_order(active, vals, spec.selector, rng,
+                                         target - have)] = 0
+        check_no_severed_layer(new, "global quota")
+    return new
+
+
+def _outcome(increment, mask, level, spec, params, rng):
+    """(mask, None) or (None, (exception type, message)) of one call."""
+    try:
+        return increment(mask, level, spec, params=params, rng=rng), None
+    except Exception as err:  # compared by type and message
+        return None, (type(err), str(err))
+
+
+def _compare_chains(levels, shapes, spec, params, seed):
+    """Run both versions through ``levels`` from the all-ones mask; the
+    masks, exceptions and rng states must agree at every step. Returns
+    the number of increments compared."""
+    rngs = [None if seed is None else substream(seed, "equiv")
+            for _ in range(2)]
+    masks = [full_mask(shapes)] * 2
+    for step, level in enumerate(levels, 1):
+        (got, got_err), (want, want_err) = (
+            _outcome(increment, mask, level, spec, params, rng)
+            for increment, mask, rng in zip(
+                (prune_increment, _reference_increment), masks, rngs))
+        assert got_err == want_err, (levels, spec, step)
+        if want_err is not None:
+            return step
+        assert same_mask(got, want), (levels, spec, step)
+        masks = [got, want]
+        if seed is not None:
+            assert (rngs[0].bit_generator.state
+                    == rngs[1].bit_generator.state)
+    return len(levels)
+
+
+class TestOneLoopMatchesTheTwoBranchReference:
+    def test_seeded_increments(self):
+        compared = 0
+        for case in range(240):
+            rng = substream(case, "equiv-case")
+            shapes = {f"layer{2 * i}.w": tuple(int(d) for d in
+                                              rng.integers(1, 7, size=rng.integers(1, 3)))
+                      for i in range(rng.integers(1, 4))}
+            # integer weights, so magnitude selection meets ties
+            params = {name: np.round(rng.normal(0.0, 2.0, shape))
+                      for name, shape in shapes.items()}
+            levels = np.sort(rng.uniform(0.0, 0.95, 3)).tolist()
+            if case % 7 == 0:  # a level below the one before it
+                levels[2] = levels[0] / 2
+            for selector in ("random", "magnitude"):
+                for granularity in ("layerwise", "global"):
+                    spec = PruneSpec(selector, 0.5, granularity)
+                    compared += _compare_chains(
+                        levels, shapes, spec,
+                        params if selector == "magnitude" else None, case)
+        assert compared > 1000
+
+    def test_cuts_of_no_entry_need_no_rng_or_weights(self):
+        shapes = {"layer0.w": (3,), "layer2.w": (2, 2)}
+        for granularity in ("layerwise", "global"):
+            for selector in ("random", "magnitude"):
+                spec = PruneSpec(selector, 0.5, granularity)
+                # 0.1 cuts no entry of a 3-, 4- or 7-entry group
+                assert _compare_chains([0.0, 0.1], shapes, spec, None,
+                                       None) == 2
+                # 0.5 cuts some: the missing rng or weights raise
+                assert _compare_chains([0.5], shapes, spec, None, None) == 1
 
 
 class TestOneShotEquivalence:

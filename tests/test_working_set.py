@@ -9,13 +9,14 @@ peaks are deterministic byte counts rather than resident-set readings.
 
 import gzip
 import math
+import struct
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from subanneal import data, ensemble, runner, training
+from subanneal import data, ensemble, masks, runner, training
 from subanneal.annealing import TemperatureConfig
 from subanneal.config import ExperimentConfig
 from subanneal.data import (
@@ -319,6 +320,59 @@ def test_mnist_limit_still_checks_the_whole_file(tmp_path, gz):
     with pytest.raises(data.DatasetError, match="trailing"):
         load_mnist("train", root=tmp_path, limit=2)
 
+
+# header dims whose byte count wraps an int64 to 0, overflows it or exceeds
+# memory: each read must fail as truncated, allocating no more than the
+# file holds
+@pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 2 ** 31),
+                                  (2 ** 20, 2 ** 10, 2 ** 4)],
+                         ids=["wraps", "huge"])
+@pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
+def test_an_idx_header_larger_than_the_file_is_truncated(tmp_path, dims, gz):
+    raw = struct.pack(">IIII", 0x00000803, *dims) + b"\x00" * 100
+    path = tmp_path / "crafted"
+    if gz:
+        with gzip.open(tmp_path / "crafted.gz", "wb") as fh:
+            fh.write(raw)
+    else:
+        path.write_bytes(raw)
+
+    def load():
+        with pytest.raises(data.DatasetError,
+                           match="truncated .* at offset 16"):
+            load_idx(path)
+    assert _traced_peak(load)[1] < 4 << 20
+
+
+@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (3, 2 ** 62),
+                                  (2 ** 42,), (2 ** 64 - 1, 2 ** 64 - 1)],
+                         ids=["wraps", "overflows", "huge", "u64-max"])
+@pytest.mark.parametrize("kind", ["mask", "weights"])
+def test_a_container_header_larger_than_the_file_is_truncated(tmp_path, dims,
+                                                              kind):
+    path = tmp_path / "crafted.ssam"
+    path.write_bytes(struct.pack("<4sIII", b"SSAM", 1, 1, 1) + b"a"
+                     + struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
+                     + b"\x00" * 64)
+    read = masks.load_mask_set if kind == "mask" else masks.load_weights
+
+    def load():
+        with pytest.raises(masks.ContainerError,
+                           match=f"truncated .* at offset {21 + 8 * len(dims)}"):
+            read(path)
+    assert _traced_peak(load)[1] < 1 << 20
+
+
+def test_a_container_rank_larger_than_the_file_is_truncated(tmp_path):
+    path = tmp_path / "rank.ssam"
+    path.write_bytes(struct.pack("<4sIII", b"SSAM", 1, 1, 1) + b"a"
+                     + struct.pack("<I", 2 ** 31) + b"\x00" * 64)
+
+    def load():
+        with pytest.raises(masks.ContainerError,
+                           match="truncated .* bytes for dims at offset 21"):
+            masks.load_mask_set(path)
+    assert _traced_peak(load)[1] < 1 << 20
 
 def test_mnist_limit_still_compares_the_record_counts(tmp_path):
     from test_data import write_idx_labels
