@@ -11,15 +11,10 @@ from .annealing import (
     AnnealController,
     FixedMaskController,
     IterativeController,
-    RandomAnnealConfig,
-    TemperatureConfig,
-    anti_controller,
     anti_probability,
     init_random,
     init_temperature,
     probs_at_epoch,
-    random_anneal_controller,
-    temperature_controller,
     tune,
 )
 from .ensemble import (
@@ -60,10 +55,7 @@ __all__ = [
     "MetricsRecord",
     "ProbabilitySet",
     "PruneSpec",
-    "RandomAnnealConfig",
     "SeveredLayerError",
-    "TemperatureConfig",
-    "anti_controller",
     "accuracy",
     "anti_probability",
     "apply_mask",
@@ -82,7 +74,6 @@ __all__ = [
     "predict_logits",
     "probs_at_epoch",
     "prune_increment",
-    "random_anneal_controller",
     "random_mask",
     "realize",
     "save_mask_set",
@@ -90,7 +81,6 @@ __all__ = [
     "score_ensemble",
     "softmax",
     "substream",
-    "temperature_controller",
     "train_parent",
     "tune",
 ]

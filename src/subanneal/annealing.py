@@ -21,7 +21,6 @@ weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +32,6 @@ LINEAR = "linear"
 COSINE = "cosine"
 REVERSE_DROPOUT = "reverse-dropout"
 FULL_SCALING = "full-scaling"
-UNIFORM = "uniform"
-BIMODAL = "bimodal"
 
 
 def decay_fraction(kind: str, epoch: int, anneal_epochs: int) -> float:
@@ -59,82 +56,52 @@ def decay_fraction(kind: str, epoch: int, anneal_epochs: int) -> float:
     return 0.5 * (1.0 + math.cos(math.pi * x))
 
 
-@dataclass(frozen=True)
-class TemperatureConfig:
-    tau0: float = 0.5
-    variant: str = REVERSE_DROPOUT
-    decay: str = COSINE
-    anneal_epochs: int = 5
-
-    def __post_init__(self):
-        if not 0.0 <= self.tau0 <= 1.0:
-            raise ValueError("tau0 must lie in [0, 1]")
-        if self.variant not in (REVERSE_DROPOUT, FULL_SCALING):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.decay not in (LINEAR, COSINE):
-            raise ValueError(f"unknown decay {self.decay!r}")
-        if self.anneal_epochs < 0:
-            raise ValueError("anneal_epochs must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RandomAnnealConfig:
-    rho: float
-    anneal_epochs: int = 5
-    distribution: str = UNIFORM
-    decay: str = LINEAR
-    mu1: float = 0.25
-    sigma1: float = 0.15
-    mu2: float = 0.75
-    sigma2: float = 0.15
-
-    def __post_init__(self):
-        if not 0.0 <= self.rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        if self.distribution not in (UNIFORM, BIMODAL):
-            raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.decay not in (LINEAR, COSINE):
-            raise ValueError(f"unknown decay {self.decay!r}")
-        if self.anneal_epochs < 0:
-            raise ValueError("anneal_epochs must be nonnegative")
-        if self.distribution == BIMODAL and (self.sigma1 <= 0 or self.sigma2 <= 0):
-            raise ValueError("bimodal sigmas must be positive")
-
-
-def init_temperature(target: MaskSet, cfg: TemperatureConfig) -> ProbabilitySet:
+def init_temperature(target: MaskSet, tau0: float,
+                     variant: str) -> ProbabilitySet:
     """Probabilities for a binary target mask at temperature tau0.
 
     Reverse dropout keeps target entries at probability 1 and lifts pruned
     entries to tau0 so they can pop back in; full scaling also drops the
     target entries to 1 - tau0.
     """
+    if not 0.0 <= tau0 <= 1.0:
+        raise ValueError("tau0 must lie in [0, 1]")
+    if variant not in (REVERSE_DROPOUT, FULL_SCALING):
+        raise ValueError(f"unknown variant {variant!r}")
     mf = target.flat.astype(np.float64)
-    kept = mf if cfg.variant == REVERSE_DROPOUT else mf * (1.0 - cfg.tau0)
+    kept = mf if variant == REVERSE_DROPOUT else mf * (1.0 - tau0)
     # ufunc calls, not operators: numpy's operator reuse of a temporary of
     # 256 KiB or more first walks the C stack, faulting in library pages
-    probs = np.add(kept, np.multiply(1.0 - mf, cfg.tau0))
+    probs = np.add(kept, np.multiply(1.0 - mf, tau0))
     return ProbabilitySet(probs, target.copy())
 
 
-def init_random(shapes: dict, cfg: RandomAnnealConfig,
-                rng: np.random.Generator) -> ProbabilitySet:
+def init_random(shapes: dict, rho: float, rng: np.random.Generator,
+                bimodal: tuple | None = None) -> ProbabilitySet:
     """Randomly assigned initial probabilities plus their terminal targets.
 
-    Uniform: P ~ U[0,1]; entries below the sparsity target anneal to 0,
-    the rest to 1. Bimodal: an index matrix with keep probability 1 - rho
-    selects between two Gaussians, clamped into [0,1]; the index matrix is
-    the terminal mask.
+    Uniform (``bimodal`` None): P ~ U[0,1]; entries below the sparsity
+    target rho anneal to 0, the rest to 1. Bimodal, ``bimodal`` being
+    ``(mu1, sigma1, mu2, sigma2)``: an index matrix with keep probability
+    1 - rho selects between the two Gaussians, clamped into [0,1]; the
+    index matrix is the terminal mask.
     """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError("rho must lie in [0, 1)")
+    if bimodal is not None:
+        mu1, sigma1, mu2, sigma2 = bimodal
+        if sigma1 <= 0 or sigma2 <= 0:
+            raise ValueError("bimodal sigmas must be positive")
     probs = {}
     terminal = {}
     for name, shape in shapes.items():
-        if cfg.distribution == UNIFORM:
+        if bimodal is None:
             p = rng.random(shape)
-            t = (p >= cfg.rho).astype(np.uint8)
+            t = (p >= rho).astype(np.uint8)
         else:
-            t = (rng.random(shape) < (1.0 - cfg.rho)).astype(np.uint8)
-            draws0 = rng.normal(cfg.mu1, cfg.sigma1, shape)
-            draws1 = rng.normal(cfg.mu2, cfg.sigma2, shape)
+            t = (rng.random(shape) < (1.0 - rho)).astype(np.uint8)
+            draws0 = rng.normal(mu1, sigma1, shape)
+            draws1 = rng.normal(mu2, sigma2, shape)
             p = np.clip(np.where(t == 1, draws1, draws0), 0.0, 1.0)
         probs[name] = p
         terminal[name] = t
@@ -224,9 +191,13 @@ class IterativeController:
 
 
 class AnnealController:
-    """Probability-matrix annealing (temperature or random construction)."""
+    """Probability-matrix annealing from ``init`` (``init_temperature``,
+    ``init_random`` or the ``anti_probability`` of either) to its terminal
+    mask over ``anneal_epochs`` epochs of ``decay``."""
 
     def __init__(self, init: ProbabilitySet, decay: str, anneal_epochs: int):
+        # an unknown decay or a negative phi fails here, not at epoch 1
+        decay_fraction(decay, 0, anneal_epochs)
         self.init = init
         self.decay = decay
         self.anneal_epochs = anneal_epochs
@@ -251,24 +222,6 @@ class AnnealController:
         if self._binary_mask is not None:
             return self._binary_mask
         return realize(self.probs, rng)
-
-
-def temperature_controller(target: MaskSet,
-                           cfg: TemperatureConfig) -> AnnealController:
-    return AnnealController(init_temperature(target, cfg), cfg.decay,
-                            cfg.anneal_epochs)
-
-
-def random_anneal_controller(shapes: dict, cfg: RandomAnnealConfig,
-                             rng: np.random.Generator) -> AnnealController:
-    return AnnealController(init_random(shapes, cfg, rng), cfg.decay,
-                            cfg.anneal_epochs)
-
-
-def anti_controller(controller: AnnealController) -> AnnealController:
-    """The partner controller whose probabilities mirror 1 - P every epoch."""
-    return AnnealController(anti_probability(controller.init),
-                            controller.decay, controller.anneal_epochs)
 
 
 # --- the stochastic tuning loop ----------------------------------------------

@@ -107,7 +107,11 @@ def load_idx(path) -> np.ndarray:
         if fh.read(1):
             raise DatasetError(
                 f"trailing bytes at offset {offset + count} in {path.name}")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+    try:
+        return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+    except ValueError as err:  # no bytes, but dims numpy cannot hold
+        raise DatasetError(f"dims at offset 4 in {path.name} do not fit an "
+                           f"array: {err}") from None
 
 
 def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:

@@ -14,12 +14,7 @@ import math
 
 import numpy as np
 
-from .annealing import (
-    AnnealController,
-    TemperatureConfig,
-    anti_controller,
-    temperature_controller,
-)
+from .annealing import AnnealController, anti_probability, init_temperature
 from .data import to_float
 from .metrics import evaluate
 from .nn.layers import Network
@@ -44,16 +39,18 @@ def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
 
 
 def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
-                      tau_cfg: TemperatureConfig, rng: np.random.Generator,
+                      tau0: float, variant: str, decay: str, phi: int,
+                      rng: np.random.Generator,
                       granularity: str = "layerwise") -> AnnealController:
     """Member i's temperature-annealing controller, its target mask drawn
-    from ``rng`` at sparsity rho.
+    from ``rng`` at sparsity rho, annealed at ``tau0`` under ``variant``
+    over ``phi`` epochs of ``decay``.
 
     Members draw their masks from one stream in member order, so ``rng``
     is replayed through the draws of the members before i. With
-    partitioning, members come in complementary pairs: an odd member's
-    controller is the ``anti_controller`` of its pair's, whose
-    probabilities mirror 1 - P every epoch and whose terminal mask is the
+    partitioning, members come in complementary pairs: an odd member
+    starts from the ``anti_probability`` of its pair's probabilities, so
+    its probabilities mirror 1 - P every epoch and its terminal mask is the
     pair's complement; an odd final member gets its own fresh mask. A
     complement at rho != 0.5 has sparsity 1-rho, which is allowed but worth
     noticing in the logs; a complement that keeps no entry of a layer
@@ -62,15 +59,15 @@ def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
     spec = PruneSpec("random", rho, granularity)
     for _ in range(i // 2 + 1 if partitioning else i + 1):
         mask = random_mask(shapes, spec, rng)
-    controller = temperature_controller(mask, tau_cfg)
-    if not (partitioning and i % 2 == 1):
-        return controller
-    check_no_severed_layer(mask.complement(),
-                           f"the complement mask of member {i}")
-    if rho != 0.5:
-        log.warning("partitioning with rho=%s: complement member %d has "
-                    "sparsity %s", rho, i, 1.0 - rho)
-    return anti_controller(controller)
+    init = init_temperature(mask, tau0, variant)
+    if partitioning and i % 2 == 1:
+        check_no_severed_layer(mask.complement(),
+                               f"the complement mask of member {i}")
+        if rho != 0.5:
+            log.warning("partitioning with rho=%s: complement member %d has "
+                        "sparsity %s", rho, i, 1.0 - rho)
+        init = anti_probability(init)
+    return AnnealController(init, decay, phi)
 
 
 def _mean_logits(logits: list) -> np.ndarray:

@@ -29,7 +29,7 @@ import logging
 
 import numpy as np
 
-from .annealing import TemperatureConfig, tune
+from .annealing import tune
 from .ensemble import member_controller, score_ensemble
 from .masks import load_mask_set, save_mask_set, save_weights
 from .rng import substream
@@ -56,13 +56,10 @@ def tune_one_member(cfg, data, out_dir, done, unit):
     so members can be tuned in any order or process."""
     seed, i = unit
     net = load_net(cfg, data, out_dir / done["parents"][seed])
-    tau_cfg = TemperatureConfig(tau0=cfg.tau0[0], variant=cfg.variant,
-                                decay=cfg.decay_for("temperature-anneal"),
-                                anneal_epochs=cfg.phi[0])
     controller = member_controller(
-        net.weight_shapes(), i, cfg.rho[0],
-        cfg.ensemble["partitioning"], tau_cfg, substream(seed, "mask"),
-        cfg.granularity)
+        net.weight_shapes(), i, cfg.rho[0], cfg.ensemble["partitioning"],
+        cfg.tau0[0], cfg.variant, cfg.decay_for("temperature-anneal"),
+        cfg.phi[0], substream(seed, "mask"), cfg.granularity)
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
     try:

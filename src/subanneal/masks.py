@@ -194,11 +194,17 @@ def _read_entries(path, kind: str) -> dict:
             (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
             name = _read_exact(fh, nlen, "name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+            offset = fh.tell()
             dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
             # exact: a product of u64 dims may not fit any numpy integer
             nbytes = np.dtype(dtype).itemsize * math.prod(dims)
             raw = _read_exact(fh, nbytes, f"values of {name!r}")
-            entries[name] = np.frombuffer(raw, dtype=dtype).reshape(dims).copy()
+            try:
+                values = np.frombuffer(raw, dtype=dtype).reshape(dims)
+            except ValueError as err:  # no bytes, but dims numpy cannot hold
+                raise ContainerError(f"dims of {name!r} at offset {offset} "
+                                     f"do not fit an array: {err}") from None
+            entries[name] = values.copy()
     return entries
 
 

@@ -40,11 +40,11 @@ def build_small_conv(input_shape, num_classes: int, dtype=np.float64) -> Network
 
 
 def architecture(name: str, input_shape, num_classes: int,
-                 dtype=np.float64, hidden=HIDDEN) -> Network:
+                 dtype=np.float64) -> Network:
     """Model ``name`` with every parameter zero: no random draw, for a
     network whose parameters are all set afterwards."""
     if name == "mlp":
-        return build_mlp(input_shape, num_classes, hidden=hidden, dtype=dtype)
+        return build_mlp(input_shape, num_classes, dtype=dtype)
     if name == "smallconv":
         if len(input_shape) != 3:
             raise ValueError("smallconv needs (C, H, W) inputs")
@@ -53,9 +53,8 @@ def architecture(name: str, input_shape, num_classes: int,
 
 
 def build_model(name: str, input_shape, num_classes: int,
-                rng: np.random.Generator, dtype=np.float64,
-                hidden=HIDDEN) -> Network:
-    net = architecture(name, input_shape, num_classes, dtype, hidden)
+                rng: np.random.Generator, dtype=np.float64) -> Network:
+    net = architecture(name, input_shape, num_classes, dtype)
     net.init_params(rng)
     return net
 

@@ -2,7 +2,7 @@
 
 Weight decay couples into the gradient before the momentum update, the
 classic formulation. Hyperparameters are fixed at construction; the learning
-rate is supplied per step so schedules stay outside the optimizer.
+rate is an argument of every step, so the schedule is its only source.
 
 A step updates the flat parameters from the flat gradient (``Network.flat``
 and ``Network.grad``, laid out by ``nn.layers``) in one numpy call per
@@ -23,17 +23,14 @@ def _check(params: np.ndarray, grads: np.ndarray, lr: float) -> None:
 
 
 class SGD:
-    def __init__(self, lr: float, momentum: float = 0.0, nesterov: bool = False,
+    def __init__(self, momentum: float = 0.0, nesterov: bool = False,
                  weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
         if weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
         if nesterov and momentum == 0.0:
             raise ValueError("nesterov requires momentum > 0")
-        self.lr = lr
         self.momentum = momentum
         self.nesterov = nesterov
         self.weight_decay = weight_decay
@@ -42,8 +39,7 @@ class SGD:
         # their own (decayed gradient, then the update)
         self._scratch = None
 
-    def step(self, params: np.ndarray, grads: np.ndarray,
-             lr: float | None = None) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Update the flat array ``params`` in place from ``grads``.
 
         All arithmetic happens in place, in the optimizer's own arrays; the
@@ -51,7 +47,6 @@ class SGD:
         ``g = g + wd * p``, ``v = momentum * v + g`` and ``d = g + momentum * v``
         (Nesterov) or ``d = v``. ``grads`` is never written.
         """
-        lr = self.lr if lr is None else lr
         _check(params, grads, lr)
         if self._scratch is None:
             count = 2 if self.weight_decay and self.nesterov else 1
@@ -84,15 +79,12 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
+    def __init__(self, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ValueError("lr must be positive")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if weight_decay < 0:
             raise ValueError("weight_decay must be nonnegative")
-        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -100,10 +92,8 @@ class Adam:
         self._m = self._v = None
         self._t = 0
 
-    def step(self, params: np.ndarray, grads: np.ndarray,
-             lr: float | None = None) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, lr: float) -> None:
         """Update the flat array ``params`` in place from ``grads``."""
-        lr = self.lr if lr is None else lr
         _check(params, grads, lr)
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
@@ -126,13 +116,13 @@ class Adam:
             self._v[:mask.size] *= mask
 
 
-def make_optimizer(kind: str, lr: float, momentum: float = 0.9,
-                   nesterov: bool = True, weight_decay: float = 0.0,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def make_optimizer(kind: str, momentum: float = 0.9, nesterov: bool = True,
+                   weight_decay: float = 0.0, beta1: float = 0.9,
+                   beta2: float = 0.999, eps: float = 1e-8):
     if kind == "sgd":
-        return SGD(lr, momentum=momentum, nesterov=nesterov,
+        return SGD(momentum=momentum, nesterov=nesterov,
                    weight_decay=weight_decay)
     if kind == "adam":
-        return Adam(lr, beta1=beta1, beta2=beta2, eps=eps,
+        return Adam(beta1=beta1, beta2=beta2, eps=eps,
                     weight_decay=weight_decay)
     raise ValueError(f"unknown optimizer kind {kind!r}")

@@ -39,12 +39,11 @@ import numpy as np
 
 from . import __version__
 from .annealing import (
+    AnnealController,
     FixedMaskController,
     IterativeController,
-    RandomAnnealConfig,
-    TemperatureConfig,
-    random_anneal_controller,
-    temperature_controller,
+    init_random,
+    init_temperature,
     tune,
 )
 from .config import ConfigError, ExperimentConfig
@@ -54,13 +53,7 @@ from .masks import MaskSet, load_mask_set, load_weights, save_weights
 from .metrics import evaluate
 from .models import architecture, build_model
 from .nn.optim import make_optimizer
-from .nn.schedules import (
-    Constant,
-    OneCycle,
-    StepDecay,
-    lr_at,
-    parent_stepwise,
-)
+from .nn.schedules import lr_schedule
 from .pruning import (
     PruneSpec,
     check_layer_quotas,
@@ -292,24 +285,9 @@ def _blob_splits(blobs: dict) -> dict:
 def build_training(cfg: ExperimentConfig, desc: dict, epochs: int,
                    n_train: int):
     """The schedule an ``lr``/``parent_lr`` entry describes for ``epochs`` of
-    training on ``n_train`` examples, and a fresh optimizer to go with it.
-
-    The optimizer's own rate only has to be valid: ``run_epoch`` passes the
-    scheduled rate on every step.
-    """
-    steps_per_epoch = -(-n_train // cfg.batch_size)
-    kind = desc["kind"]
-    if kind == "constant":
-        schedule = Constant(desc["value"])
-    elif kind == "onecycle":
-        schedule = OneCycle(desc["start"], desc["max"], desc["end"],
-                            desc["warmup_fraction"],
-                            max(epochs * steps_per_epoch, 1))
-    elif kind == "step":
-        schedule = StepDecay(tuple((e, v) for e, v in desc["breakpoints"]))
-    else:
-        schedule = parent_stepwise(max(epochs, 1), desc["hi"], desc["lo"])
-    return schedule, make_optimizer(lr=lr_at(schedule, 0), **cfg.optimizer)
+    training on ``n_train`` examples, and a fresh optimizer to go with it."""
+    return (lr_schedule(desc, epochs, -(-n_train // cfg.batch_size)),
+            make_optimizer(**cfg.optimizer))
 
 
 # --- parents ------------------------------------------------------------------
@@ -416,21 +394,17 @@ def make_controller(method: str, cfg: ExperimentConfig, net, seed: int,
                   if cfg.selector == "random" else magnitude_mask(weights, spec))
         if method == "oneshot":
             return FixedMaskController(target)
-        tau_cfg = TemperatureConfig(tau0=tau0, variant=cfg.variant,
-                                    decay=cfg.decay_for(method),
-                                    anneal_epochs=phi)
-        return temperature_controller(target, tau_cfg)
-    if method == "iterative":
+        init = init_temperature(target, tau0, cfg.variant)
+    elif method == "iterative":
         return IterativeController(spec, max(phi, 1), weights, mask_rng)
-    if method == "random-anneal":
-        rand_cfg = RandomAnnealConfig(
-            rho=rho, anneal_epochs=phi, distribution=cfg.distribution,
-            decay=cfg.decay_for(method), mu1=cfg.bimodal_mu1,
-            sigma1=cfg.bimodal_sigma1, mu2=cfg.bimodal_mu2,
-            sigma2=cfg.bimodal_sigma2)
-        return random_anneal_controller(net.weight_shapes(), rand_cfg,
-                                        mask_rng)
-    raise ValueError(f"unknown method {method!r}")
+    elif method == "random-anneal":
+        bimodal = ((cfg.bimodal_mu1, cfg.bimodal_sigma1, cfg.bimodal_mu2,
+                    cfg.bimodal_sigma2) if cfg.distribution == "bimodal"
+                   else None)
+        init = init_random(net.weight_shapes(), rho, mask_rng, bimodal)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return AnnealController(init, cfg.decay_for(method), phi)
 
 
 def run_cell(cfg: ExperimentConfig, data: RunData, net, seed: int,

@@ -38,7 +38,6 @@ from .masks import MaskSet, ProbabilitySet, apply_mask, masked_grad
 from .metrics import evaluate
 from .nn.layers import Network, views
 from .nn.losses import cross_entropy_softmax
-from .nn.schedules import OneCycle, lr_at
 
 # An evaluation chunk holds at most EVAL_CHUNK rows and allocates no array
 # larger than EVAL_BYTES. Both are fixed, so a network's chunks and hence its
@@ -93,18 +92,14 @@ def masked_weights(net: Network, mask: MaskSet | ProbabilitySet | None):
             layer.w = w
 
 
-def schedule_lr(schedule, epoch: int, step: int) -> float:
-    """OneCycle advances per optimizer step, everything else per epoch."""
-    if isinstance(schedule, OneCycle):
-        return lr_at(schedule, step)
-    return lr_at(schedule, epoch)
-
-
 def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
               epoch: int, step0: int, batch_size: int,
               rng_shuffle: np.random.Generator,
               controller=None, rng_mask: np.random.Generator | None = None):
     """Train one epoch. Returns (mean batch loss, steps taken, first lr).
+
+    Each optimizer step takes the rate ``schedule(epoch, step)``, where
+    ``step`` counts the run's steps and is ``step0`` at this epoch's first.
 
     Under a controller whose mask is permanent, the mask is first burned
     into ``net``'s weights and ``optimizer``'s state, and the batches train
@@ -150,10 +145,10 @@ def run_epoch(net: Network, x: np.ndarray, y: np.ndarray, optimizer, schedule,
             if mask is not None:
                 w = grad[:net.n_weights]
                 masked_grad(w, keep if permanent else mask.flat, out=w)
-            lr = schedule_lr(schedule, epoch, step)
+            lr = schedule(epoch, step)
             if first_lr is None:
                 first_lr = lr
-            optimizer.step(net.flat, grad, lr=lr)
+            optimizer.step(net.flat, grad, lr)
             losses.append(loss)
             step += 1
     finally:

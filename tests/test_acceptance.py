@@ -18,17 +18,14 @@ import numpy as np
 import pytest
 
 from subanneal.annealing import (
+    AnnealController,
     FixedMaskController,
     IterativeController,
-    RandomAnnealConfig,
-    TemperatureConfig,
     anti_probability,
     decay_fraction,
     init_random,
     init_temperature,
     probs_at_epoch,
-    random_anneal_controller,
-    temperature_controller,
     tune,
 )
 from subanneal.config import ExperimentConfig
@@ -44,7 +41,6 @@ from subanneal.metrics import accuracy, ece
 from subanneal.nn.layers import Conv2d, Dense, Flatten, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant
 from subanneal.pruning import (
     PruneSpec,
     magnitude_mask,
@@ -58,6 +54,7 @@ from subanneal.training import predict_logits
 
 from fd import max_rel_error, named_grads, numerical_grad
 from maskcheck import overlap, same_mask
+from rates import constant
 
 
 # --- criterion 1 -------------------------------------------------------------
@@ -125,37 +122,34 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
             np.testing.assert_array_equal(mag[name].reshape(-1), expected)
 
         # annealing: per-entry monotonicity and bounds across epochs
-        tau_cfg = TemperatureConfig(tau0=float(rng.uniform(0.1, 1.0)),
-                                    decay=("linear", "cosine")[i % 2],
-                                    anneal_epochs=int(rng.integers(1, 6)))
+        tau0 = float(rng.uniform(0.1, 1.0))
+        decay, phi = ("linear", "cosine")[i % 2], int(rng.integers(1, 6))
         target = MaskSet({n: (rng.random(s) < 0.5).astype(np.uint8)
                           for n, s in shapes.items()})
-        init = init_temperature(target, tau_cfg)
-        prev = probs_at_epoch(init, tau_cfg.decay, tau_cfg.anneal_epochs, 0)
-        for e in range(1, tau_cfg.anneal_epochs + 2):
-            cur = probs_at_epoch(init, tau_cfg.decay, tau_cfg.anneal_epochs, e)
+        init = init_temperature(target, tau0, "reverse-dropout")
+        prev = probs_at_epoch(init, decay, phi, 0)
+        for e in range(1, phi + 2):
+            cur = probs_at_epoch(init, decay, phi, e)
             for name in cur.probs:
                 kept = target[name] == 1
                 assert np.all(cur[name][kept] >= prev[name][kept])
                 assert np.all(cur[name][~kept] <= prev[name][~kept])
                 assert cur[name].min() >= 0.0 and cur[name].max() <= 1.0
             prev = cur
-        final = probs_at_epoch(init, tau_cfg.decay, tau_cfg.anneal_epochs,
-                               tau_cfg.anneal_epochs)
+        final = probs_at_epoch(init, decay, phi, phi)
         assert final.is_binary() and same_mask(final.terminal, target)
 
         # annealing: anti-probability mirror is exact at every epoch
         anti = anti_probability(init)
-        for e in range(tau_cfg.anneal_epochs + 1):
-            a = probs_at_epoch(init, tau_cfg.decay, tau_cfg.anneal_epochs, e)
-            b = probs_at_epoch(anti, tau_cfg.decay, tau_cfg.anneal_epochs, e)
+        for e in range(phi + 1):
+            a = probs_at_epoch(init, decay, phi, e)
+            b = probs_at_epoch(anti, decay, phi, e)
             for name in a.probs:
                 np.testing.assert_allclose(a[name] + b[name], 1.0, atol=1e-15)
 
         # annealing: uniform random annealing activates ~50% at epoch 0
         rho_u = float(rng.choice([0.5, 0.7, 0.9, 0.98]))
-        ups = init_random({"u": (50, 40)}, RandomAnnealConfig(rho=rho_u),
-                          rng)
+        ups = init_random({"u": (50, 40)}, rho_u, rng)
         m0 = realize(ups, rng)["u"]
         z = abs(m0.mean() - 0.5) / np.sqrt(0.25 / m0.size)
         if z > 3.0:
@@ -163,8 +157,8 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         assert z < 5.0
 
         # annealing: reverse dropout keeps target entries active every draw
-        rd = temperature_controller(target, TemperatureConfig(tau0=0.5,
-                                                              anneal_epochs=3))
+        rd = AnnealController(init_temperature(target, 0.5, "reverse-dropout"),
+                              "cosine", 3)
         rd.begin_epoch(1)
         drawn = rd.batch_mask(rng)
         for name in target:
@@ -217,10 +211,10 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         net.init_params(rng)
         target = random_mask(net.weight_shapes(), PruneSpec("random", 0.5),
                              rng)
-        controller = temperature_controller(
-            target, TemperatureConfig(tau0=0.5, anneal_epochs=1))
+        controller = AnnealController(
+            init_temperature(target, 0.5, "reverse-dropout"), "cosine", 1)
         blob = make_blobs("train", n=48, d=6, k=3, data_seed=i)
-        tune(net, controller, (blob.x, blob.y), 2, Constant(0.05), SGD(0.05),
+        tune(net, controller, (blob.x, blob.y), 2, constant(0.05), SGD(),
              16, rng_shuffle=substream(i, "s"), rng_mask=substream(i, "b"))
         np.testing.assert_array_equal(predict_logits(net, blob.x),
                                       predict_logits(net, blob.x, mask=target))
@@ -282,15 +276,15 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
     def run_with(controller, seed=3):
         net = Network([Dense(8, 12), ReLU(), Dense(12, 3)], input_shape=(8,))
         net.init_params(substream(seed, "init"))
-        tune(net, controller, (blob.x, blob.y), 4, Constant(0.05),
-             SGD(0.05, momentum=0.9, nesterov=True), 32,
+        tune(net, controller, (blob.x, blob.y), 4, constant(0.05),
+             SGD(momentum=0.9, nesterov=True), 32,
              rng_shuffle=substream(seed, "shuffle"),
              rng_mask=substream(seed, "bernoulli"))
         return net
 
     # tau0 = 0 temperature annealing == fixed-mask tuning, bitwise
-    net_a = run_with(temperature_controller(
-        target, TemperatureConfig(tau0=0.0, anneal_epochs=3)))
+    net_a = run_with(AnnealController(
+        init_temperature(target, 0.0, "reverse-dropout"), "cosine", 3))
     net_b = run_with(FixedMaskController(target))
     for name in net_a.params():
         assert np.array_equal(net_a.params()[name], net_b.params()[name])
@@ -307,8 +301,8 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
     net_e.init_params(substream(4, "init"))
     ctl = IterativeController(PruneSpec("random", 0.7), 1, net_e.weights(),
                               substream(5, "m"))
-    tune(net_e, ctl, (blob.x, blob.y), 4, Constant(0.05),
-         SGD(0.05, momentum=0.9, nesterov=True), 32,
+    tune(net_e, ctl, (blob.x, blob.y), 4, constant(0.05),
+         SGD(momentum=0.9, nesterov=True), 32,
          rng_shuffle=substream(4, "shuffle"),
          rng_mask=substream(4, "bernoulli"))
     for name in net_c.params():
@@ -316,11 +310,9 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
 
     # anti-probability involution is bit-exact on library-generated sets
     for maker in (
-            lambda: init_random({"a": (64, 32)}, RandomAnnealConfig(rho=0.6),
-                                substream(6, "anti")),
-            lambda: init_temperature(target, TemperatureConfig(tau0=0.5)),
-            lambda: init_temperature(target, TemperatureConfig(
-                tau0=0.25, variant="full-scaling")),
+            lambda: init_random({"a": (64, 32)}, 0.6, substream(6, "anti")),
+            lambda: init_temperature(target, 0.5, "reverse-dropout"),
+            lambda: init_temperature(target, 0.25, "full-scaling"),
     ):
         ps = maker()
         twice = anti_probability(anti_probability(ps))
@@ -361,7 +353,7 @@ def test_criterion_04_schedule_endpoints_exact():
 
 def test_criterion_05_uniform_random_annealing_initial_activation():
     for rho in (0.5, 0.9, 0.98):
-        ps = init_random({"layer.w": (100, 100)}, RandomAnnealConfig(rho=rho),
+        ps = init_random({"layer.w": (100, 100)}, rho,
                          substream(9, "act", rho))
         draw_rng = substream(10, "act", rho)
         fractions = [realize(ps, draw_rng)["layer.w"].mean()

@@ -52,7 +52,7 @@ def _parameters(fn, *besides) -> set:
 
 def test_optimizer_and_blobs_keys_are_the_parameters_they_are_passed_to():
     # the runner passes both objects whole, as keyword arguments
-    assert set(OPTIMIZER) == _parameters(make_optimizer, "lr")
+    assert set(OPTIMIZER) == _parameters(make_optimizer)
     assert set(BLOBS) == _parameters(make_blobs, "split")
     defaults = ExperimentConfig.from_dict(_minimal())
     assert set(defaults.optimizer) == set(OPTIMIZER)

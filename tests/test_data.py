@@ -17,10 +17,11 @@ from subanneal.data import (
 )
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant
 from subanneal.ensemble import train_parent
 from subanneal.rng import substream
 from subanneal.training import predict_logits
+
+from rates import constant
 
 
 def write_idx_images(path, images: np.ndarray) -> None:
@@ -163,8 +164,8 @@ class TestBlobs:
         net.init_params(substream(0, "init"))
         mean, std = normalization_stats(ds.x)
         x = normalize(ds.x, mean, std)
-        train_parent(net, (x, ds.y), 10, SGD(0.1, momentum=0.9, nesterov=True),
-                     Constant(0.1), 32, substream(0, "s"))
+        train_parent(net, (x, ds.y), 10, SGD(momentum=0.9, nesterov=True),
+                     constant(0.1), 32, substream(0, "s"))
         acc = float((predict_logits(net, x).argmax(1) == ds.y).mean())
         assert acc > 0.99
 

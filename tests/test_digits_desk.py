@@ -15,10 +15,10 @@ import pytest
 sklearn_datasets = pytest.importorskip("sklearn.datasets")
 
 from subanneal.annealing import (
+    AnnealController,
     FixedMaskController,
     IterativeController,
-    TemperatureConfig,
-    temperature_controller,
+    init_temperature,
     tune,
 )
 from subanneal.data import normalization_stats, normalize
@@ -30,17 +30,25 @@ from subanneal.ensemble import (
 )
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant, OneCycle, parent_stepwise
+from subanneal.nn.schedules import lr_schedule
 from subanneal.pruning import PruneSpec, random_mask
 from subanneal.rng import substream
 from subanneal.training import predict_logits
 
 from maskcheck import overlap
 from members import tune_member
+from rates import constant
 
 BATCH = 32
 RHO = 0.95
 SEEDS = range(5)
+PARENT_LR = {"kind": "parent-stepwise", "hi": 0.1, "lo": 0.001}
+ONE_CYCLE = {"kind": "onecycle", "start": 0.001, "max": 0.1, "end": 1e-7,
+             "warmup_fraction": 0.1}
+
+
+def _steps_per_epoch(data):
+    return -(-len(data[1]) // BATCH)
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +70,8 @@ def digits():
 def _parent(digits, seed):
     net = build_mlp((1, 8, 8), 10, hidden=(300, 100))
     net.init_params(substream(seed, "init"))
-    train_parent(net, digits["train"], 10,
-                 SGD(0.1, momentum=0.9, nesterov=True), parent_stepwise(10),
+    train_parent(net, digits["train"], 10, SGD(momentum=0.9, nesterov=True),
+                 lr_schedule(PARENT_LR, 10, _steps_per_epoch(digits["train"])),
                  BATCH, substream(seed, "shuffle", "parent"))
     return net
 
@@ -90,10 +98,11 @@ def ordering_results(digits):
                 controller = IterativeController(spec, 5, net.weights(),
                                                  substream(seed, "mask"))
             else:
-                controller = temperature_controller(
-                    target, TemperatureConfig(tau0=0.5, anneal_epochs=5))
-            tune(net, controller, digits["train"], 20, Constant(0.01),
-                 SGD(0.01, momentum=0.9, nesterov=True), BATCH,
+                controller = AnnealController(
+                    init_temperature(target, 0.5, "reverse-dropout"),
+                    "cosine", 5)
+            tune(net, controller, digits["train"], 20, constant(0.01),
+                 SGD(momentum=0.9, nesterov=True), BATCH,
                  rng_shuffle=substream(seed, "shuffle", "child", method),
                  rng_mask=substream(seed, "bernoulli", method))
             results[method].append(_accuracy(net, digits["test"]))
@@ -123,26 +132,26 @@ def test_paired_seed_wins_favor_temperature(ordering_results):
 @pytest.fixture(scope="module")
 def ensemble_results(digits):
     """Five partitioned 4-member ensembles with the child recipe."""
-    tau_cfg = TemperatureConfig(tau0=0.5, anneal_epochs=3)
-    steps = 10 * -(-len(digits["train"][1]) // BATCH)
+    steps_per_epoch = _steps_per_epoch(digits["train"])
 
     def new_training():
-        return (OneCycle(0.001, 0.1, 1e-7, 0.1, steps),
-                SGD(0.001, momentum=0.9, nesterov=True, weight_decay=0.0005))
+        return (lr_schedule(ONE_CYCLE, 10, steps_per_epoch),
+                SGD(momentum=0.9, nesterov=True, weight_decay=0.0005))
 
     out = []
     for seed in SEEDS:
         parent = build_mlp((1, 8, 8), 10, hidden=(300, 100))
         parent.init_params(substream(seed, "init"))
         train_parent(parent, digits["train"], 10,
-                     SGD(0.1, momentum=0.9, nesterov=True,
+                     SGD(momentum=0.9, nesterov=True,
                          weight_decay=0.0005),
-                     parent_stepwise(10), BATCH,
+                     lr_schedule(PARENT_LR, 10, steps_per_epoch), BATCH,
                      substream(seed, "shuffle", "parent"))
         members = []
         for i in range(4):
             controller = member_controller(parent.weight_shapes(), i, 0.5,
-                                           True, tau_cfg,
+                                           True, 0.5, "reverse-dropout",
+                                           "cosine", 3,
                                            substream(seed, "mask"))
             net, _ = tune_member(parent, i, controller, digits["train"], 10,
                                  *new_training(), BATCH, seed)

@@ -11,17 +11,18 @@ from subanneal.ensemble import (
     score_ensemble,
     train_parent,
 )
-from subanneal.annealing import FixedMaskController, TemperatureConfig, tune
+from subanneal.annealing import FixedMaskController, tune
 from subanneal.metrics import evaluate, softmax
 from subanneal.models import build_mlp
 from subanneal.pruning import PruneSpec, SeveredLayerError, random_mask
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant, OneCycle
+from subanneal.nn.schedules import lr_schedule
 from subanneal.rng import substream
 from subanneal.training import DivergenceError, predict_logits
 
 from maskcheck import overlap, same_mask
 from members import members_through, tune_member
+from rates import constant
 
 
 def _net(seed=0, d=8, k=3, hidden=(16, 12)):
@@ -30,18 +31,21 @@ def _net(seed=0, d=8, k=3, hidden=(16, 12)):
     return net
 
 
+ONE_CYCLE = {"kind": "onecycle", "start": 0.001, "max": 0.1, "end": 1e-7,
+             "warmup_fraction": 0.1}
+
+
 def _cycle(epochs, n=240, batch=32):
     """A fresh (schedule, optimizer) factory: the child one-cycle recipe."""
-    steps = epochs * -(-n // batch)
-
     def new_training():
-        return (OneCycle(0.001, 0.1, 1e-7, 0.1, steps),
-                SGD(0.001, momentum=0.9, nesterov=True, weight_decay=0.0005))
+        return (lr_schedule(ONE_CYCLE, epochs, -(-n // batch)),
+                SGD(momentum=0.9, nesterov=True, weight_decay=0.0005))
     return new_training
 
 
 def _tau(tau0=0.5, anneal_epochs=2):
-    return TemperatureConfig(tau0=tau0, anneal_epochs=anneal_epochs)
+    """member_controller's (tau0, variant, decay, phi)."""
+    return tau0, "reverse-dropout", "cosine", anneal_epochs
 
 
 def _data(n=240, d=8, k=3):
@@ -54,7 +58,7 @@ def _controllers(n, rho, partitioning, seed, tau=None):
     """Members 0 .. n-1's controllers for ``_net()``, each drawn from its
     own fresh copy of the seed's mask stream, as the members stage does."""
     shapes = _net().weight_shapes()
-    return [member_controller(shapes, i, rho, partitioning, tau or _tau(),
+    return [member_controller(shapes, i, rho, partitioning, *(tau or _tau()),
                               substream(seed, "m")) for i in range(n)]
 
 
@@ -124,11 +128,11 @@ class TestSpawnChildren:
         # 356, so the complement keeps one weight of one layer
         shapes = _net().weight_shapes()
         assert shapes["layer5.w"] == (12, 3)
-        first = member_controller(shapes, 0, 0.004, True, _tau(),
+        first = member_controller(shapes, 0, 0.004, True, *_tau(),
                                   substream(3, "m"), granularity)
         assert first.mask["layer5.w"].any()
         with pytest.raises(SeveredLayerError, match="complement"):
-            member_controller(shapes, 1, 0.004, True, _tau(),
+            member_controller(shapes, 1, 0.004, True, *_tau(),
                               substream(3, "m"), granularity)
 
     def test_each_member_replays_the_draws_of_the_members_before_it(self):
@@ -153,7 +157,7 @@ class TestTrainParent:
         net = _net()
         before = {n: w.copy() for n, w in net.params().items()}
         train, _ = _data()[0], None
-        rows = train_parent(net, _data()[0], 0, SGD(0.1), Constant(0.1), 32,
+        rows = train_parent(net, _data()[0], 0, SGD(), constant(0.1), 32,
                             substream(0, "s"))
         assert rows == []
         for name, w in net.params().items():
@@ -162,8 +166,8 @@ class TestTrainParent:
     def test_blobs_five_epochs_reach_high_train_accuracy(self):
         net = _net()
         (xt, yt), _ = _data()
-        train_parent(net, (xt, yt), 5, SGD(0.1, momentum=0.9, nesterov=True),
-                     Constant(0.1), 32, substream(0, "s"))
+        train_parent(net, (xt, yt), 5, SGD(momentum=0.9, nesterov=True),
+                     constant(0.1), 32, substream(0, "s"))
         acc = float((predict_logits(net, xt).argmax(1) == yt).mean())
         assert acc > 0.9
 
@@ -174,8 +178,8 @@ class TestTrainParent:
                           data_seed=0)
         for seed in range(10):
             net = _net(seed, k=2)
-            rows = train_parent(net, (blob.x, blob.y), 5, SGD(0.1),
-                                Constant(0.1), 32, substream(seed, "s"))
+            rows = train_parent(net, (blob.x, blob.y), 5, SGD(),
+                                constant(0.1), 32, substream(seed, "s"))
             losses = [r["train_loss"] for r in rows]
             wins += losses == sorted(losses, reverse=True)
         assert wins >= 9
@@ -277,9 +281,9 @@ class TestCorrupt:
     def test_extreme_severity_drives_accuracy_toward_chance(self):
         (train, ytr), (test, yt) = _data()
         net = _net()
-        train_parent(net, (train, ytr), 5, SGD(0.1, momentum=0.9,
+        train_parent(net, (train, ytr), 5, SGD(momentum=0.9,
                                                nesterov=True),
-                     Constant(0.1), 32, substream(0, "s"))
+                     constant(0.1), 32, substream(0, "s"))
         clean_acc = float((predict_logits(net, test).argmax(1) == yt).mean())
         # blobs are unbounded features; drown them in huge noise directly
         noisy = test + substream(4, "c").normal(0, 50.0, test.shape)

@@ -18,11 +18,11 @@ from subanneal.models import build_mlp, build_small_conv
 from subanneal.nn.layers import Dense, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
 from subanneal.training import finalize, predict_logits, run_epoch
 
 from fd import named_grads
+from rates import constant
 
 
 def _mlp():
@@ -102,7 +102,7 @@ def test_a_loaded_network_trains_to_the_bits_of_the_saved_one(tmp_path,
     rng = np.random.default_rng(5)
     x, y = rng.normal(size=(64, 6)).astype(dtype), rng.integers(0, 3, 64)
     saved = build()
-    run_epoch(saved, x, y, SGD(0.05, momentum=0.9), Constant(0.05), 0, 0, 16,
+    run_epoch(saved, x, y, SGD(momentum=0.9), constant(0.05), 0, 0, 16,
               substream(1, "shuffle"))
     path = tmp_path / "saved.ssam"
     save_weights(saved.params(), path)
@@ -110,7 +110,7 @@ def test_a_loaded_network_trains_to_the_bits_of_the_saved_one(tmp_path,
     runner.load_params(loaded, path)
     clone = saved.clone()
     for net in (saved, loaded, clone):
-        run_epoch(net, x, y, SGD(0.05, momentum=0.9), Constant(0.05), 1, 4,
+        run_epoch(net, x, y, SGD(momentum=0.9), constant(0.05), 1, 4,
                   16, substream(2, "shuffle"))
     assert loaded.flat.tobytes() == saved.flat.tobytes()
     assert clone.flat.tobytes() == saved.flat.tobytes()

@@ -13,15 +13,11 @@ import numpy as np
 import pytest
 
 from subanneal.annealing import (
-    BIMODAL,
-    FULL_SCALING,
-    REVERSE_DROPOUT,
+    AnnealController,
     FixedMaskController,
     IterativeController,
-    RandomAnnealConfig,
-    TemperatureConfig,
-    random_anneal_controller,
-    temperature_controller,
+    init_random,
+    init_temperature,
     tune,
 )
 from subanneal.data import make_blobs
@@ -30,17 +26,12 @@ from subanneal.metrics import evaluate
 from subanneal.nn.layers import Dense, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
 from subanneal.nn.optim import SGD, Adam
-from subanneal.nn.schedules import Constant
 from subanneal.pruning import PruneSpec, random_mask
 from subanneal.rng import substream
-from subanneal.training import (
-    finalize,
-    masked_weights,
-    predict_logits,
-    schedule_lr,
-)
+from subanneal.training import finalize, masked_weights, predict_logits
 
 from fd import named_grads
+from rates import constant
 
 EPOCHS = 5
 PHI = 2
@@ -70,9 +61,9 @@ def reference_tune(net, controller, train_data, epochs, schedule, optimizer,
             grads = named_grads(net)  # per-tensor views of the flat gradient
             for name in mask:
                 masked_grad(grads[name], mask[name], out=grads[name])
-            lr = schedule_lr(schedule, epoch, step)
+            lr = schedule(epoch, step)
             first_lr = lr if first_lr is None else first_lr
-            optimizer.step(net.flat, grad, lr=lr)
+            optimizer.step(net.flat, grad, lr)
             losses.append(loss)
             step += 1
         net.clear_cache()
@@ -118,25 +109,23 @@ CONTROLLERS = {
     "oneshot": lambda net: FixedMaskController(_target(net)),
     "iterative-random": _iterative("random"),
     "iterative-magnitude": _iterative("magnitude"),
-    "temperature-reverse-dropout": lambda net: temperature_controller(
-        _target(net), TemperatureConfig(tau0=0.5, variant=REVERSE_DROPOUT,
-                                        anneal_epochs=PHI)),
-    "temperature-full-scaling-tau1": lambda net: temperature_controller(
-        _target(net), TemperatureConfig(tau0=1.0, variant=FULL_SCALING,
-                                        anneal_epochs=PHI)),
-    "random-anneal-uniform": lambda net: random_anneal_controller(
-        net.weight_shapes(), RandomAnnealConfig(rho=RHO, anneal_epochs=PHI),
-        substream(1, "random")),
-    "random-anneal-bimodal": lambda net: random_anneal_controller(
-        net.weight_shapes(), RandomAnnealConfig(
-            rho=RHO, anneal_epochs=PHI, distribution=BIMODAL),
-        substream(1, "random")),
+    "temperature-reverse-dropout": lambda net: AnnealController(
+        init_temperature(_target(net), 0.5, "reverse-dropout"), "cosine", PHI),
+    "temperature-full-scaling-tau1": lambda net: AnnealController(
+        init_temperature(_target(net), 1.0, "full-scaling"), "cosine", PHI),
+    "random-anneal-uniform": lambda net: AnnealController(
+        init_random(net.weight_shapes(), RHO, substream(1, "random")),
+        "linear", PHI),
+    "random-anneal-bimodal": lambda net: AnnealController(
+        init_random(net.weight_shapes(), RHO, substream(1, "random"),
+                    (0.25, 0.15, 0.75, 0.15)),
+        "linear", PHI),
 }
 
 OPTIMIZERS = {
-    "sgd-nesterov-wd": lambda: SGD(0.05, momentum=0.9, nesterov=True,
+    "sgd-nesterov-wd": lambda: SGD(momentum=0.9, nesterov=True,
                                    weight_decay=0.01),
-    "adam-wd": lambda: Adam(0.01, weight_decay=0.01),
+    "adam-wd": lambda: Adam(weight_decay=0.01),
 }
 
 
@@ -145,7 +134,7 @@ def _run(tune_fn, make_controller, make_optimizer, eval_mode):
     train = make_blobs("train", n=96, d=6, k=3, data_seed=0)
     test = make_blobs("test", n=48, d=6, k=3, data_seed=0)
     rows = tune_fn(net, make_controller(net), (train.x, train.y), EPOCHS,
-                   Constant(0.05), make_optimizer(), BATCH,
+                   constant(0.05), make_optimizer(), BATCH,
                    substream(2, "shuffle"), substream(3, "bernoulli"),
                    (test.x, test.y), eval_mode)
     return rows, net.params()

@@ -467,16 +467,16 @@ class TestEnsembleTask:
             assert [row["lr"] for row in rows] == [0.05, 0.05]
 
     def test_members_follow_the_onecycle_warmup(self, tmp_path):
-        from subanneal.nn.schedules import OneCycle, lr_at
+        from subanneal.nn.schedules import lr_schedule
 
         lr = {"kind": "onecycle", "start": 0.001, "max": 0.1, "end": 1e-7,
               "warmup_fraction": 0.5}
         run(self._ensemble_cfg(tmp_path, epochs=4, phi=2, lr=lr))
         steps = -(-BLOBS["n"] // 32)  # 5 steps per epoch
-        want = OneCycle(0.001, 0.1, 1e-7, 0.5, 4 * steps)
+        want = lr_schedule(lr, 4, steps)
         for rows in self._member_rows(tmp_path):
             assert [row["lr"] for row in rows] == [
-                lr_at(want, epoch * steps) for epoch in range(4)]
+                want(epoch, epoch * steps) for epoch in range(4)]
 
     def test_shares_the_parent_cache(self, tmp_path):
         sweep = json.loads(run(_cfg(tmp_path, parent_epochs=1)).read_text())

@@ -17,10 +17,9 @@ import numpy as np
 import pytest
 
 from subanneal.annealing import (
-    FULL_SCALING,
+    AnnealController,
     FixedMaskController,
-    TemperatureConfig,
-    temperature_controller,
+    init_temperature,
     tune,
 )
 from subanneal.data import make_blobs
@@ -29,9 +28,10 @@ from subanneal.masks import MaskSet, ProbabilitySet, full_mask
 from subanneal.models import build_mlp, build_model
 from subanneal.nn.layers import Dense, Network, ReLU, views
 from subanneal.nn.optim import SGD, Adam
-from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
 from subanneal.training import masked_weights, predict_logits, run_epoch
+
+from rates import constant
 
 LR = 0.05
 BATCH = 16
@@ -49,17 +49,17 @@ def _setup():
 
 
 def _epoch(net, data, optimizer, controller, epoch=0):
-    run_epoch(net, *data, optimizer, Constant(LR), epoch, 0, BATCH,
+    run_epoch(net, *data, optimizer, constant(LR), epoch, 0, BATCH,
               substream(2, "shuffle", epoch), controller=controller,
               rng_mask=substream(3, "bernoulli"))
 
 
-def _stochastic(mask, epoch=0, **cfg):
+def _stochastic(mask, epoch=0, tau0=0.0, variant="reverse-dropout"):
     """A temperature controller annealing to ``mask`` over PHI epochs, moved
     to ``epoch``. At tau0 = 0 (the default here) its probabilities are
     ``mask`` itself, but the mask is not permanent before epoch PHI."""
-    controller = temperature_controller(
-        mask, TemperatureConfig(**{"tau0": 0.0, "anneal_epochs": PHI, **cfg}))
+    controller = AnnealController(init_temperature(mask, tau0, variant),
+                                  "cosine", PHI)
     controller.begin_epoch(epoch)
     return controller
 
@@ -95,7 +95,7 @@ def _assert_off_is_zero(mask, net, optimizer):
 def test_weight_decay_shrinks_masked_off_weights(momentum):
     net, data, mask = _setup()
     before = _off(mask, net.weights())
-    opt = SGD(LR, momentum=momentum, weight_decay=0.01)
+    opt = SGD(momentum=momentum, weight_decay=0.01)
     controller = _stochastic(mask)
     assert not controller.permanent
     _epoch(net, data, opt, controller)
@@ -120,7 +120,7 @@ def test_weight_decay_shrinks_masked_off_weights(momentum):
 def test_momentum_leaves_weights_masked_from_the_start_alone():
     net, data, mask = _setup()
     before = _off(mask, net.weights())
-    _epoch(net, data, SGD(LR, momentum=0.9, nesterov=True), _stochastic(mask))
+    _epoch(net, data, SGD(momentum=0.9, nesterov=True), _stochastic(mask))
     after = _off(mask, net.weights())
     for name in before:
         assert np.array_equal(after[name], before[name]), name
@@ -128,7 +128,7 @@ def test_momentum_leaves_weights_masked_from_the_start_alone():
 
 def test_momentum_moves_a_weight_after_it_drops_out():
     net, data, mask = _setup()
-    opt = SGD(LR, momentum=0.9, nesterov=True)
+    opt = SGD(momentum=0.9, nesterov=True)
     _epoch(net, data, opt, FixedMaskController(full_mask(net.weight_shapes())))
     before = _off(mask, net.weights())
     velocity = _off(mask, _by_weight(opt._velocity, net))
@@ -149,8 +149,8 @@ def test_momentum_moves_a_weight_after_it_drops_out():
 
 
 @pytest.mark.parametrize("make_opt", [
-    lambda: SGD(LR, momentum=0.9, nesterov=True, weight_decay=0.01),
-    lambda: Adam(0.01, weight_decay=0.01),
+    lambda: SGD(momentum=0.9, nesterov=True, weight_decay=0.01),
+    lambda: Adam(weight_decay=0.01),
 ], ids=["sgd", "adam"])
 def test_a_permanent_mask_zeroes_masked_off_weights_and_state(make_opt):
     net, data, mask = _setup()
@@ -171,7 +171,7 @@ def test_entries_masked_only_in_stochastic_epochs_keep_their_values():
     # reverse dropout at tau0 = 0.5: the pruned entries of the target are
     # dropped from most batches, yet they keep their values until PHI
     net, data, mask = _setup()
-    opt = SGD(LR, momentum=0.9, nesterov=True, weight_decay=0.01)
+    opt = SGD(momentum=0.9, nesterov=True, weight_decay=0.01)
     controller = _stochastic(mask, tau0=0.5)
     for epoch in range(PHI):
         controller.begin_epoch(epoch)
@@ -190,12 +190,12 @@ def test_a_binary_first_epoch_of_full_scaling_is_not_permanent():
     # binary, but the target's entries come back from epoch 1 on, so
     # epoch 0 must not burn them
     net, data, mask = _setup()
-    controller = _stochastic(mask, tau0=1.0, variant=FULL_SCALING)
+    controller = _stochastic(mask, tau0=1.0, variant="full-scaling")
     assert controller.probs.is_binary()
     assert not controller.permanent
     before = {name: w[mask[name] == 1].copy()
               for name, w in net.weights().items()}
-    _epoch(net, data, SGD(LR, momentum=0.9), controller)
+    _epoch(net, data, SGD(momentum=0.9), controller)
     for name, w in net.weights().items():
         assert np.array_equal(w[mask[name] == 1], before[name]), name
         assert np.all(w[mask[name] == 1] != 0), name
@@ -211,7 +211,7 @@ def test_a_permanent_mask_is_still_asked_for_every_batch():
         return mask
 
     controller.batch_mask = batch_mask
-    _epoch(net, data, SGD(LR), controller)
+    _epoch(net, data, SGD(), controller)
     assert len(calls) == N // BATCH
 
 
@@ -254,8 +254,8 @@ def test_masked_weights_float32_scale_rounds_like_astype():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("make_opt", [
-    lambda wd: SGD(LR, momentum=0.9, nesterov=True, weight_decay=wd),
-    lambda wd: Adam(0.01, weight_decay=wd)], ids=["sgd", "adam"])
+    lambda wd: SGD(momentum=0.9, nesterov=True, weight_decay=wd),
+    lambda wd: Adam(weight_decay=wd)], ids=["sgd", "adam"])
 @pytest.mark.parametrize("wd", [0.0, 5e-4])
 def test_dense_training_is_tuning_under_the_all_ones_mask(dtype, make_opt,
                                                            wd):
@@ -268,10 +268,10 @@ def test_dense_training_is_tuning_under_the_all_ones_mask(dtype, make_opt,
         net = build_mlp((8,), 3, hidden=(16, 12), dtype=dtype)
         net.init_params(substream(0, "init"))
         nets.append(net)
-    dense = train_parent(nets[0], data, 3, make_opt(wd), Constant(LR), 32,
+    dense = train_parent(nets[0], data, 3, make_opt(wd), constant(LR), 32,
                          substream(0, "shuffle"), eval_data=eval_data)
     masked = tune(nets[1], FixedMaskController(full_mask(
-        nets[1].weight_shapes())), data, 3, Constant(LR), make_opt(wd), 32,
+        nets[1].weight_shapes())), data, 3, constant(LR), make_opt(wd), 32,
         substream(0, "shuffle"), eval_data=eval_data)
     assert dense == masked
     assert nets[0].flat.dtype == nets[1].flat.dtype == dtype

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from subanneal import data, ensemble, masks, runner, training
-from subanneal.annealing import TemperatureConfig
 from subanneal.config import ExperimentConfig
 from subanneal.data import (
     STATS_BLOCK_PIXELS,
@@ -39,7 +38,6 @@ from subanneal.ensemble import (
 from subanneal.models import build_mlp, build_model, build_small_conv
 from subanneal.nn.layers import Conv2d, Network
 from subanneal.nn.optim import SGD
-from subanneal.nn.schedules import Constant
 from subanneal.rng import substream
 from subanneal.runner import RunData
 from subanneal.training import (
@@ -49,7 +47,9 @@ from subanneal.training import (
     predict_logits,
     run_epoch,
 )
+
 from members import tune_member
+from rates import constant
 from test_data import make_mnist_dir
 
 KIB = 1024
@@ -323,13 +323,20 @@ def test_mnist_limit_still_checks_the_whole_file(tmp_path, gz):
 
 # header dims whose byte count wraps an int64 to 0, overflows it or exceeds
 # memory: each read must fail as truncated, allocating no more than the
-# file holds
-@pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 2 ** 31),
-                                  (2 ** 20, 2 ** 10, 2 ** 4)],
-                         ids=["wraps", "huge"])
+# file holds. Dims with a 0 claim no bytes, so the file holds them all, but
+# beside the 0 a dim or a product numpy cannot index: the reader's own
+# error, naming the dims' offset.
+@pytest.mark.parametrize("dims,error", [
+    ((2 ** 31, 2 ** 31, 2 ** 31), "truncated .* at offset 16"),
+    ((2 ** 20, 2 ** 10, 2 ** 4), "truncated .* at offset 16"),
+    ((0, 2 ** 32 - 1, 2 ** 32 - 1), "dims at offset 4 .* do not fit"),
+    ((2 ** 32 - 1, 0, 2 ** 32 - 1), "dims at offset 4 .* do not fit"),
+], ids=["wraps", "huge", "zero-by-huge", "huge-by-zero"])
 @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gzip"])
-def test_an_idx_header_larger_than_the_file_is_truncated(tmp_path, dims, gz):
-    raw = struct.pack(">IIII", 0x00000803, *dims) + b"\x00" * 100
+def test_an_idx_header_larger_than_the_file_is_truncated(tmp_path, dims,
+                                                         error, gz):
+    data_bytes = b"\x00" * 100 if math.prod(dims) else b""
+    raw = struct.pack(">IIII", 0x00000803, *dims) + data_bytes
     path = tmp_path / "crafted"
     if gz:
         with gzip.open(tmp_path / "crafted.gz", "wb") as fh:
@@ -338,29 +345,45 @@ def test_an_idx_header_larger_than_the_file_is_truncated(tmp_path, dims, gz):
         path.write_bytes(raw)
 
     def load():
-        with pytest.raises(data.DatasetError,
-                           match="truncated .* at offset 16"):
+        with pytest.raises(data.DatasetError, match=error):
             load_idx(path)
     assert _traced_peak(load)[1] < 4 << 20
 
 
-@pytest.mark.parametrize("dims", [(2 ** 32, 2 ** 32), (3, 2 ** 62),
-                                  (2 ** 42,), (2 ** 64 - 1, 2 ** 64 - 1)],
-                         ids=["wraps", "overflows", "huge", "u64-max"])
+TOO_BIG = "dims of 'a' at offset 21 do not fit an array"
+
+
+@pytest.mark.parametrize("dims,error", [
+    ((2 ** 32, 2 ** 32), "truncated .* at offset 37"),
+    ((3, 2 ** 62), "truncated .* at offset 37"),
+    ((2 ** 42,), "truncated .* at offset 29"),
+    ((2 ** 64 - 1, 2 ** 64 - 1), "truncated .* at offset 37"),
+    ((0, 2 ** 63), TOO_BIG),
+    ((0, 2 ** 64 - 1), TOO_BIG),
+    ((0, 2 ** 40, 2 ** 40), TOO_BIG),
+    ((1,) * 70, TOO_BIG),
+], ids=["wraps", "overflows", "huge", "u64-max", "zero-by-2^63",
+        "zero-by-u64-max", "zero-by-huge", "rank-70"])
 @pytest.mark.parametrize("kind", ["mask", "weights"])
 def test_a_container_header_larger_than_the_file_is_truncated(tmp_path, dims,
-                                                              kind):
+                                                              error, kind):
     path = tmp_path / "crafted.ssam"
+    values = b"\x00" * 64 if 0 not in dims else b""
     path.write_bytes(struct.pack("<4sIII", b"SSAM", 1, 1, 1) + b"a"
                      + struct.pack(f"<I{len(dims)}Q", len(dims), *dims)
-                     + b"\x00" * 64)
+                     + values)
     read = masks.load_mask_set if kind == "mask" else masks.load_weights
 
     def load():
-        with pytest.raises(masks.ContainerError,
-                           match=f"truncated .* at offset {21 + 8 * len(dims)}"):
+        with pytest.raises(masks.ContainerError, match=error):
             read(path)
     assert _traced_peak(load)[1] < 1 << 20
+
+
+def test_an_empty_container_entry_still_loads(tmp_path):
+    path = tmp_path / "empty.ssam"
+    masks.save_weights({"a": np.zeros((0, 5))}, path)
+    assert masks.load_weights(path)["a"].shape == (0, 5)
 
 
 def test_a_container_rank_larger_than_the_file_is_truncated(tmp_path):
@@ -835,7 +858,7 @@ def _conv_net(shape=(3, 16, 16), k=3):
 
 
 def _epoch(net, x, y, controller=None):
-    return run_epoch(net, x, y, SGD(0.01, momentum=0.9), Constant(0.01), 0, 0,
+    return run_epoch(net, x, y, SGD(momentum=0.9), constant(0.01), 0, 0,
                      32, substream(1, "shuffle"), controller=controller,
                      rng_mask=substream(2, "bernoulli"))
 
@@ -860,13 +883,13 @@ def _tune_members(parent, n_members, x, y, batch_size, optimizer,
                   eval_data=None):
     """Members 0 .. n-1 of a partitioned ensemble, tuned one epoch each in
     turn; returns the tuned networks."""
-    tau_cfg = TemperatureConfig(tau0=0.5, anneal_epochs=1)
     nets = []
     for i in range(n_members):
         controller = member_controller(parent.weight_shapes(), i, 0.5, True,
-                                       tau_cfg, substream(1, "mask"))
+                                       0.5, "reverse-dropout", "cosine", 1,
+                                       substream(1, "mask"))
         net, _ = tune_member(parent, i, controller, (x, y), 1,
-                             Constant(0.01), optimizer(), batch_size, seed=3,
+                             constant(0.01), optimizer(), batch_size, seed=3,
                              eval_data=eval_data)
         nets.append(net)
     return nets
@@ -878,9 +901,9 @@ def test_tuned_ensemble_networks_hold_no_caches(evaluated):
     x, y = _conv_data()
     eval_data = (x[:20], y[:20]) if evaluated else None
     parent = _conv_net()
-    train_parent(parent, (x, y), 1, SGD(0.01), Constant(0.01), 32,
+    train_parent(parent, (x, y), 1, SGD(), constant(0.01), 32,
                  substream(1, "shuffle"), eval_data=eval_data)
-    members = _tune_members(parent, 2, x, y, 32, lambda: SGD(0.01),
+    members = _tune_members(parent, 2, x, y, 32, lambda: SGD(),
                             eval_data=eval_data)
     for net in [parent, *members]:
         assert _no_caches(net)
@@ -892,7 +915,7 @@ def _tuning_peak(n_members):
     x, y = _conv_data()
     parent = _conv_net()
     _, peak = _traced_peak(lambda: _tune_members(
-        parent, n_members, x, y, 96, lambda: SGD(0.01, momentum=0.9)))
+        parent, n_members, x, y, 96, lambda: SGD(momentum=0.9)))
     return peak
 
 
