@@ -25,7 +25,6 @@ network in one numpy call per operation.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
@@ -394,10 +393,3 @@ class Network:
 
     def weight_shapes(self) -> dict:
         return {name: w.shape for name, w in self.weights().items()}
-
-    def clone(self) -> "Network":
-        """Structural copy with its own ``flat`` and no cached state."""
-        net = Network([copy.copy(layer) for layer in self.layers],
-                      self.input_shape)
-        net.clear_cache()
-        return net

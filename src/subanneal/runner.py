@@ -18,7 +18,9 @@ of work, and ``run`` drives them all through one loop. A unit's outputs
 depend on that unit alone and on files earlier stages wrote: a later unit
 loads its seed's parent from the cache file its "parents" unit reported,
 and draws from its own ``substream(seed, ...)`` streams. So any number of
-processes can share a stage's units (``workers.run_stage``).
+processes can share a stage's units (``workers.run_stage``). Every task's
+unit functions live here, beside the loop; ``ensemble`` holds only the
+library half of the ensemble task (member masks, scoring).
 """
 
 from __future__ import annotations
@@ -48,8 +50,14 @@ from .annealing import (
 )
 from .config import ConfigError, ExperimentConfig
 from .data import NormalizedRows, load_dataset, normalization_stats
-from .ensemble import corrupt, train_parent
-from .masks import MaskSet, load_mask_set, load_weights, save_weights
+from .ensemble import corrupt, member_controller, score_ensemble, train_parent
+from .masks import (
+    MaskSet,
+    load_mask_set,
+    load_weights,
+    save_mask_set,
+    save_weights,
+)
 from .metrics import evaluate
 from .models import architecture, build_model
 from .nn.optim import make_optimizer
@@ -62,7 +70,7 @@ from .pruning import (
     random_mask,
 )
 from .rng import substream
-from .training import predict_logits
+from .training import DivergenceError, predict_logits
 from .workers import error_text, process_usage, run_stage
 
 log = logging.getLogger(__name__)
@@ -566,14 +574,13 @@ def run_stages(cfg: ExperimentConfig) -> list:
       order (``_sweep_cell``);
     - ``train-parent``: "parents", one unit per seed (``_seed_parent``);
     - ``ensemble``: "parents" as for sweeps; "members", a ``(seed,
-      member)`` unit per member of every seed; "scores", a ``(seed, set)``
-      unit per scoring set of every seed: ``"clean"`` (the test set), then
-      each corruption severity (``ensemble_task``);
+      member)`` unit per member of every seed (``tune_one_member``);
+      "scores", a ``(seed, set)`` unit per set of ``_scoring_sets`` of
+      every seed (``score_one_set``);
     - ``eval``: "scores", as for ``ensemble`` (``_score_weights``).
     """
     seeds = cfg.seeds
-    sets = [(seed, which) for seed in seeds
-            for which in ("clean", *cfg.ensemble["corruption_severities"])]
+    sets = [(seed, which) for seed in seeds for which in _scoring_sets(cfg)]
     if cfg.task == "eval":
         return [("scores", sets, _score_weights)]
     if cfg.task == "train-parent":
@@ -583,12 +590,17 @@ def run_stages(cfg: ExperimentConfig) -> list:
         return [parents, ("cells", [(seed, *cell) for seed in seeds
                                     for cell in _cell_grid(cfg)],
                           _sweep_cell)]
-    from . import ensemble_task  # compiled only by an ensemble run
     return [parents,
             ("members", [(seed, i) for seed in seeds
                          for i in range(cfg.ensemble["n_members"])],
-             ensemble_task.tune_one_member),
-            ("scores", sets, ensemble_task.score_one_set)]
+             tune_one_member),
+            ("scores", sets, score_one_set)]
+
+
+def _scoring_sets(cfg: ExperimentConfig) -> tuple:
+    """The sets an ``ensemble`` or ``eval`` run scores each seed on:
+    ``"clean"`` (the test set), then each corruption severity."""
+    return ("clean", *cfg.ensemble["corruption_severities"])
 
 
 def _unit_seed(unit) -> int:
@@ -631,6 +643,73 @@ def _sweep_cell(cfg, data, out_dir, done, unit) -> dict:
     }
 
 
+def tune_one_member(cfg, data, out_dir, done, unit):
+    """Stage "members": tune member i of the seed's ensemble from the
+    cached parent and write ``member-i.{weights,mask}.ssam`` and
+    ``member-i.csv``. Returns the member's realized sparsity, or its
+    ``failures`` record (which holds ``error``) when it diverged: it then
+    writes nothing and is left out of the ensemble.
+
+    Each member has its own controller (``member_controller``), its own
+    (schedule, optimizer) pair and its own shuffle and Bernoulli streams,
+    so members can be tuned in any order or process."""
+    seed, i = unit
+    net = load_net(cfg, data, out_dir / done["parents"][seed])
+    controller = member_controller(
+        net.weight_shapes(), i, cfg.rho[0], cfg.ensemble["partitioning"],
+        cfg.tau0[0], cfg.variant, cfg.decay_for("temperature-anneal"),
+        cfg.phi[0], substream(seed, "mask"), cfg.granularity)
+    schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
+                                         len(data.y_train))
+    try:
+        rows = tune(net, controller, (data.x_train, data.y_train),
+                    cfg.epochs, schedule, optimizer, cfg.batch_size,
+                    rng_shuffle=substream(seed, "shuffle", "member", i),
+                    rng_mask=substream(seed, "bernoulli", "member", i))
+    except DivergenceError as err:
+        log.error("member %d of seed %d diverged: %s", i, seed, err)
+        return {"member": i, "error": str(err), **err.record}
+    seed_dir = out_dir / f"seed-{seed}"
+    write_atomic(seed_dir / f"member-{i}.weights.ssam",
+                 functools.partial(save_weights, net.params()))
+    write_atomic(seed_dir / f"member-{i}.mask.ssam",
+                 functools.partial(save_mask_set, controller.mask))
+    write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
+    return controller.mask.sparsity()
+
+
+def _outcomes(cfg, done, seed) -> list:
+    """The "members" results of ``seed``, member by member."""
+    return [done["members"][seed, i]
+            for i in range(cfg.ensemble["n_members"])]
+
+
+def score_one_set(cfg, data, out_dir, done, unit):
+    """Stage "scores" of ``ensemble``: the seed's surviving members,
+    loaded from their weights files (float64, so a loaded member has the
+    tuned one's bits), and their ensemble scored on one set
+    (``RunData.test_inputs``). The cached parent joins the average under
+    ``include_parent``. Returns (member records, ensemble record) as
+    dicts; each member record carries the sparsity its "members" unit
+    returned. Raises ``DivergenceError`` when every member diverged."""
+    seed, which = unit
+    survivors = [(i, outcome)
+                 for i, outcome in enumerate(_outcomes(cfg, done, seed))
+                 if not isinstance(outcome, dict)]
+    if not survivors:
+        raise DivergenceError("every ensemble member diverged")
+    nets = [load_net(cfg, data,
+                     out_dir / f"seed-{seed}" / f"member-{i}.weights.ssam")
+            for i, _ in survivors]
+    extra = (load_net(cfg, data, out_dir / done["parents"][seed])
+             if cfg.ensemble["include_parent"] else None)
+    records, ensemble_record = score_ensemble(
+        nets, extra, data.test_inputs(which, seed), data.y_test)
+    for rec, (_, sparsity) in zip(records, survivors):
+        rec.realized_sparsity = sparsity
+    return [rec.to_dict() for rec in records], ensemble_record.to_dict()
+
+
 def _score_weights(cfg, data, out_dir, done, unit) -> dict:
     """Stage "scores" of ``eval``: ``cfg.weights``, under ``cfg.mask`` when
     given, scored on one ``(seed, set)`` set (``RunData.test_inputs``);
@@ -652,7 +731,7 @@ def _write_results(cfg, out_dir, done, seeds) -> tuple:
     """The manifest's cells and metric files, written from the results in
     ``done`` of the ``seeds`` that finished every stage."""
     if cfg.task == "eval":  # no cell; the records of its seed, if finished
-        sets = ("clean", *cfg.ensemble["corruption_severities"])
+        sets = _scoring_sets(cfg)
         for seed in seeds:
             clean, *corrupted = [done["scores"][seed, which] for which in sets]
             write_json_atomic(out_dir / "eval.json", {
@@ -660,11 +739,46 @@ def _write_results(cfg, out_dir, done, seeds) -> tuple:
                 "corrupted": dict(zip(map(str, sets[1:]), corrupted))})
         return [], ["eval.json" for _ in seeds]
     if cfg.task == "ensemble":
-        from .ensemble_task import write_summaries
         cells = write_summaries(cfg, out_dir, done, seeds)
     else:  # the last stage's results
         cells = list(list(done.values())[-1].values())
     return cells, [cell["metrics"] for cell in cells]
+
+
+def write_summaries(cfg, out_dir, done, seeds) -> list:
+    """Write the ``ensemble-summary.json`` of each of ``seeds`` (each
+    finished every stage) from its results in ``done``; returns their
+    manifest cells."""
+    sets = _scoring_sets(cfg)
+    cells = []
+    for seed in seeds:
+        (members, ensemble), *corrupted = [
+            done["scores"][seed, which] for which in sets]
+        member_mean_acc = float(np.mean([rec["accuracy"] for rec in members]))
+        summary = {
+            "config": cfg.to_dict(),
+            "seed": seed,
+            "members": members,
+            "member_mean_accuracy": member_mean_acc,
+            "ensemble_minus_mean_member": (ensemble["accuracy"]
+                                           - member_mean_acc),
+            "ensemble": ensemble,
+            "corrupted": {
+                str(severity): {"ensemble": ens, "members": recs}
+                for severity, (recs, ens) in zip(sets[1:], corrupted)},
+            "failures": [outcome for outcome in _outcomes(cfg, done, seed)
+                         if isinstance(outcome, dict)],
+        }
+        summary_path = out_dir / f"seed-{seed}" / "ensemble-summary.json"
+        write_json_atomic(summary_path, summary)
+        cells.append({
+            "method": "ensemble", "selector": cfg.selector,
+            "lr_schedule": cfg.lr["kind"], "rho": cfg.rho[0],
+            "phi": cfg.phi[0], "tau0": cfg.tau0[0], "epochs": cfg.epochs,
+            "seed": seed, "metrics": str(summary_path.relative_to(out_dir)),
+            "parent": done["parents"][seed],
+        })
+    return cells
 
 
 # --- summaries -------------------------------------------------------------------

@@ -37,6 +37,7 @@ from subanneal.training import predict_logits
 
 from maskcheck import overlap
 from members import tune_member
+from nets import clone
 from rates import constant
 
 BATCH = 32
@@ -91,7 +92,7 @@ def ordering_results(digits):
         target = random_mask(parent.weight_shapes(), spec,
                              substream(seed, "mask"))
         for method in results:
-            net = parent.clone()
+            net = clone(parent)
             if method == "oneshot":
                 controller = FixedMaskController(target)
             elif method == "iterative":

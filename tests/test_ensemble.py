@@ -22,6 +22,7 @@ from subanneal.training import DivergenceError, predict_logits
 
 from maskcheck import overlap, same_mask
 from members import members_through, tune_member
+from nets import clone
 from rates import constant
 
 
@@ -214,13 +215,13 @@ class TestTuneChildren:
         members, _ = _members(parent, [controller], data, 3, seed=8)
 
         # plain prune-and-tune of the same child through the generic loop
-        clone = parent.clone()
+        child = clone(parent)
         sched, opt = _cycle(3)()
-        tune(clone, FixedMaskController(target), data, 3, sched, opt, 32,
+        tune(child, FixedMaskController(target), data, 3, sched, opt, 32,
              rng_shuffle=substream(8, "shuffle", "member", 0),
              rng_mask=substream(8, "bernoulli", "member", 0))
         for name, w in members[0][0].params().items():
-            np.testing.assert_array_equal(w, clone.params()[name])
+            np.testing.assert_array_equal(w, child.params()[name])
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_member_excluded_and_reported(self):
@@ -228,7 +229,7 @@ class TestTuneChildren:
         # (the run leaving it out: TestRunEnsemble); its sibling is unharmed
         parent = _net()
         data, _ = _data()
-        poisoned = parent.clone()
+        poisoned = clone(parent)
         poisoned.layers[1].w[...] = 1e200  # a member tuned from it diverges
         controllers = _controllers(2, 0.5, False, 10, _tau(0.5, 1))
         schedule, optimizer = _cycle(2)()
@@ -325,12 +326,12 @@ class TestPredict:
         net = _net()
         (_, _), (test, yt) = _data()
         logits = [predict_logits(net, test),
-                  predict_logits(net.clone(), test)]
+                  predict_logits(clone(net), test)]
         np.testing.assert_allclose(softmax(_mean_logits(logits)),
                                    softmax(_mean_logits(logits[:1])),
                                    atol=1e-12)
         _, once = score_ensemble([net], None, test, yt)
-        _, twice = score_ensemble([net, net.clone()], None, test, yt)
+        _, twice = score_ensemble([net, clone(net)], None, test, yt)
         assert twice.to_dict() == once.to_dict()
 
 
@@ -430,6 +431,38 @@ class TestRunEnsemble:
         m0, m1 = (load_mask_set(tmp_path / "seed-11" / f"member-{i}.mask.ssam")
                   for i in (0, 1))
         assert overlap(m0, m1) == 0
+
+    def test_scoring_reads_no_mask_file(self, tmp_path, monkeypatch):
+        """Each member record's sparsity comes from the member's "members"
+        unit, not from its mask file, which is still written and holds the
+        same sparsity."""
+        import os
+
+        from subanneal import masks
+        from subanneal.runner import run
+
+        real, mask_reads = masks._read_entries, []
+
+        def counting(path, kind):
+            if kind == "u8":
+                mask_reads.append(path)
+            return real(path, kind)
+
+        # every unit in this process, where the calls are counted
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(masks, "_read_entries", counting)
+        manifest = json.loads(run(_ensemble_config(tmp_path)).read_text())
+        assert manifest["status"] == "ok" and mask_reads == []
+        monkeypatch.undo()
+        summary = json.loads((tmp_path / manifest["metrics_files"][0])
+                             .read_text())
+        sparsity = [masks.load_mask_set(
+            tmp_path / "seed-11" / f"member-{i}.mask.ssam").sparsity()
+            for i in range(4)]
+        for records in (summary["members"],
+                        *(block["members"]
+                          for block in summary["corrupted"].values())):
+            assert [rec["realized_sparsity"] for rec in records] == sparsity
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_diverged_member_leaves_strict_json(self, tmp_path, monkeypatch):

@@ -22,6 +22,7 @@ from subanneal.rng import substream
 from subanneal.training import finalize, predict_logits, run_epoch
 
 from fd import named_grads
+from nets import clone
 from rates import constant
 
 
@@ -74,7 +75,7 @@ def test_backward_fills_one_flat_gradient(build):
 
 def test_clone_set_param_and_load_keep_the_views(tmp_path):
     net = _mlp()
-    other = net.clone()
+    other = clone(net)
     assert _views_of(other, other.flat) and not _views_of(other, net.flat)
     assert np.array_equal(other.flat, net.flat)
     before = {n: p for n, p in other.params().items()}
@@ -108,12 +109,12 @@ def test_a_loaded_network_trains_to_the_bits_of_the_saved_one(tmp_path,
     save_weights(saved.params(), path)
     loaded = build()
     runner.load_params(loaded, path)
-    clone = saved.clone()
-    for net in (saved, loaded, clone):
+    copied = clone(saved)
+    for net in (saved, loaded, copied):
         run_epoch(net, x, y, SGD(momentum=0.9), constant(0.05), 1, 4,
                   16, substream(2, "shuffle"))
     assert loaded.flat.tobytes() == saved.flat.tobytes()
-    assert clone.flat.tobytes() == saved.flat.tobytes()
+    assert copied.flat.tobytes() == saved.flat.tobytes()
 
 
 @pytest.mark.parametrize("shapes", [

@@ -5,6 +5,7 @@ from subanneal.nn.layers import Conv2d, Dense, Flatten, Network, ReLU, ShapeErro
 from subanneal.nn.losses import cross_entropy_softmax
 
 from fd import max_rel_error, named_grads, numerical_grad
+from nets import clone
 
 
 def test_dense_identity():
@@ -126,11 +127,11 @@ def test_clone_is_independent():
     rng = np.random.default_rng(0)
     net = Network([Dense(3, 3), ReLU(), Dense(3, 2)], input_shape=(3,))
     net.init_params(rng)
-    other = net.clone()
+    other = clone(net)
     other.layers[0].w[...] = 0.0
     assert np.any(net.layers[0].w != 0.0)
     x = rng.normal(size=(2, 3))
-    np.testing.assert_array_equal(net.forward(x), net.clone().forward(x))
+    np.testing.assert_array_equal(net.forward(x), clone(net).forward(x))
 
 
 def test_weights_exclude_biases():
@@ -363,7 +364,7 @@ def test_smallconv_clone_is_independent_and_bit_identical():
     before = net.forward(x)
     with masked_weights(net, full_mask(net.weight_shapes())):
         pass
-    other = net.clone()
+    other = clone(net)
     # no cached state and no shared arrays
     with pytest.raises(RuntimeError, match="backward called before forward"):
         other.layers[0].backward(np.zeros(1))

@@ -1,4 +1,3 @@
-import importlib
 import json
 import logging
 import os
@@ -549,23 +548,23 @@ def test_interrupted_parent_cache_write_is_retrained(tmp_path, monkeypatch):
     assert manifest["status"] == "ok"
 
 
-@pytest.mark.parametrize("module,writer,task,final", [
-    ("runner", "save_weights", "train-parent", "parent-s1.weights.ssam"),
-    ("ensemble_task", "save_weights", "ensemble",
-     "seed-1/member-0.weights.ssam"),
-    ("ensemble_task", "save_mask_set", "ensemble",
-     "seed-1/member-0.mask.ssam"),
+@pytest.mark.parametrize("writer,task,final", [
+    ("save_weights", "train-parent", "parent-s1.weights.ssam"),
+    ("save_weights", "ensemble", "seed-1/member-0.weights.ssam"),
+    ("save_mask_set", "ensemble", "seed-1/member-0.mask.ssam"),
 ], ids=["parent-weights", "member-weights", "member-mask"])
 def test_an_ssam_write_failing_midway_leaves_no_file(tmp_path, monkeypatch,
-                                                     module, writer, task,
-                                                     final):
-    def dies_midway(payload, path):
+                                                     writer, task, final):
+    real = getattr(runner, writer)
+
+    def dies_midway(payload, path):  # only while writing ``final``
+        if not path.name.startswith(final.split("/")[-1] + "."):
+            return real(payload, path)
         with open(path, "wb") as fh:
             fh.write(b"SSAM\x01")  # a truncated container
         raise OSError("no space left for the container")
 
-    monkeypatch.setattr(importlib.import_module(f"subanneal.{module}"),
-                        writer, dies_midway)
+    monkeypatch.setattr(runner, writer, dies_midway)
     extra = ({"phi": 1, "ensemble": {"n_members": 2,
                                      "corruption_severities": [3]}}
              if task == "ensemble" else {})

@@ -31,6 +31,7 @@ from subanneal.nn.optim import SGD, Adam
 from subanneal.rng import substream
 from subanneal.training import masked_weights, predict_logits, run_epoch
 
+from nets import clone
 from rates import constant
 
 LR = 0.05
@@ -228,7 +229,7 @@ def test_masked_weights_reuse_buffers_owned_by_each_network():
         again = dict(net.weights())
     assert all(again[n] is seen[n] for n in seen)  # kept across batches
 
-    other = net.clone()
+    other = clone(net)
     with masked_weights(other, mask):
         theirs = dict(other.weights())
     for name in seen:

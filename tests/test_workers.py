@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subanneal import ensemble_task, runner
+from subanneal import runner
 from subanneal.cli import main
 from subanneal.config import ExperimentConfig
 from subanneal.masks import MaskSet, load_weights, save_mask_set
@@ -398,13 +398,13 @@ def test_an_ensemble_seed_failing_in_any_stage_fails_as_in_a_serial_run(
         _diverges(monkeypatch, lambda seed, i: seed == 1)
         want = "DivergenceError: every ensemble member diverged"
     else:
-        real = ensemble_task.score_one_set
+        real = runner.score_one_set
 
         def a_set_fails(cfg, data, out_dir, done, unit):
             if unit == (1, 3):
                 raise ValueError("severity 3 of seed 1 failed")
             return real(cfg, data, out_dir, done, unit)
-        monkeypatch.setattr(ensemble_task, "score_one_set", a_set_fails)
+        monkeypatch.setattr(runner, "score_one_set", a_set_fails)
         want = "ValueError: severity 3 of seed 1 failed"
     raw = {**ONE_SEED, "seeds": [0, 1, 2],
            "ensemble": {"n_members": 2, "corruption_severities": [1, 3]}}
@@ -527,8 +527,7 @@ os.sched_getaffinity = lambda pid: {{0}}
 run(ExperimentConfig.from_dict({{**base, "out_dir": "b", "task": "ablate",
                                  "seeds": [0, 1, 2]}}))
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] == "multiprocessing"
-                        or m == "subanneal.ensemble_task")))
+                        if m.split(".")[0] == "multiprocessing")))
 """
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                          env=dict(os.environ, PYTHONPATH=str(SRC)),
