@@ -202,26 +202,19 @@ class AnnealController:
         self.decay = decay
         self.anneal_epochs = anneal_epochs
         self.mask = init.terminal
+        self.probs = init
         self.permanent = False
-        self._set_probs(init)
-
-    def _set_probs(self, probs: ProbabilitySet) -> None:
-        self.probs = probs
-        # Bernoulli of a 0/1 matrix is that matrix: build it once and skip
-        # the per-batch draw.
-        self._binary_mask = (MaskSet(probs.flat == 1.0, probs.shapes)
-                             if probs.is_binary() else None)
 
     def begin_epoch(self, epoch: int) -> None:
-        self._set_probs(probs_at_epoch(self.init, self.decay,
-                                       self.anneal_epochs, epoch))
+        self.probs = probs_at_epoch(self.init, self.decay, self.anneal_epochs,
+                                    epoch)
         # from phi on the probabilities are the terminal mask for good
         self.permanent = epoch >= self.anneal_epochs
 
     def batch_mask(self, rng) -> MaskSet:
-        if self._binary_mask is not None:
-            return self._binary_mask
-        return realize(self.probs, rng)
+        """``mask`` once permanent, else a Bernoulli draw (even of binary
+        probabilities, so every stochastic batch advances ``rng``)."""
+        return self.mask if self.permanent else realize(self.probs, rng)
 
 
 # --- the stochastic tuning loop ----------------------------------------------

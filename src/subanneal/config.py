@@ -136,8 +136,8 @@ POSITIVE = (lambda v: v > 0, "> 0")
 NON_NEGATIVE = (lambda v: v >= 0, ">= 0")
 UNIT = (lambda v: 0.0 <= v < 1.0, "in [0, 1)")
 PATH = (lambda v: isinstance(v, str), "a string path")
-OPTIONAL_PATH = (lambda v: v is None or isinstance(v, str),
-                 "a string path or null")
+OPTIONAL_PATH = (lambda v: v is None or (isinstance(v, str) and v != ""),
+                 "a non-empty string path or null")
 # a value names cells, a seed its files and parent, a severity its results:
 # twice would do and write them twice, and average a seed with itself
 DISTINCT = (lambda vs: len(set(vs)) == len(vs), "distinct")

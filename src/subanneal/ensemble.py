@@ -23,7 +23,7 @@ from .training import fit, predict_logits
 
 log = logging.getLogger(__name__)
 
-# ``corrupt`` works in row blocks whose float64 noise and unit-scaled input
+# ``corrupt`` works in row blocks whose float64 noise and float64 input
 # take at most this many bytes together.
 CORRUPT_BLOCK_BYTES = 1 << 20
 CORRUPT_NOISE_SCALE = 0.04  # ``corrupt``'s noise sigma per unit of severity
@@ -93,30 +93,31 @@ def score_ensemble(member_nets, parent: Network | None, x: np.ndarray,
     return records, evaluate(_mean_logits(logits), y)
 
 
-def corrupt(x: np.ndarray, severity: int, rng: np.random.Generator,
-            stats=None, dtype=np.float64) -> np.ndarray:
-    """Additive Gaussian pixel noise, sigma = CORRUPT_NOISE_SCALE * severity.
+def corrupt(rows, severity: int, rng: np.random.Generator) -> np.ndarray:
+    """Model inputs of the test rows ``rows`` (``data.NormalizedRows``)
+    under additive Gaussian noise, sigma = CORRUPT_NOISE_SCALE * severity.
 
-    Input is uint8 pixels or unit-scaled pixels; the noisy pixels are on the
-    unit scale (``data.to_float``) and clamped back to [0, 1], then, given
-    ``stats = (mean, std)``, normalized as ``(x - mean) / std``. The result
-    is one array of ``dtype``, filled one row block of at most
-    ``CORRUPT_BLOCK_BYTES`` at a time: the block's noise is drawn, the input
-    added, clipped and normalized in float64 and rounded once into it. The
-    noise is the one stream a single draw over ``x.shape`` gives, and ``x``
-    is left unchanged.
+    uint8 raw values are pixels: the noise is added on their unit scale
+    (``data.to_float``) and the result clamped to [0, 1]. Float raw values
+    are features: the noise is added on their own scale, unclamped. The
+    noisy values are normalized with ``rows.mean`` and ``rows.std`` into
+    one array of ``rows.dtype``, one row block of at most
+    ``CORRUPT_BLOCK_BYTES`` at a time, in float64 and rounded once. The
+    noise is the one stream a single draw over ``rows.shape`` gives, and
+    ``rows`` is left unchanged.
     """
     if not 1 <= int(severity) <= 5:
         raise ValueError("severity must lie in 1..5")
-    out = np.empty(x.shape, dtype)
-    rows = max(1, CORRUPT_BLOCK_BYTES // (16 * math.prod(x.shape[1:])))
-    for start in range(0, len(x), rows):
-        block = x[start:start + rows]
+    x = rows.raw
+    out = np.empty(x.shape, rows.dtype)
+    block_rows = max(1, CORRUPT_BLOCK_BYTES // (16 * math.prod(x.shape[1:])))
+    for start in range(0, len(x), block_rows):
+        block = x[start:start + block_rows]
         noise = rng.normal(0.0, CORRUPT_NOISE_SCALE * severity, block.shape)
         noise += to_float(block)
-        np.clip(noise, 0.0, 1.0, out=noise)
-        if stats is not None:
-            noise -= stats[0]
-            noise /= stats[1]
-        out[start:start + rows] = noise
+        if x.dtype == np.uint8:
+            np.clip(noise, 0.0, 1.0, out=noise)
+        noise -= rows.mean
+        noise /= rows.std
+        out[start:start + block_rows] = noise
     return out

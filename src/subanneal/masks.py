@@ -107,9 +107,6 @@ class ProbabilitySet:
         """Expected active fraction over all maskable parameters."""
         return sum(float(p.sum()) for p in self.probs.values()) / self.flat.size
 
-    def is_binary(self) -> bool:
-        return bool(np.isin(self.flat, (0.0, 1.0)).all())
-
     def copy(self) -> "ProbabilitySet":
         return ProbabilitySet(self.flat.copy(), self.terminal.copy())
 

@@ -47,14 +47,13 @@ def views(flat: np.ndarray, shapes) -> list:
 class Dense:
     """Fully connected layer: y = x @ w + b."""
 
-    def __init__(self, in_features: int, out_features: int, bias: bool = True,
-                 dtype=np.float64):
+    def __init__(self, in_features: int, out_features: int, dtype=np.float64):
         if in_features < 1 or out_features < 1:
             raise ShapeError("Dense features must be positive")
         self.in_features = in_features
         self.out_features = out_features
         self.w = np.zeros((in_features, out_features), dtype=dtype)
-        self.b = np.zeros(out_features, dtype=dtype) if bias else None
+        self.b = np.zeros(out_features, dtype=dtype)
         self.grad_w = None
         self.grad_b = None
         self._cache = None  # the input
@@ -63,8 +62,7 @@ class Dense:
         # He initialization, suited to the ReLU nets built here.
         std = np.sqrt(2.0 / self.in_features)
         self.w[...] = rng.normal(0.0, std, self.w.shape)
-        if self.b is not None:
-            self.b[...] = 0.0
+        self.b[...] = 0.0
 
     def out_shape(self, in_shape):
         if in_shape != (self.in_features,):
@@ -78,10 +76,8 @@ class Dense:
 
     def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
         self._cache = x if keep_cache else None
-        y = x @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y
+        # a ufunc call, not ``+``, as ``annealing.init_temperature`` explains
+        return np.add(x @ self.w, self.b)
 
     def backward(self, grad_out: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
@@ -90,8 +86,7 @@ class Dense:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         self.grad_w = np.matmul(self._cache.T, grad_out, out=self.grad_w)
-        if self.b is not None:
-            self.grad_b = np.add.reduce(grad_out, axis=0, out=self.grad_b)
+        self.grad_b = np.add.reduce(grad_out, axis=0, out=self.grad_b)
         if not input_grad:
             return None
         return grad_out @ self.w.T
@@ -119,8 +114,7 @@ class Conv2d:
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 stride: int = 1, padding: int = 0, bias: bool = True,
-                 dtype=np.float64):
+                 stride: int = 1, padding: int = 0, dtype=np.float64):
         if kernel_size < 1 or stride < 1 or padding < 0:
             raise ShapeError("invalid Conv2d geometry")
         self.in_channels = in_channels
@@ -130,7 +124,7 @@ class Conv2d:
         self.padding = padding
         self.w = np.zeros((out_channels, in_channels, kernel_size, kernel_size),
                           dtype=dtype)
-        self.b = np.zeros(out_channels, dtype=dtype) if bias else None
+        self.b = np.zeros(out_channels, dtype=dtype)
         self.grad_w = None
         self.grad_b = None
         self._cache = None  # (cols, input shape)
@@ -139,8 +133,7 @@ class Conv2d:
         fan_in = self.in_channels * self.kernel_size * self.kernel_size
         std = np.sqrt(2.0 / fan_in)
         self.w[...] = rng.normal(0.0, std, self.w.shape)
-        if self.b is not None:
-            self.b[...] = 0.0
+        self.b[...] = 0.0
 
     def _out_hw(self, h: int, w: int):
         # floor mode: a ragged edge narrower than the stride is dropped
@@ -186,8 +179,7 @@ class Conv2d:
         order = (0, 4, 5, 3, 1, 2) if keep_cache else (0, 4, 5, 1, 2, 3)
         cols = windows.transpose(order).reshape(c * k * k, -1)
         y = self.w.reshape(self.out_channels, -1) @ cols
-        if self.b is not None:
-            y += self.b[:, None]
+        y += self.b[:, None]
         if not keep_cache:
             self._cache = None
             # an NCHW view of (O, H', W', N) memory; Flatten makes rows of it
@@ -211,9 +203,7 @@ class Conv2d:
         # (C·k·k, O) = cols @ g.T: the sums of g @ cols.T, which BLAS runs
         # more slowly
         self.grad_w.reshape(o, -1)[...] = (cols @ g.T).T
-        if self.b is not None:
-            self.grad_b = np.add.reduce(grad_out, axis=(0, 2, 3),
-                                        out=self.grad_b)
+        self.grad_b = np.add.reduce(grad_out, axis=(0, 2, 3), out=self.grad_b)
         if not input_grad:
             return None
         g = grad_out.transpose(1, 2, 3, 0).reshape(o, -1)  # (O, H'·W'·N)
@@ -304,7 +294,7 @@ class Network:
         with_w = list(self.weight_layers.values())
         # (layer, attribute) of every parameter, in the order of ``flat``
         self._slots = ([(layer, "w") for layer in with_w]
-                       + [(layer, "b") for layer in with_w if layer.b is not None])
+                       + [(layer, "b") for layer in with_w])
         self._shapes = [getattr(*slot).shape for slot in self._slots]
         self.n_weights = sum(layer.w.size for layer in with_w)
         self.flat = np.concatenate([getattr(*slot).ravel() for slot in self._slots]
@@ -366,13 +356,12 @@ class Network:
 
     def _named(self, w_attr: str, b_attr: str | None) -> dict:
         """Each weight layer's ``w_attr`` named ``<prefix>.w``, followed by
-        its ``b_attr`` named ``<prefix>.b`` when ``b_attr`` is given and
-        the layer has a bias, in layer order: the one place parameter names
-        are built."""
+        its ``b_attr`` named ``<prefix>.b`` when ``b_attr`` is given, in
+        layer order: the one place parameter names are built."""
         out = {}
         for prefix, layer in self.weight_layers.items():
             out[f"{prefix}.w"] = getattr(layer, w_attr)
-            if b_attr is not None and layer.b is not None:
+            if b_attr is not None:
                 out[f"{prefix}.b"] = getattr(layer, b_attr)
         return out
 

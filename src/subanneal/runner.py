@@ -234,11 +234,12 @@ class RunData:
     The loaders apply ``train_subset``/``test_subset`` and return uint8
     pixels (float features for blobs). Both ``x_train`` and ``x_test``
     keep those pixels and normalize the rows asked for as they are sliced
-    (``NormalizedRows``), so no float copy of either split is held;
-    ``x_test.raw`` is the test pixels. Model inputs are in the config's
-    dtype, so a float32 network sees float32 batches and its logits and
-    gradients stay float32; a corrupted test set is built and normalized in
-    float64, then rounded once to that dtype.
+    (``NormalizedRows``, with the training split's mean and std), so no
+    float copy of either split is held; ``x_test.raw`` is the test pixels.
+    Model inputs are in the config's dtype, so a float32 network sees
+    float32 batches and its logits and gradients stay float32; a corrupted
+    test set is built and normalized in float64, then rounded once to that
+    dtype (``corrupt``).
     """
 
     def __init__(self, cfg: ExperimentConfig):
@@ -250,11 +251,10 @@ class RunData:
         self.num_classes = train.num_classes
         self.input_shape = tuple(train.x.shape[1:])
         self.dtype = np.dtype(cfg.dtype)
-        self.mean, self.std = normalization_stats(train.x)
-        self.x_train = NormalizedRows(train.x, self.mean, self.std,
-                                      self.dtype)
+        mean, std = normalization_stats(train.x)
+        self.x_train = NormalizedRows(train.x, mean, std, self.dtype)
         self.y_train = train.y
-        self.x_test = NormalizedRows(test.x, self.mean, self.std, self.dtype)
+        self.x_test = NormalizedRows(test.x, mean, std, self.dtype)
         self.y_test = test.y
 
     @functools.cached_property
@@ -269,18 +269,14 @@ class RunData:
             digest.update(np.ascontiguousarray(array))
         return digest.hexdigest()
 
-    def corrupted(self, severity: int, seed: int) -> np.ndarray:
-        """Normalized model inputs of the test set corrupted at
-        ``severity``, built from the test pixels in the one array of the
-        run's dtype ``corrupt`` returns. Pass it straight to the scoring
-        call, so it is freed before the next severity's is built."""
-        return corrupt(self.x_test.raw, severity,
-                       substream(seed, "corrupt", severity),
-                       stats=(self.mean, self.std), dtype=self.dtype)
-
     def test_inputs(self, which, seed: int):
-        """The test set for ``"clean"``, else ``corrupted(which, seed)``."""
-        return self.x_test if which == "clean" else self.corrupted(which, seed)
+        """The test set for ``"clean"``, else the model inputs of the test
+        set corrupted at severity ``which`` (``corrupt``). Pass a corrupted
+        set straight to the scoring call, so it is freed before the next
+        severity's is built."""
+        if which == "clean":
+            return self.x_test
+        return corrupt(self.x_test, which, substream(seed, "corrupt", which))
 
 
 def _blob_splits(blobs: dict) -> dict:

@@ -12,3 +12,8 @@ def same_mask(a, b) -> bool:
 def overlap(a, b) -> int:
     """Number of positions active in both masks."""
     return int((a.flat & b.flat).sum())
+
+
+def is_binary(probs) -> bool:
+    """Whether every probability of a ``ProbabilitySet`` is exactly 0 or 1."""
+    return bool(np.isin(probs.flat, (0.0, 1.0)).all())

@@ -376,24 +376,31 @@ class TestControllers:
                 base.probs["a"] + mirror.probs["a"], 1.0, atol=1e-15)
         assert same_mask(mirror.mask, target.complement())
 
-    def test_binary_phase_builds_one_mask_per_epoch(self):
+    def test_every_batch_draws_before_phi_and_none_from_phi_on(self):
+        # binary probabilities (tau0 0, and full scaling's first epoch at
+        # tau0 1) still draw: a draw of 0/1 probabilities is those values
         target = MaskSet({"a": substream(15, "bm").random((9, 9)) < 0.5,
                           "b": substream(16, "bm").random(6) < 0.5})
-        controller = _annealed(target, 0.5, 2)
-        rng = substream(17, "bm")
-        controller.begin_epoch(1)  # still stochastic: a fresh draw per batch
-        assert controller.batch_mask(rng) is not controller.batch_mask(rng)
-        state = rng.bit_generator.state
-        masks = []
-        for epoch in (2, 3):
-            controller.begin_epoch(epoch)
-            first = controller.batch_mask(rng)
-            assert all(controller.batch_mask(rng) is first for _ in range(3))
-            for name, p in controller.probs.items():
-                assert np.array_equal(first[name], p == 1.0)
-            masks.append(first)
-        assert masks[0] is not masks[1] and same_mask(masks[0], target)
-        assert rng.bit_generator.state == state  # no uniforms drawn
+        for tau0, variant in ((0.5, "reverse-dropout"),
+                              (0.0, "reverse-dropout"), (0.0, "full-scaling"),
+                              (1.0, "full-scaling")):
+            controller = AnnealController(
+                init_temperature(target, tau0, variant), "cosine", 2)
+            rng, replay = substream(17, "bm"), substream(17, "bm")
+            for epoch in (0, 1):
+                controller.begin_epoch(epoch)
+                for _ in range(3):
+                    state = rng.bit_generator.state
+                    mask = controller.batch_mask(rng)
+                    assert rng.bit_generator.state != state
+                    assert same_mask(mask, realize(controller.probs, replay))
+            state = rng.bit_generator.state
+            for epoch in (2, 3):
+                controller.begin_epoch(epoch)
+                assert all(controller.batch_mask(rng) is controller.mask
+                           for _ in range(3))
+            assert rng.bit_generator.state == state  # no uniforms drawn
+            assert same_mask(controller.mask, target)
 
     def test_construction_rejects_an_unknown_decay_or_a_negative_phi(self):
         init = init_temperature(MaskSet({"a": np.array([1, 0], np.uint8)}),

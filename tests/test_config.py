@@ -132,6 +132,17 @@ def test_eval_task_requires_weights():
     assert ok.weights == "w.ssam"
 
 
+@pytest.mark.parametrize("paths,message", [
+    # the run scored the weights unmasked and reported realized_sparsity 0.0
+    ({"weights": "w.ssam", "mask": ""}, "mask must be a non-empty string"),
+    # the run failed only after its data had loaded
+    ({"weights": ""}, "weights must be a non-empty string"),
+], ids=["mask", "weights"])
+def test_an_empty_weights_or_mask_path_is_not_a_path(paths, message):
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig.from_dict({"task": "eval", **paths})
+
+
 def test_file_roundtrip(tmp_path):
     cfg = ExperimentConfig.from_dict(_minimal(seed=3))
     path = tmp_path / "config.json"

@@ -21,7 +21,7 @@ from subanneal.annealing import (
     init_temperature,
     tune,
 )
-from subanneal.data import normalization_stats, normalize
+from subanneal.data import NormalizedRows, normalization_stats, normalize
 from subanneal.ensemble import (
     corrupt,
     member_controller,
@@ -63,8 +63,8 @@ def digits():
     return {
         "train": (normalize(x_train_raw, mean, std), y_train),
         "test": (normalize(x_test_raw, mean, std), y_test),
-        "test_raw": x_test_raw,
-        "normalizer": lambda z: normalize(z, mean, std),
+        # unit-scaled float pixels: corrupt reads them as features, unclamped
+        "test_rows": NormalizedRows(x_test_raw, mean, std, np.float64),
     }
 
 
@@ -160,8 +160,7 @@ def ensemble_results(digits):
         nets = [net for net, _ in members]
         member_records, ensemble_record = score_ensemble(
             nets, None, *digits["test"])
-        xc = digits["normalizer"](corrupt(digits["test_raw"], 3,
-                                          substream(seed, "corrupt", 3)))
+        xc = corrupt(digits["test_rows"], 3, substream(seed, "corrupt", 3))
         records, ens = score_ensemble(nets, None, xc, digits["test"][1])
         out.append(SimpleNamespace(
             members=members, member_records=member_records,

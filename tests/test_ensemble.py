@@ -1,10 +1,13 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from subanneal.data import make_blobs
+from subanneal.config import ExperimentConfig
+from subanneal.data import NormalizedRows, make_blobs
 from subanneal.ensemble import (
+    CORRUPT_NOISE_SCALE,
     _mean_logits,
     corrupt,
     member_controller,
@@ -18,6 +21,7 @@ from subanneal.pruning import PruneSpec, SeveredLayerError, random_mask
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import lr_schedule
 from subanneal.rng import substream
+from subanneal.runner import RunData
 from subanneal.training import DivergenceError, predict_logits
 
 from maskcheck import overlap, same_mask
@@ -257,27 +261,51 @@ class TestTuneChildren:
                 assert np.all(w[mask[name] == 0] == 0.0)
 
 
+def _rows(x):
+    """``x`` as test rows whose model inputs are ``x`` itself (mean 0, std 1)."""
+    return NormalizedRows(x, np.zeros(1), np.ones(1), np.float64)
+
+
 class TestCorrupt:
     def test_severity_scaling_ratio(self):
         base = np.full((200, 1, 32, 32), 0.5)
         rng1 = substream(0, "c", 1)
         rng5 = substream(0, "c", 5)
-        noise1 = corrupt(base, 1, rng1) - base
-        noise5 = corrupt(base, 5, rng5) - base
+        noise1 = corrupt(_rows(base), 1, rng1) - base
+        noise5 = corrupt(_rows(base), 5, rng5) - base
         ratio = noise5.std() / noise1.std()
         assert ratio == pytest.approx(5.0, abs=0.1)
 
     def test_output_clamped_to_unit_range(self):
         rng = substream(1, "c")
-        x = rng.random((50, 1, 8, 8))
-        out = corrupt(x, 5, rng)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        x = rng.integers(0, 256, (50, 1, 8, 8), dtype=np.uint8)
+        out = corrupt(_rows(x), 5, rng)
+        assert out.min() == 0.0 and out.max() == 1.0
 
     def test_same_seed_identical(self):
-        x = substream(2, "c").random((20, 1, 8, 8))
+        x = _rows(substream(2, "c").random((20, 1, 8, 8)))
         a = corrupt(x, 3, substream(3, "c"))
         b = corrupt(x, 3, substream(3, "c"))
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("severity", [1, 3, 5])
+    def test_blob_corruption_means_its_severity(self, severity):
+        # blob features lie mostly outside [0, 1]; read as unit-scaled
+        # pixels, about 70% of them were clamped to a bound at every
+        # severity, so the distortion barely grew with it
+        cfg = ExperimentConfig.from_dict({
+            "task": "ablate", "dataset": "synthetic-blobs", "dtype": "float64",
+            "blobs": {"n": 2000, "d": 8, "k": 3, "data_seed": 0}})
+        data = RunData(cfg)
+        rows = data.x_test
+        clean, raw = rows[:], rows.raw
+        got = data.test_inputs(severity, 0)
+        bounds = [(b - rows.mean) / rows.std for b in (0.0, 1.0)]
+        at_bound = (got == bounds[0]) | (got == bounds[1])
+        assert not (at_bound & (raw != 0.0) & (raw != 1.0)).any()
+        delta = np.abs(got - clean) * rows.std  # in feature units
+        want = CORRUPT_NOISE_SCALE * severity * math.sqrt(2.0 / math.pi)
+        assert delta.mean() == pytest.approx(want, rel=0.05)
 
     def test_extreme_severity_drives_accuracy_toward_chance(self):
         (train, ytr), (test, yt) = _data()
@@ -294,9 +322,9 @@ class TestCorrupt:
 
     def test_invalid_severity(self):
         with pytest.raises(ValueError):
-            corrupt(np.zeros((1, 1, 2, 2)), 0, substream(0, "c"))
+            corrupt(_rows(np.zeros((1, 1, 2, 2))), 0, substream(0, "c"))
         with pytest.raises(ValueError):
-            corrupt(np.zeros((1, 1, 2, 2)), 6, substream(0, "c"))
+            corrupt(_rows(np.zeros((1, 1, 2, 2))), 6, substream(0, "c"))
 
 
 class Fixed:

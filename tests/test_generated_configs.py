@@ -11,11 +11,12 @@ counts, and so are the bytes of every output of a run that succeeds and
 of every metric file a failed run's manifest lists (with more than one
 process, a failed run can leave files of units after the failing one);
 and a sweep's ``summary.csv`` means are the means of its cells' last
-rows.
+rows, each of which reports the sparsity of its rho.
 """
 
 import csv
 import json
+import math
 import os
 import random
 from pathlib import Path
@@ -24,7 +25,8 @@ import numpy as np
 import pytest
 
 from subanneal.config import ExperimentConfig
-from subanneal.runner import error_text, read_metrics_csv, run
+from subanneal.models import architecture
+from subanneal.runner import error_text, make_controller, read_metrics_csv, run
 from test_workers import _cpus, _outputs
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -114,6 +116,29 @@ def _check_summary(out: Path) -> None:
         assert int(row["seed_count"]) == len(finals[key])
 
 
+def _check_last_sparsity(out: Path, cfg: ExperimentConfig) -> None:
+    """Each cell's last row reports its rho's sparsity: the quota, per
+    layer or pooled, rounded half away from zero, over the weight count;
+    for random annealing, the sparsity of the terminal mask its controller
+    draws for the cell's seed and rho, drawn here on a zero network."""
+    net = architecture(cfg.model, (cfg.blobs["d"],), cfg.blobs["k"],
+                       np.float32)
+    sizes = [math.prod(shape) for shape in net.weight_shapes().values()]
+    if cfg.granularity == "global":
+        sizes = [sum(sizes)]
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        rho = cell["rho"]
+        if cell["method"] == "random-anneal":
+            want = make_controller("random-anneal", cfg, net, cell["seed"],
+                                   rho, cell["phi"], cell["tau0"]
+                                   ).mask.sparsity()
+        else:
+            want = sum(math.floor(rho * n + 0.5) for n in sizes) / sum(sizes)
+        last = read_metrics_csv(out / cell["metrics"])[-1]
+        assert last["realized_sparsity"] == want, cell
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("draw", range(DRAWS))
 def test_a_generated_config_runs_alike_at_one_and_two_cpus(tmp_path,
@@ -141,5 +166,7 @@ def test_a_generated_config_runs_alike_at_one_and_two_cpus(tmp_path,
                 listed += files["manifest.json"][3]
             outputs[cpus] = {rel: files[rel] for rel in listed if rel in files}
     assert outputs[2] == outputs[1]
-    if errors[1] is None and ExperimentConfig.from_dict(raw).task == "ablate":
+    cfg = ExperimentConfig.from_dict(raw)
+    if errors[1] is None and cfg.task == "ablate":
         _check_summary(tmp_path / "w1" / "out")
+        _check_last_sparsity(tmp_path / "w1" / "out", cfg)

@@ -732,7 +732,7 @@ def test_float32_mode_stays_float32(tmp_path, monkeypatch, eval_mask):
     assert moments and all(a.dtype == np.float32 for a in moments)
     # a corrupted test set is built in float64 (its noise stream), then
     # handed to the network in float32
-    assert runner.RunData(cfg).corrupted(2, 1).dtype == np.float32
+    assert runner.RunData(cfg).test_inputs(2, 1).dtype == np.float32
 
 
 @pytest.mark.parametrize("dtype", [None, "float64"])

@@ -31,6 +31,7 @@ from subanneal.nn.optim import SGD, Adam
 from subanneal.rng import substream
 from subanneal.training import masked_weights, predict_logits, run_epoch
 
+from maskcheck import is_binary
 from nets import clone
 from rates import constant
 
@@ -192,7 +193,7 @@ def test_a_binary_first_epoch_of_full_scaling_is_not_permanent():
     # epoch 0 must not burn them
     net, data, mask = _setup()
     controller = _stochastic(mask, tau0=1.0, variant="full-scaling")
-    assert controller.probs.is_binary()
+    assert is_binary(controller.probs)
     assert not controller.permanent
     before = {name: w[mask[name] == 1].copy()
               for name, w in net.weights().items()}

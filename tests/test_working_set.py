@@ -510,13 +510,28 @@ def test_a_float_batch_is_normalized_in_its_own_gather():
     _assert_same(raw, keep)
 
 
+def _rows(x):
+    """Float64 model inputs of ``x``, normalized with its own statistics."""
+    mean, std = normalization_stats(x)
+    return data.NormalizedRows(x, mean, std, np.float64)
+
+
 def test_corrupt_matches_the_old_formula_and_leaves_x_alone():
-    x = np.random.default_rng(0).random((20, 3, 4, 4))
-    before = x.copy()
-    got = corrupt(x, 3, np.random.default_rng(7))
-    noise = np.random.default_rng(7).normal(0.0, 0.04 * 3, x.shape)
-    _assert_same(got, np.clip(x + noise, 0.0, 1.0))
-    _assert_same(x, before)
+    # pixels are clamped on their unit scale; features keep their own
+    # scale, unclamped
+    rng = np.random.default_rng(0)
+    for x, unit, clamp in (
+            (rng.integers(0, 256, (20, 3, 4, 4), dtype=np.uint8), 255.0, True),
+            (rng.normal(0.0, 3.0, (20, 5)), 1.0, False)):
+        rows = _rows(x)
+        before = x.copy()
+        got = corrupt(rows, 3, np.random.default_rng(7))
+        noisy = x / unit + np.random.default_rng(7).normal(0.0, 0.04 * 3,
+                                                           x.shape)
+        if clamp:
+            noisy = np.clip(noisy, 0.0, 1.0)
+        _assert_same(got, (noisy - rows.mean) / rows.std)
+        _assert_same(x, before)
 
 
 @pytest.mark.parametrize("block_rows", [0, 1, 3], ids=["default", "1", "3"])
@@ -529,9 +544,12 @@ def test_corrupt_on_pixels_equals_corrupt_on_their_unit_scale(monkeypatch,
         # a row's float64 noise and unit-scaled pixels: 16 bytes a pixel
         monkeypatch.setattr(ensemble, "CORRUPT_BLOCK_BYTES",
                             block_rows * 3 * 4 * 4 * 16)
+    rows = _rows(x)
     before = x.copy()
-    got = corrupt(x, 3, np.random.default_rng(7))
-    _assert_same(got, corrupt(to_float(x), 3, np.random.default_rng(7)))
+    got = corrupt(rows, 3, np.random.default_rng(7))
+    noise = np.random.default_rng(7).normal(0.0, 0.04 * 3, x.shape)
+    unit = np.clip(to_float(x) + noise, 0.0, 1.0)
+    _assert_same(got, (unit - rows.mean) / rows.std)
     _assert_same(x, before)
 
 
@@ -539,17 +557,21 @@ def test_corrupt_on_pixels_equals_corrupt_on_their_unit_scale(monkeypatch,
 def test_run_data_corrupted_matches_the_old_formula(tmp_path, monkeypatch,
                                                     dtype):
     # the float64 formula, bit for bit; float32 inputs are that array
-    # rounded once (its noise is float64, to keep the stream)
+    # rounded once (its noise is float64, to keep the stream). Pixels are
+    # clamped on their unit scale, blob features are not clamped.
     make_mnist_dir(tmp_path, n_train=40, n_test=16)
     monkeypatch.setenv("SUBANNEAL_DATA", str(tmp_path))
     for dataset in ("mnist", "synthetic-blobs"):
         rd = RunData(_run_cfg(dataset, dtype=dtype))
         raw = rd.x_test.raw.copy()
-        unit = (old_mnist(tmp_path, "test", 0)[0] if dataset == "mnist"
-                else raw)
         noise = substream(3, "corrupt", 2).normal(0.0, 0.04 * 2, raw.shape)
-        want = ((np.clip(unit + noise, 0.0, 1.0) - rd.mean) / rd.std)
-        _assert_same(rd.corrupted(2, 3), want.astype(dtype))
+        if dataset == "mnist":
+            noisy = np.clip(old_mnist(tmp_path, "test", 0)[0] + noise, 0.0,
+                            1.0)
+        else:
+            noisy = raw + noise
+        want = (noisy - rd.x_test.mean) / rd.x_test.std
+        _assert_same(rd.test_inputs(2, 3), want.astype(dtype))
         _assert_same(rd.x_test.raw, raw)
 
 
@@ -561,11 +583,11 @@ def test_run_data_corrupted_does_not_call_normalize(tmp_path, monkeypatch):
     rd = RunData(_run_cfg("mnist"))
 
     def fail(*args, **kwargs):
-        pytest.fail("RunData.corrupted called normalize")
+        pytest.fail("RunData.test_inputs called normalize")
 
     monkeypatch.setattr(data, "normalize", fail)
     monkeypatch.setattr(runner, "normalize", fail, raising=False)
-    assert rd.corrupted(2, 3).shape == rd.x_test.shape
+    assert rd.test_inputs(2, 3).shape == rd.x_test.shape
 
 
 def test_normalize_writes_into_out_and_returns_it():
@@ -730,9 +752,10 @@ def test_evaluation_runs_one_forward_call_per_chunk(monkeypatch, pixels):
 def test_corrupt_on_pixels_builds_one_float_array():
     x = np.random.default_rng(0).integers(0, 256, (200, 3, 32, 32),
                                           dtype=np.uint8)
-    corrupt(x[:2], 1, np.random.default_rng(7))  # warm-up
+    rows = _rows(x)
+    corrupt(_rows(x[:2]), 1, np.random.default_rng(7))  # warm-up
     rng = np.random.default_rng(7)
-    out, peak = _traced_peak(lambda: corrupt(x, 2, rng))
+    out, peak = _traced_peak(lambda: corrupt(rows, 2, rng))
     # the noise array that becomes the output, plus one float64 row block
     # of at most CORRUPT_BLOCK_BYTES (a 4.9 MB array here, 1 MiB blocks);
     # unit-scaling the whole input first would add a second 4.9 MB
@@ -757,16 +780,17 @@ def test_corrupt_in_float32_holds_the_output_and_one_block():
     x = np.random.default_rng(0).integers(0, 256, (200, 3, 32, 32),
                                           dtype=np.uint8)
     mean, std = normalization_stats(x)
-    corrupt(x[:2], 1, np.random.default_rng(7), stats=(mean, std),
-            dtype=np.float32)  # warm-up
-    out, peak = _traced_peak(lambda: corrupt(
-        x, 2, np.random.default_rng(7), stats=(mean, std), dtype=np.float32))
+    rows = data.NormalizedRows(x, mean, std, np.float32)
+    corrupt(data.NormalizedRows(x[:2], mean, std, np.float32), 1,
+            np.random.default_rng(7))  # warm-up
+    out, peak = _traced_peak(lambda: corrupt(rows, 2,
+                                             np.random.default_rng(7)))
     # the float32 output (2.5 MB here), plus one row block's float64 noise
     # and unit-scaled pixels; a whole float64 set would add 4.9 MB
     assert out.dtype == np.float32
     assert peak <= out.nbytes + CORRUPT_BLOCK_BYTES, peak
-    want = corrupt(x, 2, np.random.default_rng(7))
-    _assert_same(out, ((want - mean) / std).astype(np.float32))
+    want = corrupt(_rows(x), 2, np.random.default_rng(7))
+    _assert_same(out, want.astype(np.float32))
 
 
 @pytest.mark.parametrize("shape", [(2000, 1, 28, 28), (20000, 1, 28, 28),
