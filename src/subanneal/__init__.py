@@ -36,7 +36,6 @@ from .masks import (
 )
 from .metrics import MetricsRecord, accuracy, ece, evaluate, softmax
 from .pruning import (
-    PruneSpec,
     SeveredLayerError,
     magnitude_mask,
     make_iterative_schedule,
@@ -54,7 +53,6 @@ __all__ = [
     "MaskSet",
     "MetricsRecord",
     "ProbabilitySet",
-    "PruneSpec",
     "SeveredLayerError",
     "accuracy",
     "anti_probability",

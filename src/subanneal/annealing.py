@@ -25,7 +25,8 @@ import math
 import numpy as np
 
 from .masks import MaskSet, ProbabilitySet, full_mask, realize
-from .pruning import PruneSpec, make_iterative_schedule, prune_increment
+from .nn.layers import views
+from .pruning import make_iterative_schedule, prune_increment
 from .training import finalize, fit
 
 LINEAR = "linear"
@@ -73,7 +74,7 @@ def init_temperature(target: MaskSet, tau0: float,
     # ufunc calls, not operators: numpy's operator reuse of a temporary of
     # 256 KiB or more first walks the C stack, faulting in library pages
     probs = np.add(kept, np.multiply(1.0 - mf, tau0))
-    return ProbabilitySet(probs, target.copy())
+    return ProbabilitySet(probs, target)
 
 
 def init_random(shapes: dict, rho: float, rng: np.random.Generator,
@@ -92,42 +93,42 @@ def init_random(shapes: dict, rho: float, rng: np.random.Generator,
         mu1, sigma1, mu2, sigma2 = bimodal
         if sigma1 <= 0 or sigma2 <= 0:
             raise ValueError("bimodal sigmas must be positive")
-    probs = {}
-    terminal = {}
-    for name, shape in shapes.items():
-        if bimodal is None:
-            p = rng.random(shape)
-            t = (p >= rho).astype(np.uint8)
+    size = sum(map(math.prod, shapes.values()))
+    probs, terminal = np.empty(size), np.empty(size, np.uint8)
+    for shape, p, t in zip(shapes.values(), views(probs, shapes.values()),
+                           views(terminal, shapes.values())):
+        if bimodal is None:  # layer by layer, so the draws keep their order
+            rng.random(out=p)
+            np.greater_equal(p, rho, out=t)
         else:
-            t = (rng.random(shape) < (1.0 - rho)).astype(np.uint8)
+            np.less(rng.random(shape), 1.0 - rho, out=t)
             draws0 = rng.normal(mu1, sigma1, shape)
             draws1 = rng.normal(mu2, sigma2, shape)
-            p = np.clip(np.where(t == 1, draws1, draws0), 0.0, 1.0)
-        probs[name] = p
-        terminal[name] = t
-    return ProbabilitySet(probs, MaskSet(terminal))
+            np.clip(np.where(t == 1, draws1, draws0), 0.0, 1.0, out=p)
+    return ProbabilitySet(probs, MaskSet(terminal, shapes))
 
 
 def probs_at_epoch(init: ProbabilitySet, decay: str, anneal_epochs: int,
                    epoch: int) -> ProbabilitySet:
     """Interpolate every entry from its initial value toward its target.
 
-    Epoch 0 returns the initial probabilities unchanged; epoch >= phi returns
-    the terminal mask exactly (and stays there). In between, an entry carries
-    ``terminal + (init - terminal) * d`` with d the remaining decay fraction,
-    so pruned-target entries are nonincreasing and kept-target entries
-    nondecreasing in the epoch. The difference form keeps entries whose
-    initial value already equals their target exactly binary at every epoch
-    (init == terminal gives terminal + 0*d with no rounding), which the
-    degenerate tau0=0 equivalence relies on.
+    Epoch 0 returns ``init`` itself; epoch >= phi returns the terminal mask
+    exactly (and stays there), and every set shares ``init.terminal``. In
+    between, an entry carries ``terminal + (init - terminal) * d`` with d
+    the remaining decay fraction, so pruned-target entries are
+    nonincreasing and kept-target entries nondecreasing in the epoch. The
+    difference form keeps entries whose initial value already equals their
+    target exactly binary at every epoch (init == terminal gives terminal +
+    0*d with no rounding), which the degenerate tau0=0 equivalence relies
+    on.
     """
     if epoch == 0 and anneal_epochs > 0:
-        return init.copy()
+        return init
     d = decay_fraction(decay, epoch, anneal_epochs)
     t = init.terminal.flat
     probs = (t.astype(np.float64) if d == 0.0
              else np.add(t, np.multiply(init.flat - t, d)))
-    return ProbabilitySet(probs, init.terminal.copy())
+    return ProbabilitySet(probs, init.terminal)
 
 
 def anti_probability(ps: ProbabilitySet) -> ProbabilitySet:
@@ -172,19 +173,20 @@ class IterativeController:
     probs = None
     permanent = True
 
-    def __init__(self, spec: PruneSpec, phi: int, weights: dict,
-                 rng: np.random.Generator):
-        self.spec = spec
-        self.levels = make_iterative_schedule(spec.target_sparsity, phi)
-        self.weights = weights  # live weight dict; magnitude reads current values
+    def __init__(self, selector: str, rho: float, granularity: str, phi: int,
+                 weights: dict, rng: np.random.Generator):
+        self.levels = make_iterative_schedule(rho, phi)
+        self.granularity = granularity
+        # the live weight dict, so magnitude selection reads current values
+        self.weights = weights if selector == "magnitude" else None
         self.rng = rng
         self.mask = full_mask({n: w.shape for n, w in weights.items()})
 
     def begin_epoch(self, epoch: int) -> None:
         if epoch < len(self.levels):
-            params = self.weights if self.spec.selector == "magnitude" else None
-            self.mask = prune_increment(self.mask, self.levels[epoch], self.spec,
-                                        params=params, rng=self.rng)
+            self.mask = prune_increment(self.mask, self.levels[epoch],
+                                        self.granularity, self.weights,
+                                        self.rng)
 
     def batch_mask(self, rng) -> MaskSet:
         return self.mask

@@ -18,7 +18,7 @@ from .annealing import AnnealController, anti_probability, init_temperature
 from .data import to_float
 from .metrics import evaluate
 from .nn.layers import Network
-from .pruning import PruneSpec, check_no_severed_layer, random_mask
+from .pruning import check_no_severed_layer, random_mask
 from .training import fit, predict_logits
 
 log = logging.getLogger(__name__)
@@ -56,9 +56,8 @@ def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
     noticing in the logs; a complement that keeps no entry of a layer
     raises ``SeveredLayerError``.
     """
-    spec = PruneSpec("random", rho, granularity)
     for _ in range(i // 2 + 1 if partitioning else i + 1):
-        mask = random_mask(shapes, spec, rng)
+        mask = random_mask(shapes, rho, granularity, rng)
     init = init_temperature(mask, tau0, variant)
     if partitioning and i % 2 == 1:
         check_no_severed_layer(mask.complement(),

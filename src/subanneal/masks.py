@@ -30,9 +30,10 @@ VERSION = 1
 
 
 class MaskSet:
-    """Per-layer binary masks: exact 0/1 uint8 values in one array, ``flat``,
-    viewed per name in ``masks``. Built from a dict of name -> array, or
-    from a flat uint8 or bool array (not copied) in ``shapes``' order."""
+    """Per-layer binary masks: exact 0/1 uint8 values in one read-only
+    array, ``flat``, viewed per name in ``masks``. Built from a dict of
+    name -> array, or viewing a flat uint8 or bool array in ``shapes``'
+    order. Nothing writes into a mask, so masks are shared, not copied."""
 
     def __init__(self, masks, shapes: dict | None = None):
         if shapes is None:
@@ -45,7 +46,8 @@ class MaskSet:
         elif flat.size and not (flat.max() <= 1 if flat.dtype == np.uint8
                                 else np.isin(flat, (0, 1)).all()):
             raise ValueError("mask has non-binary entries")
-        self.flat = flat.astype(np.uint8, copy=False)
+        self.flat = flat.astype(np.uint8, copy=False).view()
+        self.flat.flags.writeable = False
         self.shapes = shapes
         self.masks = dict(zip(shapes, views(self.flat, shapes.values())))
 
@@ -58,57 +60,34 @@ class MaskSet:
     def items(self):
         return self.masks.items()
 
-    def total(self) -> int:
-        return self.flat.size
-
-    def zeros(self) -> int:
-        return self.flat.size - int(self.flat.sum())
-
     def sparsity(self) -> float:
         """Fraction of masked-off entries over all maskable parameters."""
-        return self.zeros() / self.total()
+        return (self.flat.size - int(self.flat.sum())) / self.flat.size
 
     def complement(self) -> "MaskSet":
         return MaskSet(1 - self.flat, self.shapes)
 
-    def copy(self) -> "MaskSet":
-        return MaskSet(self.flat.copy(), self.shapes)
-
 
 class ProbabilitySet:
     """Per-layer retention probabilities plus the binary annealing target:
-    float64 values in one array, ``flat``, in the terminal's order, viewed
-    per name in ``probs``. Built from a dict, or a flat float64 array (not
-    copied)."""
+    float64 values in one read-only array, ``flat``, in the terminal's
+    order (a float64 array is viewed, not copied)."""
 
-    def __init__(self, probs, terminal: MaskSet):
-        if isinstance(probs, dict):
-            if {n: np.shape(p) for n, p in probs.items()} != terminal.shapes:
-                raise ValueError("probability and terminal names or shapes differ")
-            probs = np.concatenate([np.ravel(probs[n]) for n in terminal]
-                                   or [np.zeros(0)], dtype=np.float64)
-        flat = np.asarray(probs, dtype=np.float64)
+    def __init__(self, flat, terminal: MaskSet):
+        flat = np.asarray(flat, dtype=np.float64)
         if flat.shape != terminal.flat.shape:
             raise ValueError("probability and terminal sizes differ")
         if flat.size and (flat.min() < 0.0 or flat.max() > 1.0):
             raise ValueError("probabilities outside [0, 1]")
-        self.flat = flat
+        self.flat = flat.view()
+        self.flat.flags.writeable = False
         self.shapes = terminal.shapes
-        self.probs = dict(zip(self.shapes, views(flat, self.shapes.values())))
         self.terminal = terminal
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.probs[name]
-
-    def items(self):
-        return self.probs.items()
 
     def mean(self) -> float:
         """Expected active fraction over all maskable parameters."""
-        return sum(float(p.sum()) for p in self.probs.values()) / self.flat.size
-
-    def copy(self) -> "ProbabilitySet":
-        return ProbabilitySet(self.flat.copy(), self.terminal.copy())
+        layers = views(self.flat, self.shapes.values())
+        return sum(float(p.sum()) for p in layers) / self.flat.size
 
 
 def realize(probs: ProbabilitySet, rng: np.random.Generator) -> MaskSet:
@@ -139,8 +118,8 @@ def masked_grad(grad: np.ndarray, m: np.ndarray,
 
 
 def full_mask(shapes: dict) -> MaskSet:
-    return MaskSet({name: np.ones(shape, dtype=np.uint8)
-                    for name, shape in shapes.items()})
+    return MaskSet(np.ones(sum(map(math.prod, shapes.values())), np.uint8),
+                   shapes)
 
 
 # --- binary container -------------------------------------------------------

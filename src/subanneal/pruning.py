@@ -9,14 +9,11 @@ under the same seed, not merely equal in distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .masks import MaskSet, full_mask
 
-RANDOM = "random"
-MAGNITUDE = "magnitude"
 LAYERWISE = "layerwise"
 GLOBAL = "global"
 
@@ -25,27 +22,8 @@ class SeveredLayerError(ValueError):
     """A pruning quota would leave a layer with no active weights."""
 
 
-@dataclass(frozen=True)
-class PruneSpec:
-    selector: str
-    target_sparsity: float
-    granularity: str = LAYERWISE
-
-    def __post_init__(self):
-        if self.selector not in (RANDOM, MAGNITUDE):
-            raise ValueError(f"unknown selector {self.selector!r}")
-        if self.granularity not in (LAYERWISE, GLOBAL):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if not 0.0 <= self.target_sparsity < 1.0:
-            raise ValueError("target_sparsity must lie in [0, 1)")
-
-
-def _round_half_away(x: float) -> int:
-    return int(np.floor(x + 0.5))
-
-
 def _quota(n: int, level: float) -> int:
-    q = _round_half_away(level * n)
+    q = int(np.floor(level * n + 0.5))  # rounded half away from zero
     if q >= n:
         raise SeveredLayerError(
             f"sparsity {level} would remove all {n} weights of a layer")
@@ -75,65 +53,63 @@ def check_layer_quotas(shapes: dict, levels, complement: bool = False) -> None:
                     f"so the complement mask keeps none")
 
 
-def prune_increment(current: MaskSet, next_level: float, spec: PruneSpec,
-                    params: dict | None = None,
+def prune_increment(current: MaskSet, next_level: float, granularity: str,
+                    weights: dict | None = None,
                     rng: np.random.Generator | None = None) -> MaskSet:
-    """Prune additional active entries until ``next_level`` sparsity is met.
+    """A new mask that prunes more active entries of ``current`` until
+    ``next_level`` sparsity is met: the smallest |w| of ``weights`` (name ->
+    array) when given, else entries drawn from ``rng``.
 
     The quota applies to each layer's entries under ``layerwise`` and to all
-    of them at once under ``global``. Previously pruned entries stay pruned;
-    raises if ``next_level`` is below the current sparsity or if any layer
-    would be fully severed.
+    of them at once under ``global``. Previously pruned entries stay pruned
+    and ``current`` is left as it is; raises if ``next_level`` is below the
+    current sparsity or if any layer would be fully severed.
     """
     if not 0.0 <= next_level < 1.0:
         raise ValueError("next_level must lie in [0, 1)")
-    new = current.copy()
-    groups = ([(f"{name}: ", [name]) for name in new]
-              if spec.granularity == LAYERWISE else [("", list(new))])
+    if granularity not in (LAYERWISE, GLOBAL):
+        raise ValueError(f"unknown granularity {granularity!r}")
+    new = current.flat.copy()
+    groups = ([(f"{name}: ", [name]) for name in current]
+              if granularity == LAYERWISE else [("", list(current))])
     start = 0
     for prefix, names in groups:
-        flat = new.flat[start:start + sum(new[name].size for name in names)]
+        flat = new[start:start + sum(current[name].size for name in names)]
         start += flat.size
         target = _quota(flat.size, next_level)
         have = flat.size - int(flat.sum())
         if target < have:
             raise ValueError(
                 f"{prefix}next level {next_level} is below current sparsity")
-        values = None if params is None else np.concatenate(
-            [np.asarray(params[name]).reshape(-1) for name in names])
         if target == have:
             continue
         active = np.flatnonzero(flat)
-        if spec.selector == RANDOM:
-            if rng is None:
-                raise ValueError("random selection needs an rng")
-            chosen = rng.choice(active, size=target - have, replace=False)
-        elif values is None:
-            raise ValueError("magnitude selection needs parameter values")
-        else:  # stable sort: ties go to the lower index
+        if weights is not None:  # stable sort: ties go to the lower index
+            values = np.concatenate(
+                [np.asarray(weights[name]).reshape(-1) for name in names])
             order = np.argsort(np.abs(values[active]), kind="stable")
             chosen = active[order[:target - have]]
+        elif rng is None:
+            raise ValueError("pruning needs weights or an rng")
+        else:
+            chosen = rng.choice(active, size=target - have, replace=False)
         flat[chosen] = 0
-    if spec.granularity == GLOBAL:
-        check_no_severed_layer(new, "global quota")
-    return new
+    mask = MaskSet(new, current.shapes)
+    if granularity == GLOBAL:
+        check_no_severed_layer(mask, "global quota")
+    return mask
 
 
-def random_mask(shapes: dict, spec: PruneSpec,
+def random_mask(shapes: dict, rho: float, granularity: str,
                 rng: np.random.Generator) -> MaskSet:
-    """One-shot random mask at the requested target sparsity."""
-    if spec.selector != RANDOM:
-        raise ValueError("random_mask requires the random selector")
-    return prune_increment(full_mask(shapes), spec.target_sparsity, spec, rng=rng)
+    """One-shot mask pruning entries drawn from ``rng`` to sparsity rho."""
+    return prune_increment(full_mask(shapes), rho, granularity, rng=rng)
 
 
-def magnitude_mask(params: dict, spec: PruneSpec) -> MaskSet:
-    """One-shot mask that prunes the smallest-|w| entries."""
-    if spec.selector != MAGNITUDE:
-        raise ValueError("magnitude_mask requires the magnitude selector")
-    shapes = {name: np.asarray(p).shape for name, p in params.items()}
-    return prune_increment(full_mask(shapes), spec.target_sparsity, spec,
-                           params=params)
+def magnitude_mask(weights: dict, rho: float, granularity: str) -> MaskSet:
+    """One-shot mask pruning the smallest-|w| entries to sparsity rho."""
+    shapes = {name: np.shape(w) for name, w in weights.items()}
+    return prune_increment(full_mask(shapes), rho, granularity, weights)
 
 
 def make_iterative_schedule(rho: float, phi: int) -> list:

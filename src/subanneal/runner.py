@@ -29,7 +29,6 @@ import csv
 import ctypes
 import functools
 import hashlib
-import itertools
 import json
 import logging
 import os
@@ -63,7 +62,6 @@ from .models import architecture, build_model
 from .nn.optim import make_optimizer
 from .nn.schedules import lr_schedule
 from .pruning import (
-    PruneSpec,
     check_layer_quotas,
     check_no_severed_layer,
     magnitude_mask,
@@ -81,6 +79,8 @@ METRICS_COLUMNS = ("epoch", "train_loss", "test_acc", "test_nll", "test_ece",
 # what a manifest cell's metrics are grouped by in a summary
 CELL_KEY = ("method", "selector", "lr_schedule", "rho", "phi", "tau0",
             "epochs")
+
+SUMMARY_FREE_KEYS = ("seeds", "out_dir", "method", "rho", "phi", "tau0")
 
 SUMMARY_COLUMNS = ("method", "selector", "lr_schedule", "rho", "mean_acc",
                    "std_acc", "mean_nll", "mean_ece", "epochs", "seed_count",
@@ -391,16 +391,17 @@ def make_controller(method: str, cfg: ExperimentConfig, net, seed: int,
     named stream, so paired-seed comparisons share identical targets.
     """
     weights = net.weights()
-    spec = PruneSpec(cfg.selector, rho, cfg.granularity)
     mask_rng = substream(seed, "mask")
     if method in ("oneshot", "temperature-anneal"):
-        target = (random_mask(net.weight_shapes(), spec, mask_rng)
-                  if cfg.selector == "random" else magnitude_mask(weights, spec))
+        target = (random_mask(net.weight_shapes(), rho, cfg.granularity,
+                              mask_rng) if cfg.selector == "random"
+                  else magnitude_mask(weights, rho, cfg.granularity))
         if method == "oneshot":
             return FixedMaskController(target)
         init = init_temperature(target, tau0, cfg.variant)
     elif method == "iterative":
-        return IterativeController(spec, max(phi, 1), weights, mask_rng)
+        return IterativeController(cfg.selector, rho, cfg.granularity,
+                                   max(phi, 1), weights, mask_rng)
     elif method == "random-anneal":
         bimodal = ((cfg.bimodal_mu1, cfg.bimodal_sigma1, cfg.bimodal_mu2,
                     cfg.bimodal_sigma2) if cfg.distribution == "bimodal"
@@ -418,9 +419,8 @@ def run_cell(cfg: ExperimentConfig, data: RunData, net, seed: int,
     controller = make_controller(method, cfg, net, seed, rho, phi, tau0)
     if method == "random-anneal" and cfg.distribution == "bimodal":
         # clamping (not resampling) biases the tails; worth seeing in logs
-        clamped = np.isin(controller.init.flat, (0.0, 1.0)).mean()
         log.info("bimodal init: clamped %.2f%% of draws into [0, 1]",
-                 100.0 * clamped)
+                 100.0 * np.isin(controller.init.flat, (0.0, 1.0)).mean())
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
     return tune(net, controller, (data.x_train, data.y_train), cfg.epochs,
@@ -513,10 +513,8 @@ def run(cfg: ExperimentConfig) -> Path:
         manifest["cells"], manifest["metrics_files"] = _write_results(
             cfg, out_dir, done, seeds)
         if error is None and cfg.task == "ablate":
-            rows = summarize_manifests([manifest_path],
-                                       manifest_payloads=[manifest],
-                                       base_dirs=[out_dir])
-            write_summary_csv(out_dir / "summary.csv", rows)
+            write_summary_csv(out_dir / "summary.csv",
+                              summarize_manifests([(manifest, out_dir)]))
     except Exception as err:
         error = err
     manifest["status"] = "ok" if error is None else "failed"
@@ -537,11 +535,11 @@ def run(cfg: ExperimentConfig) -> Path:
 
 def check_quotas(cfg: ExperimentConfig, data: RunData) -> None:
     """Raise ``SeveredLayerError`` before any compute where a mask of the
-    run would keep no weight of a layer: ``check_layer_quotas`` at every
-    rho of a run whose masks are cut to a layerwise quota, with a
-    partitioned ensemble's complement masks, and random annealing's
-    terminal mask, which needs no weight: each seed's and rho's is drawn
-    as its cell draws it (``make_controller``), here on a zero network."""
+    run would keep no weight of a layer: layerwise quotas by their shapes
+    (``check_layer_quotas``, with a partitioned ensemble's complements),
+    and every mask a unit draws without reading weights (random
+    annealing's, and all at a global random quota) drawn here as the unit
+    draws it, in unit order, on a zero network."""
     if cfg.task in ("train-parent", "eval"):
         return
     net = architecture(cfg.model, data.input_shape, data.num_classes,
@@ -551,11 +549,19 @@ def check_quotas(cfg: ExperimentConfig, data: RunData) -> None:
         complement = (cfg.task == "ensemble" and ens["partitioning"]
                       and ens["n_members"] > 1)
         check_layer_quotas(net.weight_shapes(), cfg.rho, complement)
-    if "random-anneal" in cfg.method:
-        for seed, rho in itertools.product(cfg.seeds, cfg.rho):
-            check_no_severed_layer(make_controller(
-                "random-anneal", cfg, net, seed, rho, cfg.phi[0], 0.0).mask,
-                f"random-anneal's terminal mask at rho {rho}, seed {seed},")
+    drawn = cfg.granularity == "global" and cfg.selector == "random"
+    stages = {name: units for name, units, _ in run_stages(cfg)}
+    for seed, i in stages.get("members", []) if drawn else []:
+        _member_controller(cfg, net, seed, i)
+    for seed, method, rho, phi, tau0 in stages.get("cells", []):
+        if drawn or method == "random-anneal":
+            controller = make_controller(method, cfg, net, seed, rho, phi,
+                                         tau0)
+            if method == "iterative":  # each increment, as at its epoch
+                for epoch in range(len(controller.levels)):
+                    controller.begin_epoch(epoch)
+            check_no_severed_layer(controller.mask, f"{method}'s terminal "
+                                   f"mask at rho {rho}, seed {seed},")
 
 
 def run_stages(cfg: ExperimentConfig) -> list:
@@ -651,10 +657,7 @@ def tune_one_member(cfg, data, out_dir, done, unit):
     so members can be tuned in any order or process."""
     seed, i = unit
     net = load_net(cfg, data, out_dir / done["parents"][seed])
-    controller = member_controller(
-        net.weight_shapes(), i, cfg.rho[0], cfg.ensemble["partitioning"],
-        cfg.tau0[0], cfg.variant, cfg.decay_for("temperature-anneal"),
-        cfg.phi[0], substream(seed, "mask"), cfg.granularity)
+    controller = _member_controller(cfg, net, seed, i)
     schedule, optimizer = build_training(cfg, cfg.lr, cfg.epochs,
                                          len(data.y_train))
     try:
@@ -672,6 +675,14 @@ def tune_one_member(cfg, data, out_dir, done, unit):
                  functools.partial(save_mask_set, controller.mask))
     write_metrics_csv(seed_dir / f"member-{i}.csv", rows)
     return controller.mask.sparsity()
+
+
+def _member_controller(cfg, net, seed: int, i: int):
+    """``member_controller`` of member i of ``seed``'s ensemble."""
+    return member_controller(
+        net.weight_shapes(), i, cfg.rho[0], cfg.ensemble["partitioning"],
+        cfg.tau0[0], cfg.variant, cfg.decay_for("temperature-anneal"),
+        cfg.phi[0], substream(seed, "mask"), cfg.granularity)
 
 
 def _outcomes(cfg, done, seed) -> list:
@@ -779,36 +790,43 @@ def write_summaries(cfg, out_dir, done, seeds) -> list:
 
 # --- summaries -------------------------------------------------------------------
 
-def summarize_manifests(manifest_paths, manifest_payloads=None,
-                        base_dirs=None) -> list:
-    """Aggregate final-epoch metrics per cell across seeds.
+def summarize_manifests(pairs) -> list:
+    """Aggregate final-epoch metrics per cell across seeds, from
+    ``(manifest, base_dir)`` pairs. Manifests with a sweep cell must share
+    their config up to ``SUMMARY_FREE_KEYS`` and no (cell, seed) pair, else
+    a ValueError names the key or seed and both manifests.
 
     Accuracy std is the sample standard deviation (n-1), zero for a single
     seed. The best mean accuracy within each (method, selector,
     lr_schedule, rho) group gets best_in_method = 1, so the best-over-
     hyperparameters reading of the table stays recoverable.
     """
-    if manifest_payloads is None:
-        manifest_payloads = [_read_manifest(path) for path in manifest_paths]
-        base_dirs = [Path(path).parent for path in manifest_paths]
-
-    datasets = {m["config"]["dataset"] for m in manifest_payloads}
-    if len(datasets) > 1:
-        raise ValueError(f"cannot summarize mixed datasets: {sorted(datasets)}")
-
-    groups = {}
-    for payload, base in zip(manifest_payloads, base_dirs):
-        for cell in payload["cells"]:
+    groups, owners, first = {}, {}, None
+    for manifest, base in pairs:
+        name = Path(base) / "manifest.json"
+        config = {key: value for key, value in manifest["config"].items()
+                  if key not in SUMMARY_FREE_KEYS}
+        for cell in manifest["cells"]:
             if cell["method"] in ("parent", "ensemble"):
                 continue
-            key = tuple(cell[name] for name in CELL_KEY)
-            groups.setdefault(key, []).append(
-                _final_metrics(Path(base) / cell["metrics"]))
+            first = first or (config, name)
+            differ = sorted(key for key in config.keys() | first[0].keys()
+                            if config.get(key) != first[0].get(key))
+            if differ:
+                raise ValueError(f"cannot summarize {first[1]} with {name}: "
+                                 f"their configs differ in {differ[0]!r}")
+            key = tuple(cell[field] for field in CELL_KEY)
+            if (key, cell["seed"]) in owners:
+                raise ValueError(
+                    f"cannot summarize {owners[key, cell['seed']]} with "
+                    f"{name}: both hold seed {cell['seed']} of cell {key}")
+            owners[key, cell["seed"]] = name
+            groups.setdefault(key, []).append(Path(base) / cell["metrics"])
 
     out = []
-    for key, finals in sorted(groups.items()):
+    for key, paths in sorted(groups.items()):
         method, selector, lr_schedule, rho, phi, tau0, epochs = key
-        accs, nlls, eces = zip(*finals)
+        accs, nlls, eces = zip(*map(_final_metrics, paths))
         out.append({
             "method": method, "selector": selector,
             "lr_schedule": lr_schedule, "rho": rho,
@@ -834,9 +852,9 @@ def _read_manifest(path) -> dict:
     it is not JSON or lacks what a summary reads."""
     try:
         manifest = json.loads(Path(path).read_text())
-        manifest["config"]["dataset"]
+        {**manifest["config"]}  # a TypeError unless a mapping
         for cell in manifest["cells"]:
-            [cell[name] for name in (*CELL_KEY, "metrics")]
+            [cell[name] for name in (*CELL_KEY, "seed", "metrics")]
     except (ValueError, LookupError, TypeError) as err:
         raise ValueError(f"cannot summarize {path}: {error_text(err)}") from err
     return manifest
@@ -862,7 +880,8 @@ def summarize_dir(directory) -> Path:
     manifests = sorted(directory.glob("**/manifest.json"))
     if not manifests:
         raise FileNotFoundError(f"no manifest.json under {directory}")
-    rows = summarize_manifests(manifests)
+    rows = summarize_manifests([(_read_manifest(path), path.parent)
+                                for path in manifests])
     out = directory / "summary.csv"
     write_summary_csv(out, rows)
     return out

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from subanneal.nn.layers import views
+
 
 def same_mask(a, b) -> bool:
     """Equal layouts (names and shapes) and equal entries under each name."""
@@ -17,3 +19,9 @@ def overlap(a, b) -> int:
 def is_binary(probs) -> bool:
     """Whether every probability of a ``ProbabilitySet`` is exactly 0 or 1."""
     return bool(np.isin(probs.flat, (0.0, 1.0)).all())
+
+
+def layers(probs) -> dict:
+    """A ``ProbabilitySet``'s probabilities by name: read-only views of
+    its ``flat`` in layer order."""
+    return dict(zip(probs.shapes, views(probs.flat, probs.shapes.values())))

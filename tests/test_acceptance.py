@@ -42,7 +42,6 @@ from subanneal.nn.layers import Conv2d, Dense, Flatten, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
 from subanneal.nn.optim import SGD
 from subanneal.pruning import (
-    PruneSpec,
     magnitude_mask,
     make_iterative_schedule,
     prune_increment,
@@ -53,7 +52,7 @@ from subanneal.runner import read_metrics_csv, run, summarize_manifests
 from subanneal.training import predict_logits
 
 from fd import max_rel_error, named_grads, numerical_grad
-from maskcheck import is_binary, overlap, same_mask
+from maskcheck import is_binary, layers, overlap, same_mask
 from rates import constant
 
 
@@ -79,9 +78,10 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         probs = {n: rng.random(s) for n, s in shapes.items()}
         terminal = MaskSet({n: (p >= 0.5).astype(np.uint8)
                             for n, p in probs.items()})
-        ps = ProbabilitySet(probs, terminal)
+        ps = ProbabilitySet(
+            np.concatenate([p.reshape(-1) for p in probs.values()]), terminal)
         draws = 200
-        for name, p in ps.items():
+        for name, p in probs.items():
             total = sum(int(realize(ps, rng)[name].sum()) for _ in range(draws))
             n_entries = p.size * draws
             expect = float(p.mean())
@@ -94,26 +94,26 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         # pruning: monotone, exact at every stage, phi=1 equals one-shot
         rho = float(rng.uniform(0.2, 0.8))
         phi = int(rng.integers(1, 5))
-        spec = PruneSpec("random", rho)
         seed_tag = ("prune", i)
         mask = full_mask(shapes)
         stream = substream(2000 + i, *seed_tag)
         for level in make_iterative_schedule(rho, phi):
-            nxt = prune_increment(mask, level, spec, rng=stream)
+            nxt = prune_increment(mask, level, "layerwise", rng=stream)
             for name in nxt:
                 assert np.all(nxt[name] <= mask[name])
                 quota = int(np.floor(level * nxt[name].size + 0.5))
                 assert int(nxt[name].size - nxt[name].sum()) == quota
             mask = nxt
-        one_shot = random_mask(shapes, spec, substream(3000 + i, "one"))
+        one_shot = random_mask(shapes, rho, "layerwise",
+                               substream(3000 + i, "one"))
         level = make_iterative_schedule(rho, 1)[0]
-        iter_one = prune_increment(full_mask(shapes), level, spec,
+        iter_one = prune_increment(full_mask(shapes), level, "layerwise",
                                    rng=substream(3000 + i, "one"))
         assert same_mask(one_shot, iter_one)
 
         # pruning: magnitude agrees with an independent per-layer sort oracle
         params = {n: rng.normal(size=s) for n, s in shapes.items()}
-        mag = magnitude_mask(params, PruneSpec("magnitude", rho))
+        mag = magnitude_mask(params, rho, "layerwise")
         for name, w in params.items():
             k = int(np.floor(rho * w.size + 0.5))
             order = np.argsort(np.abs(w).reshape(-1), kind="stable")
@@ -130,11 +130,12 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         prev = probs_at_epoch(init, decay, phi, 0)
         for e in range(1, phi + 2):
             cur = probs_at_epoch(init, decay, phi, e)
-            for name in cur.probs:
+            for name in cur.shapes:
                 kept = target[name] == 1
-                assert np.all(cur[name][kept] >= prev[name][kept])
-                assert np.all(cur[name][~kept] <= prev[name][~kept])
-                assert cur[name].min() >= 0.0 and cur[name].max() <= 1.0
+                now, before = layers(cur)[name], layers(prev)[name]
+                assert np.all(now[kept] >= before[kept])
+                assert np.all(now[~kept] <= before[~kept])
+                assert now.min() >= 0.0 and now.max() <= 1.0
             prev = cur
         final = probs_at_epoch(init, decay, phi, phi)
         assert is_binary(final) and same_mask(final.terminal, target)
@@ -144,8 +145,9 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         for e in range(phi + 1):
             a = probs_at_epoch(init, decay, phi, e)
             b = probs_at_epoch(anti, decay, phi, e)
-            for name in a.probs:
-                np.testing.assert_allclose(a[name] + b[name], 1.0, atol=1e-15)
+            for name in a.shapes:
+                np.testing.assert_allclose(layers(a)[name] + layers(b)[name],
+                                           1.0, atol=1e-15)
 
         # annealing: uniform random annealing activates ~50% at epoch 0
         rho_u = float(rng.choice([0.5, 0.7, 0.9, 0.98]))
@@ -209,8 +211,7 @@ def test_criterion_01_property_suite_masking_pruning_annealing():
         rng = substream(5000 + i, "fin")
         net = Network([Dense(6, 8), ReLU(), Dense(8, 3)], input_shape=(6,))
         net.init_params(rng)
-        target = random_mask(net.weight_shapes(), PruneSpec("random", 0.5),
-                             rng)
+        target = random_mask(net.weight_shapes(), 0.5, "layerwise", rng)
         controller = AnnealController(
             init_temperature(target, 0.5, "reverse-dropout"), "cosine", 1)
         blob = make_blobs("train", n=48, d=6, k=3, data_seed=i)
@@ -270,7 +271,7 @@ def test_criterion_02_gradient_correctness_all_layer_types():
 def test_criterion_03_degeneracy_equivalences_bit_exact():
     blob = make_blobs("train", n=96, d=8, k=3, data_seed=0)
     shapes = {"layer0.w": (8, 12), "layer2.w": (12, 3)}
-    target = random_mask(shapes, PruneSpec("random", 0.5), substream(1, "m"))
+    target = random_mask(shapes, 0.5, "layerwise", substream(1, "m"))
 
     def run_with(controller, seed=3):
         net = Network([Dense(8, 12), ReLU(), Dense(12, 3)], input_shape=(8,))
@@ -289,16 +290,15 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
         assert np.array_equal(net_a.params()[name], net_b.params()[name])
 
     # phi = 1 iterative == one-shot under the shared seed, bitwise
-    one_shot = random_mask(shapes, PruneSpec("random", 0.7), substream(5, "m"))
+    one_shot = random_mask(shapes, 0.7, "layerwise", substream(5, "m"))
     level = make_iterative_schedule(0.7, 1)[0]
-    iter_mask = prune_increment(full_mask(shapes), level,
-                                PruneSpec("random", 0.7),
+    iter_mask = prune_increment(full_mask(shapes), level, "layerwise",
                                 rng=substream(5, "m"))
     assert same_mask(one_shot, iter_mask)
     net_c = run_with(FixedMaskController(one_shot), seed=4)
     net_e = Network([Dense(8, 12), ReLU(), Dense(12, 3)], input_shape=(8,))
     net_e.init_params(substream(4, "init"))
-    ctl = IterativeController(PruneSpec("random", 0.7), 1, net_e.weights(),
+    ctl = IterativeController("random", 0.7, "layerwise", 1, net_e.weights(),
                               substream(5, "m"))
     tune(net_e, ctl, (blob.x, blob.y), 4, constant(0.05),
          SGD(momentum=0.9, nesterov=True), 32,
@@ -315,8 +315,8 @@ def test_criterion_03_degeneracy_equivalences_bit_exact():
     ):
         ps = maker()
         twice = anti_probability(anti_probability(ps))
-        for name in ps.probs:
-            assert np.array_equal(twice[name], ps[name])
+        for name in ps.shapes:
+            assert np.array_equal(layers(twice)[name], layers(ps)[name])
         assert same_mask(twice.terminal, ps.terminal)
     print("\n[criterion 03] PASS degeneracy equivalences bit-exact "
           "(tau0=0, phi=1, anti-involution)")
@@ -334,14 +334,14 @@ def test_criterion_04_schedule_endpoints_exact():
         total = int(rng.integers(1, 50))
         # arbitrary initial probabilities, annealing toward 0 and toward 1
         init = ProbabilitySet(
-            {"w": np.array([tau_max, tau_min, tau_min, tau_max])}, terminal)
+            np.array([tau_max, tau_min, tau_min, tau_max]), terminal)
         for kind in ("linear", "cosine"):
             assert decay_fraction(kind, 0, total) == 1.0  # exact, double precision
             assert decay_fraction(kind, total, total) == 0.0
             first = probs_at_epoch(init, kind, total, 0)
             last = probs_at_epoch(init, kind, total, total)
-            assert first["w"].tobytes() == init["w"].tobytes()
-            assert last["w"].tobytes() == np.array([0.0, 0.0, 1.0, 1.0]).tobytes()
+            assert first.flat.tobytes() == init.flat.tobytes()
+            assert last.flat.tobytes() == np.array([0.0, 0.0, 1.0, 1.0]).tobytes()
             assert same_mask(last.terminal, terminal)
             checked += 1
     print(f"\n[criterion 04] PASS schedule endpoints exact in double "
@@ -464,7 +464,8 @@ def mnist_ordering(tmp_path_factory):
     started = time.time()
     manifest_path = run(cfg)
     elapsed = time.time() - started
-    rows = summarize_manifests([manifest_path])
+    rows = summarize_manifests([(json.loads(manifest_path.read_text()),
+                                 manifest_path.parent)])
     means = {(r["method"], r["rho"]): r["mean_acc"] for r in rows}
     return means, elapsed
 

@@ -16,11 +16,11 @@ from subanneal.data import make_blobs
 from subanneal.masks import MaskSet, realize
 from subanneal.nn.layers import Dense, Network, ReLU
 from subanneal.nn.optim import SGD
-from subanneal.pruning import PruneSpec, random_mask
+from subanneal.pruning import random_mask
 from subanneal.rng import substream
 from subanneal.training import DivergenceError, predict_logits
 
-from maskcheck import same_mask
+from maskcheck import layers, same_mask
 from rates import constant
 
 
@@ -68,18 +68,20 @@ class TestInitTemperature:
     def test_tau_zero_is_pure_one_shot(self):
         m = MaskSet({"a": np.array([[1, 0], [0, 1]], dtype=np.uint8)})
         ps = init_temperature(m, 0.0, "reverse-dropout")
-        np.testing.assert_array_equal(ps["a"], m["a"].astype(float))
+        np.testing.assert_array_equal(layers(ps)["a"], m["a"].astype(float))
 
     def test_tau_one_full_scaling_inverts_the_network(self):
         m = MaskSet({"a": np.array([[1, 0], [0, 1]], dtype=np.uint8)})
         ps = init_temperature(m, 1.0, "full-scaling")
-        np.testing.assert_array_equal(ps["a"], 1.0 - m["a"].astype(float))
+        np.testing.assert_array_equal(layers(ps)["a"],
+                                      1.0 - m["a"].astype(float))
 
     def test_reverse_dropout_matrix_display(self):
         # kept entries stay 1; pruned entries read 0 + tau
         m = MaskSet({"a": np.array([[1, 0], [0, 1]], dtype=np.uint8)})
         ps = init_temperature(m, 0.5, "reverse-dropout")
-        np.testing.assert_array_equal(ps["a"], [[1.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_array_equal(layers(ps)["a"],
+                                      [[1.0, 0.5], [0.5, 1.0]])
 
     def test_terminal_is_the_target(self):
         m = MaskSet({"a": np.array([1, 0, 1, 0], dtype=np.uint8)})
@@ -110,13 +112,13 @@ class TestInitRandom:
 
     def test_uniform_entries_below_rho_anneal_to_zero(self):
         ps = init_random({"a": (30, 30)}, 0.4, substream(2, "r"))
-        below = ps["a"] < 0.4
+        below = layers(ps)["a"] < 0.4
         np.testing.assert_array_equal(ps.terminal["a"][below], 0)
         np.testing.assert_array_equal(ps.terminal["a"][~below], 1)
 
     def test_bimodal_histogram(self):
         ps = init_random({"a": (200, 250)}, 0.5, substream(3, "r"), BIMODAL)
-        p = ps["a"]
+        p = layers(ps)["a"]
         kept = ps.terminal["a"] == 1
         # Monte-Carlo over the stated normals: modes near 0.25 and 0.75
         assert np.median(p[~kept]) == pytest.approx(0.25, abs=0.02)
@@ -140,6 +142,59 @@ class TestInitRandom:
                 init_random({"a": (4, 4)}, rho, substream(0, "r"))
 
 
+class TestInitRandomLayout:
+    SHAPES = {"layer0.w": (7, 5), "layer2.w": (5,), "layer4.w": (3, 2, 2)}
+
+    @pytest.mark.parametrize("bimodal", [None, BIMODAL],
+                             ids=["uniform", "bimodal"])
+    def test_the_flat_build_equals_per_layer_draws(self, bimodal):
+        used, replay = substream(9, "ir"), substream(9, "ir")
+        ps = init_random(self.SHAPES, 0.4, used, bimodal)
+        for name, shape in self.SHAPES.items():  # one layer at a time
+            if bimodal is None:
+                p = replay.random(shape)
+                t = (p >= 0.4).astype(np.uint8)
+            else:
+                t = (replay.random(shape) < 0.6).astype(np.uint8)
+                draws0 = replay.normal(BIMODAL[0], BIMODAL[1], shape)
+                draws1 = replay.normal(BIMODAL[2], BIMODAL[3], shape)
+                p = np.clip(np.where(t == 1, draws1, draws0), 0.0, 1.0)
+            assert layers(ps)[name].tobytes() == p.tobytes(), name
+            assert ps.terminal[name].tobytes() == t.tobytes(), name
+        assert ps.flat.dtype == np.float64
+        assert ps.terminal.flat.dtype == np.uint8
+        assert ps.shapes == ps.terminal.shapes == self.SHAPES
+        assert used.bit_generator.state == replay.bit_generator.state
+
+    def test_a_shape_dict_without_layers_gives_an_empty_set(self):
+        ps = init_random({}, 0.5, substream(9, "ir"))
+        assert ps.flat.size == 0 and ps.terminal.shapes == {}
+
+
+class TestSetsShareTheirMasks:
+    def test_init_temperature_shares_its_target(self):
+        target = MaskSet({"a": np.array([1, 0, 1, 0], dtype=np.uint8)})
+        for variant in ("reverse-dropout", "full-scaling"):
+            assert init_temperature(target, 0.5, variant).terminal is target
+
+    def test_epoch_zero_is_init_and_later_epochs_share_its_terminal(self):
+        ps = init_random({"a": (40, 25)}, 0.6, substream(5, "pae2"))
+        assert probs_at_epoch(ps, "cosine", 4, 0) is ps
+        for epoch in (1, 3, 4, 9):
+            later = probs_at_epoch(ps, "cosine", 4, epoch)
+            assert later is not ps
+            assert later.terminal is ps.terminal
+        assert probs_at_epoch(ps, "linear", 0, 0).terminal is ps.terminal
+
+    def test_a_controller_keeps_one_terminal_mask(self):
+        target = MaskSet({"a": substream(6, "share").random((6, 6)) < 0.5})
+        controller = _annealed(target, 0.5, 2)
+        for epoch in range(4):
+            controller.begin_epoch(epoch)
+            assert controller.mask is target
+            assert controller.probs.terminal is target
+
+
 class TestProbsAtEpoch:
     def _ps(self):
         rng = substream(5, "pae")
@@ -150,38 +205,39 @@ class TestProbsAtEpoch:
     def test_epoch_zero_returns_init_unchanged(self):
         ps = self._ps()
         out = probs_at_epoch(ps, "linear", 10, 0)
-        np.testing.assert_array_equal(out["a"], ps["a"])
+        np.testing.assert_array_equal(layers(out)["a"], layers(ps)["a"])
 
     def test_epoch_at_phi_is_terminal_exactly(self):
         ps = self._ps()
         for epoch in (10, 11, 50):
             out = probs_at_epoch(ps, "cosine", 10, epoch)
-            np.testing.assert_array_equal(out["a"],
+            np.testing.assert_array_equal(layers(out)["a"],
                                           ps.terminal["a"].astype(float))
 
     def test_reverse_dropout_cosine_midpoint(self):
         m = MaskSet({"a": np.array([1, 0, 0, 1], dtype=np.uint8)})
         ps = init_temperature(m, 0.5, "reverse-dropout")
         out = probs_at_epoch(ps, "cosine", 10, 5)
-        np.testing.assert_allclose(out["a"][1:3], [0.25, 0.25], atol=1e-12)
-        np.testing.assert_array_equal(out["a"][[0, 3]], [1.0, 1.0])
+        np.testing.assert_allclose(out.flat[1:3], [0.25, 0.25], atol=1e-12)
+        np.testing.assert_array_equal(out.flat[[0, 3]], [1.0, 1.0])
 
     def test_monotone_per_entry(self):
         ps = self._ps()
         for kind in ("linear", "cosine"):
             prev = probs_at_epoch(ps, kind, 12, 0)
-            kept = ps.terminal["a"] == 1
+            kept = ps.terminal.flat == 1
             for epoch in range(1, 14):
                 cur = probs_at_epoch(ps, kind, 12, epoch)
-                assert np.all(cur["a"][kept] >= prev["a"][kept] - 1e-15)
-                assert np.all(cur["a"][~kept] <= prev["a"][~kept] + 1e-15)
-                assert cur["a"].min() >= 0.0 and cur["a"].max() <= 1.0
+                assert np.all(cur.flat[kept] >= prev.flat[kept] - 1e-15)
+                assert np.all(cur.flat[~kept] <= prev.flat[~kept] + 1e-15)
+                assert cur.flat.min() >= 0.0 and cur.flat.max() <= 1.0
                 prev = cur
 
     def test_phi_zero_is_terminal_from_the_start(self):
         ps = self._ps()
         out = probs_at_epoch(ps, "linear", 0, 0)
-        np.testing.assert_array_equal(out["a"], ps.terminal["a"].astype(float))
+        np.testing.assert_array_equal(layers(out)["a"],
+                                      ps.terminal["a"].astype(float))
 
     def test_rejects_a_negative_epoch(self):
         with pytest.raises(ValueError, match="epoch must be nonnegative"):
@@ -193,14 +249,14 @@ class TestAntiProbability:
         m = MaskSet({"a": np.ones((3, 3), dtype=np.uint8)})
         ps = init_temperature(m, 0.0, "reverse-dropout")
         anti = anti_probability(ps)
-        assert anti["a"].max() == 0.0
+        assert layers(anti)["a"].max() == 0.0
         assert anti.terminal.sparsity() == 1.0
 
     def test_involution_bit_exact_on_generated_sets(self):
         # uniform draws are dyadic (k * 2^-53), so 1-(1-p) is exact
         ps = init_random({"a": (60, 40)}, 0.5, substream(6, "anti"))
         twice = anti_probability(anti_probability(ps))
-        np.testing.assert_array_equal(twice["a"], ps["a"])
+        np.testing.assert_array_equal(layers(twice)["a"], layers(ps)["a"])
         assert same_mask(twice.terminal, ps.terminal)
 
     def test_mean_plus_anti_mean_is_one(self):
@@ -216,7 +272,7 @@ class TestAntiProbability:
         for epoch in range(8):
             a = probs_at_epoch(ps, "cosine", 6, epoch)
             b = probs_at_epoch(anti, "cosine", 6, epoch)
-            np.testing.assert_allclose(a["a"] + b["a"], 1.0, atol=1e-15)
+            np.testing.assert_allclose(a.flat + b.flat, 1.0, atol=1e-15)
 
 
 def _annealed(target, tau0, phi):
@@ -250,7 +306,7 @@ def _run_tune(controller, seed=0, epochs=4, lr=0.05):
 class TestTune:
     def _target(self):
         shapes = {"layer0.w": (8, 12), "layer2.w": (12, 3)}
-        return random_mask(shapes, PruneSpec("random", 0.5), substream(1, "m"))
+        return random_mask(shapes, 0.5, "layerwise", substream(1, "m"))
 
     def test_tau_zero_reproduces_fixed_mask_bit_exactly(self):
         target = self._target()
@@ -308,9 +364,8 @@ class TestTune:
 
     def test_iterative_controller_reaches_target_monotonically(self):
         net = _toy_net()
-        spec = PruneSpec("random", 0.9)
-        controller = IterativeController(spec, 4, net.weights(),
-                                         substream(3, "m"))
+        controller = IterativeController("random", 0.9, "layerwise", 4,
+                                         net.weights(), substream(3, "m"))
         x, y = _toy_data()
         rows = tune(net, controller, (x, y), 6, constant(0.05),
                     SGD(), 32, rng_shuffle=substream(3, "s"))
@@ -373,7 +428,7 @@ class TestControllers:
             base.begin_epoch(epoch)
             mirror.begin_epoch(epoch)
             np.testing.assert_allclose(
-                base.probs["a"] + mirror.probs["a"], 1.0, atol=1e-15)
+                base.probs.flat + mirror.probs.flat, 1.0, atol=1e-15)
         assert same_mask(mirror.mask, target.complement())
 
     def test_every_batch_draws_before_phi_and_none_from_phi_on(self):
@@ -426,7 +481,7 @@ class TestControllers:
         if kind == "fixed":
             controller = FixedMaskController(target)
         elif kind == "iterative":
-            controller = IterativeController(PruneSpec("random", 0.5), 2,
+            controller = IterativeController("random", 0.5, "layerwise", 2,
                                              net.weights(), substream(5, "m"))
         else:
             controller = _annealed(target, 0.5, 2)

@@ -158,6 +158,20 @@ def test_summarize_names_a_manifest_it_cannot_read(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_summarize_names_two_sweeps_it_will_not_average(tmp_path, capsys):
+    # two sweeps that differ only in lr.value: averaging their rows would
+    # give one row of both experiments with each seed counted twice
+    for name, value in (("a", 0.01), ("b", 0.5)):
+        config = _write_config(tmp_path, seeds=[0, 1],
+                               lr={"kind": "constant", "value": value})
+        assert main(["run", str(config), "--out", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", str(tmp_path)]) == 1
+    _one_error_line(capsys, str(tmp_path / "a" / "manifest.json"),
+                    str(tmp_path / "b" / "manifest.json"), "'lr'")
+    assert not (tmp_path / "summary.csv").exists()
+
+
 @pytest.mark.parametrize("broken", ["cell-without-selector", "empty-csv"])
 def test_summarize_names_a_cell_or_csv_it_cannot_read(tmp_path, capsys,
                                                       broken):

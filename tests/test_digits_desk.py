@@ -31,7 +31,7 @@ from subanneal.ensemble import (
 from subanneal.models import build_mlp
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import lr_schedule
-from subanneal.pruning import PruneSpec, random_mask
+from subanneal.pruning import random_mask
 from subanneal.rng import substream
 from subanneal.training import predict_logits
 
@@ -88,16 +88,16 @@ def ordering_results(digits):
     results = {m: [] for m in ("oneshot", "iterative", "temperature")}
     for seed in SEEDS:
         parent = _parent(digits, seed)
-        spec = PruneSpec("random", RHO)
-        target = random_mask(parent.weight_shapes(), spec,
+        target = random_mask(parent.weight_shapes(), RHO, "layerwise",
                              substream(seed, "mask"))
         for method in results:
             net = clone(parent)
             if method == "oneshot":
                 controller = FixedMaskController(target)
             elif method == "iterative":
-                controller = IterativeController(spec, 5, net.weights(),
-                                                 substream(seed, "mask"))
+                controller = IterativeController(
+                    "random", RHO, "layerwise", 5, net.weights(),
+                    substream(seed, "mask"))
             else:
                 controller = AnnealController(
                     init_temperature(target, 0.5, "reverse-dropout"),

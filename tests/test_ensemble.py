@@ -17,14 +17,14 @@ from subanneal.ensemble import (
 from subanneal.annealing import FixedMaskController, tune
 from subanneal.metrics import evaluate, softmax
 from subanneal.models import build_mlp
-from subanneal.pruning import PruneSpec, SeveredLayerError, random_mask
+from subanneal.pruning import SeveredLayerError, random_mask
 from subanneal.nn.optim import SGD
 from subanneal.nn.schedules import lr_schedule
 from subanneal.rng import substream
 from subanneal.runner import RunData
 from subanneal.training import DivergenceError, predict_logits
 
-from maskcheck import overlap, same_mask
+from maskcheck import layers, overlap, same_mask
 from members import members_through, tune_member
 from nets import clone
 from rates import constant
@@ -101,7 +101,8 @@ class TestSpawnChildren:
     def test_partitioned_pair_covers_every_weight_exactly_once(self):
         m1, m2 = (c.mask for c in _controllers(2, 0.5, True, 3))
         assert overlap(m1, m2) == 0
-        assert m1.zeros() + m2.zeros() == m1.total()
+        # the zeros of both add up to every weight: each is kept once
+        assert int(m1.flat.sum()) + int(m2.flat.sum()) == m1.flat.size
 
     def test_children_inherit_parent_weights(self):
         # no epochs: each member is the parent under its terminal mask,
@@ -143,7 +144,6 @@ class TestSpawnChildren:
     def test_each_member_replays_the_draws_of_the_members_before_it(self):
         # member i alone gets the mask a single stream gives it in turn
         shapes = _net().weight_shapes()
-        spec = PruneSpec("random", 0.5, "layerwise")
         for partitioning in (False, True):
             rng = substream(6, "m")
             drawn = []
@@ -151,7 +151,7 @@ class TestSpawnChildren:
                 if partitioning and i % 2 == 1:
                     drawn.append(drawn[-1].complement())
                 else:
-                    drawn.append(random_mask(shapes, spec, rng))
+                    drawn.append(random_mask(shapes, 0.5, "layerwise", rng))
             got = _controllers(5, 0.5, partitioning, 6)
             for mask, controller in zip(drawn, got):
                 assert same_mask(controller.mask, mask)
@@ -202,10 +202,10 @@ class TestTuneChildren:
         for epoch in range(3):
             for controller in copies:
                 controller.begin_epoch(epoch)
-            for name in copies[0].probs.probs:
+            for name in copies[0].probs.shapes:
                 np.testing.assert_allclose(
-                    copies[0].probs[name] + copies[1].probs[name], 1.0,
-                    atol=1e-15)
+                    layers(copies[0].probs)[name]
+                    + layers(copies[1].probs)[name], 1.0, atol=1e-15)
         members, _ = _members(parent, [base, mirror], data, 2, seed=7,
                               eval_data=test)
         assert len(members) == 2

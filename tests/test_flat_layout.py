@@ -136,8 +136,7 @@ def test_one_flat_draw_is_the_per_layer_stream(shapes, seed):
                                 for s in shapes.values()])
     assert flat.tobytes() == per_layer.tobytes()
     # and realize itself draws exactly that, against the flat probabilities
-    probs = {n: np.full(s, 0.5) for n, s in shapes.items()}
-    ps = ProbabilitySet(probs, full_mask(shapes))
+    ps = ProbabilitySet(np.full(flat.size, 0.5), full_mask(shapes))
     mask = realize(ps, substream(seed, "bernoulli"))
     assert np.array_equal(mask.flat, (per_layer < 0.5).astype(np.uint8))
     assert list(mask.masks) == list(shapes)

@@ -11,7 +11,8 @@ counts, and so are the bytes of every output of a run that succeeds and
 of every metric file a failed run's manifest lists (with more than one
 process, a failed run can leave files of units after the failing one);
 and a sweep's ``summary.csv`` means are the means of its cells' last
-rows, each of which reports the sparsity of its rho.
+rows, each of which reports the sparsity of its rho and the test metrics
+of the network the cell ends with.
 """
 
 import csv
@@ -25,8 +26,18 @@ import numpy as np
 import pytest
 
 from subanneal.config import ExperimentConfig
+from subanneal.metrics import evaluate
 from subanneal.models import architecture
-from subanneal.runner import error_text, make_controller, read_metrics_csv, run
+from subanneal.runner import (
+    RunData,
+    error_text,
+    load_net,
+    make_controller,
+    read_metrics_csv,
+    run,
+    run_cell,
+)
+from subanneal.training import predict_logits
 from test_workers import _cpus, _outputs
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -139,6 +150,26 @@ def _check_last_sparsity(out: Path, cfg: ExperimentConfig) -> None:
         assert last["realized_sparsity"] == want, cell
 
 
+def _check_last_row_is_the_tuned_network(out: Path,
+                                          cfg: ExperimentConfig) -> None:
+    """Each cell, tuned again here from the run's cached parent
+    (``run_cell``), gives the rows of its metric CSV, and the network it
+    ends with scores the last row's test metrics, so the record a summary
+    reads describes that network."""
+    data = RunData(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for cell in manifest["cells"]:
+        net = load_net(cfg, data, out / cell["parent"])
+        rows = run_cell(cfg, data, net, cell["seed"], cell["method"],
+                        cell["rho"], cell["phi"], cell["tau0"])
+        written = read_metrics_csv(out / cell["metrics"])
+        assert rows == written, cell
+        rec = evaluate(predict_logits(net, data.x_test), data.y_test)
+        assert (rec.accuracy, rec.nll, rec.ece) == (
+            written[-1]["test_acc"], written[-1]["test_nll"],
+            written[-1]["test_ece"]), cell
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("draw", range(DRAWS))
 def test_a_generated_config_runs_alike_at_one_and_two_cpus(tmp_path,
@@ -170,3 +201,4 @@ def test_a_generated_config_runs_alike_at_one_and_two_cpus(tmp_path,
     if errors[1] is None and cfg.task == "ablate":
         _check_summary(tmp_path / "w1" / "out")
         _check_last_sparsity(tmp_path / "w1" / "out", cfg)
+        _check_last_row_is_the_tuned_network(tmp_path / "w1" / "out", cfg)

@@ -25,7 +25,7 @@ from maskcheck import same_mask
 def _probset(value, shape=(100, 100)):
     p = np.full(shape, float(value))
     terminal = MaskSet({"layer0.w": (p >= 0.5).astype(np.uint8)})
-    return ProbabilitySet({"layer0.w": p}, terminal)
+    return ProbabilitySet(p.reshape(-1), terminal)
 
 
 class TestRealize:
@@ -46,7 +46,8 @@ class TestRealize:
         rng = np.random.default_rng(0)
         probs = {"layer0.w": rng.random((30, 20)), "layer2.w": rng.random(7)}
         terminal = MaskSet({n: p >= 0.5 for n, p in probs.items()})
-        ms = realize(ProbabilitySet(probs, terminal), substream(4, "r"))
+        flat = np.concatenate([p.reshape(-1) for p in probs.values()])
+        ms = realize(ProbabilitySet(flat, terminal), substream(4, "r"))
         twin = substream(4, "r")
         for name, p in probs.items():
             want = (twin.random(p.shape) < p).astype(np.uint8)
@@ -261,9 +262,47 @@ class TestContainer:
 
 def test_probability_set_validation():
     terminal = MaskSet({"a": np.ones((2, 2), dtype=np.uint8)})
-    with pytest.raises(ValueError):
-        ProbabilitySet({"a": np.full((2, 2), 1.5)}, terminal)
-    with pytest.raises(ValueError):
-        ProbabilitySet({"a": np.full((3, 2), 0.5)}, terminal)
-    with pytest.raises(ValueError):
-        ProbabilitySet({"b": np.full((2, 2), 0.5)}, terminal)
+    with pytest.raises(ValueError, match="outside"):
+        ProbabilitySet(np.full(4, 1.5), terminal)
+    with pytest.raises(ValueError, match="sizes differ"):
+        ProbabilitySet(np.full(6, 0.5), terminal)
+    # the flat form only: a per-layer array is not the terminal's layout
+    with pytest.raises(ValueError, match="sizes differ"):
+        ProbabilitySet(np.full((2, 2), 0.5), terminal)
+
+
+class TestMasksAreReadOnlyValues:
+    """A mask or probability set is never written after it is built, so
+    one object can be shared by every holder without a copy."""
+
+    SHAPES = {"layer0.w": (3, 4), "layer2.w": (5,)}
+
+    def _built(self):
+        ps = ProbabilitySet(np.full(17, 0.5), full_mask(self.SHAPES))
+        return {
+            "dict": MaskSet({n: np.ones(s, np.uint8)
+                             for n, s in self.SHAPES.items()}),
+            "flat uint8": MaskSet(np.ones(17, np.uint8), self.SHAPES),
+            "flat bool": MaskSet(np.ones(17, bool), self.SHAPES),
+            "full_mask": full_mask(self.SHAPES),
+            "complement": full_mask(self.SHAPES).complement(),
+            "realize": realize(ps, substream(3, "ro")),
+        }
+
+    def test_writing_into_a_mask_raises(self):
+        for how, mask in self._built().items():
+            before = mask.flat.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                mask.flat[0] = 1 - mask.flat[0]
+            for name in self.SHAPES:
+                with pytest.raises(ValueError, match="read-only"):
+                    mask[name][...] = 0
+            assert np.array_equal(mask.flat, before), how
+
+    def test_writing_into_probabilities_raises(self):
+        ps = ProbabilitySet(np.full(17, 0.5), full_mask(self.SHAPES))
+        with pytest.raises(ValueError, match="read-only"):
+            ps.flat[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ps.flat[:] = 0.25
+        assert np.all(ps.flat == 0.5)

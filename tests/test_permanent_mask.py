@@ -26,7 +26,7 @@ from subanneal.metrics import evaluate
 from subanneal.nn.layers import Dense, Network, ReLU
 from subanneal.nn.losses import cross_entropy_softmax
 from subanneal.nn.optim import SGD, Adam
-from subanneal.pruning import PruneSpec, random_mask
+from subanneal.pruning import random_mask
 from subanneal.rng import substream
 from subanneal.training import finalize, masked_weights, predict_logits
 
@@ -94,13 +94,13 @@ def _net():
 
 
 def _target(net):
-    return random_mask(net.weight_shapes(), PruneSpec("random", RHO),
+    return random_mask(net.weight_shapes(), RHO, "layerwise",
                        substream(1, "target"))
 
 
 def _iterative(selector):
     def make(net):
-        return IterativeController(PruneSpec(selector, RHO), PHI,
+        return IterativeController(selector, RHO, "layerwise", PHI,
                                    net.weights(), substream(1, "prune"))
     return make
 

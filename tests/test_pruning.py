@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from subanneal.masks import full_mask
+from subanneal.masks import MaskSet, full_mask
 from subanneal.pruning import (
-    PruneSpec,
     SeveredLayerError,
     _quota,
     check_layer_quotas,
@@ -22,64 +21,59 @@ SHAPES = {"layer0.w": (2, 5), "layer2.w": (9, 10)}
 
 class TestRandomMask:
     def test_rho_zero_is_all_ones(self):
-        spec = PruneSpec("random", 0.0)
-        ms = random_mask(SHAPES, spec, substream(0, "m"))
+        ms = random_mask(SHAPES, 0.0, "layerwise", substream(0, "m"))
         assert ms.sparsity() == 0.0
 
     def test_layerwise_exact_counts(self):
-        spec = PruneSpec("random", 0.5)
         for seed in range(20):
-            ms = random_mask(SHAPES, spec, substream(seed, "m"))
+            ms = random_mask(SHAPES, 0.5, "layerwise", substream(seed, "m"))
             assert int(ms["layer0.w"].sum()) == 5
             assert int(ms["layer2.w"].sum()) == 45
 
     def test_global_pooled_counts(self):
         shapes = {"a": (10,), "b": (9, 10)}
-        spec = PruneSpec("random", 0.5, granularity="global")
         for seed in range(20):
-            ms = random_mask(shapes, spec, substream(seed, "g"))
-            assert ms.zeros() == 50  # pooled quota is exact
+            ms = random_mask(shapes, 0.5, "global", substream(seed, "g"))
+            assert ms.flat.size - ms.flat.sum() == 50  # pooled quota is exact
         per_layer = {
-            seed: int(random_mask(shapes, spec, substream(seed, "g"))["a"].sum())
+            seed: int(random_mask(shapes, 0.5, "global",
+                                  substream(seed, "g"))["a"].sum())
             for seed in range(20)
         }
         assert len(set(per_layer.values())) > 1  # per-layer counts vary
 
     def test_quota_equal_to_layer_size_raises(self):
         with pytest.raises(SeveredLayerError):
-            random_mask({"a": (10,)}, PruneSpec("random", 0.96),
-                        substream(0, "m"))
+            random_mask({"a": (10,)}, 0.96, "layerwise", substream(0, "m"))
 
 
 class TestMagnitudeMask:
     def test_sort_oracle(self):
         params = {"a": np.array([3.0, -1.0, 2.0, -4.0])}
-        ms = magnitude_mask(params, PruneSpec("magnitude", 0.5))
+        ms = magnitude_mask(params, 0.5, "layerwise")
         np.testing.assert_array_equal(ms["a"], [1, 0, 0, 1])
 
     def test_rho_zero(self):
         params = {"a": np.array([3.0, -1.0])}
-        ms = magnitude_mask(params, PruneSpec("magnitude", 0.0))
+        ms = magnitude_mask(params, 0.0, "layerwise")
         np.testing.assert_array_equal(ms["a"], [1, 1])
 
     def test_ties_prune_lowest_flat_index_first(self):
         params = {"a": np.ones(10)}
-        ms = magnitude_mask(params, PruneSpec("magnitude", 0.5))
+        ms = magnitude_mask(params, 0.5, "layerwise")
         np.testing.assert_array_equal(ms["a"], [0] * 5 + [1] * 5)
 
     def test_global_pools_across_layers(self):
         params = {"a": np.array([10.0, 11.0]), "b": np.array([0.1, 0.2, 0.3, 12.0])}
-        spec = PruneSpec("magnitude", 0.5, granularity="global")
-        ms = magnitude_mask(params, spec)
+        ms = magnitude_mask(params, 0.5, "global")
         np.testing.assert_array_equal(ms["a"], [1, 1])
         np.testing.assert_array_equal(ms["b"], [0, 0, 0, 1])
 
     def test_a_global_quota_that_severs_a_layer_raises(self):
         params = {"a": np.array([0.0]), "b": np.arange(1.0, 101.0)}
-        spec = PruneSpec("magnitude", 0.01, granularity="global")
         with pytest.raises(SeveredLayerError,
                            match="global quota fully severed layer 'a'"):
-            magnitude_mask(params, spec)
+            magnitude_mask(params, 0.01, "global")
 
     def test_random_sized_instances_match_sort_oracle(self):
         rng = substream(4, "mm")
@@ -87,7 +81,7 @@ class TestMagnitudeMask:
             n = int(rng.integers(4, 40))
             rho = float(rng.uniform(0.0, 0.8))
             w = rng.normal(size=n)
-            ms = magnitude_mask({"a": w}, PruneSpec("magnitude", rho))
+            ms = magnitude_mask({"a": w}, rho, "layerwise")
             k = int(np.floor(rho * n + 0.5))
             order = np.argsort(np.abs(w), kind="stable")
             expected = np.ones(n, dtype=np.uint8)
@@ -116,43 +110,39 @@ class TestIterativeSchedule:
 
 class TestPruneIncrement:
     def test_same_level_unchanged(self):
-        spec = PruneSpec("random", 0.5)
-        ms = random_mask({"a": (10,)}, spec, substream(0, "p"))
-        again = prune_increment(ms, 0.5, spec, rng=substream(99, "p"))
+        ms = random_mask({"a": (10,)}, 0.5, "layerwise", substream(0, "p"))
+        again = prune_increment(ms, 0.5, "layerwise", rng=substream(99, "p"))
         assert same_mask(again, ms)
 
     def test_exact_new_zero_count_and_monotone(self):
-        spec = PruneSpec("random", 0.6)
         rng = substream(1, "p")
-        ms = prune_increment(full_mask({"a": (10,)}), 0.3, spec, rng=rng)
-        assert ms.zeros() == 3
-        nxt = prune_increment(ms, 0.6, spec, rng=rng)
-        assert nxt.zeros() == 6
+        ms = prune_increment(full_mask({"a": (10,)}), 0.3, "layerwise",
+                             rng=rng)
+        assert ms.flat.size - ms.flat.sum() == 3
+        nxt = prune_increment(ms, 0.6, "layerwise", rng=rng)
+        assert nxt.flat.size - nxt.flat.sum() == 6
         # previously pruned entries stay pruned
         assert np.all(nxt["a"][ms["a"] == 0] == 0)
 
     def test_magnitude_increment_removes_smallest_active(self):
         w = np.array([5.0, 1.0, 4.0, 2.0, 3.0])
-        spec = PruneSpec("magnitude", 0.8)
-        first = prune_increment(full_mask({"a": (5,)}), 0.4, spec,
-                                params={"a": w})
+        first = prune_increment(full_mask({"a": (5,)}), 0.4, "layerwise",
+                                weights={"a": w})
         np.testing.assert_array_equal(first["a"], [1, 0, 1, 0, 1])
-        second = prune_increment(first, 0.8, spec, params={"a": w})
+        second = prune_increment(first, 0.8, "layerwise", weights={"a": w})
         np.testing.assert_array_equal(second["a"], [1, 0, 0, 0, 0])
 
     def test_backwards_level_raises(self):
-        spec = PruneSpec("random", 0.5)
-        ms = random_mask({"a": (10,)}, spec, substream(0, "p"))
+        ms = random_mask({"a": (10,)}, 0.5, "layerwise", substream(0, "p"))
         with pytest.raises(ValueError):
-            prune_increment(ms, 0.2, spec, rng=substream(0, "p"))
+            prune_increment(ms, 0.2, "layerwise", rng=substream(0, "p"))
 
     def test_iterative_run_monotone_and_exact(self):
-        spec = PruneSpec("random", 0.9)
         rng = substream(13, "iter")
         mask = full_mask({"a": (17, 23), "b": (40,)})
         prev = mask
         for level in make_iterative_schedule(0.9, 6):
-            mask = prune_increment(prev, level, spec, rng=rng)
+            mask = prune_increment(prev, level, "layerwise", rng=rng)
             assert np.all(mask["a"] <= prev["a"])
             assert np.all(mask["b"] <= prev["b"])
             for name, m in mask.items():
@@ -164,25 +154,27 @@ class TestPruneIncrement:
 
 # The two-branch ``prune_increment`` the package had before it cut both
 # granularities in one loop, kept as the reference that loop must match.
+# It works on copies of the mask's arrays, since masks are read-only.
 def _reference_active_order(active_idx, values, selector, rng, count):
     if count == 0:
         return np.empty(0, dtype=np.intp)
     if selector == "random":
         if rng is None:
-            raise ValueError("random selection needs an rng")
+            raise ValueError("pruning needs weights or an rng")
         return rng.choice(active_idx, size=count, replace=False)
     if values is None:
-        raise ValueError("magnitude selection needs parameter values")
+        raise ValueError("pruning needs weights or an rng")
     mags = np.abs(values.reshape(-1)[active_idx])
     order = np.argsort(mags, kind="stable")
     return active_idx[order[:count]]
 
 
-def _reference_increment(current, next_level, spec, params=None, rng=None):
+def _reference_increment(current, next_level, selector, granularity,
+                         params=None, rng=None):
     if not 0.0 <= next_level < 1.0:
         raise ValueError("next_level must lie in [0, 1)")
-    new = current.copy()
-    if spec.granularity == "layerwise":
+    if granularity == "layerwise":
+        new = {name: m.copy() for name, m in current.items()}
         for name, m in new.items():
             flat = m.reshape(-1)
             target = _quota(flat.size, next_level)
@@ -192,33 +184,44 @@ def _reference_increment(current, next_level, spec, params=None, rng=None):
                     f"{name}: next level {next_level} is below current sparsity")
             active = np.flatnonzero(flat)
             vals = params[name] if params is not None else None
-            flat[_reference_active_order(active, vals, spec.selector, rng,
+            flat[_reference_active_order(active, vals, selector, rng,
                                          target - have)] = 0
-    else:
-        target = _quota(new.total(), next_level)
-        have = new.zeros()
-        if target < have:
-            raise ValueError(f"next level {next_level} is below current sparsity")
-        active = np.flatnonzero(new.flat)
-        vals = None
-        if params is not None:
-            vals = np.concatenate(
-                [np.asarray(params[name]).reshape(-1) for name in new])
-        new.flat[_reference_active_order(active, vals, spec.selector, rng,
-                                         target - have)] = 0
-        check_no_severed_layer(new, "global quota")
+        return MaskSet(new)
+    flat = current.flat.copy()
+    target = _quota(flat.size, next_level)
+    have = int(flat.size - flat.sum())
+    if target < have:
+        raise ValueError(f"next level {next_level} is below current sparsity")
+    active = np.flatnonzero(flat)
+    vals = None
+    if params is not None:
+        vals = np.concatenate(
+            [np.asarray(params[name]).reshape(-1) for name in current])
+    flat[_reference_active_order(active, vals, selector, rng,
+                                 target - have)] = 0
+    new = MaskSet(flat, current.shapes)
+    check_no_severed_layer(new, "global quota")
     return new
 
 
-def _outcome(increment, mask, level, spec, params, rng):
-    """(mask, None) or (None, (exception type, message)) of one call."""
+def _outcome(increment, mask, level, selector, granularity, params, rng):
+    """(mask, None) or (None, (exception type, message)) of one call; the
+    package's is called as a selector calls it, and must leave ``mask``'s
+    bytes as they were."""
+    before = mask.flat.copy()
     try:
-        return increment(mask, level, spec, params=params, rng=rng), None
+        if increment is _reference_increment:
+            return increment(mask, level, selector, granularity, params,
+                             rng), None
+        weights = params if selector == "magnitude" else None
+        return increment(mask, level, granularity, weights, rng), None
     except Exception as err:  # compared by type and message
         return None, (type(err), str(err))
+    finally:
+        assert np.array_equal(mask.flat, before)
 
 
-def _compare_chains(levels, shapes, spec, params, seed):
+def _compare_chains(levels, shapes, selector, granularity, params, seed):
     """Run both versions through ``levels`` from the all-ones mask; the
     masks, exceptions and rng states must agree at every step. Returns
     the number of increments compared."""
@@ -227,13 +230,15 @@ def _compare_chains(levels, shapes, spec, params, seed):
     masks = [full_mask(shapes)] * 2
     for step, level in enumerate(levels, 1):
         (got, got_err), (want, want_err) = (
-            _outcome(increment, mask, level, spec, params, rng)
+            _outcome(increment, mask, level, selector, granularity, params,
+                     rng)
             for increment, mask, rng in zip(
                 (prune_increment, _reference_increment), masks, rngs))
-        assert got_err == want_err, (levels, spec, step)
+        case = (levels, selector, granularity, step)
+        assert got_err == want_err, case
         if want_err is not None:
             return step
-        assert same_mask(got, want), (levels, spec, step)
+        assert same_mask(got, want), case
         masks = [got, want]
         if seed is not None:
             assert (rngs[0].bit_generator.state
@@ -257,9 +262,8 @@ class TestOneLoopMatchesTheTwoBranchReference:
                 levels[2] = levels[0] / 2
             for selector in ("random", "magnitude"):
                 for granularity in ("layerwise", "global"):
-                    spec = PruneSpec(selector, 0.5, granularity)
                     compared += _compare_chains(
-                        levels, shapes, spec,
+                        levels, shapes, selector, granularity,
                         params if selector == "magnitude" else None, case)
         assert compared > 1000
 
@@ -267,42 +271,62 @@ class TestOneLoopMatchesTheTwoBranchReference:
         shapes = {"layer0.w": (3,), "layer2.w": (2, 2)}
         for granularity in ("layerwise", "global"):
             for selector in ("random", "magnitude"):
-                spec = PruneSpec(selector, 0.5, granularity)
                 # 0.1 cuts no entry of a 3-, 4- or 7-entry group
-                assert _compare_chains([0.0, 0.1], shapes, spec, None,
-                                       None) == 2
+                assert _compare_chains([0.0, 0.1], shapes, selector,
+                                       granularity, None, None) == 2
                 # 0.5 cuts some: the missing rng or weights raise
-                assert _compare_chains([0.5], shapes, spec, None, None) == 1
+                assert _compare_chains([0.5], shapes, selector,
+                                       granularity, None, None) == 1
 
 
 class TestOneShotEquivalence:
     def test_random_phi_one_identical_to_one_shot(self):
-        spec = PruneSpec("random", 0.7)
-        one_shot = random_mask(SHAPES, spec, substream(5, "m"))
+        one_shot = random_mask(SHAPES, 0.7, "layerwise", substream(5, "m"))
         level = make_iterative_schedule(0.7, 1)[0]
-        iterative = prune_increment(full_mask(SHAPES), level, spec,
+        iterative = prune_increment(full_mask(SHAPES), level, "layerwise",
                                     rng=substream(5, "m"))
         assert same_mask(one_shot, iterative)
 
     def test_magnitude_phi_one_identical_to_one_shot(self):
         rng = substream(6, "m")
         params = {name: rng.normal(size=shape) for name, shape in SHAPES.items()}
-        spec = PruneSpec("magnitude", 0.7)
-        one_shot = magnitude_mask(params, spec)
+        one_shot = magnitude_mask(params, 0.7, "layerwise")
         level = make_iterative_schedule(0.7, 1)[0]
-        iterative = prune_increment(full_mask(SHAPES), level, spec, params=params)
+        iterative = prune_increment(full_mask(SHAPES), level, "layerwise",
+                                    weights=params)
         assert same_mask(one_shot, iterative)
 
 
 def test_spec_validation():
+    # an unknown selector is the config's to reject (test_config.py)
     with pytest.raises(ValueError):
-        PruneSpec("fisher", 0.5)
-    with pytest.raises(ValueError):
-        PruneSpec("random", 1.0)
-    with pytest.raises(ValueError):
-        PruneSpec("random", 0.5, granularity="rowwise")
+        random_mask(SHAPES, 1.0, "layerwise", substream(0, "m"))
+    with pytest.raises(ValueError, match="unknown granularity 'rowwise'"):
+        random_mask(SHAPES, 0.5, "rowwise", substream(0, "m"))
+    with pytest.raises(ValueError, match="unknown granularity 'rowwise'"):
+        prune_increment(full_mask(SHAPES), 0.0, "rowwise")
     with pytest.raises(ValueError):
         make_iterative_schedule(0.5, 0)
+
+
+class TestIncrementIsAValue:
+    def test_the_input_mask_keeps_its_bytes(self):
+        shapes = {"layer0.w": (20, 30), "layer2.w": (30, 4)}
+        rng = substream(7, "value")
+        params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        for granularity in ("layerwise", "global"):
+            start = random_mask(shapes, 0.3, granularity, substream(7, "m"))
+            before = start.flat.copy()
+            for weights, draw in ((params, None), (None, substream(8, "m"))):
+                new = prune_increment(start, 0.6, granularity, weights, draw)
+                assert np.array_equal(start.flat, before)
+                assert not np.shares_memory(new.flat, start.flat)
+                assert np.all(new.flat <= start.flat)  # only removes
+                assert new.sparsity() > start.sparsity()
+
+    def test_pruning_needs_weights_or_an_rng(self):
+        with pytest.raises(ValueError, match="needs weights or an rng"):
+            prune_increment(full_mask(SHAPES), 0.5, "layerwise")
 
 
 class TestLayerQuotas:
@@ -318,13 +342,12 @@ class TestLayerQuotas:
         with pytest.raises(SeveredLayerError):
             check_layer_quotas(self.SHAPES, [0.5, 0.999])
         with pytest.raises(SeveredLayerError):
-            random_mask(self.SHAPES, PruneSpec("random", 0.999),
-                        substream(0, "m"))
+            random_mask(self.SHAPES, 0.999, "layerwise", substream(0, "m"))
 
     def test_a_quota_that_removes_nothing_severs_the_complement(self):
         check_layer_quotas(self.SHAPES, [0.001])
         with pytest.raises(SeveredLayerError, match="'b'.*complement"):
             check_layer_quotas(self.SHAPES, [0.001], complement=True)
-        mask = random_mask(self.SHAPES, PruneSpec("random", 0.001),
+        mask = random_mask(self.SHAPES, 0.001, "layerwise",
                            substream(0, "m"))
         assert not mask.complement()["b"].any()

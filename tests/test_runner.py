@@ -3,6 +3,7 @@ import logging
 import os
 import platform
 
+import numpy as np
 import pytest
 
 from subanneal import runner
@@ -323,6 +324,54 @@ class TestPruneTuneTask:
         assert manifest["stages"] == [] and manifest["cells"] == []
         assert not (out / "parents").exists()
 
+    @pytest.mark.parametrize("extra", [
+        # generated-config draw 4: the temperature target at rho 0.99
+        # keeps none of the 300-weight head for seed 1
+        {"seeds": [1], "method": "temperature-anneal", "rho": [0.3, 0.99],
+         "phi": 0, "epochs": 1},
+        # seed 5's third iterative increment severs the head (seed 1's
+        # one-shot target would too, in a later unit)
+        {"seeds": [0, 5, 1], "method": ["oneshot", "iterative"],
+         "rho": 0.99, "phi": 3, "epochs": 3},
+        # seed 6's member 1, the complement of a 1% cut, keeps no head
+        {"task": "ensemble", "seeds": [6], "rho": 0.01, "phi": 1,
+         "epochs": 2, "ensemble": {"n_members": 2, "partitioning": True,
+                                   "corruption_severities": []}},
+    ], ids=["generated-draw-4", "iterative", "partitioned-ensemble"])
+    def test_a_global_random_quota_that_severs_a_layer_fails_up_front(
+            self, tmp_path, monkeypatch, extra):
+        raw = {"task": "ablate", "granularity": "global",
+               "selector": "random", **extra,
+               "blobs": {"n": 90, "d": 3, "k": 3, "separation": 4.0,
+                         "data_seed": 19}}
+        with pytest.raises(SeveredLayerError):
+            run(_cfg(tmp_path, **raw))
+        out = tmp_path / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stages"] == [] and manifest["cells"] == []
+        assert not (out / "parents").exists()
+        # the unit that draws the mask fails with the same error (raised
+        # as a WorkerError when a helper ran it)
+        monkeypatch.setattr(runner, "check_quotas", lambda cfg, data: None)
+        with pytest.raises(Exception):
+            run(_cfg(tmp_path / "late", **raw))
+        late = json.loads((tmp_path / "late" / "out" / "manifest.json")
+                          .read_text())
+        assert late["stages"] and late["error"] == manifest["error"]
+
+    def test_a_global_magnitude_quota_fails_in_its_unit(self, tmp_path):
+        # magnitude selection reads the parent's weights, so only the
+        # cell that draws the mask can see it sever layer3.w
+        with pytest.raises(Exception):
+            run(_cfg(tmp_path, task="ablate", granularity="global",
+                     selector="magnitude", method="oneshot", rho=0.99))
+        manifest = json.loads((tmp_path / "out" / "manifest.json")
+                              .read_text())
+        assert manifest["error"] == ("SeveredLayerError: global quota fully "
+                                     "severed layer 'layer3.w'")
+        assert [stage["name"] for stage in manifest["stages"]] == [
+            "parents", "cells"]
+
 
 @pytest.mark.parametrize("model,shape", [("mlp", (8,)),
                                          ("smallconv", (3, 8, 8))])
@@ -366,11 +415,17 @@ class TestAblateTask:
         assert len(parents) == 1
 
 
+def _pairs(*manifest_paths) -> list:
+    """``summarize_manifests``' (manifest, base_dir) pairs of the files."""
+    return [(json.loads(path.read_text()), path.parent)
+            for path in manifest_paths]
+
+
 class TestSummarize:
     def test_single_manifest_std_zero(self, tmp_path):
         cfg = _cfg(tmp_path, method="oneshot")
         run(cfg)
-        rows = summarize_manifests([tmp_path / "out" / "manifest.json"])
+        rows = summarize_manifests(_pairs(tmp_path / "out" / "manifest.json"))
         assert len(rows) == 1
         assert rows[0]["std_acc"] == 0.0
         assert rows[0]["seed_count"] == 1
@@ -390,28 +445,63 @@ class TestSummarize:
                        "tau0": 0.0, "epochs": 1, "seed": i,
                        "metrics": f"m{i}.csv"} for i in range(3)],
         }
-        rows = summarize_manifests([], manifest_payloads=[manifest],
-                                   base_dirs=[out])
+        rows = summarize_manifests([(manifest, out)])
         assert rows[0]["mean_acc"] == pytest.approx(0.6)
         assert rows[0]["std_acc"] == pytest.approx(0.1)
         assert rows[0]["seed_count"] == 3
 
-    def test_two_identical_runs_zero_std(self, tmp_path):
-        cfg_a = _cfg(tmp_path, method="oneshot", out_dir=str(tmp_path / "a"))
-        cfg_b = _cfg(tmp_path, method="oneshot", out_dir=str(tmp_path / "b"))
-        run(cfg_a)
-        run(cfg_b)
-        rows = summarize_manifests([tmp_path / "a" / "manifest.json",
-                                    tmp_path / "b" / "manifest.json"])
-        assert rows[0]["seed_count"] == 2
-        assert rows[0]["std_acc"] == 0.0
+    def test_two_identical_runs_are_rejected_as_a_repeated_seed(self,
+                                                                tmp_path):
+        # the same cell and seed in two manifests: averaging both would
+        # count one seed twice (seed_count 2, std 0.0)
+        for name in ("a", "b"):
+            run(_cfg(tmp_path, method="oneshot", out_dir=str(tmp_path / name)))
+        a, b = (tmp_path / name / "manifest.json" for name in ("a", "b"))
+        with pytest.raises(ValueError, match="both hold seed 1") as info:
+            summarize_manifests(_pairs(a, b))
+        assert f"{a} with {b}" in str(info.value)
+
+    def test_two_runs_of_other_seeds_are_one_experiment(self, tmp_path):
+        for name, seed in (("a", 1), ("b", 2)):
+            run(_cfg(tmp_path, method="oneshot", seeds=[seed],
+                     out_dir=str(tmp_path / name)))
+        both = summarize_manifests(_pairs(tmp_path / "a" / "manifest.json",
+                                          tmp_path / "b" / "manifest.json"))
+        assert [row["seed_count"] for row in both] == [2]
+        accs = [read_metrics_csv(path)[-1]["test_acc"] for path in
+                sorted(tmp_path.glob("[ab]/metrics/*.csv"))]
+        assert both[0]["mean_acc"] == float(np.mean(accs))
+
+    def test_runs_of_different_configs_are_rejected(self, tmp_path):
+        # two sweeps that differ only in lr.value are two experiments
+        for name, value in (("a", 0.01), ("b", 0.5)):
+            run(_cfg(tmp_path, method="oneshot", seeds=[0, 1],
+                     lr={"kind": "constant", "value": value},
+                     out_dir=str(tmp_path / "sweeps" / name)))
+        with pytest.raises(ValueError, match="differ in 'lr'") as info:
+            summarize_dir(tmp_path / "sweeps")
+        for name in ("a", "b"):
+            assert str(tmp_path / "sweeps" / name / "manifest.json") in str(
+                info.value)
+        assert not (tmp_path / "sweeps" / "summary.csv").exists()
+
+    def test_the_cell_values_and_out_dir_may_differ(self, tmp_path):
+        run(_cfg(tmp_path, method="oneshot", rho=0.5,
+                 out_dir=str(tmp_path / "a")))
+        run(_cfg(tmp_path, method=["iterative", "temperature-anneal"],
+                 rho=0.3, phi=1, tau0=0.25, out_dir=str(tmp_path / "b")))
+        assert summarize_dir(tmp_path).exists()
 
     def test_mixed_datasets_rejected(self, tmp_path):
-        payloads = [{"config": {"dataset": "mnist"}, "cells": []},
-                    {"config": {"dataset": "synthetic-blobs"}, "cells": []}]
-        with pytest.raises(ValueError, match="mixed"):
-            summarize_manifests([], manifest_payloads=payloads,
-                                base_dirs=[tmp_path, tmp_path])
+        cell = {"method": "oneshot", "selector": "random",
+                "lr_schedule": "constant", "rho": 0.5, "phi": 0,
+                "tau0": 0.0, "epochs": 1, "seed": 0, "metrics": "m.csv"}
+        payloads = [{"config": {"dataset": "mnist"}, "cells": [cell]},
+                    {"config": {"dataset": "synthetic-blobs"},
+                     "cells": [cell]}]
+        with pytest.raises(ValueError, match="differ in 'dataset'"):
+            summarize_manifests([(payloads[0], tmp_path / "a"),
+                                 (payloads[1], tmp_path / "b")])
 
     def test_summarize_dir_end_to_end(self, tmp_path):
         cfg = _cfg(tmp_path, method="oneshot")
@@ -655,7 +745,7 @@ def test_mnist_three_method_sweep_shape(tmp_path, monkeypatch):
     manifest = json.loads(run(cfg).read_text())
     assert manifest["status"] == "ok"
     assert len(manifest["cells"]) == 3 * 2
-    rows = summarize_manifests([tmp_path / "out" / "manifest.json"])
+    rows = summarize_manifests(_pairs(tmp_path / "out" / "manifest.json"))
     assert {r["method"] for r in rows} == {"oneshot", "iterative",
                                            "temperature-anneal"}
     assert all(r["seed_count"] == 2 for r in rows)

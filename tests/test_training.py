@@ -246,7 +246,9 @@ def test_masked_weights_float32_scale_rounds_like_astype():
              for n, w in net.weights().items()}
     want = {n: (w * scale[n]).astype(np.float32)
             for n, w in net.weights().items()}
-    probs = ProbabilitySet(scale, full_mask(net.weight_shapes()))
+    probs = ProbabilitySet(np.concatenate([s.reshape(-1)
+                                           for s in scale.values()]),
+                           full_mask(net.weight_shapes()))
     for _ in range(2):
         with masked_weights(net, probs):
             for name, w in net.weights().items():
