@@ -18,7 +18,7 @@ from __future__ import annotations
 import gzip
 import math
 import os
-import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,6 +41,8 @@ STATS_BLOCK_PIXELS = 1 << 16
 
 class DatasetError(ValueError):
     """Malformed dataset file; the message names the failing byte offset."""
+    truncated = ("truncated IDX file: wanted {n} bytes for {what} at "
+                 "offset {offset}")
 
 
 @dataclass
@@ -69,49 +71,53 @@ def _open_maybe_gzip(path: Path):
     raise FileNotFoundError(f"{path} (or {gz.name}) not found")
 
 
-def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
-    """``n`` bytes of ``fh`` at ``offset``: a plain file is read only if it
-    holds that many, a gzip stream 1 MB at a time."""
+def read_array(fh, shape, dtype, what: str, error,
+               shape_what: str = "") -> np.ndarray:
+    """The next values of ``fh``, an array of ``dtype`` shaped ``shape``.
+    The byte count is exact, and a plain file is read only if it holds that
+    many bytes, a gzip stream 1 MB at a time, so a crafted count allocates
+    nothing large. ``error`` (the format's error class) names the offset:
+    its ``truncated`` message names ``what``, and a shape numpy cannot hold
+    is named ``shape_what``."""
+    offset = fh.tell()
+    n = np.dtype(dtype).itemsize * math.prod(shape)
     if isinstance(fh, gzip.GzipFile):
         data = bytearray()
         while len(data) < n and (piece := fh.read(min(n - len(data), 1 << 20))):
             data += piece
     else:
-        data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - offset else b""
+        data = bytearray(n if n <= os.fstat(fh.fileno()).st_size - offset
+                         else 0)
+        del data[fh.readinto(data):]
     if len(data) != n:
-        raise DatasetError(
-            f"truncated IDX file: wanted {n} bytes for {what} at offset {offset}")
-    return data
+        raise error(error.truncated.format(n=n, what=what, offset=offset))
+    try:
+        return np.frombuffer(data, dtype).reshape(shape)
+    except ValueError as err:  # no bytes, but dims numpy cannot hold
+        raise error(f"{shape_what} do not fit an array: {err}") from None
 
 
 def load_idx(path) -> np.ndarray:
     """Parse one big-endian IDX file of unsigned bytes."""
     path = Path(path)
     with _open_maybe_gzip(path) as fh:
-        (magic,) = struct.unpack(">I", _read_exact(fh, 4, 0, "magic"))
-        if magic == IDX_IMAGES_MAGIC:
-            ndim = 3
-        elif magic == IDX_LABELS_MAGIC:
-            ndim = 1
-        else:
-            raise DatasetError(
-                f"bad IDX magic 0x{magic:08x} at offset 0 in {path.name}")
-        dims = []
-        for i in range(ndim):
-            offset = 4 + 4 * i
-            (d,) = struct.unpack(">I", _read_exact(fh, 4, offset, f"dim {i}"))
-            dims.append(d)
-        offset = 4 + 4 * ndim
-        count = math.prod(dims)  # exact: may exceed any numpy integer
-        raw = _read_exact(fh, count, offset, f"{count} data bytes")
-        if fh.read(1):
-            raise DatasetError(
-                f"trailing bytes at offset {offset + count} in {path.name}")
-    try:
-        return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
-    except ValueError as err:  # no bytes, but dims numpy cannot hold
-        raise DatasetError(f"dims at offset 4 in {path.name} do not fit an "
-                           f"array: {err}") from None
+        try:
+            magic = int(read_array(fh, (), ">u4", "magic", DatasetError))
+            ndim = {IDX_IMAGES_MAGIC: 3, IDX_LABELS_MAGIC: 1}.get(magic)
+            if ndim is None:
+                raise DatasetError(f"bad IDX magic 0x{magic:08x} at offset 0 "
+                                   f"in {path.name}")
+            dims = [int(read_array(fh, (), ">u4", f"dim {i}", DatasetError))
+                    for i in range(ndim)]
+            x = read_array(fh, dims, "u1", f"{math.prod(dims)} data bytes",
+                           DatasetError, f"dims at offset 4 in {path.name}")
+            if fh.read(1):
+                raise DatasetError(f"trailing bytes at offset "
+                                   f"{fh.tell() - 1} in {path.name}")
+        except (EOFError, gzip.BadGzipFile, zlib.error) as err:  # damaged gzip
+            raise DatasetError(f"damaged gzip stream at offset {fh.tell()} "
+                               f"in {path.name}: {err}") from None
+    return x
 
 
 def load_mnist(split: str, root=None, limit: int = 0) -> Dataset:

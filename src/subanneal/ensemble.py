@@ -16,6 +16,7 @@ import numpy as np
 
 from .annealing import AnnealController, anti_probability, init_temperature
 from .data import to_float
+from .masks import MaskSet
 from .metrics import evaluate
 from .nn.layers import Network
 from .pruning import check_no_severed_layer, random_mask
@@ -38,30 +39,43 @@ def train_parent(net: Network, train_data, epochs: int, optimizer, schedule,
                batch_size, rng_shuffle, eval_data=eval_data)
 
 
+def member_mask(shapes: dict, i: int, rho: float, partitioning: bool,
+                rng: np.random.Generator,
+                granularity: str = "layerwise") -> MaskSet:
+    """The mask member i's target comes from, drawn from ``rng`` at sparsity
+    rho: with partitioning, its pair's (an odd member's target is its
+    complement, which must keep an entry of every layer, else
+    ``SeveredLayerError``), otherwise its own.
+
+    Members draw their masks from one stream in member order, so ``rng``
+    is replayed through the draws of the members before i; an odd final
+    member of a partitioned ensemble gets its own fresh mask.
+    """
+    for _ in range(i // 2 + 1 if partitioning else i + 1):
+        mask = random_mask(shapes, rho, granularity, rng)
+    if partitioning and i % 2 == 1:
+        check_no_severed_layer(mask.complement(),
+                               f"the complement mask of member {i}")
+    return mask
+
+
 def member_controller(shapes: dict, i: int, rho: float, partitioning: bool,
                       tau0: float, variant: str, decay: str, phi: int,
                       rng: np.random.Generator,
                       granularity: str = "layerwise") -> AnnealController:
-    """Member i's temperature-annealing controller, its target mask drawn
-    from ``rng`` at sparsity rho, annealed at ``tau0`` under ``variant``
-    over ``phi`` epochs of ``decay``.
+    """Member i's temperature-annealing controller, its target drawn by
+    ``member_mask``, annealed at ``tau0`` under ``variant`` over ``phi``
+    epochs of ``decay``.
 
-    Members draw their masks from one stream in member order, so ``rng``
-    is replayed through the draws of the members before i. With
-    partitioning, members come in complementary pairs: an odd member
+    With partitioning, members come in complementary pairs: an odd member
     starts from the ``anti_probability`` of its pair's probabilities, so
     its probabilities mirror 1 - P every epoch and its terminal mask is the
-    pair's complement; an odd final member gets its own fresh mask. A
-    complement at rho != 0.5 has sparsity 1-rho, which is allowed but worth
-    noticing in the logs; a complement that keeps no entry of a layer
-    raises ``SeveredLayerError``.
+    pair's complement. A complement at rho != 0.5 has sparsity 1-rho, which
+    is allowed but worth noticing in the logs.
     """
-    for _ in range(i // 2 + 1 if partitioning else i + 1):
-        mask = random_mask(shapes, rho, granularity, rng)
+    mask = member_mask(shapes, i, rho, partitioning, rng, granularity)
     init = init_temperature(mask, tau0, variant)
     if partitioning and i % 2 == 1:
-        check_no_severed_layer(mask.complement(),
-                               f"the complement mask of member {i}")
         if rho != 0.5:
             log.warning("partitioning with rho=%s: complement member %d has "
                         "sparsity %s", rho, i, 1.0 - rho)

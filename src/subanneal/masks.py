@@ -10,19 +10,21 @@ once (``training.run_epoch``), which zeroes its masked-off parameters.
 
 Masks and network weights serialize to a small binary container: magic
 ``SSAM``, version u32, entry count u32, then per entry name length u32 +
-name bytes + rank u32 + dims (u64 each) + raw values, all little-endian.
-Mask entries store u8 values, weight entries f64 (a float32 weight widens
-to f64 exactly, so it loads back bit for bit).
+UTF-8 name bytes + rank u32 + dims (u64 each) + raw values, all
+little-endian, every field read by ``data.read_array``. Mask entries store
+u8 values, weight entries f64 (a float32 weight widens to f64 exactly, so
+it loads back bit for bit).
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import os
 import struct
 
 import numpy as np
 
+from .data import read_array
 from .nn.layers import views
 
 MAGIC = b"SSAM"
@@ -142,16 +144,8 @@ def _write_container(path, entries: list) -> None:
 
 class ContainerError(ValueError):
     """Malformed container file; the message names the failing byte offset."""
-
-
-def _read_exact(fh, n: int, what: str) -> bytes:
-    """``n`` bytes of ``fh``, read only if the file holds that many."""
-    offset = fh.tell()
-    data = fh.read(n) if n <= os.fstat(fh.fileno()).st_size - offset else b""
-    if len(data) != n:
-        raise ContainerError(
-            f"truncated container: expected {n} bytes for {what} at offset {offset}")
-    return data
+    truncated = ("truncated container: expected {n} bytes for {what} at "
+                 "offset {offset}")
 
 
 def _read_entries(path, kind: str) -> dict:
@@ -159,28 +153,27 @@ def _read_entries(path, kind: str) -> dict:
     entries = {}
     dtype = "<u1" if kind == "u8" else "<f8"
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        read = functools.partial(read_array, fh, error=ContainerError)
+        magic = read((4,), "u1", "magic").tobytes()
         if magic != MAGIC:
             raise ContainerError(f"bad magic {magic!r} at offset 0")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4, "version"))
+        version = int(read((), "<u4", "version"))
         if version != VERSION:
             raise ContainerError(f"unsupported version {version} at offset 4")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "entry count"))
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, nlen, "name").decode("utf-8")
-            (rank,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
-            offset = fh.tell()
-            dims = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, "dims"))
-            # exact: a product of u64 dims may not fit any numpy integer
-            nbytes = np.dtype(dtype).itemsize * math.prod(dims)
-            raw = _read_exact(fh, nbytes, f"values of {name!r}")
+        for _ in range(int(read((), "<u4", "entry count"))):
+            nlen = int(read((), "<u4", "name length"))
+            at = fh.tell()
+            raw = read((nlen,), "u1", "name")
             try:
-                values = np.frombuffer(raw, dtype=dtype).reshape(dims)
-            except ValueError as err:  # no bytes, but dims numpy cannot hold
-                raise ContainerError(f"dims of {name!r} at offset {offset} "
-                                     f"do not fit an array: {err}") from None
-            entries[name] = values.copy()
+                name = raw.tobytes().decode("utf-8")
+            except UnicodeDecodeError as err:
+                raise ContainerError(f"name at offset {at} is not UTF-8: "
+                                     f"{err}") from None
+            rank = int(read((), "<u4", "rank"))
+            at = fh.tell()
+            dims = read((rank,), "<u8", "dims").tolist()
+            entries[name] = read(dims, dtype, f"values of {name!r}",
+                                 shape_what=f"dims of {name!r} at offset {at}")
     return entries
 
 

@@ -49,7 +49,13 @@ from .annealing import (
 )
 from .config import ConfigError, ExperimentConfig
 from .data import NormalizedRows, load_dataset, normalization_stats
-from .ensemble import corrupt, member_controller, score_ensemble, train_parent
+from .ensemble import (
+    corrupt,
+    member_controller,
+    member_mask,
+    score_ensemble,
+    train_parent,
+)
 from .masks import (
     MaskSet,
     load_mask_set,
@@ -552,7 +558,9 @@ def check_quotas(cfg: ExperimentConfig, data: RunData) -> None:
     drawn = cfg.granularity == "global" and cfg.selector == "random"
     stages = {name: units for name, units, _ in run_stages(cfg)}
     for seed, i in stages.get("members", []) if drawn else []:
-        _member_controller(cfg, net, seed, i)
+        member_mask(net.weight_shapes(), i, cfg.rho[0],
+                    cfg.ensemble["partitioning"], substream(seed, "mask"),
+                    cfg.granularity)
     for seed, method, rho, phi, tau0 in stages.get("cells", []):
         if drawn or method == "random-anneal":
             controller = make_controller(method, cfg, net, seed, rho, phi,

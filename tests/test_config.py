@@ -166,6 +166,19 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() != c.config_hash()
 
 
+# a change to one of these is a declared output change (CHANGES.md)
+SHIPPED_HASHES = {"blobs-ablate": "702732bd5ebd0bbe",
+                  "mnist-ensemble": "36e313ff728a971a",
+                  "mnist-ordering": "568909fa7166ba73"}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_HASHES))
+def test_the_shipped_config_hashes_are_pinned(name):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    cfg = ExperimentConfig.from_file(path)
+    assert cfg.config_hash() == SHIPPED_HASHES[name]
+
+
 def _ensemble(**extra):
     raw = {"task": "ensemble", "rho": 0.5, "phi": 2, "tau0": 0.5, "epochs": 3}
     raw.update(extra)

@@ -90,6 +90,46 @@ class TestIdx:
             load_idx(path)
 
 
+def _idx_labels_64_bytes() -> bytes:
+    """A valid 64-byte IDX label file: an 8-byte header and 56 labels."""
+    return struct.pack(">II", 0x00000801, 56) + bytes(i % 10 for i in range(56))
+
+
+class TestDamagedIdx:
+    """Every damaged IDX file, plain or gzip, ends in ``DatasetError``
+    naming an offset, never in an error of the decompressor."""
+
+    def _raises(self, path):
+        with pytest.raises(DatasetError, match="offset"):
+            load_idx(path)
+
+    def test_every_cut_of_a_plain_file(self, tmp_path):
+        raw = _idx_labels_64_bytes()
+        path = tmp_path / "labels"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            self._raises(path)
+        path.write_bytes(raw)
+        assert load_idx(path).tolist() == list(raw[8:])
+
+    def test_every_cut_of_a_gzip_file(self, tmp_path):
+        packed = gzip.compress(_idx_labels_64_bytes(), mtime=0)
+        path = tmp_path / "labels"
+        for cut in range(len(packed)):
+            (tmp_path / "labels.gz").write_bytes(packed[:cut])
+            self._raises(path)
+
+    @pytest.mark.parametrize("where", ["deflate", "crc", "length"])
+    def test_a_flipped_gzip_byte(self, tmp_path, where):
+        packed = bytearray(gzip.compress(_idx_labels_64_bytes(), mtime=0))
+        # the 10-byte header, the deflate data, then CRC32 and length
+        packed[{"deflate": 12, "crc": -8, "length": -4}[where]] ^= 0xFF
+        (tmp_path / "labels.gz").write_bytes(bytes(packed))
+        with pytest.raises(DatasetError, match="damaged gzip stream at "
+                                               "offset .* in labels"):
+            load_idx(tmp_path / "labels")
+
+
 class TestMnist:
     def test_load_counts_and_scaling(self, tmp_path):
         # images load unscaled: the uint8 bytes of the file, exactly

@@ -250,6 +250,42 @@ class TestContainer:
         with pytest.raises(ContainerError, match="offset 0"):
             load_mask_set(path)
 
+    @pytest.mark.parametrize("kind", ["mask", "weights"])
+    def test_a_name_that_is_not_utf8_names_its_offset(self, tmp_path, kind):
+        path = tmp_path / "name.ssam"
+        if kind == "mask":
+            save_mask_set(MaskSet({"a": np.ones(3, np.uint8)}), path)
+        else:
+            save_weights({"a": np.ones(3)}, path)
+        raw = path.read_bytes()
+        # magic, version, entry count and name length precede the name
+        assert raw[16:17] == b"a"
+        path.write_bytes(raw[:16] + b"\xff" + raw[17:])
+        read = load_mask_set if kind == "mask" else load_weights
+        with pytest.raises(ContainerError,
+                           match="name at offset 16 is not UTF-8"):
+            read(path)
+
+    @pytest.mark.parametrize("kind", ["mask", "weights"])
+    def test_every_cut_of_a_file_raises_container_error(self, tmp_path,
+                                                        kind):
+        rng = substream(5, "io")
+        path = tmp_path / "cut.ssam"
+        if kind == "mask":
+            save_mask_set(MaskSet({
+                "layer0.w": (rng.random((3, 2)) < 0.5).astype(np.uint8),
+                "layer2.w": np.ones((2, 2), np.uint8)}), path)
+            read = load_mask_set
+        else:
+            save_weights({"layer0.w": rng.normal(size=(3, 2)),
+                          "layer0.b": rng.normal(size=2)}, path)
+            read = load_weights
+        raw = path.read_bytes()
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ContainerError, match="offset"):
+                read(path)
+
     def test_truncated_file_names_offset(self, tmp_path):
         ms = MaskSet({"layer0.w": np.ones((4, 4), dtype=np.uint8)})
         path = tmp_path / "trunc.ssam"

@@ -11,6 +11,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -685,3 +686,28 @@ def test_several_workers_run_one_blas_thread_each(tmp_path, monkeypatch):
     assert manifest["workers"] == 2
     assert calls == [1]
     assert manifest["blas_threads"] == 1
+
+
+@pytest.mark.skipif(shutil.which("taskset") is None
+                    or not {0, 1} <= os.sched_getaffinity(0),
+                    reason="needs taskset and CPUs 0 and 1")
+@pytest.mark.parametrize("cpus", ["0", "0,1"])
+def test_a_partitioned_global_ensemble_warns_once_per_complement(tmp_path,
+                                                                 cpus):
+    # the up-front quota check draws every member's mask without logging,
+    # so each odd member's warning comes only from its own unit
+    raw = {**BASE, "task": "ensemble", "seeds": [0, 1], "rho": 0.3,
+           "granularity": "global",
+           "ensemble": {"n_members": 4, "partitioning": True},
+           "out_dir": str(tmp_path / "out")}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    done = subprocess.run(
+        ["taskset", "-c", cpus, sys.executable, "-m", "subanneal.cli", "run",
+         str(path)], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, check=True)
+    warned = sorted(line for line in done.stderr.splitlines()
+                    if "complement member" in line)
+    assert warned == [
+        f"WARNING subanneal.ensemble: partitioning with rho=0.3: complement "
+        f"member {i} has sparsity 0.7" for i in (1, 1, 3, 3)]
